@@ -1,7 +1,11 @@
 """Command-line interface: verify / compare / scan.
 
 Exit codes: 0 success, 2 config error, 3 numerical degeneracy,
-4 nonconvergence.
+4 nonconvergence (of the BW fixed point or of the quadrature oracle).
+
+scan reports an undefined value as null: a row's ratio when its predicted
+difference is zero, and the fitted exponent and R^2 when fewer than two
+differences are nonzero (for instance with zero delta coupling).
 """
 
 from __future__ import annotations
@@ -98,6 +102,11 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _defined(value):
+    """None for an undefined (NaN) scan value, which the report shows as null."""
+    return None if np.isnan(value) else value
+
+
 def cmd_scan(args) -> int:
     cfg = _load(args)
     if args.scan_points < 4:
@@ -116,9 +125,9 @@ def cmd_scan(args) -> int:
     timings["scan"] = 1000.0 * (time.perf_counter() - t0)
     report = base_report("scan", cfg)
     report["scan"] = {
-        "rows": [list(r) for r in rows],
-        "fitted_exponent": slope,
-        "r_squared": r2,
+        "rows": [[lam, diff, pred, _defined(ratio)] for lam, diff, pred, ratio in rows],
+        "fitted_exponent": _defined(slope),
+        "r_squared": _defined(r2),
         "failures": [list(f) for f in failures],
     }
     report["timings_ms"] = timings

@@ -55,9 +55,6 @@ class ControversyReport:
     predicted_difference: float = 0.0
     dm1_error_term: float = 0.0
     identity_residuals: dict = field(default_factory=dict)
-    scan_rows: list = field(default_factory=list)
-    fitted_exponent: float = float("nan")
-    r_squared: float = float("nan")
 
 
 # -- direct-route evaluators -------------------------------------------------

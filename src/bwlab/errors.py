@@ -23,5 +23,5 @@ class ConvergenceError(BwlabError):
         self.last = last
 
 
-class QuadratureConvergenceError(BwlabError):
+class QuadratureConvergenceError(ConvergenceError):
     """The eta -> 0 extrapolation of the quadrature oracle did not settle."""

@@ -13,10 +13,9 @@ import numpy as np
 from .bw import Resolvent, solve_no_pair
 from .controversy import combined_variant, predicted_discrepancy
 from .model import build_basis, build_interaction, build_spectrum
-from .operators import build_D, build_Dc, build_HDelta1, build_Hc, build_G0, projectors
+from .operators import build_D, build_Hc, build_G0, projectors
 from .propagators import (
     contour_integral_Finv,
-    finv_diag,
     propagator_S,
     sandwich_integral,
     xj_matrix,

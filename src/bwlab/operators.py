@@ -34,9 +34,6 @@ class ProjectorSet:
     mp: np.ndarray
     mm: np.ndarray
 
-    def by_pattern(self, pattern):
-        return getattr(self, pattern)
-
 
 def projectors(basis: TwoParticleBasis) -> ProjectorSet:
     mats = {}
@@ -54,16 +51,6 @@ def build_D(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E: float)
 def build_Dc(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E_c: float) -> np.ndarray:
     """Same as build_D evaluated at the no-pair reference energy."""
     return np.diag(E_c - basis.pair_energies())
-
-
-def invert_diagonal(D: np.ndarray) -> np.ndarray:
-    """Inverse of a diagonal operator, aborting on degenerate entries."""
-    d = np.diag(D)
-    if np.min(np.abs(d)) < DEGENERACY_TOL:
-        raise DegenerateDenominatorError(
-            f"degenerate denominator: min |diag| = {np.min(np.abs(d)):.3e}"
-        )
-    return np.diag(1.0 / d)
 
 
 def build_Hc(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis,

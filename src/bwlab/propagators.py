@@ -15,10 +15,21 @@ axis (at eps = e - E/2) and S2 poles of positive-energy states above it
 E - e_i - e_j independently of eps, which is the identity behind
 F^-1 = D^-1 (S1 + S2).
 
-Everything integrated here is a product of such factors with constant
-matrices in between, so the integrals reduce to residue sums over simple
-or confluent poles (residues module).  The closed forms are validated
-against the independent numerical quadrature oracle (quadrature module).
+Everything integrated here is a product of such diagonal factors with
+constant matrices in between, T_k = i int deps/2pi F^-1 (g F^-1)^k g F^-1,
+and one matrix-Laurent residue engine evaluates all of them.  Every pole
+sits at one of at most 2n positions, e_i - E/2 or E/2 - e_j.  About each
+cluster x of them the diagonal factor is expanded as a Laurent series in
+u = eps - x, the matrix series F g F ... g F is multiplied out, and the
+u^-1 coefficient is its residue sum over all index chains at once.
+Confluent poles (E at a mixed-pair energy) are double poles of the series;
+pinched and near-coincident poles abort as in the residues module.
+sandwich_integral, j_series and the S-sum route xj_matrix_ssum_route all
+use the engine; the two routes still factor differently (F vs D^-1 (S1 +
+S2)), so comparing them is a check.  ChainIntegrator, the scalar
+chain-by-chain evaluation through residues.pole_product_integral, stays as
+a reference; the numerical quadrature oracle (quadrature module) is the
+independent check of both.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import SingleParticleSpectrum, TwoParticleBasis
-from .residues import LOWER, UPPER, pole_product_integral
+from .residues import LOWER, MERGE_TOL, UPPER, clustered_poles, pole_product_integral
 
 DEFAULT_ETA_SEQUENCE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 
@@ -57,7 +68,7 @@ class IntegrationSettings:
         seq = tuple(float(x) for x in self.eta_sequence)
         if any(x <= 0 for x in seq):
             raise ConfigError("eta values must be > 0")
-        if list(seq) != sorted(seq, reverse=True):
+        if any(later >= earlier for earlier, later in zip(seq, seq[1:])):
             raise ConfigError("eta_sequence must be strictly decreasing")
         if self.quadrature_points < 4:
             raise ConfigError("quadrature_points must be >= 4")
@@ -119,10 +130,12 @@ def _pair_pole_factors(e_i, e_j, E):
 
 class ChainIntegrator:
     """Residue evaluation of i int deps/2pi over products of F^-1 factors
-    (and of S1 + S2 factors) for a fixed spectrum and total energy E.
+    (and of S1 + S2 factors) for a fixed spectrum and total energy E, one
+    index chain at a time.
 
-    Values depend only on the multiset of participating pairs, so they are
-    cached per structure; this makes the higher series terms cheap.
+    The scalar reference for the matrix-Laurent engine: enumerating every
+    chain costs dim^(k+2) calls per term.  Values depend only on the
+    multiset of participating pairs, so they are cached per structure.
     """
 
     def __init__(self, spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E: float):
@@ -190,55 +203,147 @@ def contour_integral_Finv(spectrum, basis, E):
     return np.diag(out)
 
 
+def _diagonal_series(pos, pos_up, x, up, order, ssum):
+    """u^m times the diagonal factor about each pole cluster x[c]
+    (u = eps - x[c]), with up[c] telling its half-plane: F^-1 = S1 S2, or
+    S1 + S2 on the S-sum route.  pos, pos_up hold the S1 poles of the pairs
+    followed by their S2 poles.  m is the highest pole order of one factor
+    at any cluster (2 only where both poles of one pair meet, at a
+    mixed-pair energy).  Returns (Taylor coefficients of orders
+    0 .. m(order+1) - 1, shape (clusters, orders, pairs); m)."""
+    npairs = pos.size // 2
+    d = x[:, None] - pos
+    at = (pos_up == up[:, None]) & (np.abs(d) <= MERGE_TOL * np.maximum(1.0, np.abs(pos)))
+    m = 2 if not ssum and (at[:, :npairs] & at[:, npairs:]).any() else 1
+    n = m * (order + 1)
+    # Laurent coefficients of S1 = 1/(eps - a) and S2 = -1/(eps - b):
+    # row 0 is u^-1 (nonzero where the pole is at x[c]), row r >= 1 is u^(r-1)
+    sign = np.repeat([1.0, -1.0], npairs)
+    d[at] = np.inf  # a pole at x has no Taylor part: r = 0 clears its rows
+    r = 1.0 / d
+    s = np.empty((len(x), n + 1, pos.size))
+    s[:, 0] = sign * at
+    s[:, 1:] = sign * r[:, None] * (-r[:, None]) ** np.arange(n)[:, None]
+    s1, s2 = s[..., :npairs], s[..., npairs:]
+    if ssum:
+        return (s1 + s2)[:, :n], m
+    f = np.zeros_like(s1)  # S1 S2, orders -2 .. n-2
+    for lag in range(n + 1):
+        f[:, lag:] += s1[:, lag: lag + 1] * s2[:, : n + 1 - lag]
+    return f[:, 2 - m: 2 - m + n], m
+
+
+def _times_diagonal(R, h):
+    """Truncated product R(u) diag(h(u)), per cluster, of a matrix series
+    R (clusters, orders, pairs, pairs) and a diagonal series h."""
+    n = h.shape[1]
+    P = np.zeros_like(R)
+    for lag in range(n):
+        P[:, lag:] += R[:, : n - lag] * h[:, lag, None, None, :]
+    return P
+
+
+def _residue_terms(h, m, g, order, scale, via=None):
+    """Per k < order, the u^-1 coefficients of the T_k integrand summed over
+    the pole clusters of h (from _diagonal_series, with m): over all index
+    chains, or, where via is given, over the chains through at least one
+    pair in via.  scale is the D^-1 the inner pairs carry on the S-sum
+    route (1.0 on the direct route)."""
+    R = h[..., None] * g  # series of diag(h) g: all chains, or those avoiding via
+    if via is not None:
+        R, met = R * ~via[:, None], R * via[:, None]
+    out = []
+    for k in range(order):
+        R = _times_diagonal(R, h)
+        if via is not None:
+            met = _times_diagonal(met, h) + R * via
+            R = R * ~via
+        out.append((R if via is None else met)[:, m * (k + 2) - 1].sum(axis=0))
+        if k + 1 < order:
+            R = (R * scale) @ g
+            if via is not None:
+                met = (met * scale) @ g
+    return out
+
+
+def _kernel_terms(spectrum, basis, E, g, order, dinv=None):
+    """[T_0 .. T_{order-1}] by matrix-Laurent residues, with
+
+        direct route (dinv None):  T_k = i int deps/2pi F^-1 (g F^-1)^k g F^-1
+        S-sum route:               T_k = i int deps/2pi s (g D^-1 s)^k g s
+
+    and s = S1 + S2.  About each pole cluster x the diagonal factor is a
+    Laurent series in u = eps - x; the matrix series s g s ... g s is
+    multiplied out and its u^-1 coefficient read off.  T_k is minus the sum
+    of these over the upper clusters, or plus the sum over the lower ones.
+    Index chains through a pair whose poles both lie in the upper
+    half-plane (e_i < 0 < e_j) close downwards, where that pair has no pole;
+    closed upwards, their residues cancel (exactly, for a chain of such
+    pairs only) and lose digits as E nears the pair's energy.  All other
+    chains close upwards.  Only pairs with a nonzero row or column of g take
+    part, so their poles alone are checked for pinches.
+    """
+    dim = basis.dim
+    zeros = [np.zeros((dim, dim)) for _ in range(order)]
+    act = np.flatnonzero(g.any(axis=0) | g.any(axis=1))
+    if act.size == 0:
+        return zeros
+    e = np.asarray(spectrum.energies)
+    i, j = np.divmod(act, spectrum.n)  # pair index k = i * n + j
+    pos = np.concatenate([e[i] - E / 2, E / 2 - e[j]])  # S1 poles, then S2 poles
+    pos_up = np.concatenate([e[i] <= 0, e[j] > 0])
+    upper, lower = clustered_poles(zip(pos.tolist(), np.where(pos_up, UPPER, LOWER).tolist()))
+    if not upper or not lower:
+        return zeros
+
+    via = pos_up[: act.size] & pos_up[act.size:]  # pairs whose chains close downwards
+    x = np.array([p for p, _ in upper + (lower if via.any() else [])])
+    up = np.arange(len(x)) < len(upper)
+    h, m = _diagonal_series(pos, pos_up, x, up, order, dinv is not None)
+    full = act.size == dim
+    ga = g if full else g[np.ix_(act, act)]
+    scale = 1.0 if dinv is None else dinv[act]
+    avoid = ~via
+    upward = _residue_terms(h[up], m, ga * (avoid[:, None] & avoid), order, scale)
+    downward = (_residue_terms(h[~up], m, ga, order, scale, via)
+                if not up.all() else [0.0] * order)
+    terms = [T_down - T_up for T_up, T_down in zip(upward, downward)]
+    if not full:
+        for k, T in enumerate(terms):
+            terms[k] = np.zeros((dim, dim))
+            terms[k][np.ix_(act, act)] = T
+    return terms
+
+
+def _square(M, basis, name):
+    M = np.asarray(M, dtype=float)
+    if M.shape != (basis.dim, basis.dim):
+        raise ValueError(f"{name} has shape {M.shape}, basis needs {(basis.dim, basis.dim)}")
+    return M
+
+
 def sandwich_integral(spectrum, basis, E, A):
     """i int deps/2pi F^-1 A F^-1 for an eps-independent matrix A.
 
-    Elementwise X[p, q] = A[p, q] * I(pair_p, pair_q; E) with I the joint
-    four-propagator residue value; linear in A by construction.
+    The k = 0 term of the kernel series with g = A, from the same
+    matrix-Laurent residue engine; entry (p, q) is A[p, q] times the joint
+    four-propagator residue value of the pairs p and q.
     """
-    A = np.asarray(A, dtype=float)
-    if A.shape != (basis.dim, basis.dim):
-        raise ValueError(f"A has shape {A.shape}, basis needs {(basis.dim, basis.dim)}")
-    if not np.any(A):
-        return np.zeros_like(A)
-    chain = ChainIntegrator(spectrum, basis, E)
-    table = np.empty_like(A)
-    for p in range(basis.dim):
-        for q in range(basis.dim):
-            table[p, q] = chain.finv_product((p, q))
-    return A * table
+    return _kernel_terms(spectrum, basis, E, _square(A, basis, "A"), 1)[0]
 
 
 def j_series(spectrum, basis, E, g_delta, order):
     """Terms T_k = i int deps/2pi F^-1 (g F^-1)^k g F^-1 for k = 0..order-1.
 
-    T_0 is sandwich_integral(E, g); each higher term inserts one more
-    g F^-1 factor (joint residues over chains of pairs).  The truncated
-    kernel integral is sum(T_k).
+    About each pole cluster x of F^-1 the diagonal factor is expanded as a
+    Laurent series in u = eps - x; the matrix series F g F ... g F is
+    multiplied out once per cluster, and T_k collects its u^-1 coefficients
+    (the residue sums over all index chains at once).  T_0 is
+    sandwich_integral(E, g).  The truncated kernel integral is sum(T_k).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    g = np.asarray(g_delta, dtype=float)
-    if g.shape != (basis.dim, basis.dim):
-        raise ValueError(f"g has shape {g.shape}, basis needs {(basis.dim, basis.dim)}")
-    dim = basis.dim
-    if not np.any(g):
-        return [np.zeros((dim, dim)) for _ in range(order)]
-    chain = ChainIntegrator(spectrum, basis, E)
-    terms = []
-    for k in range(order):
-        T = np.zeros((dim, dim))
-        for links in _iproduct(range(dim), repeat=k + 2):
-            w = 1.0
-            for a, b in zip(links[:-1], links[1:]):
-                w *= g[a, b]
-                if w == 0.0:
-                    break
-            if w == 0.0:
-                continue
-            T[links[0], links[-1]] += w * chain.finv_product(links)
-        terms.append(T)
-    return terms
+    return _kernel_terms(spectrum, basis, E, _square(g_delta, basis, "g"), order)
 
 
 def xj_matrix(spectrum, basis, E, g_delta, order):
@@ -251,16 +356,17 @@ def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order):
 
         T_k = D^-1 [ i int (S1+S2) (g D^-1 (S1+S2))^k g (S1+S2) ] D^-1
 
-    so each joint integral runs over products of (S1 + S2) factors and the
-    inner pairs carry explicit 1/(E - e_i - e_j) weights.  Algebraically
-    identical to xj_matrix; numerically an independent evaluation path.
+    so the residue engine multiplies series of (S1 + S2) factors, the inner
+    pairs carry explicit 1/(E - e_i - e_j) weights, and the outer D^-1 is
+    applied afterwards.  Algebraically identical to xj_matrix; numerically
+    an independent evaluation path.  Aborts where any D entry vanishes,
+    which includes the mixed-pair energies the direct route handles.
     """
-    g = np.asarray(g_delta, dtype=float)
-    dim = basis.dim
     if order < 1:
         raise ValueError("order must be >= 1")
+    g = _square(g_delta, basis, "g")
     if not np.any(g):
-        return np.zeros((dim, dim))
+        return np.zeros((basis.dim, basis.dim))
     from .operators import DEGENERACY_TOL
 
     denom = E - basis.pair_energies()
@@ -269,20 +375,5 @@ def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order):
 
         raise DegenerateDenominatorError("degenerate pair denominator in S-sum route")
     dinv = 1.0 / denom
-    chain = ChainIntegrator(spectrum, basis, E)
-    total = np.zeros((dim, dim))
-    for k in range(order):
-        W = np.zeros((dim, dim))
-        for links in _iproduct(range(dim), repeat=k + 2):
-            w = 1.0
-            for a, b in zip(links[:-1], links[1:]):
-                w *= g[a, b]
-                if w == 0.0:
-                    break
-            if w == 0.0:
-                continue
-            for inner in links[1:-1]:
-                w *= dinv[inner]
-            W[links[0], links[-1]] += w * chain.ssum_product(links)
-        total += dinv[:, None] * W * dinv[None, :]
-    return total
+    W = sum(_kernel_terms(spectrum, basis, E, g, order, dinv))
+    return dinv[:, None] * W * dinv[None, :]

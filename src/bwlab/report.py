@@ -5,7 +5,8 @@ Report keys:
     version, command, config_hash, config (inline echo), energy
     (E_c, dE, E, deltaE, iterations, residual), controversy (compare/scan),
     identity_residuals, scan (scan only: rows, fitted_exponent, r_squared,
-    failures), oracle_energy, timings_ms.
+    failures; an undefined ratio, exponent or R^2 is None, rendered as
+    null), oracle_energy, timings_ms.
 
 Two runs of the same config differ only inside timings_ms.
 """
@@ -60,7 +61,7 @@ def _jsonify(obj, out):
 
 
 def render_json(report: dict) -> str:
-    _check_finite({k: v for k, v in report.items() if k != "failures"})
+    _check_finite(report)
     out = []
     _jsonify(report, out)
     return "".join(out)
@@ -99,6 +100,12 @@ def controversy_section(rep) -> dict:
     }
 
 
+def _fixed(value, spec, width):
+    """format(value, spec), or null right-aligned in width where value is
+    undefined (None)."""
+    return f"{'null':>{width}}" if value is None else format(value, spec)
+
+
 def render_table(report: dict) -> str:
     """Aligned plain-text rendering of the scalar report content."""
     lines = [f"bwlab {report['command']}  (version {report['version']})",
@@ -131,9 +138,10 @@ def render_table(report: dict) -> str:
         lines.append("coupling scan")
         lines.append(f"  {'lambda':>10}  {'difference':>16}  {'predicted':>16}  {'ratio':>10}")
         for lam, diff, pred, ratio in sc["rows"]:
-            lines.append(f"  {lam:>10.5f}  {diff:>16.8e}  {pred:>16.8e}  {ratio:>10.6f}")
-        lines.append(f"  fitted_exponent  {sc['fitted_exponent']: .6f}")
-        lines.append(f"  r_squared        {sc['r_squared']: .8f}")
+            lines.append(f"  {lam:>10.5f}  {diff:>16.8e}  {pred:>16.8e}  "
+                         f"{_fixed(ratio, '>10.6f', 10)}")
+        lines.append(f"  fitted_exponent  {_fixed(sc['fitted_exponent'], ' .6f', 5)}")
+        lines.append(f"  r_squared        {_fixed(sc['r_squared'], ' .8f', 5)}")
         for lam, msg in sc.get("failures", []):
             lines.append(f"  FAILED lambda={lam}: {msg}")
     if "timings_ms" in report:

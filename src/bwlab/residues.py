@@ -67,22 +67,20 @@ def _series_coeffs(groups, skip_index, order):
     return coef
 
 
-def pole_product_integral(poles, prefactor=1.0):
-    """i * int deps/2pi of prefactor * prod 1/(eps - p) over the given poles.
+def clustered_poles(poles):
+    """Same-side clusters [(position, multiplicity)] of the given poles, as
+    (upper, lower), after the pinch and near-coincidence aborts.
 
     poles: iterable of (position, side) with side UPPER (+1) or LOWER (-1).
-    Returns a float (all positions are real in the eta -> 0 limit).
+    When either half-plane is empty the contour closes in it, the integral
+    vanishes and no abort applies.
     """
     poles = list(poles)
-    if not poles:
-        raise ValueError("empty pole product")
     scale = max(1.0, max(abs(p) for p, _ in poles))
     upper = _cluster([p for p, s in poles if s == UPPER])
     lower = _cluster([p for p, s in poles if s == LOWER])
-
-    # all poles on one side: the contour closes in the empty half-plane
     if not upper or not lower:
-        return 0.0
+        return upper, lower
 
     for pu, _ in upper:
         for pl, _ in lower:
@@ -96,6 +94,23 @@ def pole_product_integral(poles, prefactor=1.0):
                 raise DegenerateDenominatorError(
                     f"near-coincident poles at eps = {p1:.6g} (ill-conditioned)"
                 )
+    return upper, lower
+
+
+def pole_product_integral(poles, prefactor=1.0):
+    """i * int deps/2pi of prefactor * prod 1/(eps - p) over the given poles.
+
+    poles: iterable of (position, side) with side UPPER (+1) or LOWER (-1).
+    Returns a float (all positions are real in the eta -> 0 limit).
+    """
+    poles = list(poles)
+    if not poles:
+        raise ValueError("empty pole product")
+    upper, lower = clustered_poles(poles)
+
+    # all poles on one side: the contour closes in the empty half-plane
+    if not upper or not lower:
+        return 0.0
 
     if len(upper) <= len(lower):
         side, groups, other = -1.0, upper, lower

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bwlab import ConfigError, emit_config, parse_config
+import bwlab.identities
+from bwlab import ConfigError, QuadratureConvergenceError, emit_config, parse_config
 from bwlab.cli import main
 from bwlab.config import config_hash
 from bwlab.report import render_json
@@ -186,6 +187,35 @@ def test_cli_zero_couplings_verify(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["identity_residuals"]["sandwich_vs_quadrature"] == 0.0
     assert rep["identity_residuals"]["g0mod_route"] == 0.0
+
+
+def test_cli_oracle_nonconvergence_exit4(tmp_path, capsys, monkeypatch):
+    def unsettled(*args, **kwargs):
+        raise QuadratureConvergenceError("eta extrapolation did not settle")
+
+    monkeypatch.setattr(bwlab.identities, "quadrature_finv", unsettled)
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code = main(["verify", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err.splitlines() == ["nonconvergence: eta extrapolation did not settle"]
+
+
+def test_cli_scan_zero_delta_coupling(tmp_path, capsys):
+    # every difference is zero: the ratios, the exponent and R^2 are undefined
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text() + "[interaction.delta]\nscale = 0.0\n")
+    code, out = run_cli(capsys, ["scan", "--config", str(path), "--format", "json"])
+    assert code == 0
+    scan = json.loads(out)["scan"]
+    assert [row[1:] for row in scan["rows"]] == [[0, 0, None]] * 4
+    assert scan["fitted_exponent"] is None
+    assert scan["r_squared"] is None
+    assert scan["failures"] == []
+    code, out = run_cli(capsys, ["scan", "--config", str(path)])
+    assert code == 0
+    assert "r_squared         null" in out
 
 
 def test_cli_config_error_exit2(tmp_path):

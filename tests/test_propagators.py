@@ -4,10 +4,13 @@ closing the contour by hand (double poles included); the quadrature oracle
 reproduced every one of them independently before they were frozen here.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from bwlab import (
+    ConfigError,
     DegenerateDenominatorError,
     IntegrationSettings,
     build_basis,
@@ -21,7 +24,8 @@ from bwlab import (
     xj_matrix,
     xj_matrix_ssum_route,
 )
-from bwlab.model import SingleParticleSpectrum
+from bwlab.model import SingleParticleSpectrum, dirac_like_energies
+from bwlab.propagators import ChainIntegrator
 from bwlab.residues import LOWER, UPPER, pole_product_integral, residue_sum_check
 from conftest import energy_away_from_poles, random_spectrum
 
@@ -215,6 +219,118 @@ def test_ssum_route_matches_direct():
         assert np.max(np.abs(X1 - X2)) < 1e-10 * max(1.0, np.max(np.abs(X1)))
 
 
+def chain_enumeration(spectrum, basis, E, g, order, dinv=None):
+    """Kernel-series terms by enumerating every index chain, one scalar
+    residue integral each: W_k = sum over chains p_0 .. p_{k+1} of
+    g[p_0, p_1] ... g[p_k, p_{k+1}] times the joint integral of F^-1 factors
+    (dinv None) or of S1 + S2 factors with dinv on the inner pairs.
+
+    Also returns, per term, the sum of the absolute chain contributions:
+    the scale of the rounding error of any evaluation that sums them.
+    """
+    chain = ChainIntegrator(spectrum, basis, E)
+    integral = chain.finv_product if dinv is None else chain.ssum_product
+    terms, scales = [], []
+    for k in range(order):
+        T = np.zeros((basis.dim, basis.dim))
+        A = np.zeros_like(T)
+        for links in itertools.product(range(basis.dim), repeat=k + 2):
+            idx = np.array(links)
+            w = np.prod(g[idx[:-1], idx[1:]])
+            if dinv is not None:
+                w *= np.prod(dinv[idx[1:-1]])
+            if w:
+                c = w * integral(links)
+                T[links[0], links[-1]] += c
+                A[links[0], links[-1]] += abs(c)
+        terms.append(T)
+        scales.append(A)
+    return terms, scales
+
+
+def separated_spectrum(rng, max_each=2, min_gap=0.25):
+    """Random spectrum whose same-sign levels are at least min_gap apart.
+
+    Closer levels put same-side poles close together; the residue sums of
+    either evaluation then cancel and lose digits to rounding.
+    """
+    n_pos, n_neg = rng.integers(1, max_each + 1, size=2)
+    pos = 0.5 + np.cumsum(rng.uniform(min_gap, 1.0, size=n_pos))
+    neg = -0.5 - np.cumsum(rng.uniform(min_gap, 1.0, size=n_neg))
+    return tuple(pos), tuple(neg)
+
+
+def test_laurent_engine_matches_chain_enumeration():
+    """Both routes against the chain-by-chain sum on random spectra of at
+    most 2 + 2 levels, j_order 1 to 3; agreement to 1e-12 of the summed
+    absolute chain contributions."""
+    rng = np.random.default_rng(23)
+    for case in range(9):
+        pos, neg = separated_spectrum(rng)
+        spectrum = SingleParticleSpectrum.from_lists(pos, neg)
+        basis = build_basis(spectrum)
+        E = energy_away_from_poles(rng, spectrum)
+        order = 1 + case % 3
+        while basis.dim ** (order + 1) > 10 ** 4:
+            order -= 1
+        g = rng.uniform(-0.2, 0.2, size=(basis.dim, basis.dim))
+        g = 0.5 * (g + g.T)
+
+        ref, scales = chain_enumeration(spectrum, basis, E, g, order)
+        for T, R, A in zip(j_series(spectrum, basis, E, g, order), ref, scales):
+            assert np.max(np.abs(T - R)) < 1e-12 * np.max(A)
+
+        dinv = 1.0 / (E - basis.pair_energies())
+        ref, scales = chain_enumeration(spectrum, basis, E, g, order, dinv)
+        outer = np.outer(dinv, dinv)
+        X = xj_matrix_ssum_route(spectrum, basis, E, g, order)
+        assert np.max(np.abs(X - outer * sum(ref))) < 1e-12 * np.max(np.abs(outer) * sum(scales))
+
+
+@pytest.mark.parametrize("pos, neg", [
+    ((1.0,), (-1.2,)),
+    ((1.0, 1.5), (-1.25, -1.75)),
+    ((1.0, 1.6), (-1.2, -1.7)),
+])
+def test_laurent_engine_same_side_confluent_pole(pos, neg):
+    """At E = e_p + e_m both poles of the mixed pairs meet on one side: a
+    double pole for the direct route, a zero denominator for the S-sum
+    route, which aborts.  In the last case a second mixed pair sits 0.1 from
+    E, so its two poles are close on one side; closing every chain upwards
+    misses the reference there by 7.5e-10 of the scale."""
+    spectrum = SingleParticleSpectrum.from_lists(pos, neg)
+    basis = build_basis(spectrum)
+    E = pos[0] + neg[0]
+    g = np.random.default_rng(1).uniform(-0.1, 0.1, size=(basis.dim, basis.dim))
+    g = g + g.T
+    ref, scales = chain_enumeration(spectrum, basis, E, g, 2)
+    for T, R, A in zip(j_series(spectrum, basis, E, g, 2), ref, scales):
+        assert np.max(np.abs(T - R)) < 1e-12 * np.max(A)
+    with pytest.raises(DegenerateDenominatorError):
+        xj_matrix_ssum_route(spectrum, basis, E, g, 2)
+
+
+@pytest.mark.parametrize("E", [2.0, 2.0 + 1e-12])
+def test_laurent_engine_pinch_aborts(dim4, E):
+    spectrum, basis, _, g = dim4
+    with pytest.raises(DegenerateDenominatorError):
+        sandwich_integral(spectrum, basis, E, g)
+    with pytest.raises(DegenerateDenominatorError):
+        xj_matrix(spectrum, basis, E, g, 2)
+
+
+def test_laurent_engine_dim64_routes_agree():
+    """dim 64, j_order 3, out of reach of chain enumeration."""
+    pos, neg = dirac_like_energies(n_each=4)
+    spectrum = SingleParticleSpectrum.from_lists(pos, neg)
+    basis = build_basis(spectrum)
+    g = np.random.default_rng(5).uniform(-0.02, 0.02, size=(basis.dim, basis.dim))
+    g = g + g.T
+    X1 = xj_matrix(spectrum, basis, 2.07, g, 3)
+    X2 = xj_matrix_ssum_route(spectrum, basis, 2.07, g, 3)
+    assert np.max(np.abs(X1 - X2)) < 1e-10 * np.max(np.abs(X1))
+
+
 def test_settings_validation():
     with pytest.raises(Exception):
         IntegrationSettings(eta_sequence=())
@@ -227,3 +343,8 @@ def test_settings_validation():
     s = IntegrationSettings()
     assert s.eta == max(s.eta_sequence)
     assert s.j_order == 2
+
+
+def test_settings_reject_repeated_eta():
+    with pytest.raises(ConfigError, match="strictly decreasing"):
+        IntegrationSettings(eta_sequence=(1e-2, 1e-2, 5e-3))

@@ -5,9 +5,13 @@ The expansion keeps the exact energy E in every denominator:
     Delta E = <psi_c| V + V G V + V G V G V + ... |psi_c>,
     G = G_Q(E) = Q / (E - H_c),  Q = 1 - |psi_c><psi_c|
 
-with V allowed to depend on E itself, so the total energy is found by
-fixed-point iteration E <- E_c + Delta E(E).  Orders above three are
-rejected rather than extrapolated.
+with V allowed to depend on E itself, so the total energy is a root of
+f(E) = E_c + Delta E(E) - E.  It is found by a safeguarded secant
+iteration that falls back on the plain (or damped) fixed-point step
+E <- E_c + Delta E(E).  G is applied spectrally: the eigendecomposition of
+the deflated H_c is taken once per reference state, so each application
+costs two matrix-vector products.  Orders above three are rejected rather
+than extrapolated.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateDenominatorError
 
 MAX_ORDER = 3
+
+#: a secant step longer than this many plain fixed-point steps is not taken
+SECANT_MAX_RATIO = 4.0
 
 
 @dataclass
@@ -53,20 +60,30 @@ def solve_no_pair(H_c, pp_indices, state_index=0):
 class Resolvent:
     """G_Q(E) = Q (E - H_c)^-1 Q for a fixed reference state.
 
-    apply() runs a deflated linear solve; the reference direction is
-    shifted out of the operator so the system stays well-posed near
-    E = E_c.  A cached eigenvalue list guards against E hitting the
-    complementary spectrum.
+    The reference direction is shifted out of the operator, so that it stays
+    invertible near E = E_c: G_Q(E) = Q (E - H_d)^-1 Q with the deflated
+    H_d = H_c - |psi_c><psi_c| (+1 on the reference mode of E - H_c).
+    __init__ diagonalizes H_d once, H_d = U diag(w) U^T, and keeps QU, so
+
+        G_Q(E) = QU diag(1 / (E - w)) QU^T
+
+    and apply() costs O(dim^2), matrix() one matrix product.  This is the
+    spectral form of the deflated dense solve, exact whether or not
+    eigenvalues of H_c are degenerate.  The eigenvalues of H_c other than the
+    reference one (those of H_d without its reference mode) guard against E
+    hitting the complementary spectrum.
     """
 
     def __init__(self, H_c, psi_c, guard_tol=1e-10):
         self.H_c = np.asarray(H_c, dtype=float)
         self.psi = np.asarray(psi_c, dtype=float)
         self.guard_tol = guard_tol
-        vals, vecs = np.linalg.eigh(self.H_c)
+        vals, vecs = np.linalg.eigh(self.H_c - np.outer(self.psi, self.psi))
         overlaps = np.abs(vecs.T @ self.psi)
         self._ref = int(np.argmax(overlaps))
         self._q_evals = np.delete(vals, self._ref)
+        self._evals = vals
+        self._qvecs = vecs - np.outer(self.psi, self.psi @ vecs)
 
     def _check(self, E):
         if self._q_evals.size:
@@ -76,20 +93,23 @@ class Resolvent:
                     f"E = {E:.12g} hits the complementary spectrum (gap {gap:.3e})"
                 )
 
-    def apply(self, E, v):
+    def _inverse_gaps(self, E):
+        """1 / (E - w) after the guard.  The reference mode is psi_c itself
+        (Q removes it) unless its eigenvalue w_ref = E_c - 1 is degenerate,
+        and then the guard fires near w_ref; so where E meets w_ref exactly,
+        its weight is set to 0 instead of dividing by zero."""
         self._check(E)
-        Q = np.eye(self.H_c.shape[0]) - np.outer(self.psi, self.psi)
-        rhs = Q @ np.asarray(v, dtype=float)
-        shifted = E * np.eye(self.H_c.shape[0]) - self.H_c + np.outer(self.psi, self.psi)
-        x = np.linalg.solve(shifted, rhs)
-        return Q @ x
+        gaps = E - self._evals
+        if gaps[self._ref] == 0.0:
+            gaps[self._ref] = np.inf
+        return 1.0 / gaps
+
+    def apply(self, E, v):
+        coef = (self._qvecs.T @ np.asarray(v, dtype=float)) * self._inverse_gaps(E)
+        return self._qvecs @ coef
 
     def matrix(self, E):
-        self._check(E)
-        n = self.H_c.shape[0]
-        Q = np.eye(n) - np.outer(self.psi, self.psi)
-        shifted = E * np.eye(n) - self.H_c + np.outer(self.psi, self.psi)
-        return Q @ np.linalg.solve(shifted, Q)
+        return (self._qvecs * self._inverse_gaps(E)) @ self._qvecs.T
 
 
 def bw_terms(resolvent: Resolvent, h_delta_of_E, E, psi_c, order):
@@ -113,16 +133,24 @@ def bw_terms(resolvent: Resolvent, h_delta_of_E, E, psi_c, order):
 
 def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=3,
                       max_iter=200, tol=1e-12):
-    """Fixed-point iteration E <- E_c + sum_n Delta E^(n)(E) from E = E_c.
+    """Root of f(E) = E_c + sum_n Delta E^(n)(E) - E, starting at E = E_c.
 
-    Undamped steps by default; on oscillation (sign-flipping steps that do
-    not shrink) the damping halves, starting at 1/2, floor 1/64.  The
-    tolerance is scaled by max(1, |E_c|).
+    Each iteration evaluates f once.  From the second iteration on, the step
+    is the secant step through the last two evaluations, -f (E - E_prev) /
+    (f - f_prev).  The plain fixed-point step E <- E_c + sum_n Delta E^(n)(E)
+    (step f) is taken instead on the first iteration, when the secant step
+    is undefined (f == f_prev), or when it is more than SECANT_MAX_RATIO
+    plain steps long.  The plain step is damped on oscillation
+    (sign-flipping values of f that do not shrink): the damping halves,
+    starting at 1/2, floor 1/64.  The iteration stops when |f| falls below
+    tol * max(1, |E_c|); E is then set to E_c + sum_n Delta E^(n)(E) and the
+    terms are evaluated once more there, and residual is |f| at that E.
     """
     scale_tol = tol * max(1.0, abs(E_c))
     E = float(E_c)
     damping = 1.0
     last_step = None
+    E_prev = None
     terms = bw_terms(resolvent, h_delta_of_E, E, psi_c, order)
     for it in range(1, max_iter + 1):
         target = E_c + sum(terms)
@@ -137,8 +165,13 @@ def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=3,
             )
         if last_step is not None and step * last_step < 0 and abs(step) >= abs(last_step):
             damping = max(damping / 2.0, 1.0 / 64.0)
-        E = E + damping * step
-        last_step = step
+        move = damping * step
+        if last_step is not None and step != last_step:
+            secant = -step * (E - E_prev) / (step - last_step)
+            if abs(secant) <= SECANT_MAX_RATIO * abs(step):
+                move = secant
+        E_prev, last_step = E, step
+        E = E + move
         terms = bw_terms(resolvent, h_delta_of_E, E, psi_c, order)
     ledger = EnergyLedger(
         E_c=E_c, dE=terms, E=E, deltaE=E - E_c, iterations=max_iter,

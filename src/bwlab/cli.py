@@ -5,7 +5,8 @@ Exit codes: 0 success, 2 config error, 3 numerical degeneracy,
 
 scan reports an undefined value as null: a row's ratio when its predicted
 difference is zero, and the fitted exponent and R^2 when fewer than two
-differences are nonzero (for instance with zero delta coupling).
+differences are nonzero (for instance with zero delta coupling).  The
+--csv file leaves such a ratio's field empty.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,7 +22,6 @@ from .config import RunConfig, parse_config
 from .controversy import coupling_scan
 from .errors import ConfigError, ConvergenceError, DegenerateDenominatorError
 from .identities import TOLERANCES, identity_suite, suite_passes
-from .model import ModelConfig
 from .pipeline import run_pipeline
 from .report import (
     base_report,
@@ -44,20 +45,7 @@ def _default_config() -> RunConfig:
 def _load(args) -> RunConfig:
     cfg = parse_config(args.config) if args.config else _default_config()
     if args.seed is not None:
-        model = ModelConfig(
-            positive_energies=cfg.model.positive_energies,
-            negative_energies=cfg.model.negative_energies,
-            coulomb_scale=cfg.model.coulomb_scale,
-            delta_scale=cfg.model.delta_scale,
-            coulomb_matrix=cfg.model.coulomb_matrix,
-            delta_matrix=cfg.model.delta_matrix,
-            seed=args.seed,
-        )
-        cfg = RunConfig(
-            model=model, integration=cfg.integration, bw_order=cfg.bw_order,
-            bw_max_iter=cfg.bw_max_iter, bw_tol=cfg.bw_tol,
-            state_index=cfg.state_index,
-        )
+        cfg = replace(cfg, model=replace(cfg.model, seed=args.seed))
     return cfg
 
 

@@ -144,10 +144,6 @@ def parse_config(source: str) -> RunConfig:
     delta = parser["interaction.delta"] if parser.has_section("interaction.delta") else {}
     lam_c = _float(coulomb.get("scale", "0.1"), "interaction.coulomb.scale")
     lam_d = _float(delta.get("scale", "0.05"), "interaction.delta.scale")
-    if lam_c < 0:
-        raise ConfigError("coulomb_scale must be >= 0")
-    if lam_d < 0:
-        raise ConfigError("delta_scale must be >= 0")
 
     model = ModelConfig(
         positive_energies=positives,

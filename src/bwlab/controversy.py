@@ -23,6 +23,10 @@ h1 + h2 + (P_pp - P_mm)(I_c + g); the effective interaction whose BW
 expansion reproduces that spectrum is the ladder-resummed one (each
 propagator segment between instantaneous vertices carries its own
 relative-energy integral), provided here as h_delta2_ladder.
+
+The evaluators take an optional X: the kernel integral already built at the
+energy they use, so that one run builds each of X_J(E), X_J(E_c) and the
+S-sum route's X_J(E) once.  Without it they build their own.
 """
 
 from __future__ import annotations
@@ -31,9 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bw import Resolvent
 from .errors import DegenerateDenominatorError
-from .model import SingleParticleSpectrum, TwoParticleBasis
 from .operators import (
     DEGENERACY_TOL,
     build_D,
@@ -41,7 +43,7 @@ from .operators import (
     build_HDelta1,
     projectors,
 )
-from .propagators import IntegrationSettings, xj_matrix, xj_matrix_ssum_route
+from .propagators import xj_matrix, xj_matrix_ssum_route
 
 
 @dataclass
@@ -60,12 +62,13 @@ class ControversyReport:
 # -- direct-route evaluators -------------------------------------------------
 
 
-def deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings):
-    """First-order term <psi_c| D X_J I_c |psi_c> at energy E."""
+def deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings, X=None):
+    """First-order term <psi_c| D X_J I_c |psi_c> at energy E (X: X_J(E))."""
     if not np.any(I_c) or not np.any(g_delta):
         return 0.0
     D = build_D(spectrum, basis, E)
-    X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
+    if X is None:
+        X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
     return float(psi_c @ D @ X @ I_c @ psi_c)
 
 
@@ -80,8 +83,9 @@ def h_delta2_direct(spectrum, basis, E, I_c, g_delta, settings):
 
 
 def deltaE2b_direct(spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent,
-                    settings):
-    """Reduced second-order cross term <psi_c|(I_c - D_c) X_J I_c|psi_c>.
+                    settings, X=None):
+    """Reduced second-order cross term <psi_c|(I_c - D_c) X_J I_c|psi_c>
+    (X: X_J(E)).
 
     Also evaluates the resolvent form <psi_c| H_D1 G(E) H_D2(E) |psi_c>
     and returns (value, |resolvent_form - reduced_form|): the two agree
@@ -91,7 +95,8 @@ def deltaE2b_direct(spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent,
     if not np.any(I_c) or not np.any(g_delta):
         return 0.0, 0.0
     Dc = build_Dc(spectrum, basis, E_c)
-    X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
+    if X is None:
+        X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
     reduced = float(psi_c @ (I_c - Dc) @ X @ I_c @ psi_c)
 
     projs = projectors(basis)
@@ -102,13 +107,14 @@ def deltaE2b_direct(spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent,
 
 
 def combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings,
-                     convention):
+                     convention, X=None):
     """<psi_c| (I_c +/- dE) Y |psi_c> with Y = X_J I_c and dE = E - E_c.
 
     convention "lindgren" carries +dE, "dkz" carries -dE; "dkz-dc-approx"
     evaluates the dkz combination through the transformed route with every
     D replaced by D_c (the approximation said to produce the same
-    cancellation), reported for comparison only.
+    cancellation), reported for comparison only.  X is X_J at the energy
+    the convention uses: E, or E_c for "dkz-dc-approx".
     """
     if convention not in ("lindgren", "dkz", "dkz-dc-approx"):
         raise ValueError(f"unknown convention '{convention}'")
@@ -117,16 +123,20 @@ def combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings,
     if not np.any(I_c) or not np.any(g_delta):
         return 0.0
     if convention == "dkz-dc-approx":
-        X_c = xj_matrix(spectrum, basis, E_c, g_delta, settings.j_order)
-        return float(psi_c @ (I_c - dE * np.eye(dim)) @ X_c @ I_c @ psi_c)
-    X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
+        if X is None:
+            X = xj_matrix(spectrum, basis, E_c, g_delta, settings.j_order)
+        return float(psi_c @ (I_c - dE * np.eye(dim)) @ X @ I_c @ psi_c)
+    if X is None:
+        X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
     sign = 1.0 if convention == "lindgren" else -1.0
     return float(psi_c @ (I_c + sign * dE * np.eye(dim)) @ X @ I_c @ psi_c)
 
 
-def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings):
+def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings,
+                          X=None):
     """2 dE <psi_c| Y |psi_c> evaluated through the transformed route
-    (S1 + S2 factorization), plus partial-fraction cross checks.
+    (S1 + S2 factorization; X: xj_matrix_ssum_route at E), plus
+    partial-fraction cross checks.
 
     Returns (predicted, residuals, dm1_error_term) where residuals holds
     "Dm1_route" (the partial-fraction identity applied inside the reduced
@@ -137,7 +147,8 @@ def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings
     dE = E - E_c
     if not np.any(I_c) or not np.any(g_delta):
         return 0.0, {"Dm1_route": 0.0}, 0.0
-    X_alt = xj_matrix_ssum_route(spectrum, basis, E, g_delta, settings.j_order)
+    X_alt = X if X is not None else xj_matrix_ssum_route(
+        spectrum, basis, E, g_delta, settings.j_order)
     predicted = 2.0 * dE * float(psi_c @ X_alt @ I_c @ psi_c)
 
     denom = E - basis.pair_energies()
@@ -171,22 +182,17 @@ def ladder_kernel(spectrum, basis, E, g_delta):
     G~ = (P_pp - P_mm) D^-1 the integrated free propagator.
 
     This is the geometric series summed in closed form; it is the kernel
-    whose BW expansion reproduces the instantaneous model oracle.
+    whose BW expansion reproduces the instantaneous model oracle.  G~ is
+    diagonal, so with A = G~ g the kernel is (1 - A)^-1 A G~: one linear
+    solve and a column scaling.
     """
-    projs = projectors(basis)
+    sign = basis.unmixed_sign
     denom = E - basis.pair_energies()
-    sel = np.diag(projs.pp) + np.diag(projs.mm)
-    bad = (np.abs(denom) < DEGENERACY_TOL) & (sel > 0)
-    if np.any(bad):
+    if np.any((np.abs(denom) < DEGENERACY_TOL) & (sign != 0)):
         raise DegenerateDenominatorError("degenerate denominator in ladder kernel")
-    gt = np.zeros_like(denom)
-    mask = sel > 0
-    sign = np.diag(projs.pp) - np.diag(projs.mm)
-    gt[mask] = sign[mask] / denom[mask]
-    Gt = np.diag(gt)
-    g = np.asarray(g_delta, dtype=float)
-    resolv = np.linalg.solve(np.eye(basis.dim) - Gt @ g, Gt)
-    return Gt @ g @ resolv
+    gt = np.divide(sign, denom, out=np.zeros(basis.dim), where=sign != 0)
+    A = gt[:, None] * np.asarray(g_delta, dtype=float)
+    return np.linalg.solve(np.eye(basis.dim) - A, A) * gt
 
 
 def h_delta2_ladder(spectrum, basis, E, I_c, g_delta):
@@ -195,8 +201,8 @@ def h_delta2_ladder(spectrum, basis, E, I_c, g_delta):
     dim = basis.dim
     if not np.any(I_c) or not np.any(g_delta):
         return np.zeros((dim, dim))
-    D = build_D(spectrum, basis, E)
-    return D @ ladder_kernel(spectrum, basis, E, g_delta) @ I_c
+    denom = E - basis.pair_energies()
+    return denom[:, None] * (ladder_kernel(spectrum, basis, E, g_delta) @ I_c)
 
 
 # -- model oracle --------------------------------------------------------------

@@ -11,7 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .bw import Resolvent, solve_no_pair
-from .controversy import combined_variant, predicted_discrepancy
+from .controversy import (
+    combined_variant,
+    deltaE1_direct,
+    deltaE2b_direct,
+    predicted_discrepancy,
+)
 from .model import build_basis, build_interaction, build_spectrum
 from .operators import build_D, build_Hc, build_G0, projectors
 from .propagators import (
@@ -137,28 +142,31 @@ def identity_suite(model_config, settings, seed=0):
         1.0, float(np.max(np.abs(Xs)))
     )
 
-    # controversy-chain identities at a nondegenerate working energy
-    from .controversy import deltaE1_direct, deltaE2b_direct
-
+    # controversy-chain identities at a nondegenerate working energy, with the
+    # kernel integral built once per route
     E = E_c + 0.1 * max(1.0, abs(E_c))
-    dE1 = deltaE1_direct(spectrum, basis, E, psi_c, I_c, g, settings)
+    X_direct = X_alt = None
+    if np.any(g):
+        X_direct = xj_matrix(spectrum, basis, E, g, settings.j_order)
+        X_alt = xj_matrix_ssum_route(spectrum, basis, E, g, settings.j_order)
+    dE1 = deltaE1_direct(spectrum, basis, E, psi_c, I_c, g, settings, X=X_direct)
     dE2b, e2b_res = deltaE2b_direct(
-        spectrum, basis, E, E_c, psi_c, I_c, g, resolvent, settings
+        spectrum, basis, E, E_c, psi_c, I_c, g, resolvent, settings, X=X_direct
     )
-    lind = combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g, settings, "lindgren")
-    dkz = combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g, settings, "dkz")
+    lind = combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g, settings, "lindgren",
+                            X=X_direct)
+    dkz = combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g, settings, "dkz",
+                           X=X_direct)
     res["E2b_vs_E2b2"] = e2b_res / max(1.0, abs(dE2b))
     res["chain_sum"] = abs(dE1 + dE2b - lind) / max(1.0, abs(lind))
     predicted, dm1_res, _ = predicted_discrepancy(
-        spectrum, basis, E, E_c, psi_c, I_c, g, settings
+        spectrum, basis, E, E_c, psi_c, I_c, g, settings, X=X_alt
     )
     res["central_claim"] = abs((lind - dkz) - predicted) / max(1.0, abs(lind))
     res["Dm1_route"] = dm1_res["Dm1_route"]
 
     # transformed route reproduces the direct kernel integral
     if np.any(g):
-        X_direct = xj_matrix(spectrum, basis, E, g, settings.j_order)
-        X_alt = xj_matrix_ssum_route(spectrum, basis, E, g, settings.j_order)
         res["g0mod_route"] = float(np.max(np.abs(X_direct - X_alt))) / max(
             1.0, float(np.max(np.abs(X_direct)))
         )

@@ -13,7 +13,8 @@ energy; they are scaled by their coupling on construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -101,9 +102,24 @@ class TwoParticleBasis:
         return i * self.spectrum.n + j
 
     def pair_energies(self):
-        """(dim,) array of e_i + e_j in basis order."""
+        """(dim,) read-only array of e_i + e_j in basis order."""
+        return self._pair_energies
+
+    @cached_property
+    def _pair_energies(self):
         e = np.asarray(self.spectrum.energies)
-        return np.array([e[i] + e[j] for i, j in self.pairs])
+        out = np.add.outer(e, e).ravel()
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def unmixed_sign(self):
+        """(dim,) read-only diagonal of P_pp - P_mm: +1 on pp pairs, -1 on
+        mm pairs, 0 on mixed pairs."""
+        s = np.asarray(self.spectrum.signs, dtype=float)
+        out = 0.5 * np.add.outer(s, s).ravel()
+        out.flags.writeable = False
+        return out
 
     def pattern_indices(self, pattern):
         return tuple(k for k, p in enumerate(self.patterns) if p == pattern)
@@ -139,15 +155,8 @@ class ModelConfig:
 
     def scaled(self, factor):
         """Copy with both couplings multiplied by factor (coupling scans)."""
-        return ModelConfig(
-            positive_energies=self.positive_energies,
-            negative_energies=self.negative_energies,
-            coulomb_scale=factor * self.coulomb_scale,
-            delta_scale=factor * self.delta_scale,
-            coulomb_matrix=self.coulomb_matrix,
-            delta_matrix=self.delta_matrix,
-            seed=self.seed,
-        )
+        return replace(self, coulomb_scale=factor * self.coulomb_scale,
+                       delta_scale=factor * self.delta_scale)
 
 
 def build_spectrum(config: ModelConfig) -> SingleParticleSpectrum:

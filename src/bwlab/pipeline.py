@@ -4,7 +4,9 @@ both sign conventions -> predicted discrepancy.
 The BW perturbation is H_D1 + H_D2 with the ladder (equal-time) kernel,
 the resummation consistent with the instantaneous model oracle; the
 convention comparison evaluates the relative-energy (joint) expressions
-exactly as written, with dE = E - E_c taken from the BW solve.
+exactly as written, with dE = E - E_c taken from the BW solve.  The kernel
+integral is built once per energy and route: X_J(E) and X_J(E_c) on the
+direct route, and X_J(E) on the S-sum route for the predicted difference.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .controversy import (
 )
 from .model import ModelConfig, build_basis, build_interaction, build_spectrum
 from .operators import build_HDelta1, build_Hc, projectors
-from .propagators import IntegrationSettings
+from .propagators import IntegrationSettings, xj_matrix, xj_matrix_ssum_route
 
 
 @dataclass
@@ -63,23 +65,31 @@ def run_pipeline(model_config: ModelConfig, settings: IntegrationSettings,
     )
     E = ledger.E
 
+    # with either coupling zero the evaluators return 0 without X_J, which
+    # may not exist there (E = E_c is a pair energy when I_c = 0)
+    X = X_c = X_alt = None
+    if np.any(I_c) and np.any(g_delta):
+        X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
+        X_c = xj_matrix(spectrum, basis, E_c, g_delta, settings.j_order)
+        X_alt = xj_matrix_ssum_route(spectrum, basis, E, g_delta, settings.j_order)
+
     rep = ControversyReport()
-    rep.dE1_direct = deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings)
+    rep.dE1_direct = deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings, X=X)
     rep.dE2b_direct, e2b_res = deltaE2b_direct(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent, settings
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent, settings, X=X
     )
     rep.combined_lindgren = combined_variant(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "lindgren"
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "lindgren", X=X
     )
     rep.combined_dkz = combined_variant(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "dkz"
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "dkz", X=X
     )
     rep.combined_dkz_dc_approx = combined_variant(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "dkz-dc-approx"
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "dkz-dc-approx", X=X_c
     )
     rep.difference = rep.combined_lindgren - rep.combined_dkz
     predicted, dm1_res, dm1_err = predicted_discrepancy(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, X=X_alt
     )
     rep.predicted_difference = predicted
     rep.dm1_error_term = dm1_err

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import QuadratureConvergenceError
-from .propagators import IntegrationSettings, propagator_S
+from .propagators import IntegrationSettings
 
 #: relative disagreement of the last two extrapolation levels that counts
 #: as nonconvergence

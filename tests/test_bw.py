@@ -6,13 +6,17 @@ import pytest
 from bwlab import (
     ConvergenceError,
     DegenerateDenominatorError,
+    ModelConfig,
     Resolvent,
     build_basis,
     build_D,
+    build_HDelta1,
     build_Hc,
+    build_interaction,
     build_spectrum,
     bw_selfconsistent,
     bw_terms,
+    h_delta2_ladder,
     projectors,
     solve_no_pair,
 )
@@ -205,3 +209,152 @@ def test_bw_nonconvergence_carries_last():
         bw_selfconsistent(r, lambda _: V, psi, 0.0, order=2, max_iter=2)
     assert err.value.last is not None
     assert err.value.last.iterations == 2
+
+
+# -- spectral resolvent and secant fixed point --------------------------------
+
+
+def deflated_dense_solve(H_c, psi, E, v):
+    """Reference G_Q(E) v: the deflated dense solve Q (E - H_c + |psi><psi|)^-1 Q v."""
+    n = H_c.shape[0]
+    Q = np.eye(n) - np.outer(psi, psi)
+    return Q @ np.linalg.solve(E * np.eye(n) - H_c + np.outer(psi, psi), Q @ v)
+
+
+def jittered_dim36():
+    """3 + 3 levels with the jitter of the benchmark's compare spectrum."""
+    rng = np.random.default_rng([0, 3])
+    pos = [1.0 + 0.5 * k + rng.uniform(0.0, 0.1) for k in range(3)]
+    neg = [-1.0 - 0.5 * k - rng.uniform(0.0, 0.1) for k in range(3)]
+    return ModelConfig(positive_energies=tuple(pos), negative_energies=tuple(neg))
+
+
+def reference_problem(config):
+    """(H_c, psi_c, E_c, h_delta) of the pipeline's BW solve for config."""
+    spectrum = build_spectrum(config)
+    basis = build_basis(spectrum)
+    I_c = build_interaction(config, "coulomb")
+    g = build_interaction(config, "delta")
+    H_c = build_Hc(spectrum, basis, I_c)
+    E_c, psi = solve_no_pair(H_c, basis.pattern_indices("pp"))
+    hd1 = build_HDelta1(projectors(basis), I_c)
+
+    def h_delta(E):
+        return hd1 + h_delta2_ladder(spectrum, basis, E, I_c, g)
+
+    return H_c, psi, E_c, h_delta
+
+
+RESOLVENT_FIXTURES = {
+    "dim4": ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,)),
+    "dim9": ModelConfig(positive_energies=(1.0, 1.5), negative_energies=(-1.2,),
+                        coulomb_matrix="random-symmetric", seed=4),
+    "dim36": jittered_dim36(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVENT_FIXTURES))
+def test_resolvent_spectral_matches_dense_solve(name):
+    H_c, psi, E_c, _ = reference_problem(RESOLVENT_FIXTURES[name])
+    r = Resolvent(H_c, psi)
+    rng = np.random.default_rng(11)
+    n = H_c.shape[0]
+    # E_c itself, where the reference mode is deflated, and energies around it
+    for E in (E_c, E_c + 1e-3, E_c - 0.37, E_c + 0.8, 0.5 * E_c):
+        G_ref = np.column_stack([deflated_dense_solve(H_c, psi, E, col) for col in np.eye(n)])
+        scale = max(1.0, np.max(np.abs(G_ref)))
+        assert np.max(np.abs(r.matrix(E) - G_ref)) <= 1e-13 * scale
+        v = rng.uniform(-1, 1, size=n)
+        assert np.max(np.abs(r.apply(E, v) - deflated_dense_solve(H_c, psi, E, v))) \
+            <= 1e-13 * scale
+    # at E = E_c - 1 the deflated matrix is singular (the dense solve raises);
+    # G_Q is still defined there: compare with the inverse on the complement of psi
+    complement = np.linalg.svd(np.outer(psi, psi))[0][:, 1:]
+    E = E_c - 1.0
+    G_ref = complement @ np.linalg.solve(
+        E * np.eye(n - 1) - complement.T @ H_c @ complement, complement.T)
+    assert np.max(np.abs(r.matrix(E) - G_ref)) <= 1e-13 * max(1.0, np.max(np.abs(G_ref)))
+    # the guard still fires on every eigenvalue of H_c but the reference one
+    vals = np.linalg.eigvalsh(H_c)
+    ref = int(np.argmin(np.abs(vals - E_c)))
+    for lam in np.delete(vals, ref)[:: max(1, n // 6)]:
+        with pytest.raises(DegenerateDenominatorError):
+            r.apply(lam, np.ones(n))
+        with pytest.raises(DegenerateDenominatorError):
+            r.matrix(lam)
+
+
+def test_resolvent_degenerate_reference():
+    """E_c shared with a complementary state: eigh may mix psi_c with its
+    partner, and the spectral form must still equal the deflated solve."""
+    rng = np.random.default_rng(1)
+    R, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    H_c = R @ np.diag([0.0, 0.0, 1.0]) @ R.T
+    H_c = 0.5 * (H_c + H_c.T)
+    psi = R[:, 0]
+    r = Resolvent(H_c, psi)
+    for E in (0.5, -0.7, 2.0):
+        G_ref = np.column_stack([deflated_dense_solve(H_c, psi, E, col) for col in np.eye(3)])
+        assert np.max(np.abs(r.matrix(E) - G_ref)) <= 1e-13 * max(1.0, np.max(np.abs(G_ref)))
+    with pytest.raises(DegenerateDenominatorError):
+        r.apply(0.0, np.ones(3))
+
+
+def plain_fixed_point(resolvent, h_delta, psi, E_c, tol):
+    """The undamped iteration E <- E_c + sum_n Delta E^(n)(E), run until its
+    step falls below tol (reference for the secant solver)."""
+    E = E_c
+    for _ in range(2000):
+        new = E_c + sum(bw_terms(resolvent, h_delta, E, psi, 3))
+        if abs(new - E) < tol:
+            return new
+        E = new
+    raise AssertionError("plain iteration did not settle")
+
+
+@pytest.mark.parametrize("name", ["dim4", "dim36"])
+def test_bw_secant_reaches_plain_fixed_point(name):
+    H_c, psi, E_c, h_delta = reference_problem(RESOLVENT_FIXTURES[name])
+    r = Resolvent(H_c, psi)
+    tol = 1e-12
+    led = bw_selfconsistent(r, h_delta, psi, E_c, order=3, tol=tol)
+    plain = plain_fixed_point(r, h_delta, psi, E_c, 1e-14 * max(1.0, abs(E_c)))
+    assert led.deltaE != 0.0
+    assert abs(led.E - plain) <= tol * max(1.0, abs(E_c))
+    assert led.iterations <= 12
+    assert led.residual <= tol * max(1.0, abs(E_c))
+    assert led.dE == bw_terms(r, h_delta, led.E, psi, 3)
+
+
+def test_bw_secant_fallback_to_plain_steps():
+    """With Delta E(E) = c + 0.9 (E - E_c) the secant step is ten plain steps
+    long, so every step is the plain one: the result equals the plain
+    iteration exactly."""
+    H_c, _, psi = two_level()
+    r = Resolvent(H_c, psi)
+    c = 1e-4
+
+    def h_delta(E):
+        return np.diag([c + 0.9 * E, 0.0])
+
+    led = bw_selfconsistent(r, h_delta, psi, 0.0, order=1, tol=1e-12)
+    E = 0.0
+    for it in range(1, 500):
+        step = c + 0.9 * E - E
+        if abs(step) < 1e-12:
+            break
+        E += step
+    assert led.iterations == it
+    assert led.E == c + 0.9 * E
+    assert abs(led.E - 10 * c) < 1e-10
+
+
+def test_bw_secant_max_iter_carries_last(dim4_config):
+    H_c, psi, E_c, h_delta = reference_problem(dim4_config)
+    r = Resolvent(H_c, psi)
+    with pytest.raises(ConvergenceError) as err:
+        bw_selfconsistent(r, h_delta, psi, E_c, order=3, max_iter=3)
+    last = err.value.last
+    assert last.iterations == 3
+    assert last.residual > 1e-12 * max(1.0, abs(E_c))
+    assert last.dE == bw_terms(r, h_delta, last.E, psi, 3)

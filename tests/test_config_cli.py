@@ -1,11 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import bwlab.identities
 from bwlab import ConfigError, QuadratureConvergenceError, emit_config, parse_config
-from bwlab.cli import main
+from bwlab.cli import _load, build_parser, main
 from bwlab.config import config_hash
 from bwlab.report import render_json
 
@@ -216,6 +217,35 @@ def test_cli_scan_zero_delta_coupling(tmp_path, capsys):
     code, out = run_cli(capsys, ["scan", "--config", str(path)])
     assert code == 0
     assert "r_squared         null" in out
+
+
+def test_cli_scan_csv_zero_delta_coupling(tmp_path, capsys):
+    # an undefined ratio is an empty CSV field, as it is null in JSON
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text() + "[interaction.delta]\nscale = 0.0\n")
+    csv_path = tmp_path / "rows.csv"
+    code, _ = run_cli(capsys, ["scan", "--config", str(path), "--csv", str(csv_path)])
+    assert code == 0
+    lines = csv_path.read_text().splitlines()
+    assert lines[0] == "lambda,difference,predicted,ratio"
+    assert len(lines) == 5
+    for line in lines[1:]:
+        lam, diff, pred, ratio = line.split(",")
+        assert float(lam) > 0.0
+        assert float(diff) == float(pred) == 0.0
+        assert ratio == ""
+
+
+def test_cli_seed_override_keeps_config(tmp_path):
+    cfg_text = MINIMAL + "\n[interaction]\nseed = 9\n\n[bw]\ntol = 1e-11\n"
+    path = tmp_path / "cfg.ini"
+    path.write_text(cfg_text)
+    args = build_parser().parse_args(["compare", "--config", str(path), "--seed", "4"])
+    cfg = _load(args)
+    assert cfg == replace(parse_config(cfg_text),
+                          model=replace(parse_config(cfg_text).model, seed=4))
+    args = build_parser().parse_args(["compare", "--config", str(path)])
+    assert _load(args) == parse_config(cfg_text)
 
 
 def test_cli_config_error_exit2(tmp_path):

@@ -262,3 +262,40 @@ def test_coupling_scan_runs(dim4_config, settings):
     for (l1, d1, _, _), (l2, d2, _, _) in zip(rows[:-1], rows[1:]):
         implied = np.log(abs(d2) / abs(d1)) / np.log(l2 / l1)
         assert abs(implied - slope) < 0.35
+
+
+def count_kernel_builds(monkeypatch):
+    """Replace xj_matrix and xj_matrix_ssum_route in every module that binds
+    them with counting wrappers; returns the counts by route."""
+    import bwlab.controversy
+    import bwlab.identities
+    import bwlab.pipeline
+    import bwlab.propagators
+
+    counts = {"direct": 0, "ssum": 0}
+    for route, name in (("direct", "xj_matrix"), ("ssum", "xj_matrix_ssum_route")):
+        original = getattr(bwlab.propagators, name)
+
+        def counted(*args, _route=route, _original=original, **kwargs):
+            counts[_route] += 1
+            return _original(*args, **kwargs)
+
+        for module in (bwlab.propagators, bwlab.controversy, bwlab.pipeline,
+                       bwlab.identities):
+            monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def test_pipeline_builds_each_kernel_integral_once(dim4_config, settings, monkeypatch):
+    counts = count_kernel_builds(monkeypatch)
+    res = run_pipeline(dim4_config, settings)
+    assert counts == {"direct": 2, "ssum": 1}  # X_J(E), X_J(E_c); S-sum X_J(E)
+    assert res.controversy.identity_residuals["central_claim"] < 1e-12
+
+
+def test_identity_suite_builds_kernel_integral_once(dim4_config, settings, monkeypatch):
+    from bwlab.identities import identity_suite, suite_passes
+
+    counts = count_kernel_builds(monkeypatch)
+    assert suite_passes(identity_suite(dim4_config, settings))
+    assert counts == {"direct": 1, "ssum": 1}

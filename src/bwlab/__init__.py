@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     ConvergenceError,
     DegenerateDenominatorError,
+    OracleTrackingError,
     QuadratureConvergenceError,
 )
 from .model import (

@@ -1,7 +1,9 @@
 """Command-line interface: verify / compare / scan.
 
-Exit codes: 0 success, 2 config error, 3 numerical degeneracy,
-4 nonconvergence (of the BW fixed point or of the quadrature oracle).
+Exit codes: 0 success, 1 verify with a residual out of tolerance, 2 config
+error, 3 numerical degeneracy (scan: any point failed), 4 nonconvergence (of
+the BW fixed point or of the quadrature oracle), 5 the model oracle lost the
+reference state.  Codes 2 to 5 from an abort print one stderr line.
 
 scan reports an undefined value as null: a row's ratio when its predicted
 difference is zero, and the fitted exponent and R^2 when fewer than two
@@ -20,7 +22,12 @@ import numpy as np
 
 from .config import RunConfig, parse_config
 from .controversy import coupling_scan
-from .errors import ConfigError, ConvergenceError, DegenerateDenominatorError
+from .errors import (
+    ConfigError,
+    ConvergenceError,
+    DegenerateDenominatorError,
+    OracleTrackingError,
+)
 from .identities import TOLERANCES, identity_suite, suite_passes
 from .pipeline import run_pipeline
 from .report import (
@@ -36,6 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_NONCONVERGENT = 4
+EXIT_ORACLE = 5
 
 
 def _default_config() -> RunConfig:
@@ -164,6 +172,9 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"nonconvergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENT
+    except OracleTrackingError as exc:
+        print(f"model oracle: {exc}", file=sys.stderr)
+        return EXIT_ORACLE
 
 
 if __name__ == "__main__":

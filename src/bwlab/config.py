@@ -57,6 +57,10 @@ class RunConfig:
             raise ConfigError("bw.tol must be > 0")
         if self.state_index < 0:
             raise ConfigError("solve.state_index must be >= 0")
+        n_pp = len(self.model.positive_energies) ** 2
+        if n_pp and self.state_index >= n_pp:
+            raise ConfigError(f"solve.state_index {self.state_index} outside the "
+                              f"{n_pp}-state doubly-positive block")
 
 
 def _floats(text, key):

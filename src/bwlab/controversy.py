@@ -24,9 +24,12 @@ expansion reproduces that spectrum is the ladder-resummed one (each
 propagator segment between instantaneous vertices carries its own
 relative-energy integral), provided here as h_delta2_ladder.
 
-The evaluators take an optional X: the kernel integral already built at the
-energy they use, so that one run builds each of X_J(E), X_J(E_c) and the
-S-sum route's X_J(E) once.  Without it they build their own.
+Every evaluator uses X_J only applied to v = I_c psi_c, and takes an
+optional Xv: that vector X_J v, already built at the energy it uses, so that
+one run builds each of X_J(E) v, X_J(E_c) v and the S-sum route's X_J(E) v
+once.  Without it an evaluator builds X_J v itself through the applied path
+of xj_matrix (xj_matrix_ssum_route for the predicted discrepancy), which
+never forms the dim x dim matrix; what remains is vector algebra.
 """
 
 from __future__ import annotations
@@ -35,12 +38,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError
+from .errors import BwlabError, DegenerateDenominatorError, OracleTrackingError
 from .operators import (
     DEGENERACY_TOL,
     build_D,
-    build_Dc,
-    build_HDelta1,
     projectors,
 )
 from .propagators import xj_matrix, xj_matrix_ssum_route
@@ -62,14 +63,20 @@ class ControversyReport:
 # -- direct-route evaluators -------------------------------------------------
 
 
-def deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings, X=None):
-    """First-order term <psi_c| D X_J I_c |psi_c> at energy E (X: X_J(E))."""
+def _applied(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv, route=xj_matrix):
+    """Xv, or X_J(E) I_c psi_c built along route when Xv is None."""
+    if Xv is not None:
+        return np.asarray(Xv, dtype=float)
+    return route(spectrum, basis, E, g_delta, settings.j_order, v=I_c @ psi_c)
+
+
+def deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv=None):
+    """First-order term <psi_c| D X_J I_c |psi_c> at energy E
+    (Xv: X_J(E) I_c psi_c)."""
     if not np.any(I_c) or not np.any(g_delta):
         return 0.0
-    D = build_D(spectrum, basis, E)
-    if X is None:
-        X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
-    return float(psi_c @ D @ X @ I_c @ psi_c)
+    Xv = _applied(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv)
+    return float(((E - basis.pair_energies()) * psi_c) @ Xv)
 
 
 def h_delta2_direct(spectrum, basis, E, I_c, g_delta, settings):
@@ -82,10 +89,15 @@ def h_delta2_direct(spectrum, basis, E, I_c, g_delta, settings):
     return D @ X @ I_c
 
 
+def _reduced_left(basis, E_c, psi_c, I_c):
+    """psi_c^T (I_c - D_c), the left vector of the reduced second-order form."""
+    return psi_c @ I_c - (E_c - basis.pair_energies()) * psi_c
+
+
 def deltaE2b_direct(spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent,
-                    settings, X=None):
+                    settings, Xv=None):
     """Reduced second-order cross term <psi_c|(I_c - D_c) X_J I_c|psi_c>
-    (X: X_J(E)).
+    (Xv: X_J(E) I_c psi_c).
 
     Also evaluates the resolvent form <psi_c| H_D1 G(E) H_D2(E) |psi_c>
     and returns (value, |resolvent_form - reduced_form|): the two agree
@@ -94,49 +106,43 @@ def deltaE2b_direct(spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent,
     """
     if not np.any(I_c) or not np.any(g_delta):
         return 0.0, 0.0
-    Dc = build_Dc(spectrum, basis, E_c)
-    if X is None:
-        X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
-    reduced = float(psi_c @ (I_c - Dc) @ X @ I_c @ psi_c)
+    Xv = _applied(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv)
+    reduced = float(_reduced_left(basis, E_c, psi_c, I_c) @ Xv)
 
-    projs = projectors(basis)
-    hd1 = build_HDelta1(projs, I_c)
-    hd2_psi = build_D(spectrum, basis, E) @ X @ I_c @ psi_c
-    gamma_form = float((hd1.T @ psi_c) @ resolvent.apply(E, hd2_psi))
+    # psi_c^T H_D1 with H_D1 = P_pp I_c (1 - P_pp) - P_mm I_c
+    pp, mm = basis.unmixed_sign > 0, basis.unmixed_sign < 0
+    hd1_psi = ((psi_c * pp) @ I_c) * ~pp - (psi_c * mm) @ I_c
+    hd2_psi = (E - basis.pair_energies()) * Xv
+    gamma_form = float(hd1_psi @ resolvent.apply(E, hd2_psi))
     return reduced, abs(gamma_form - reduced)
 
 
 def combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings,
-                     convention, X=None):
+                     convention, Xv=None):
     """<psi_c| (I_c +/- dE) Y |psi_c> with Y = X_J I_c and dE = E - E_c.
 
     convention "lindgren" carries +dE, "dkz" carries -dE; "dkz-dc-approx"
     evaluates the dkz combination through the transformed route with every
     D replaced by D_c (the approximation said to produce the same
-    cancellation), reported for comparison only.  X is X_J at the energy
-    the convention uses: E, or E_c for "dkz-dc-approx".
+    cancellation), reported for comparison only.  Xv is X_J I_c psi_c at the
+    energy the convention uses: E, or E_c for "dkz-dc-approx".
     """
     if convention not in ("lindgren", "dkz", "dkz-dc-approx"):
         raise ValueError(f"unknown convention '{convention}'")
     dE = E - E_c
-    dim = basis.dim
     if not np.any(I_c) or not np.any(g_delta):
         return 0.0
-    if convention == "dkz-dc-approx":
-        if X is None:
-            X = xj_matrix(spectrum, basis, E_c, g_delta, settings.j_order)
-        return float(psi_c @ (I_c - dE * np.eye(dim)) @ X @ I_c @ psi_c)
-    if X is None:
-        X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
+    at = E_c if convention == "dkz-dc-approx" else E
+    Xv = _applied(spectrum, basis, at, psi_c, I_c, g_delta, settings, Xv)
     sign = 1.0 if convention == "lindgren" else -1.0
-    return float(psi_c @ (I_c + sign * dE * np.eye(dim)) @ X @ I_c @ psi_c)
+    return float((psi_c @ I_c + sign * dE * psi_c) @ Xv)
 
 
 def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings,
-                          X=None):
+                          Xv=None):
     """2 dE <psi_c| Y |psi_c> evaluated through the transformed route
-    (S1 + S2 factorization; X: xj_matrix_ssum_route at E), plus
-    partial-fraction cross checks.
+    (S1 + S2 factorization; Xv: xj_matrix_ssum_route at E applied to
+    I_c psi_c), plus partial-fraction cross checks.
 
     Returns (predicted, residuals, dm1_error_term) where residuals holds
     "Dm1_route" (the partial-fraction identity applied inside the reduced
@@ -147,9 +153,9 @@ def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings
     dE = E - E_c
     if not np.any(I_c) or not np.any(g_delta):
         return 0.0, {"Dm1_route": 0.0}, 0.0
-    X_alt = X if X is not None else xj_matrix_ssum_route(
-        spectrum, basis, E, g_delta, settings.j_order)
-    predicted = 2.0 * dE * float(psi_c @ X_alt @ I_c @ psi_c)
+    Xv = _applied(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv,
+                  route=xj_matrix_ssum_route)
+    predicted = 2.0 * dE * float(psi_c @ Xv)
 
     denom = E - basis.pair_energies()
     denom_c = E_c - basis.pair_energies()
@@ -159,18 +165,15 @@ def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings
     dcinv = 1.0 / denom_c
 
     # reduced second-order form with the left D^-1 of X split by
-    # D^-1 = Dc^-1 - dE (Dc D)^-1; X_alt = D^-1 W D^-1 so W D^-1 is the
-    # remainder of the transform
-    Dc = build_Dc(spectrum, basis, E_c)
-    w_tail = (np.diag(denom) @ X_alt)  # = W D^-1
-    left = psi_c @ (I_c - Dc)
-    direct = float(left @ (dinv[:, None] * w_tail) @ I_c @ psi_c)
-    split = float(left @ ((dcinv - dE * dcinv * dinv)[:, None] * w_tail) @ I_c @ psi_c)
+    # D^-1 = Dc^-1 - dE (Dc D)^-1; X = D^-1 W D^-1 so D X v = W D^-1 v is
+    # the remainder of the transform
+    w_tail = denom * Xv
+    left = _reduced_left(basis, E_c, psi_c, I_c)
+    direct = float(left @ (dinv * w_tail))
+    split = float(left @ ((dcinv - dE * dcinv * dinv) * w_tail))
     residuals = {"Dm1_route": abs(direct - split) / max(1.0, abs(direct))}
 
-    dm1_error_term = 2.0 * dE * float(
-        left @ ((dcinv * dinv)[:, None] * w_tail) @ I_c @ psi_c
-    )
+    dm1_error_term = 2.0 * dE * float(left @ (dcinv * dinv * w_tail))
     return predicted, residuals, dm1_error_term
 
 
@@ -223,12 +226,12 @@ def model_oracle(spectrum, basis, I_c, g_delta, psi_c, return_vector=False):
     overlaps = np.abs(vecs.conj().T @ psi_c) / np.linalg.norm(vecs, axis=0)
     k = int(np.argmax(overlaps))
     if overlaps[k] ** 2 < 0.5:
-        raise ValueError(
+        raise OracleTrackingError(
             f"overlap tracking ambiguous: best |<psi_c|psi>|^2 = {overlaps[k]**2:.3f}"
         )
     val = vals[k]
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"tracked eigenvalue not real: {val}")
+        raise OracleTrackingError(f"tracked eigenvalue not real: {val}")
     if return_vector:
         v = np.real(vecs[:, k])
         return float(val.real), v / np.linalg.norm(v)
@@ -258,7 +261,8 @@ def coupling_scan(model_config, lam_schedule, settings, bw_order=3,
 
     Returns (rows, fitted_exponent, r_squared, failures); rows are
     (lambda, difference, predicted, ratio) and failures lists
-    (lambda, error message) for points whose pipeline aborted.
+    (lambda, error message) for points whose pipeline aborted with a
+    BwlabError.  Any other exception is a fault, not data, and propagates.
     """
     from .pipeline import run_pipeline
 
@@ -283,7 +287,7 @@ def coupling_scan(model_config, lam_schedule, settings, bw_order=3,
                 else float("nan")
             )
             rows.append((lam, rep.difference, rep.predicted_difference, ratio))
-        except Exception as exc:  # noqa: BLE001 - per-point failures are data
+        except BwlabError as exc:  # per-point failures are data; bugs propagate
             failures.append((lam, f"{type(exc).__name__}: {exc}"))
     good = [(l, d) for l, d, _, _ in rows if d != 0.0]
     if len(good) >= 2:

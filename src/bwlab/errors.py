@@ -15,6 +15,12 @@ class DegenerateDenominatorError(BwlabError):
     we abort instead of regularizing."""
 
 
+class OracleTrackingError(BwlabError):
+    """The model oracle lost the reference state: no eigenvector of the
+    instantaneous analog overlaps psi_c unambiguously, or the tracked
+    eigenvalue is not real."""
+
+
 class ConvergenceError(BwlabError):
     """An iterative solve failed to converge.  Carries the last iterate."""
 

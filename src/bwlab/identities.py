@@ -143,24 +143,26 @@ def identity_suite(model_config, settings, seed=0):
     )
 
     # controversy-chain identities at a nondegenerate working energy, with the
-    # kernel integral built once per route
+    # kernel integral built once per route; the evaluators take it applied to
+    # I_c psi_c, while g0mod_route below compares the whole matrices
     E = E_c + 0.1 * max(1.0, abs(E_c))
-    X_direct = X_alt = None
+    X_direct = X_alt = Xv = Xv_alt = None
     if np.any(g):
         X_direct = xj_matrix(spectrum, basis, E, g, settings.j_order)
         X_alt = xj_matrix_ssum_route(spectrum, basis, E, g, settings.j_order)
-    dE1 = deltaE1_direct(spectrum, basis, E, psi_c, I_c, g, settings, X=X_direct)
+        v = I_c @ psi_c
+        Xv, Xv_alt = X_direct @ v, X_alt @ v
+    dE1 = deltaE1_direct(spectrum, basis, E, psi_c, I_c, g, settings, Xv=Xv)
     dE2b, e2b_res = deltaE2b_direct(
-        spectrum, basis, E, E_c, psi_c, I_c, g, resolvent, settings, X=X_direct
+        spectrum, basis, E, E_c, psi_c, I_c, g, resolvent, settings, Xv=Xv
     )
     lind = combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g, settings, "lindgren",
-                            X=X_direct)
-    dkz = combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g, settings, "dkz",
-                           X=X_direct)
+                            Xv=Xv)
+    dkz = combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g, settings, "dkz", Xv=Xv)
     res["E2b_vs_E2b2"] = e2b_res / max(1.0, abs(dE2b))
     res["chain_sum"] = abs(dE1 + dE2b - lind) / max(1.0, abs(lind))
     predicted, dm1_res, _ = predicted_discrepancy(
-        spectrum, basis, E, E_c, psi_c, I_c, g, settings, X=X_alt
+        spectrum, basis, E, E_c, psi_c, I_c, g, settings, Xv=Xv_alt
     )
     res["central_claim"] = abs((lind - dkz) - predicted) / max(1.0, abs(lind))
     res["Dm1_route"] = dm1_res["Dm1_route"]

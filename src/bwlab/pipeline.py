@@ -4,9 +4,11 @@ both sign conventions -> predicted discrepancy.
 The BW perturbation is H_D1 + H_D2 with the ladder (equal-time) kernel,
 the resummation consistent with the instantaneous model oracle; the
 convention comparison evaluates the relative-energy (joint) expressions
-exactly as written, with dE = E - E_c taken from the BW solve.  The kernel
-integral is built once per energy and route: X_J(E) and X_J(E_c) on the
-direct route, and X_J(E) on the S-sum route for the predicted difference.
+exactly as written, with dE = E - E_c taken from the BW solve.  The
+evaluators need the kernel integral only applied to v = I_c psi_c, so the
+run builds X_J v once per energy and route, never the dim x dim X_J:
+X_J(E) v and X_J(E_c) v on the direct route, and X_J(E) v on the S-sum
+route for the predicted difference.
 """
 
 from __future__ import annotations
@@ -67,29 +69,30 @@ def run_pipeline(model_config: ModelConfig, settings: IntegrationSettings,
 
     # with either coupling zero the evaluators return 0 without X_J, which
     # may not exist there (E = E_c is a pair energy when I_c = 0)
-    X = X_c = X_alt = None
+    Xv = Xv_c = Xv_alt = None
     if np.any(I_c) and np.any(g_delta):
-        X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
-        X_c = xj_matrix(spectrum, basis, E_c, g_delta, settings.j_order)
-        X_alt = xj_matrix_ssum_route(spectrum, basis, E, g_delta, settings.j_order)
+        v = I_c @ psi_c
+        Xv = xj_matrix(spectrum, basis, E, g_delta, settings.j_order, v=v)
+        Xv_c = xj_matrix(spectrum, basis, E_c, g_delta, settings.j_order, v=v)
+        Xv_alt = xj_matrix_ssum_route(spectrum, basis, E, g_delta, settings.j_order, v=v)
 
     rep = ControversyReport()
-    rep.dE1_direct = deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings, X=X)
+    rep.dE1_direct = deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv=Xv)
     rep.dE2b_direct, e2b_res = deltaE2b_direct(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent, settings, X=X
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent, settings, Xv=Xv
     )
     rep.combined_lindgren = combined_variant(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "lindgren", X=X
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "lindgren", Xv=Xv
     )
     rep.combined_dkz = combined_variant(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "dkz", X=X
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "dkz", Xv=Xv
     )
     rep.combined_dkz_dc_approx = combined_variant(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "dkz-dc-approx", X=X_c
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, "dkz-dc-approx", Xv=Xv_c
     )
     rep.difference = rep.combined_lindgren - rep.combined_dkz
     predicted, dm1_res, dm1_err = predicted_discrepancy(
-        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, X=X_alt
+        spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings, Xv=Xv_alt
     )
     rep.predicted_difference = predicted
     rep.dm1_error_term = dm1_err

@@ -30,6 +30,14 @@ S2)), so comparing them is a check.  ChainIntegrator, the scalar
 chain-by-chain evaluation through residues.pole_product_integral, stays as
 a reference; the numerical quadrature oracle (quadrature module) is the
 independent check of both.
+
+Callers that need X_J only applied to a vector v pass v to xj_matrix or
+xj_matrix_ssum_route.  The engine then carries the row block v^T in place
+of the identity: it starts from v^T diag(h) and multiplies from the right,
+at dim^2 rather than dim^3 per step.  Every diagonal factor is symmetric
+and a chain closes on the same side as its reverse, so X_J[g]^T =
+X_J[g^T] and X_J v = (v^T X_J[g^T])^T; on the S-sum route the outer D^-1
+scales v before and the result after.
 """
 
 from __future__ import annotations
@@ -104,13 +112,10 @@ def propagator_S(spectrum, basis, E, eps, particle, eta):
     if particle not in (1, 2):
         raise ValueError("particle must be 1 or 2")
     e = np.asarray(spectrum.energies)
-    out = np.empty(basis.dim, dtype=complex)
-    for k, (i, j) in enumerate(basis.pairs):
-        if particle == 1:
-            out[k] = 1.0 / (E / 2 + eps - e[i] + 1j * eta * np.sign(e[i]))
-        else:
-            out[k] = 1.0 / (E / 2 - eps - e[j] + 1j * eta * np.sign(e[j]))
-    return out
+    i, j = np.divmod(np.arange(basis.dim), spectrum.n)  # pair index k = i * n + j
+    if particle == 1:
+        return 1.0 / (E / 2 + eps - e[i] + 1j * eta * np.sign(e[i]))
+    return 1.0 / (E / 2 - eps - e[j] + 1j * eta * np.sign(e[j]))
 
 
 def finv_diag(spectrum, basis, E, eps, eta=0.0):
@@ -243,15 +248,22 @@ def _times_diagonal(R, h):
     return P
 
 
-def _residue_terms(h, m, g, order, scale, via=None):
+def _residue_terms(h, m, g, order, scale, via=None, W=None):
     """Per k < order, the u^-1 coefficients of the T_k integrand summed over
     the pole clusters of h (from _diagonal_series, with m): over all index
     chains, or, where via is given, over the chains through at least one
     pair in via.  scale is the D^-1 the inner pairs carry on the S-sum
-    route (1.0 on the direct route)."""
-    R = h[..., None] * g  # series of diag(h) g: all chains, or those avoiding via
-    if via is not None:
-        R, met = R * ~via[:, None], R * via[:, None]
+    route (1.0 on the direct route).  With a block W of left row vectors the
+    series starts from W diag(h) and the terms are W T_k, at a cost of
+    clusters x orders x rows(W) x pairs^2 per step instead of pairs^3."""
+
+    def first(G):  # series of diag(h) G, or of W diag(h) G
+        return h[..., None] * G if W is None else (W * h[:, :, None, :]) @ G
+
+    if via is None:
+        R = first(g)  # all chains
+    else:  # chains avoiding via so far, and those that met it
+        R, met = first(g * ~via[:, None]), first(g * via[:, None])
     out = []
     for k in range(order):
         R = _times_diagonal(R, h)
@@ -266,15 +278,16 @@ def _residue_terms(h, m, g, order, scale, via=None):
     return out
 
 
-def _kernel_terms(spectrum, basis, E, g, order, dinv=None):
+def _kernel_terms(spectrum, basis, E, g, order, dinv=None, W=None):
     """[T_0 .. T_{order-1}] by matrix-Laurent residues, with
 
         direct route (dinv None):  T_k = i int deps/2pi F^-1 (g F^-1)^k g F^-1
         S-sum route:               T_k = i int deps/2pi s (g D^-1 s)^k g s
 
-    and s = S1 + S2.  About each pole cluster x the diagonal factor is a
-    Laurent series in u = eps - x; the matrix series s g s ... g s is
-    multiplied out and its u^-1 coefficient read off.  T_k is minus the sum
+    and s = S1 + S2, or [W T_0 .. W T_{order-1}] for a block W of left row
+    vectors.  About each pole cluster x the diagonal factor is a Laurent
+    series in u = eps - x; the matrix series s g s ... g s (or W s g s ...)
+    is multiplied out and its u^-1 coefficient read off.  T_k is minus the sum
     of these over the upper clusters, or plus the sum over the lower ones.
     Index chains through a pair whose poles both lie in the upper
     half-plane (e_i < 0 < e_j) close downwards, where that pair has no pole;
@@ -284,7 +297,8 @@ def _kernel_terms(spectrum, basis, E, g, order, dinv=None):
     part, so their poles alone are checked for pinches.
     """
     dim = basis.dim
-    zeros = [np.zeros((dim, dim)) for _ in range(order)]
+    rows = dim if W is None else W.shape[0]
+    zeros = [np.zeros((rows, dim)) for _ in range(order)]
     act = np.flatnonzero(g.any(axis=0) | g.any(axis=1))
     if act.size == 0:
         return zeros
@@ -302,16 +316,18 @@ def _kernel_terms(spectrum, basis, E, g, order, dinv=None):
     h, m = _diagonal_series(pos, pos_up, x, up, order, dinv is not None)
     full = act.size == dim
     ga = g if full else g[np.ix_(act, act)]
+    Wa = W if full or W is None else W[:, act]
     scale = 1.0 if dinv is None else dinv[act]
     avoid = ~via
-    upward = _residue_terms(h[up], m, ga * (avoid[:, None] & avoid), order, scale)
-    downward = (_residue_terms(h[~up], m, ga, order, scale, via)
+    upward = _residue_terms(h[up], m, ga * (avoid[:, None] & avoid), order, scale, W=Wa)
+    downward = (_residue_terms(h[~up], m, ga, order, scale, via, Wa)
                 if not up.all() else [0.0] * order)
     terms = [T_down - T_up for T_up, T_down in zip(upward, downward)]
     if not full:
+        out_rows = act if W is None else np.arange(rows)
         for k, T in enumerate(terms):
-            terms[k] = np.zeros((dim, dim))
-            terms[k][np.ix_(act, act)] = T
+            terms[k] = np.zeros((rows, dim))
+            terms[k][np.ix_(out_rows, act)] = T
     return terms
 
 
@@ -346,12 +362,32 @@ def j_series(spectrum, basis, E, g_delta, order):
     return _kernel_terms(spectrum, basis, E, _square(g_delta, basis, "g"), order)
 
 
-def xj_matrix(spectrum, basis, E, g_delta, order):
-    """Truncated kernel integral sum_k T_k (the X_J of the direct route)."""
-    return sum(j_series(spectrum, basis, E, g_delta, order))
+def _row(v, basis):
+    """v as the one-row block v^T."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (basis.dim,):
+        raise ValueError(f"v has shape {v.shape}, basis needs {(basis.dim,)}")
+    return v[None, :]
 
 
-def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order):
+def xj_matrix(spectrum, basis, E, g_delta, order, v=None):
+    """Truncated kernel integral sum_k T_k (the X_J of the direct route), or,
+    given a vector v, the applied X_J v.
+
+    X_J v is evaluated as (v^T X_J[g^T])^T: every diagonal factor is
+    symmetric and each chain closes on the same side as its reverse, so
+    X_J[g]^T = X_J[g^T].  The engine then carries the row block v^T instead
+    of the identity, at dim^2 instead of dim^3 per step.
+    """
+    if v is None:
+        return sum(j_series(spectrum, basis, E, g_delta, order))
+    if order < 1:
+        raise ValueError("order must be >= 1")
+    g = _square(g_delta, basis, "g")
+    return sum(_kernel_terms(spectrum, basis, E, g.T, order, W=_row(v, basis)))[0]
+
+
+def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order, v=None):
     """Same object evaluated through F^-1 = D^-1 (S1 + S2):
 
         T_k = D^-1 [ i int (S1+S2) (g D^-1 (S1+S2))^k g (S1+S2) ] D^-1
@@ -361,12 +397,16 @@ def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order):
     applied afterwards.  Algebraically identical to xj_matrix; numerically
     an independent evaluation path.  Aborts where any D entry vanishes,
     which includes the mixed-pair energies the direct route handles.
+
+    Given v, returns X v = D^-1 (W[g] (D^-1 v)), with the bracket W[g] taken
+    as (u^T W[g^T])^T for u = D^-1 v, as in xj_matrix.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     g = _square(g_delta, basis, "g")
+    vt = None if v is None else _row(v, basis)
     if not np.any(g):
-        return np.zeros((basis.dim, basis.dim))
+        return np.zeros((basis.dim, basis.dim)) if v is None else np.zeros(basis.dim)
     from .operators import DEGENERACY_TOL
 
     denom = E - basis.pair_energies()
@@ -375,5 +415,7 @@ def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order):
 
         raise DegenerateDenominatorError("degenerate pair denominator in S-sum route")
     dinv = 1.0 / denom
-    W = sum(_kernel_terms(spectrum, basis, E, g, order, dinv))
-    return dinv[:, None] * W * dinv[None, :]
+    if v is None:
+        W = sum(_kernel_terms(spectrum, basis, E, g, order, dinv))
+        return dinv[:, None] * W * dinv[None, :]
+    return dinv * sum(_kernel_terms(spectrum, basis, E, g.T, order, dinv, vt * dinv))[0]

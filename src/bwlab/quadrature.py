@@ -133,13 +133,11 @@ def _extrapolate(etas, values):
 
 def _finv_nodes(spectrum, basis, E, nodes, eta):
     """(dim, n_nodes) array of F^-1 per pair at the nodes."""
-    s1 = np.empty((basis.dim, nodes.size), dtype=complex)
-    s2 = np.empty_like(s1)
     e = np.asarray(spectrum.energies)
     shift = 1j * eta * np.sign(e)
-    for k, (i, j) in enumerate(basis.pairs):
-        s1[k] = 1.0 / (E / 2 + nodes - e[i] + shift[i])
-        s2[k] = 1.0 / (E / 2 - nodes - e[j] + shift[j])
+    i, j = np.divmod(np.arange(basis.dim), spectrum.n)  # pair index k = i * n + j
+    s1 = 1.0 / (E / 2 + nodes - e[i, None] + shift[i, None])
+    s2 = 1.0 / (E / 2 - nodes - e[j, None] + shift[j, None])
     return s1 * s2
 
 

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import bwlab.identities
-from bwlab import ConfigError, QuadratureConvergenceError, emit_config, parse_config
+import bwlab.pipeline
+from bwlab import (
+    ConfigError,
+    OracleTrackingError,
+    QuadratureConvergenceError,
+    emit_config,
+    parse_config,
+)
 from bwlab.cli import _load, build_parser, main
 from bwlab.config import config_hash
 from bwlab.report import render_json
@@ -284,3 +291,79 @@ def test_cli_scan_too_few_points(tmp_path):
 def test_json_float_format():
     text = render_json({"x": 0.1, "y": 2.0})
     assert text == '{"x":0.10000000000000001,"y":2}'
+
+
+@pytest.mark.parametrize("command", ["compare", "scan"])
+def test_cli_state_index_out_of_range_exit2(tmp_path, capsys, command):
+    # the dim-4 model has a single doubly-positive state
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text() + "[solve]\nstate_index = 99\n")
+    code = main([command, "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        "config error: solve.state_index 99 outside the 1-state doubly-positive block"
+    ]
+
+
+def test_cli_verify_residual_out_of_tolerance_exit1(tmp_path, capsys, monkeypatch):
+    # a perturbed S-sum route no longer reproduces the direct kernel integral
+    route = bwlab.identities.xj_matrix_ssum_route
+
+    def perturbed(*args, **kwargs):
+        return 1.001 * route(*args, **kwargs)
+
+    monkeypatch.setattr(bwlab.identities, "xj_matrix_ssum_route", perturbed)
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code, out = run_cli(capsys, ["verify", "--config", str(path), "--format", "json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False
+    res, tol = report["identity_residuals"], report["tolerances"]
+    assert res["g0mod_route"] > tol["g0mod_route"]
+    assert res["central_claim"] > tol["central_claim"]
+
+
+def test_cli_scan_point_failures_exit3(tmp_path, capsys, monkeypatch):
+    oracle = bwlab.pipeline.model_oracle
+
+    def lost_at_largest(spectrum, basis, I_c, g_delta, psi_c):
+        if np.max(np.abs(I_c)) > 0.01:  # 0.1 lambda: only at lambda = 0.16
+            raise OracleTrackingError("overlap tracking ambiguous")
+        return oracle(spectrum, basis, I_c, g_delta, psi_c)
+
+    monkeypatch.setattr(bwlab.pipeline, "model_oracle", lost_at_largest)
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code, out = run_cli(capsys, ["scan", "--config", str(path), "--format", "json"])
+    assert code == 3
+    scan = json.loads(out)["scan"]
+    assert len(scan["rows"]) == 3
+    assert scan["failures"] == [[0.16, "OracleTrackingError: overlap tracking ambiguous"]]
+
+
+def test_cli_compare_bw_nonconvergence_exit4(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text() + "[bw]\nmax_iter = 1\n")
+    code = main(["compare", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("nonconvergence: BW self-consistency did not converge in 1")
+
+
+def test_cli_compare_oracle_tracking_exit5(tmp_path, capsys, monkeypatch):
+    def lost(*args, **kwargs):
+        raise OracleTrackingError("tracked eigenvalue not real: (2+1j)")
+
+    monkeypatch.setattr(bwlab.pipeline, "model_oracle", lost)
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code = main(["compare", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 5
+    assert out == ""
+    assert err.splitlines() == ["model oracle: tracked eigenvalue not real: (2+1j)"]

@@ -299,3 +299,27 @@ def test_identity_suite_builds_kernel_integral_once(dim4_config, settings, monke
     counts = count_kernel_builds(monkeypatch)
     assert suite_passes(identity_suite(dim4_config, settings))
     assert counts == {"direct": 1, "ssum": 1}
+
+
+def test_coupling_scan_propagates_programming_errors(dim4_config, settings, monkeypatch):
+    """Only BwlabError is per-point data; a fault inside the pipeline is not
+    turned into a failed scan row."""
+    import bwlab.pipeline
+
+    def broken(*args, **kwargs):
+        raise TypeError("unexpected argument")
+
+    monkeypatch.setattr(bwlab.pipeline, "model_oracle", broken)
+    with pytest.raises(TypeError, match="unexpected argument"):
+        coupling_scan(dim4_config, [0.02, 0.04, 0.08, 0.16], settings)
+
+
+def test_model_oracle_tracking_failure_is_bwlab_error(dim4):
+    """A psi_c that overlaps no eigenvector enough raises OracleTrackingError."""
+    from bwlab import BwlabError, OracleTrackingError
+
+    spectrum, basis, I_c, g = dim4
+    psi = np.full(basis.dim, 0.5)  # spread evenly over the four free pair states
+    with pytest.raises(OracleTrackingError, match="ambiguous") as info:
+        model_oracle(spectrum, basis, 0.0 * I_c, 0.0 * g, psi)
+    assert isinstance(info.value, BwlabError)

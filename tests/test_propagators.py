@@ -348,3 +348,85 @@ def test_settings_validation():
 def test_settings_reject_repeated_eta():
     with pytest.raises(ConfigError, match="strictly decreasing"):
         IntegrationSettings(eta_sequence=(1e-2, 1e-2, 5e-3))
+
+
+def assert_applied_matches(spectrum, basis, E, g, order, v,
+                           routes=(xj_matrix, xj_matrix_ssum_route)):
+    """X v from the applied path against the matrix X times v, within 1e-13
+    of max(1, |X v|)."""
+    for route in routes:
+        Xv = route(spectrum, basis, E, g, order) @ v
+        got = route(spectrum, basis, E, g, order, v=v)
+        assert got.shape == Xv.shape
+        assert np.max(np.abs(got - Xv)) < 1e-13 * max(1.0, np.max(np.abs(Xv)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_applied_path_matches_matrix(order):
+    """Random spectra of dim 4 to 64, symmetric and nonsymmetric g (the
+    latter exercises X_J[g]^T = X_J[g^T])."""
+    rng = np.random.default_rng(100 + order)
+    dims = set()
+    for case in range(6):
+        pos, neg = random_spectrum(rng, max_each=4)
+        if case == 0:
+            pos, neg = dirac_like_energies(n_each=4)
+        spectrum = SingleParticleSpectrum.from_lists(pos, neg)
+        basis = build_basis(spectrum)
+        dims.add(basis.dim)
+        E = energy_away_from_poles(rng, spectrum, min_gap=0.1)
+        g = rng.uniform(-0.05, 0.05, size=(basis.dim, basis.dim))
+        for gg in (g + g.T, g):
+            assert_applied_matches(spectrum, basis, E, gg, order, rng.standard_normal(basis.dim))
+    assert 64 in dims and min(dims) < 64
+
+
+def test_applied_path_partially_active_g():
+    """Only pairs with a nonzero row or column of g take part; the applied
+    path scatters the active block back like the matrix path."""
+    rng = np.random.default_rng(7)
+    pos, neg = dirac_like_energies(n_each=3)
+    spectrum = SingleParticleSpectrum.from_lists(pos, neg)
+    basis = build_basis(spectrum)
+    act = rng.choice(basis.dim, size=basis.dim // 3, replace=False)
+    g = np.zeros((basis.dim, basis.dim))
+    g[np.ix_(act, act)] = rng.uniform(-0.1, 0.1, size=(act.size, act.size))
+    v = rng.standard_normal(basis.dim)
+    for order in (1, 2, 3):
+        assert_applied_matches(spectrum, basis, 2.07, g, order, v)
+
+
+@pytest.mark.parametrize("pos, neg", [
+    ((1.0,), (-1.2,)),
+    ((1.0, 1.5), (-1.25, -1.75)),
+    ((1.0, 1.6), (-1.2, -1.7)),
+])
+def test_applied_path_same_side_confluent_pole(pos, neg):
+    """At the mixed-pair energy the direct route's applied path agrees with
+    the matrix path; the S-sum route aborts with v as without it."""
+    spectrum = SingleParticleSpectrum.from_lists(pos, neg)
+    basis = build_basis(spectrum)
+    E = pos[0] + neg[0]
+    g = np.random.default_rng(1).uniform(-0.1, 0.1, size=(basis.dim, basis.dim))
+    g = g + g.T
+    v = np.random.default_rng(2).standard_normal(basis.dim)
+    assert_applied_matches(spectrum, basis, E, g, 2, v, routes=(xj_matrix,))
+    with pytest.raises(DegenerateDenominatorError):
+        xj_matrix_ssum_route(spectrum, basis, E, g, 2, v=v)
+
+
+@pytest.mark.parametrize("E", [2.0, 2.0 + 1e-12])
+def test_applied_path_pinch_aborts(dim4, E):
+    spectrum, basis, _, g = dim4
+    with pytest.raises(DegenerateDenominatorError) as matrix:
+        xj_matrix(spectrum, basis, E, g, 2)
+    with pytest.raises(DegenerateDenominatorError) as applied:
+        xj_matrix(spectrum, basis, E, g, 2, v=np.ones(basis.dim))
+    assert str(applied.value) == str(matrix.value)
+
+
+def test_applied_path_rejects_wrong_shape(dim4):
+    spectrum, basis, _, g = dim4
+    for route in (xj_matrix, xj_matrix_ssum_route):
+        with pytest.raises(ValueError, match="v has shape"):
+            route(spectrum, basis, 2.25, g, 2, v=np.ones(basis.dim + 1))

@@ -107,7 +107,8 @@ def propagator_S(spectrum, basis, E, eps, particle, eta):
     """Diagonal of the chosen electron propagator on the two-particle basis.
 
     particle 1 depends on the row state i, particle 2 on the column state
-    j of the pair (i, j); eta = 0 is allowed away from poles.
+    j of the pair (i, j); eta = 0 is allowed away from poles.  E and eps
+    broadcast against the pairs: columns of shape (m, 1) give (m, dim).
     """
     if particle not in (1, 2):
         raise ValueError("particle must be 1 or 2")
@@ -248,6 +249,11 @@ def _times_diagonal(R, h):
     return P
 
 
+def _rows_times(R, g):
+    """R @ g for a stack R (..., rows, pairs), as one matrix product."""
+    return (R.reshape(-1, R.shape[-1]) @ g).reshape(R.shape[:-1] + g.shape[1:])
+
+
 def _residue_terms(h, m, g, order, scale, via=None, W=None):
     """Per k < order, the u^-1 coefficients of the T_k integrand summed over
     the pole clusters of h (from _diagonal_series, with m): over all index
@@ -258,7 +264,7 @@ def _residue_terms(h, m, g, order, scale, via=None, W=None):
     clusters x orders x rows(W) x pairs^2 per step instead of pairs^3."""
 
     def first(G):  # series of diag(h) G, or of W diag(h) G
-        return h[..., None] * G if W is None else (W * h[:, :, None, :]) @ G
+        return h[..., None] * G if W is None else _rows_times(W * h[:, :, None, :], G)
 
     if via is None:
         R = first(g)  # all chains
@@ -272,9 +278,9 @@ def _residue_terms(h, m, g, order, scale, via=None, W=None):
             R = R * ~via
         out.append((R if via is None else met)[:, m * (k + 2) - 1].sum(axis=0))
         if k + 1 < order:
-            R = (R * scale) @ g
+            R = _rows_times(R * scale, g)
             if via is not None:
-                met = (met * scale) @ g
+                met = _rows_times(met * scale, g)
     return out
 
 

@@ -11,10 +11,19 @@ dependence and the free constant term is the extrapolated imaginary part.
 That constant is a diagnostic and should be consistent with zero; a pinch
 (Im ~ 1/eta) or a constant offset shows up there.
 
+The integrand factors by particle: for the pair k = i * n + j,
+F^-1 = S1[i] S2[j], where S1 depends only on the state i and S2 only on
+the state j.  So each eta level evaluates the two electron propagators on
+the n single-particle states at the nodes, two (n, nodes) arrays, and
+forms pair products only where an integrand needs them.  The eta levels
+are looped over, one at a time, to keep the working set small.
+
 This module deliberately shares no code with the residue engine.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -54,10 +63,20 @@ def _panel_breaks(poles, eta_min, L):
     return np.array(sorted(x for x in pts if -L <= x <= L))
 
 
+@functools.cache
+def _gauss_legendre(points):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per point
+    count and returned read-only."""
+    x, w = np.polynomial.legendre.leggauss(points)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _nodes_weights(spectrum, E, settings: IntegrationSettings):
     poles = _pole_positions(spectrum, E)
     breaks = _panel_breaks(poles, min(settings.eta_sequence), settings.cutoff(spectrum))
-    x, w = np.polynomial.legendre.leggauss(settings.quadrature_points)
+    x, w = _gauss_legendre(settings.quadrature_points)
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     halfs = 0.5 * (breaks[1:] - breaks[:-1])
     nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
@@ -131,23 +150,32 @@ def _extrapolate(etas, values):
     return re, im
 
 
-def _finv_nodes(spectrum, basis, E, nodes, eta):
-    """(dim, n_nodes) array of F^-1 per pair at the nodes."""
-    e = np.asarray(spectrum.energies)
+def _propagator_nodes(spectrum, E, nodes, eta):
+    """S1 and S2 of every single-particle state at the nodes, two (n, nodes)
+    arrays; F^-1 of the pair k = i * n + j is s1[i] * s2[j]."""
+    e = np.asarray(spectrum.energies)[:, None]
     shift = 1j * eta * np.sign(e)
-    i, j = np.divmod(np.arange(basis.dim), spectrum.n)  # pair index k = i * n + j
-    s1 = 1.0 / (E / 2 + nodes - e[i, None] + shift[i, None])
-    s2 = 1.0 / (E / 2 - nodes - e[j, None] + shift[j, None])
-    return s1 * s2
+    s1 = 1.0 / (E / 2 + nodes - e + shift)
+    s2 = 1.0 / (E / 2 - nodes - e + shift)
+    return s1, s2
+
+
+def _finv_pairs(s1, s2):
+    """(dim, nodes) array of F^-1 per pair, pair index k = i * n + j."""
+    return (s1[:, None] * s2[None]).reshape(-1, s1.shape[1])
 
 
 def quadrature_finv(spectrum, basis, E, settings, return_imag=False):
-    """Oracle for the basic integral i int deps/2pi F^-1 (diagonal)."""
+    """Oracle for the basic integral i int deps/2pi F^-1 (diagonal).
+
+    The node sum of S1[i] S2[j] over all pairs is one (n, nodes) x (nodes, n)
+    product; F^-1 is never formed per pair.
+    """
     nodes, weights = _nodes_weights(spectrum, E, settings)
     per_eta = []
     for eta in settings.eta_sequence:
-        f = _finv_nodes(spectrum, basis, E, nodes, eta)
-        per_eta.append(1j * (f @ weights) / (2 * np.pi))
+        s1, s2 = _propagator_nodes(spectrum, E, nodes, eta)
+        per_eta.append(1j * ((s1 * weights) @ s2.T).ravel() / (2 * np.pi))
     re, im = _extrapolate(settings.eta_sequence, per_eta)
     if return_imag:
         return np.diag(re), np.diag(im)
@@ -168,9 +196,8 @@ def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False):
     nodes, weights = _nodes_weights(spectrum, E, settings)
     per_eta = []
     for eta in settings.eta_sequence:
-        f = _finv_nodes(spectrum, basis, E, nodes, eta)
-        pairwise = 1j * ((f * weights) @ f.T) / (2 * np.pi)
-        per_eta.append(pairwise)
+        f = _finv_pairs(*_propagator_nodes(spectrum, E, nodes, eta))
+        per_eta.append(1j * ((f * weights) @ f.T) / (2 * np.pi))
     re, im = _extrapolate(settings.eta_sequence, per_eta)
     if return_imag:
         return A * re, A * im
@@ -179,18 +206,15 @@ def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False):
 
 def quadrature_chain(spectrum, basis, E, mats, settings):
     """Oracle for i int deps/2pi F^-1 M_1 F^-1 M_2 ... M_k F^-1 with
-    constant matrices M_i (validates the higher series terms)."""
+    constant matrices M_i (validates the higher series terms).  The
+    integrand is built for all nodes at once, a (nodes, dim, dim) stack."""
     nodes, weights = _nodes_weights(spectrum, E, settings)
-    dim = basis.dim
     per_eta = []
     for eta in settings.eta_sequence:
-        f = _finv_nodes(spectrum, basis, E, nodes, eta)
-        acc = np.zeros((dim, dim), dtype=complex)
-        for t in range(nodes.size):
-            m = np.diag(f[:, t])
-            for M in mats:
-                m = m @ M @ np.diag(f[:, t])
-            acc += weights[t] * m
-        per_eta.append(1j * acc / (2 * np.pi))
+        f = _finv_pairs(*_propagator_nodes(spectrum, E, nodes, eta)).T
+        m = f[:, :, None] * np.eye(basis.dim)  # diag(F^-1) per node
+        for M in mats:
+            m = (m @ M) * f[:, None, :]
+        per_eta.append(1j * np.tensordot(weights, m, axes=1) / (2 * np.pi))
     out, _ = _extrapolate(settings.eta_sequence, per_eta)
     return out

@@ -8,6 +8,9 @@ Report keys:
     failures; an undefined ratio, exponent or R^2 is None, rendered as
     null), oracle_energy, timings_ms.
 
+The verify table prints each identity residual with its tolerance and
+PASS or FAIL, then the overall verdict.
+
 Two runs of the same config differ only inside timings_ms.
 """
 
@@ -130,7 +133,16 @@ def render_table(report: dict) -> str:
         block("convention comparison", report["controversy"])
     if "oracle_energy" in report:
         block("model oracle", {"oracle_energy": report["oracle_energy"]})
-    if "identity_residuals" in report:
+    if "tolerances" in report:
+        residuals, tolerances = report["identity_residuals"], report["tolerances"]
+        lines.append("")
+        lines.append("identity residuals")
+        width = max(len(k) for k in residuals)
+        for k, v in residuals.items():
+            verdict = "PASS" if v <= tolerances[k] else "FAIL"
+            lines.append(f"  {k:<{width}}  {v: .12e}  tol {tolerances[k]:.0e}  {verdict}")
+        lines.append(f"  {'verdict':<{width}}   {'PASS' if report['passed'] else 'FAIL'}")
+    elif "identity_residuals" in report:
         block("identity residuals", report["identity_residuals"])
     if "scan" in report:
         sc = report["scan"]

@@ -367,3 +367,72 @@ def test_cli_compare_oracle_tracking_exit5(tmp_path, capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.splitlines() == ["model oracle: tracked eigenvalue not real: (2+1j)"]
+
+
+def test_cli_verify_deterministic(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    _, out1 = run_cli(capsys, ["verify", "--config", str(path), "--format", "json"])
+    _, out2 = run_cli(capsys, ["verify", "--config", str(path), "--format", "json"])
+    r1, r2 = json.loads(out1), json.loads(out2)
+    del r1["timings_ms"], r2["timings_ms"]
+    assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+def identity_rows(table):
+    """{name: (residual, tolerance, verdict)} of the verify table, and the
+    overall verdict."""
+    lines = table.splitlines()
+    start = lines.index("identity residuals") + 1
+    rows, overall = {}, None
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        fields = line.split()
+        if fields[0] == "verdict":
+            overall = fields[1]
+        else:
+            name, residual, tol_word, tol, verdict = fields
+            assert tol_word == "tol"
+            rows[name] = (float(residual), float(tol), verdict)
+    return rows, overall
+
+
+def test_cli_verify_table_shows_verdicts(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code, out = run_cli(capsys, ["verify", "--config", str(path)])
+    assert code == 0
+    rows, overall = identity_rows(out)
+    assert set(rows) == set(bwlab.identities.TOLERANCES)
+    for name, (residual, tol, verdict) in rows.items():
+        assert tol == bwlab.identities.TOLERANCES[name]
+        assert residual <= tol and verdict == "PASS"
+    assert overall == "PASS"
+
+
+def test_cli_verify_table_shows_failures(tmp_path, capsys, monkeypatch):
+    route = bwlab.identities.xj_matrix_ssum_route
+
+    def perturbed(*args, **kwargs):
+        return 1.001 * route(*args, **kwargs)
+
+    monkeypatch.setattr(bwlab.identities, "xj_matrix_ssum_route", perturbed)
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code, out = run_cli(capsys, ["verify", "--config", str(path)])
+    assert code == 1
+    rows, overall = identity_rows(out)
+    failed = {name for name, (_, _, verdict) in rows.items() if verdict == "FAIL"}
+    assert {"g0mod_route", "central_claim"} <= failed
+    assert all(rows[name][0] > rows[name][1] for name in failed)
+    assert all(rows[name][0] <= rows[name][1] for name in set(rows) - failed)
+    assert overall == "FAIL"
+
+
+def test_cli_compare_table_has_no_verdict(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code, out = run_cli(capsys, ["compare", "--config", str(path)])
+    assert code == 0
+    assert "verdict" not in out and "PASS" not in out

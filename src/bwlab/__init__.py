@@ -16,7 +16,6 @@ from .controversy import (
     coupling_scan,
     deltaE1_direct,
     deltaE2b_direct,
-    h_delta2_direct,
     h_delta2_ladder,
     model_oracle,
     predicted_discrepancy,

@@ -27,6 +27,10 @@ MAX_ORDER = 3
 #: a secant step longer than this many plain fixed-point steps is not taken
 SECANT_MAX_RATIO = 4.0
 
+#: E closer than this, relative to max(1, |E|), to an eigenvalue of H_c other
+#: than the reference one aborts the resolvent
+RESOLVENT_GUARD_TOL = 1e-10
+
 
 @dataclass
 class EnergyLedger:
@@ -74,10 +78,9 @@ class Resolvent:
     hitting the complementary spectrum.
     """
 
-    def __init__(self, H_c, psi_c, guard_tol=1e-10):
+    def __init__(self, H_c, psi_c):
         self.H_c = np.asarray(H_c, dtype=float)
         self.psi = np.asarray(psi_c, dtype=float)
-        self.guard_tol = guard_tol
         vals, vecs = np.linalg.eigh(self.H_c - np.outer(self.psi, self.psi))
         overlaps = np.abs(vecs.T @ self.psi)
         self._ref = int(np.argmax(overlaps))
@@ -88,7 +91,7 @@ class Resolvent:
     def _check(self, E):
         if self._q_evals.size:
             gap = np.min(np.abs(E - self._q_evals))
-            if gap < self.guard_tol * max(1.0, abs(E)):
+            if gap < RESOLVENT_GUARD_TOL * max(1.0, abs(E)):
                 raise DegenerateDenominatorError(
                     f"E = {E:.12g} hits the complementary spectrum (gap {gap:.3e})"
                 )

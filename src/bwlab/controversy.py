@@ -38,12 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BwlabError, DegenerateDenominatorError, OracleTrackingError
-from .operators import (
-    DEGENERACY_TOL,
-    build_D,
-    projectors,
-)
+from .errors import BwlabError, OracleTrackingError
+from .operators import build_HDelta1, free_propagator, inverse_denominator
 from .propagators import xj_matrix, xj_matrix_ssum_route
 
 
@@ -79,16 +75,6 @@ def deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv=None):
     return float(((E - basis.pair_energies()) * psi_c) @ Xv)
 
 
-def h_delta2_direct(spectrum, basis, E, I_c, g_delta, settings):
-    """Relative-energy route operator D X_J I_c (the literal integrand form)."""
-    dim = basis.dim
-    if not np.any(I_c) or not np.any(g_delta):
-        return np.zeros((dim, dim))
-    D = build_D(spectrum, basis, E)
-    X = xj_matrix(spectrum, basis, E, g_delta, settings.j_order)
-    return D @ X @ I_c
-
-
 def _reduced_left(basis, E_c, psi_c, I_c):
     """psi_c^T (I_c - D_c), the left vector of the reduced second-order form."""
     return psi_c @ I_c - (E_c - basis.pair_energies()) * psi_c
@@ -109,9 +95,7 @@ def deltaE2b_direct(spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent,
     Xv = _applied(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv)
     reduced = float(_reduced_left(basis, E_c, psi_c, I_c) @ Xv)
 
-    # psi_c^T H_D1 with H_D1 = P_pp I_c (1 - P_pp) - P_mm I_c
-    pp, mm = basis.unmixed_sign > 0, basis.unmixed_sign < 0
-    hd1_psi = ((psi_c * pp) @ I_c) * ~pp - (psi_c * mm) @ I_c
+    hd1_psi = psi_c @ build_HDelta1(basis, I_c)
     hd2_psi = (E - basis.pair_energies()) * Xv
     gamma_form = float(hd1_psi @ resolvent.apply(E, hd2_psi))
     return reduced, abs(gamma_form - reduced)
@@ -157,17 +141,13 @@ def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings
                   route=xj_matrix_ssum_route)
     predicted = 2.0 * dE * float(psi_c @ Xv)
 
-    denom = E - basis.pair_energies()
-    denom_c = E_c - basis.pair_energies()
-    if np.min(np.abs(denom)) < DEGENERACY_TOL or np.min(np.abs(denom_c)) < DEGENERACY_TOL:
-        raise DegenerateDenominatorError("degenerate denominator in Dm1 route")
-    dinv = 1.0 / denom
-    dcinv = 1.0 / denom_c
+    dinv = inverse_denominator(basis, E)
+    dcinv = inverse_denominator(basis, E_c)
 
     # reduced second-order form with the left D^-1 of X split by
     # D^-1 = Dc^-1 - dE (Dc D)^-1; X = D^-1 W D^-1 so D X v = W D^-1 v is
     # the remainder of the transform
-    w_tail = denom * Xv
+    w_tail = (E - basis.pair_energies()) * Xv
     left = _reduced_left(basis, E_c, psi_c, I_c)
     direct = float(left @ (dinv * w_tail))
     split = float(left @ ((dcinv - dE * dcinv * dinv) * w_tail))
@@ -189,11 +169,7 @@ def ladder_kernel(spectrum, basis, E, g_delta):
     diagonal, so with A = G~ g the kernel is (1 - A)^-1 A G~: one linear
     solve and a column scaling.
     """
-    sign = basis.unmixed_sign
-    denom = E - basis.pair_energies()
-    if np.any((np.abs(denom) < DEGENERACY_TOL) & (sign != 0)):
-        raise DegenerateDenominatorError("degenerate denominator in ladder kernel")
-    gt = np.divide(sign, denom, out=np.zeros(basis.dim), where=sign != 0)
+    gt = free_propagator(basis, E)
     A = gt[:, None] * np.asarray(g_delta, dtype=float)
     return np.linalg.solve(np.eye(basis.dim) - A, A) * gt
 
@@ -218,8 +194,7 @@ def model_oracle(spectrum, basis, I_c, g_delta, psi_c, return_vector=False):
     The operator is real but not symmetric; the state is tracked by
     overlap with psi_c and the tracked eigenvalue must stay real.
     """
-    projs = projectors(basis)
-    H = np.diag(basis.pair_energies()) + (projs.pp - projs.mm) @ (
+    H = np.diag(basis.pair_energies()) + basis.unmixed_sign[:, None] * (
         np.asarray(I_c) + np.asarray(g_delta)
     )
     vals, vecs = np.linalg.eig(H)

@@ -1,15 +1,17 @@
-"""Projection operators and the epsilon-independent composite operators.
+"""Sign masks, the guarded pair denominator and the epsilon-independent
+composite operators.
 
-All operators are dense real matrices on the two-particle basis.  The
-four projectors select the sign patterns of a pair; the doubly-positive
-and doubly-negative ones are the interesting pair, the mixed ones only
-enter through completeness.
+A pair's sign pattern has one representation, the cached
+TwoParticleBasis.unmixed_sign: +1 on pp pairs, -1 on mm pairs, 0 on mixed
+pairs, the diagonal of P_pp - P_mm.  Projector products are row and column
+masks from it, at O(dim^2) instead of a dense O(dim^3) product.
 
-Sign bookkeeping for the free two-particle resolvent: the relative-energy
-integral of the inverse propagator product has the value
-(P_pp - P_mm) / (E - h1 - h2) on unmixed pairs and zero on mixed pairs.
-That value is fixed here as the anchor; the propagators module reproduces
-it by contour integration.
+inverse_denominator is the one guarded 1/(E - e_i - e_j); it aborts where a
+selected denominator is degenerate.  free_propagator is the one closed form
+of (P_pp - P_mm) D^-1, the value of i int deps/2pi F^-1; the propagators
+module evaluates that integral with its residue engine, and the identity
+suite compares the two.  The dense projectors, build_D and build_Dc have no
+caller in the package.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 from .errors import DegenerateDenominatorError
 from .model import SingleParticleSpectrum, TwoParticleBasis
 
-#: any diagonal inverse with |denominator| below this aborts
+#: any pair denominator with |E - e_i - e_j| below this aborts
 DEGENERACY_TOL = 1e-10
 
 
@@ -53,38 +55,47 @@ def build_Dc(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E_c: flo
     return np.diag(E_c - basis.pair_energies())
 
 
+def inverse_denominator(basis: TwoParticleBasis, E: float, where=None) -> np.ndarray:
+    """(dim,) 1/(E - e_i - e_j) on the pairs in the boolean mask where (all
+    pairs by default), 0 elsewhere.  Raises DegenerateDenominatorError where a
+    selected |E - e_i - e_j| is below DEGENERACY_TOL."""
+    denom = E - basis.pair_energies()
+    sel = True if where is None else where
+    bad = np.flatnonzero(sel & (np.abs(denom) < DEGENERACY_TOL))
+    if bad.size:
+        raise DegenerateDenominatorError(
+            f"degenerate pair denominator at E = {E:.12g}, pair index(es) {bad.tolist()}"
+        )
+    return np.divide(1.0, denom, out=np.zeros(basis.dim), where=sel)
+
+
+def free_propagator(basis: TwoParticleBasis, E: float) -> np.ndarray:
+    """(dim,) diagonal of (P_pp - P_mm) D^-1, the integrated free pair
+    propagator; zero on mixed pairs, whose denominators are not guarded."""
+    sign = basis.unmixed_sign
+    return sign * inverse_denominator(basis, E, sign != 0)
+
+
 def build_Hc(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis,
              I_c: np.ndarray) -> np.ndarray:
     """No-pair Hamiltonian h1 + h2 + P_pp I_c P_pp (block-diagonal, symmetric)."""
     if I_c.shape != (basis.dim, basis.dim):
         raise ValueError(f"I_c has shape {I_c.shape}, basis needs {(basis.dim, basis.dim)}")
-    P = projectors(basis).pp
-    return np.diag(basis.pair_energies()) + P @ I_c @ P
+    pp = basis.unmixed_sign > 0
+    return np.diag(basis.pair_energies()) + I_c * np.outer(pp, pp)
 
 
-def build_HDelta1(projs: ProjectorSet, I_c: np.ndarray) -> np.ndarray:
+def build_HDelta1(basis: TwoParticleBasis, I_c: np.ndarray) -> np.ndarray:
     """Virtual-pair coupling P_pp I_c (1 - P_pp) - P_mm I_c.
 
     Couples the reference sector to mixed and doubly-negative pairs; its
     doubly-positive block vanishes identically.  Not symmetric in general.
     """
-    one = np.eye(I_c.shape[0])
-    return projs.pp @ I_c @ (one - projs.pp) - projs.mm @ I_c
+    pp, mm = basis.unmixed_sign > 0, basis.unmixed_sign < 0
+    return I_c * np.outer(pp, ~pp) - mm[:, None] * I_c
 
 
-def build_G0(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E: float,
-             projs: ProjectorSet) -> np.ndarray:
+def build_G0(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E: float) -> np.ndarray:
     """Value of the basic relative-energy integral: (P_pp - P_mm) D^-1 on
     unmixed pairs, zero on mixed pairs."""
-    denom = E - basis.pair_energies()
-    sel = np.diag(projs.pp) + np.diag(projs.mm)
-    bad = (np.abs(denom) < DEGENERACY_TOL) & (sel > 0)
-    if np.any(bad):
-        raise DegenerateDenominatorError(
-            f"degenerate denominator at unmixed pair(s) {np.nonzero(bad)[0].tolist()}"
-        )
-    sign = np.diag(projs.pp) - np.diag(projs.mm)
-    out = np.zeros_like(denom)
-    mask = sel > 0
-    out[mask] = sign[mask] / denom[mask]
-    return np.diag(out)
+    return np.diag(free_propagator(basis, E))

@@ -28,7 +28,7 @@ from .controversy import (
     predicted_discrepancy,
 )
 from .model import ModelConfig, build_basis, build_interaction, build_spectrum
-from .operators import build_HDelta1, build_Hc, projectors
+from .operators import build_HDelta1, build_Hc
 from .propagators import IntegrationSettings, xj_matrix, xj_matrix_ssum_route
 
 
@@ -51,12 +51,11 @@ def run_pipeline(model_config: ModelConfig, settings: IntegrationSettings,
     basis = build_basis(spectrum)
     I_c = build_interaction(model_config, "coulomb")
     g_delta = build_interaction(model_config, "delta")
-    projs = projectors(basis)
     H_c = build_Hc(spectrum, basis, I_c)
     pp = basis.pattern_indices("pp")
     E_c, psi_c = solve_no_pair(H_c, pp, state_index=state_index)
     resolvent = Resolvent(H_c, psi_c)
-    hd1 = build_HDelta1(projs, I_c)
+    hd1 = build_HDelta1(basis, I_c)
 
     def h_delta(E):
         return hd1 + h_delta2_ladder(spectrum, basis, E, I_c, g_delta)

@@ -24,12 +24,13 @@ u = eps - x, the matrix series F g F ... g F is multiplied out, and the
 u^-1 coefficient is its residue sum over all index chains at once.
 Confluent poles (E at a mixed-pair energy) are double poles of the series;
 pinched and near-coincident poles abort as in the residues module.
-sandwich_integral, j_series and the S-sum route xj_matrix_ssum_route all
-use the engine; the two routes still factor differently (F vs D^-1 (S1 +
-S2)), so comparing them is a check.  ChainIntegrator, the scalar
-chain-by-chain evaluation through residues.pole_product_integral, stays as
-a reference; the numerical quadrature oracle (quadrature module) is the
-independent check of both.
+contour_integral_Finv, sandwich_integral, j_series and the S-sum route
+xj_matrix_ssum_route all use the engine.  contour_integral_Finv is checked
+against the closed form operators.free_propagator, (P_pp - P_mm) D^-1, and
+the two routes factor differently (F vs D^-1 (S1 + S2)), so comparing them
+is a check too.  ChainIntegrator, the scalar chain-by-chain evaluation
+through residues.pole_product_integral, stays as a reference; the numerical
+quadrature oracle (quadrature module) is the independent check of both.
 
 Callers that need X_J only applied to a vector v pass v to xj_matrix or
 xj_matrix_ssum_route.  The engine then carries the row block v^T in place
@@ -49,6 +50,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .model import SingleParticleSpectrum, TwoParticleBasis
+from .operators import inverse_denominator
 from .residues import LOWER, MERGE_TOL, UPPER, clustered_poles, pole_product_integral
 
 DEFAULT_ETA_SEQUENCE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
@@ -87,13 +89,11 @@ class IntegrationSettings:
         object.__setattr__(self, "eta_sequence", seq)
         object.__setattr__(self, "eta", seq[0])
 
-    def refined(self, extra_levels=1):
-        """Settings with extra halved eta levels (high-precision checks)."""
-        seq = list(self.eta_sequence)
-        for _ in range(extra_levels):
-            seq.append(seq[-1] / 2.0)
+    def refined(self):
+        """Settings with one extra halved eta level and at least 24 quadrature
+        points (high-precision checks)."""
         return IntegrationSettings(
-            eta_sequence=tuple(seq),
+            eta_sequence=self.eta_sequence + (self.eta_sequence[-1] / 2.0,),
             quadrature_points=max(self.quadrature_points, 24),
             cutoff_factor=self.cutoff_factor,
             j_order=self.j_order,
@@ -189,24 +189,30 @@ class ChainIntegrator:
 
 
 def contour_integral_Finv(spectrum, basis, E):
-    """i int deps/2pi F^-1: +1/(E-e_i-e_j) on ++ pairs, -1/(E-e_i-e_j) on
-    -- pairs, 0 on mixed pairs (closed form; the quadrature oracle and the
-    residue engine reproduce it)."""
-    from .operators import DEGENERACY_TOL
-
-    out = np.zeros(basis.dim)
-    for k, pat in enumerate(basis.patterns):
-        if pat in ("pm", "mp"):
-            continue
-        denom = E - basis.pair_energies()[k]
-        if abs(denom) < DEGENERACY_TOL:
-            from .errors import DegenerateDenominatorError
-
-            raise DegenerateDenominatorError(
-                f"degenerate denominator {denom:.3e} at pair index {k}"
-            )
-        out[k] = (1.0 if pat == "pp" else -1.0) / denom
+    """i int deps/2pi F^-1 (diagonal) from the residue engine: minus the u^-1
+    coefficients of F^-1 summed over the upper pole clusters.  Pairs with
+    both poles upper (e_i < 0 < e_j) close downwards, as in _kernel_terms,
+    and give 0; at a mixed-pair energy a pair's poles form a double pole.
+    The value is (P_pp - P_mm) D^-1, i.e. operators.free_propagator."""
+    dim = basis.dim
+    pos, pos_up, upper, _ = _finv_poles(spectrum, E, np.arange(dim))
+    x = np.array([p for p, _ in upper])
+    h, m = _diagonal_series(pos, pos_up, x, np.ones(len(x), dtype=bool), 0, False)
+    out = -h[:, m - 1].sum(axis=0)
+    out[pos_up[:dim] & pos_up[dim:]] = 0.0
     return np.diag(out)
+
+
+def _finv_poles(spectrum, E, pairs):
+    """Poles of F^-1 on the given pair indices: positions (S1 poles, then S2
+    poles), whether each lies in the upper half-plane, and the (upper,
+    lower) clusters after the pinch and near-coincidence aborts."""
+    e = np.asarray(spectrum.energies)
+    i, j = np.divmod(pairs, spectrum.n)  # pair index k = i * n + j
+    pos = np.concatenate([e[i] - E / 2, E / 2 - e[j]])
+    pos_up = np.concatenate([e[i] <= 0, e[j] > 0])
+    upper, lower = clustered_poles(zip(pos.tolist(), np.where(pos_up, UPPER, LOWER).tolist()))
+    return pos, pos_up, upper, lower
 
 
 def _diagonal_series(pos, pos_up, x, up, order, ssum):
@@ -308,11 +314,7 @@ def _kernel_terms(spectrum, basis, E, g, order, dinv=None, W=None):
     act = np.flatnonzero(g.any(axis=0) | g.any(axis=1))
     if act.size == 0:
         return zeros
-    e = np.asarray(spectrum.energies)
-    i, j = np.divmod(act, spectrum.n)  # pair index k = i * n + j
-    pos = np.concatenate([e[i] - E / 2, E / 2 - e[j]])  # S1 poles, then S2 poles
-    pos_up = np.concatenate([e[i] <= 0, e[j] > 0])
-    upper, lower = clustered_poles(zip(pos.tolist(), np.where(pos_up, UPPER, LOWER).tolist()))
+    pos, pos_up, upper, lower = _finv_poles(spectrum, E, act)
     if not upper or not lower:
         return zeros
 
@@ -413,14 +415,7 @@ def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order, v=None):
     vt = None if v is None else _row(v, basis)
     if not np.any(g):
         return np.zeros((basis.dim, basis.dim)) if v is None else np.zeros(basis.dim)
-    from .operators import DEGENERACY_TOL
-
-    denom = E - basis.pair_energies()
-    if np.min(np.abs(denom)) < DEGENERACY_TOL:
-        from .errors import DegenerateDenominatorError
-
-        raise DegenerateDenominatorError("degenerate pair denominator in S-sum route")
-    dinv = 1.0 / denom
+    dinv = inverse_denominator(basis, E)
     if v is None:
         W = sum(_kernel_terms(spectrum, basis, E, g, order, dinv))
         return dinv[:, None] * W * dinv[None, :]

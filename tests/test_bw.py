@@ -237,7 +237,7 @@ def reference_problem(config):
     g = build_interaction(config, "delta")
     H_c = build_Hc(spectrum, basis, I_c)
     E_c, psi = solve_no_pair(H_c, basis.pattern_indices("pp"))
-    hd1 = build_HDelta1(projectors(basis), I_c)
+    hd1 = build_HDelta1(basis, I_c)
 
     def h_delta(E):
         return hd1 + h_delta2_ladder(spectrum, basis, E, I_c, g)

@@ -13,7 +13,6 @@ from bwlab import (
     coupling_scan,
     deltaE1_direct,
     deltaE2b_direct,
-    h_delta2_direct,
     h_delta2_ladder,
     model_oracle,
     predicted_discrepancy,
@@ -199,7 +198,6 @@ def test_h_delta2_routes_zero_couplings(dim4, settings):
     zero = np.zeros((4, 4))
     assert not np.any(h_delta2_ladder(spectrum, basis, 2.1, zero, g))
     assert not np.any(h_delta2_ladder(spectrum, basis, 2.1, I_c, zero))
-    assert not np.any(h_delta2_direct(spectrum, basis, 2.1, I_c, zero, settings))
 
 
 def test_pipeline_identity_residuals(dim4_config, settings):

@@ -3,17 +3,26 @@ import pytest
 
 from bwlab import (
     DegenerateDenominatorError,
+    ModelConfig,
+    OracleTrackingError,
     build_basis,
     build_D,
     build_Dc,
     build_G0,
     build_HDelta1,
     build_Hc,
+    build_interaction,
     build_spectrum,
     contour_integral_Finv,
+    model_oracle,
+    predicted_discrepancy,
     projectors,
+    solve_no_pair,
+    xj_matrix_ssum_route,
 )
-from conftest import random_spectrum
+from bwlab.controversy import ladder_kernel
+from bwlab.operators import free_propagator, inverse_denominator
+from conftest import energy_away_from_poles, random_spectrum
 
 from bwlab.model import SingleParticleSpectrum
 
@@ -78,7 +87,7 @@ def test_build_Hc_zero_coupling(dim4):
 
 def test_build_HDelta1_rows(dim4):
     spectrum, basis, I_c, _ = dim4
-    hd1 = build_HDelta1(projectors(basis), I_c)
+    hd1 = build_HDelta1(basis, I_c)
     assert np.allclose(hd1[0], [0.0, 0.1, 0.1, 0.1])
     assert np.allclose(hd1[3], [-0.1, -0.1, -0.1, -0.1])
     assert np.max(np.abs(hd1[1])) == 0.0
@@ -93,31 +102,31 @@ def test_HDelta1_pp_block_vanishes():
         p = projectors(basis)
         I_c = rng.uniform(-1, 1, size=(basis.dim, basis.dim))
         I_c = 0.5 * (I_c + I_c.T)
-        hd1 = build_HDelta1(p, I_c)
+        hd1 = build_HDelta1(basis, I_c)
         assert np.max(np.abs(p.pp @ hd1 @ p.pp)) < 1e-15
 
 
 def test_HDelta1_zero_coupling(dim4):
     spectrum, basis, _, _ = dim4
-    assert not np.any(build_HDelta1(projectors(basis), np.zeros((4, 4))))
+    assert not np.any(build_HDelta1(basis, np.zeros((4, 4))))
 
 
 def test_build_G0_values(dim4):
     spectrum, basis, _, _ = dim4
-    G0 = build_G0(spectrum, basis, 2.1, projectors(basis))
+    G0 = build_G0(spectrum, basis, 2.1)
     assert np.allclose(np.diag(G0), [10.0, 0.0, 0.0, -1.0 / 4.5])
 
 
 def test_build_G0_large_E_limit(dim4):
     spectrum, basis, _, _ = dim4
-    G0 = build_G0(spectrum, basis, 1e9, projectors(basis))
+    G0 = build_G0(spectrum, basis, 1e9)
     assert np.max(np.abs(np.diag(G0))) < 1e-8
 
 
 def test_build_G0_degenerate(dim4):
     spectrum, basis, _, _ = dim4
     with pytest.raises(DegenerateDenominatorError):
-        build_G0(spectrum, basis, 2.0, projectors(basis))
+        build_G0(spectrum, basis, 2.0)
 
 
 def test_G0_matches_contour_integral():
@@ -130,5 +139,147 @@ def test_G0_matches_contour_integral():
         E = 5.0
         while any(abs(E - s) < 0.2 for s in sums):
             E = float(rng.uniform(-4, 7))
-        G0 = build_G0(spectrum, basis, E, projectors(basis))
+        G0 = build_G0(spectrum, basis, E)
         assert np.max(np.abs(G0 - contour_integral_Finv(spectrum, basis, E))) < 1e-12
+
+
+# -- sign masks against the dense projector formulas ---------------------------
+
+
+def mask_cases():
+    """(name, spectrum, I_c, g): dim 4, a jittered 3+3 and a random dim-64
+    spectrum, with random symmetric interactions."""
+    rng = np.random.default_rng([8, 3])
+    jit_pos = [1.0 + 0.5 * k + rng.uniform(0.0, 0.1) for k in range(3)]
+    jit_neg = [-1.0 - 0.5 * k - rng.uniform(0.0, 0.1) for k in range(3)]
+    rand_pos = np.sort(rng.uniform(0.5, 3.0, size=5))
+    rand_neg = -np.sort(rng.uniform(0.5, 3.0, size=3))
+    out = []
+    for name, pos, neg in (("dim4", [1.0], [-1.2]), ("jittered 3+3", jit_pos, jit_neg),
+                           ("random dim 64", rand_pos, rand_neg)):
+        config = ModelConfig(positive_energies=tuple(pos), negative_energies=tuple(neg),
+                             coulomb_matrix="random-symmetric", delta_matrix="random-symmetric")
+        out.append((name, build_spectrum(config), build_interaction(config, "coulomb"),
+                    build_interaction(config, "delta")))
+    return out
+
+
+def dense_G0(basis, E, p):
+    """build_G0 as written with dense projectors."""
+    denom = E - basis.pair_energies()
+    sel = np.diag(p.pp) + np.diag(p.mm)
+    sign = np.diag(p.pp) - np.diag(p.mm)
+    out = np.zeros_like(denom)
+    mask = sel > 0
+    out[mask] = sign[mask] / denom[mask]
+    return np.diag(out)
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", mask_cases(), ids=lambda c: c[0])
+def test_masks_match_dense_projectors(case, monkeypatch):
+    _, spectrum, I_c, g = case
+    basis = build_basis(spectrum)
+    p = projectors(basis)
+    pair = np.diag(basis.pair_energies())
+    assert_bitwise(build_Hc(spectrum, basis, I_c), pair + p.pp @ I_c @ p.pp)
+    assert_bitwise(build_HDelta1(basis, I_c),
+                   p.pp @ I_c @ (np.eye(basis.dim) - p.pp) - p.mm @ I_c)
+    E = energy_away_from_poles(np.random.default_rng(basis.dim), spectrum)
+    assert_bitwise(np.diag(free_propagator(basis, E)), dense_G0(basis, E, p))
+    assert_bitwise(build_G0(spectrum, basis, E), dense_G0(basis, E, p))
+
+    seen = []
+    eig = np.linalg.eig
+
+    def spy(H):
+        seen.append(np.array(H))
+        return eig(H)
+
+    monkeypatch.setattr(np.linalg, "eig", spy)
+    H_c = build_Hc(spectrum, basis, I_c)
+    _, psi_c = solve_no_pair(H_c, basis.pattern_indices("pp"))
+    try:
+        model_oracle(spectrum, basis, I_c, g, psi_c)
+    except OracleTrackingError:
+        pass  # the operator was built; tracking is not what is checked here
+    assert len(seen) == 1
+    assert_bitwise(seen[0], pair + (p.pp - p.mm) @ (I_c + g))
+
+
+# -- the one guarded pair denominator --------------------------------------------
+
+#: dim-4 fixture {+1.0, -1.2}: 2.0 is the pp pair energy, -0.2 a mixed one
+UNMIXED_E, MIXED_E, GOOD_E = 2.0, -0.2, 2.1
+
+
+def _predicted(spectrum, basis, E, E_c, I_c, g, settings):
+    psi_c = np.array([1.0, 0.0, 0.0, 0.0])
+    return predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g, settings,
+                                 Xv=np.ones(basis.dim))
+
+
+GUARD_SITES = {
+    "inverse_denominator": lambda s, b, E, I_c, g, st: inverse_denominator(b, E),
+    "free_propagator": lambda s, b, E, I_c, g, st: free_propagator(b, E),
+    "build_G0": lambda s, b, E, I_c, g, st: build_G0(s, b, E),
+    "ladder_kernel": lambda s, b, E, I_c, g, st: ladder_kernel(s, b, E, g),
+    "contour_integral_Finv": lambda s, b, E, I_c, g, st: contour_integral_Finv(s, b, E),
+    "xj_matrix_ssum_route": lambda s, b, E, I_c, g, st: xj_matrix_ssum_route(s, b, E, g, 2),
+    "predicted_discrepancy at E":
+        lambda s, b, E, I_c, g, st: _predicted(s, b, E, GOOD_E, I_c, g, st),
+    "predicted_discrepancy at E_c":
+        lambda s, b, E, I_c, g, st: _predicted(s, b, GOOD_E, E, I_c, g, st),
+}
+
+#: sites that guard every pair, so that a mixed-pair energy aborts them too
+GUARD_EVERY_PAIR = {"inverse_denominator", "xj_matrix_ssum_route",
+                    "predicted_discrepancy at E", "predicted_discrepancy at E_c"}
+
+
+@pytest.mark.parametrize("energy", ["unmixed", "mixed"])
+@pytest.mark.parametrize("site", sorted(GUARD_SITES))
+def test_pair_denominator_guard(dim4, settings, site, energy):
+    spectrum, basis, I_c, g = dim4
+    E = UNMIXED_E if energy == "unmixed" else MIXED_E
+    call = GUARD_SITES[site]
+    if energy == "unmixed" or site in GUARD_EVERY_PAIR:
+        with pytest.raises(DegenerateDenominatorError):
+            call(spectrum, basis, E, I_c, g, settings)
+    else:
+        assert np.all(np.isfinite(call(spectrum, basis, E, I_c, g, settings)))
+
+
+def test_inverse_denominator_message_and_mask(dim4):
+    _, basis, _, _ = dim4
+    with pytest.raises(DegenerateDenominatorError, match=r"E = 2\b.*\[0\]"):
+        inverse_denominator(basis, UNMIXED_E)
+    with pytest.raises(DegenerateDenominatorError, match=r"E = -0.2\b.*\[1, 2\]"):
+        inverse_denominator(basis, MIXED_E)
+    got = inverse_denominator(basis, UNMIXED_E, np.array([False, True, True, True]))
+    assert np.array_equal(got, [0.0, 1 / 2.2, 1 / 2.2, 1 / 4.4])
+
+
+@pytest.mark.parametrize("pos, neg", [((1.0,), (-1.2,)), ((1.0, 1.6), (-1.2, -1.7))])
+def test_contour_integral_at_mixed_pair_energies(pos, neg):
+    """At E = e_i + e_j of a mixed pair its two poles merge into a double
+    pole; the engine still reproduces (P_pp - P_mm) D^-1.  Just off that
+    energy, within the merge tolerance of the pole clusters, a pair with both
+    poles upper still gives exactly 0: it closes downwards."""
+    spectrum = SingleParticleSpectrum.from_lists(pos, neg)
+    basis = build_basis(spectrum)
+    mixed = basis.unmixed_sign == 0
+    energies = sorted(set(basis.pair_energies()[mixed].tolist()))
+    for E in energies:
+        G0 = build_G0(spectrum, basis, E)
+        got = contour_integral_Finv(spectrum, basis, E)
+        assert np.max(np.abs(got - G0)) <= 1e-13 * max(1.0, np.max(np.abs(G0)))
+        for offset in (1e-14, 5e-13, -5e-13):
+            got = np.diag(contour_integral_Finv(spectrum, basis, E + offset))
+            assert not np.any(got[mixed])
+

@@ -50,7 +50,6 @@ from .pipeline import PipelineResult, run_pipeline
 from .propagators import (
     IntegrationSettings,
     contour_integral_Finv,
-    finv_diag,
     j_series,
     propagator_S,
     sandwich_integral,

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 verify with a residual out of tolerance, 2 config
 error, 3 numerical degeneracy (scan: any point failed), 4 nonconvergence (of
 the BW fixed point or of the quadrature oracle), 5 the model oracle lost the
-reference state.  Codes 2 to 5 from an abort print one stderr line.
+reference state (compare only; scan does not run it).  Codes 2 to 5 from an
+abort print one stderr line.
 
 scan reports an undefined value as null: a row's ratio when its predicted
 difference is zero, and the fitted exponent and R^2 when fewer than two

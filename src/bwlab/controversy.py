@@ -24,12 +24,14 @@ expansion reproduces that spectrum is the ladder-resummed one (each
 propagator segment between instantaneous vertices carries its own
 relative-energy integral), provided here as h_delta2_ladder.
 
-Every evaluator uses X_J only applied to v = I_c psi_c, and takes an
-optional Xv: that vector X_J v, already built at the energy it uses, so that
-one run builds each of X_J(E) v, X_J(E_c) v and the S-sum route's X_J(E) v
-once.  Without it an evaluator builds X_J v itself through the applied path
-of xj_matrix (xj_matrix_ssum_route for the predicted discrepancy), which
-never forms the dim x dim matrix; what remains is vector algebra.
+Every evaluator uses X_J only applied to v = I_c psi_c and takes that
+vector Xv = X_J v, already built at the energy it uses, so that one run
+builds each of X_J(E) v, X_J(E_c) v and the S-sum route's X_J(E) v once
+and never the dim x dim matrix; what remains is vector algebra.
+convention_report composes them into the report that compare, scan and
+verify share.  With either coupling zero there is nothing to evaluate (and
+X_J may not exist: E = E_c is a pair energy when I_c = 0); the caller
+decides that once and keeps the all-zero ControversyReport().
 """
 
 from __future__ import annotations
@@ -40,11 +42,16 @@ import numpy as np
 
 from .errors import BwlabError, OracleTrackingError
 from .operators import build_HDelta1, free_propagator, inverse_denominator
-from .propagators import xj_matrix, xj_matrix_ssum_route
+
+#: the chain residuals of a ControversyReport, in report order
+CHAIN_RESIDUALS = ("E2b_vs_E2b2", "chain_sum", "central_claim", "Dm1_route")
 
 
 @dataclass
 class ControversyReport:
+    """The default, all zeros, is the report of a model with either coupling
+    zero."""
+
     dE1_direct: float = 0.0
     dE2b_direct: float = 0.0
     combined_lindgren: float = 0.0
@@ -53,25 +60,16 @@ class ControversyReport:
     difference: float = 0.0
     predicted_difference: float = 0.0
     dm1_error_term: float = 0.0
-    identity_residuals: dict = field(default_factory=dict)
+    identity_residuals: dict = field(
+        default_factory=lambda: dict.fromkeys(CHAIN_RESIDUALS, 0.0))
 
 
 # -- direct-route evaluators -------------------------------------------------
 
 
-def _applied(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv, route=xj_matrix):
-    """Xv, or X_J(E) I_c psi_c built along route when Xv is None."""
-    if Xv is not None:
-        return np.asarray(Xv, dtype=float)
-    return route(spectrum, basis, E, g_delta, settings.j_order, v=I_c @ psi_c)
-
-
-def deltaE1_direct(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv=None):
+def deltaE1_direct(basis, E, psi_c, Xv):
     """First-order term <psi_c| D X_J I_c |psi_c> at energy E
     (Xv: X_J(E) I_c psi_c)."""
-    if not np.any(I_c) or not np.any(g_delta):
-        return 0.0
-    Xv = _applied(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv)
     return float(((E - basis.pair_energies()) * psi_c) @ Xv)
 
 
@@ -80,8 +78,7 @@ def _reduced_left(basis, E_c, psi_c, I_c):
     return psi_c @ I_c - (E_c - basis.pair_energies()) * psi_c
 
 
-def deltaE2b_direct(spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent,
-                    settings, Xv=None):
+def deltaE2b_direct(basis, E, E_c, psi_c, I_c, resolvent, Xv):
     """Reduced second-order cross term <psi_c|(I_c - D_c) X_J I_c|psi_c>
     (Xv: X_J(E) I_c psi_c).
 
@@ -90,19 +87,14 @@ def deltaE2b_direct(spectrum, basis, E, E_c, psi_c, I_c, g_delta, resolvent,
     because G(E) D(E) acts as the identity on the complement of the
     doubly-positive sector.
     """
-    if not np.any(I_c) or not np.any(g_delta):
-        return 0.0, 0.0
-    Xv = _applied(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv)
     reduced = float(_reduced_left(basis, E_c, psi_c, I_c) @ Xv)
-
     hd1_psi = psi_c @ build_HDelta1(basis, I_c)
     hd2_psi = (E - basis.pair_energies()) * Xv
     gamma_form = float(hd1_psi @ resolvent.apply(E, hd2_psi))
     return reduced, abs(gamma_form - reduced)
 
 
-def combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings,
-                     convention, Xv=None):
+def combined_variant(basis, E, E_c, psi_c, I_c, convention, Xv):
     """<psi_c| (I_c +/- dE) Y |psi_c> with Y = X_J I_c and dE = E - E_c.
 
     convention "lindgren" carries +dE, "dkz" carries -dE; "dkz-dc-approx"
@@ -113,17 +105,11 @@ def combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings,
     """
     if convention not in ("lindgren", "dkz", "dkz-dc-approx"):
         raise ValueError(f"unknown convention '{convention}'")
-    dE = E - E_c
-    if not np.any(I_c) or not np.any(g_delta):
-        return 0.0
-    at = E_c if convention == "dkz-dc-approx" else E
-    Xv = _applied(spectrum, basis, at, psi_c, I_c, g_delta, settings, Xv)
     sign = 1.0 if convention == "lindgren" else -1.0
-    return float((psi_c @ I_c + sign * dE * psi_c) @ Xv)
+    return float((psi_c @ I_c + sign * (E - E_c) * psi_c) @ Xv)
 
 
-def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings,
-                          Xv=None):
+def predicted_discrepancy(basis, E, E_c, psi_c, I_c, Xv):
     """2 dE <psi_c| Y |psi_c> evaluated through the transformed route
     (S1 + S2 factorization; Xv: xj_matrix_ssum_route at E applied to
     I_c psi_c), plus partial-fraction cross checks.
@@ -135,10 +121,6 @@ def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings
     derivation drops when it flips the sign.
     """
     dE = E - E_c
-    if not np.any(I_c) or not np.any(g_delta):
-        return 0.0, {"Dm1_route": 0.0}, 0.0
-    Xv = _applied(spectrum, basis, E, psi_c, I_c, g_delta, settings, Xv,
-                  route=xj_matrix_ssum_route)
     predicted = 2.0 * dE * float(psi_c @ Xv)
 
     dinv = inverse_denominator(basis, E)
@@ -155,6 +137,30 @@ def predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g_delta, settings
 
     dm1_error_term = 2.0 * dE * float(left @ (dcinv * dinv * w_tail))
     return predicted, residuals, dm1_error_term
+
+
+def convention_report(basis, E, E_c, psi_c, I_c, resolvent, Xv, Xv_alt):
+    """Both conventions at energy E, their difference, the predicted
+    difference and the four chain residuals (Xv: X_J(E) I_c psi_c on the
+    direct route, Xv_alt on the S-sum route).  combined_dkz_dc_approx is
+    left at 0: it needs X_J(E_c), which only compare builds."""
+    rep = ControversyReport()
+    rep.dE1_direct = deltaE1_direct(basis, E, psi_c, Xv)
+    rep.dE2b_direct, e2b_res = deltaE2b_direct(basis, E, E_c, psi_c, I_c, resolvent, Xv)
+    rep.combined_lindgren = combined_variant(basis, E, E_c, psi_c, I_c, "lindgren", Xv)
+    rep.combined_dkz = combined_variant(basis, E, E_c, psi_c, I_c, "dkz", Xv)
+    rep.difference = rep.combined_lindgren - rep.combined_dkz
+    rep.predicted_difference, dm1_res, rep.dm1_error_term = predicted_discrepancy(
+        basis, E, E_c, psi_c, I_c, Xv_alt
+    )
+    scale = max(1.0, abs(rep.combined_lindgren))
+    rep.identity_residuals = {
+        "E2b_vs_E2b2": e2b_res / max(1.0, abs(rep.dE2b_direct)),
+        "chain_sum": abs(rep.dE1_direct + rep.dE2b_direct - rep.combined_lindgren) / scale,
+        "central_claim": abs(rep.difference - rep.predicted_difference) / scale,
+        **dm1_res,
+    }
+    return rep
 
 
 # -- ladder (equal-time) route ------------------------------------------------
@@ -230,16 +236,17 @@ def fit_power_law(lams, values):
 
 def coupling_scan(model_config, lam_schedule, settings, bw_order=3,
                   bw_max_iter=200, bw_tol=1e-12, state_index=0):
-    """Scale both couplings by each lambda, run the full pipeline, record
-    the measured and predicted convention differences, and fit the power
-    law of |difference| against lambda.
+    """Scale both couplings by each lambda, run the shared pipeline core
+    (no X_J(E_c) and no model oracle: the scan reports neither), record the
+    measured and predicted convention differences, and fit the power law
+    of |difference| against lambda.
 
     Returns (rows, fitted_exponent, r_squared, failures); rows are
     (lambda, difference, predicted, ratio) and failures lists
     (lambda, error message) for points whose pipeline aborted with a
     BwlabError.  Any other exception is a fault, not data, and propagates.
     """
-    from .pipeline import run_pipeline
+    from .pipeline import pipeline_core
 
     lams = [float(x) for x in lam_schedule]
     if len(lams) < 4:
@@ -251,11 +258,10 @@ def coupling_scan(model_config, lam_schedule, settings, bw_order=3,
     rows, failures = [], []
     for lam in lams:
         try:
-            res = run_pipeline(
+            rep = pipeline_core(
                 model_config.scaled(lam), settings, bw_order=bw_order,
                 bw_max_iter=bw_max_iter, bw_tol=bw_tol, state_index=state_index,
-            )
-            rep = res.controversy
+            ).controversy
             ratio = (
                 rep.difference / rep.predicted_difference
                 if rep.predicted_difference != 0.0

@@ -11,12 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bw import Resolvent, solve_no_pair
-from .controversy import (
-    combined_variant,
-    deltaE1_direct,
-    deltaE2b_direct,
-    predicted_discrepancy,
-)
+from .controversy import ControversyReport, convention_report
 from .model import build_basis, build_interaction, build_spectrum
 from .operators import build_G0, build_Hc
 from .propagators import (
@@ -140,38 +135,23 @@ def identity_suite(model_config, settings, seed=0):
     )
 
     # controversy-chain identities at a nondegenerate working energy, with the
-    # kernel integral built once per route; the evaluators take it applied to
-    # I_c psi_c, while g0mod_route below compares the whole matrices
+    # kernel integral built once per route; the convention report takes it
+    # applied to I_c psi_c, while g0mod_route below compares the whole matrices
     E = E_c + 0.1 * max(1.0, abs(E_c))
-    X_direct = X_alt = Xv = Xv_alt = None
+    rep, g0mod_route = ControversyReport(), 0.0
     if np.any(g):
         X_direct = xj_matrix(spectrum, basis, E, g, settings.j_order)
         X_alt = xj_matrix_ssum_route(spectrum, basis, E, g, settings.j_order)
-        v = I_c @ psi_c
-        Xv, Xv_alt = X_direct @ v, X_alt @ v
-    dE1 = deltaE1_direct(spectrum, basis, E, psi_c, I_c, g, settings, Xv=Xv)
-    dE2b, e2b_res = deltaE2b_direct(
-        spectrum, basis, E, E_c, psi_c, I_c, g, resolvent, settings, Xv=Xv
-    )
-    lind = combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g, settings, "lindgren",
-                            Xv=Xv)
-    dkz = combined_variant(spectrum, basis, E, E_c, psi_c, I_c, g, settings, "dkz", Xv=Xv)
-    res["E2b_vs_E2b2"] = e2b_res / max(1.0, abs(dE2b))
-    res["chain_sum"] = abs(dE1 + dE2b - lind) / max(1.0, abs(lind))
-    predicted, dm1_res, _ = predicted_discrepancy(
-        spectrum, basis, E, E_c, psi_c, I_c, g, settings, Xv=Xv_alt
-    )
-    res["central_claim"] = abs((lind - dkz) - predicted) / max(1.0, abs(lind))
-    res["Dm1_route"] = dm1_res["Dm1_route"]
-
-    # transformed route reproduces the direct kernel integral
-    if np.any(g):
-        res["g0mod_route"] = float(np.max(np.abs(X_direct - X_alt))) / max(
+        if np.any(I_c):
+            v = I_c @ psi_c
+            rep = convention_report(basis, E, E_c, psi_c, I_c, resolvent, X_direct @ v,
+                                    X_alt @ v)
+        # transformed route reproduces the direct kernel integral
+        g0mod_route = float(np.max(np.abs(X_direct - X_alt))) / max(
             1.0, float(np.max(np.abs(X_direct)))
         )
-    else:
-        res["g0mod_route"] = 0.0
-
+    res.update(rep.identity_residuals)
+    res["g0mod_route"] = g0mod_route
     return res
 
 

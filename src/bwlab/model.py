@@ -20,9 +20,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-#: sign patterns in basis order for a pair (i, j)
-PATTERNS = ("pp", "pm", "mp", "mm")
-
 #: named interaction presets
 PRESETS = ("ones", "random-symmetric")
 
@@ -97,9 +94,6 @@ class TwoParticleBasis:
     @property
     def dim(self):
         return self.spectrum.n ** 2
-
-    def flat_index(self, i, j):
-        return i * self.spectrum.n + j
 
     def pair_energies(self):
         """(dim,) read-only array of e_i + e_j in basis order."""

@@ -119,13 +119,6 @@ def propagator_S(spectrum, basis, E, eps, particle, eta):
     return 1.0 / (E / 2 - eps - e[j] + 1j * eta * np.sign(e[j]))
 
 
-def finv_diag(spectrum, basis, E, eps, eta=0.0):
-    """Entrywise F^-1 = S1 S2 on the pair basis."""
-    return propagator_S(spectrum, basis, E, eps, 1, eta) * propagator_S(
-        spectrum, basis, E, eps, 2, eta
-    )
-
-
 def _pair_pole_factors(e_i, e_j, E):
     """Pole factors of F^-1 for one pair: [(pos, side), (pos, side)] and the
     S2 sign is accounted for by the caller (one -1 per pair)."""

@@ -3,7 +3,7 @@ serializer (floats at 17 significant digits), and an aligned text table.
 
 Report keys:
     version, command, config_hash, config (inline echo), energy
-    (E_c, dE, E, deltaE, iterations, residual), controversy (compare/scan),
+    (E_c, dE, E, deltaE, iterations, residual), controversy (compare),
     identity_residuals, scan (scan only: rows, fitted_exponent, r_squared,
     failures; an undefined ratio, exponent or R^2 is None, rendered as
     null), oracle_energy, timings_ms.

@@ -28,7 +28,6 @@ from bwlab import (
     coupling_scan,
     deltaE1_direct,
     deltaE2b_direct,
-    finv_diag,
     model_oracle,
     predicted_discrepancy,
     projectors,
@@ -36,6 +35,7 @@ from bwlab import (
     quadrature_finv,
     run_pipeline,
     solve_no_pair,
+    xj_matrix_ssum_route,
 )
 from bwlab.cli import main
 from bwlab.model import SingleParticleSpectrum
@@ -104,7 +104,7 @@ def test_criterion_2_g0mod_identity():
         if np.min(np.abs(1.0 / s1)) < 0.05 or np.min(np.abs(1.0 / s2)) < 0.05:
             continue
         d = E - basis.pair_energies()
-        resid = np.max(np.abs(finv_diag(spectrum, basis, E, eps) - (s1 + s2) / d))
+        resid = np.max(np.abs(s1 * s2 - (s1 + s2) / d))
         worst = max(worst, float(resid))
         checked += 1
     report("criterion 2 (G0mod identity)", worst < 1e-12, f"worst {worst:.2e}")
@@ -183,9 +183,8 @@ def test_criterion_6_central_claim():
         E, E_c, psi = res.ledger.E, res.ledger.E_c, res.psi_c
         I_c, g = res.I_c, res.g_delta
         rep = res.controversy
-        predicted, _, _ = predicted_discrepancy(
-            spectrum, basis, E, E_c, psi, I_c, g, SETTINGS
-        )
+        Xv_alt = xj_matrix_ssum_route(spectrum, basis, E, g, SETTINGS.j_order, v=I_c @ psi)
+        predicted, _, _ = predicted_discrepancy(basis, E, E_c, psi, I_c, Xv_alt)
         scale = max(1.0, abs(rep.combined_lindgren))
         worst_claim = max(worst_claim, abs(rep.difference - predicted) / scale)
         worst_chain = max(

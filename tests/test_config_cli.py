@@ -327,14 +327,14 @@ def test_cli_verify_residual_out_of_tolerance_exit1(tmp_path, capsys, monkeypatc
 
 
 def test_cli_scan_point_failures_exit3(tmp_path, capsys, monkeypatch):
-    oracle = bwlab.pipeline.model_oracle
+    ssum_route = bwlab.pipeline.xj_matrix_ssum_route
 
-    def lost_at_largest(spectrum, basis, I_c, g_delta, psi_c):
-        if np.max(np.abs(I_c)) > 0.01:  # 0.1 lambda: only at lambda = 0.16
+    def lost_at_largest(spectrum, basis, E, g_delta, order, v):
+        if np.max(np.abs(g_delta)) > 0.005:  # 0.05 lambda: only at lambda = 0.16
             raise OracleTrackingError("overlap tracking ambiguous")
-        return oracle(spectrum, basis, I_c, g_delta, psi_c)
+        return ssum_route(spectrum, basis, E, g_delta, order, v=v)
 
-    monkeypatch.setattr(bwlab.pipeline, "model_oracle", lost_at_largest)
+    monkeypatch.setattr(bwlab.pipeline, "xj_matrix_ssum_route", lost_at_largest)
     path = tmp_path / "cfg.ini"
     path.write_text(dim4_text())
     code, out = run_cli(capsys, ["scan", "--config", str(path), "--format", "json"])

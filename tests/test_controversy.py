@@ -23,6 +23,7 @@ from bwlab import (
 )
 from bwlab.controversy import fit_power_law
 from bwlab.operators import build_D
+from bwlab.propagators import xj_matrix, xj_matrix_ssum_route
 
 
 def solved(dim4):
@@ -32,53 +33,43 @@ def solved(dim4):
     return spectrum, basis, I_c, g, H, E_c, psi
 
 
+def applied(spectrum, basis, E, psi, I_c, g, j_order, route=xj_matrix):
+    """X_J(E) I_c psi built along route, the Xv the evaluators take."""
+    return route(spectrum, basis, E, g, j_order, v=I_c @ psi)
+
+
 def test_deltaE1_frozen_value(dim4):
     """K=1 at E = E_c = 2.1: psi D sandwich(g) I_c psi = 518/495 exactly
     (from the exact dim-4 residue table)."""
     spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
-    st = IntegrationSettings(j_order=1)
-    val = deltaE1_direct(spectrum, basis, E_c, psi, I_c, g, st)
+    val = deltaE1_direct(basis, E_c, psi, applied(spectrum, basis, E_c, psi, I_c, g, 1))
     assert val == pytest.approx(518.0 / 495.0, rel=1e-13)
 
 
 def test_deltaE1_vs_quadrature_composition(dim4, settings):
     spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
-    st = IntegrationSettings(j_order=1)
-    val = deltaE1_direct(spectrum, basis, E_c, psi, I_c, g, st)
+    val = deltaE1_direct(basis, E_c, psi, applied(spectrum, basis, E_c, psi, I_c, g, 1))
     Xq = quadrature_oracle(spectrum, basis, E_c, g, settings)
     D = build_D(spectrum, basis, E_c)
     quad_val = psi @ D @ Xq @ I_c @ psi
     assert val == pytest.approx(quad_val, rel=1e-6)
 
 
-def test_deltaE1_zero_couplings(dim4, settings):
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
-    zero = np.zeros((4, 4))
-    assert deltaE1_direct(spectrum, basis, E_c, psi, I_c, zero, settings) == 0.0
-    assert deltaE1_direct(spectrum, basis, E_c, psi, zero, g, settings) == 0.0
-
-
 def test_deltaE2b_forms_agree(dim4, settings):
     spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
     r = Resolvent(H, psi)
     E = E_c + 0.2
-    val, residual = deltaE2b_direct(spectrum, basis, E, E_c, psi, I_c, g, r, settings)
+    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    val, residual = deltaE2b_direct(basis, E, E_c, psi, I_c, r, Xv)
     assert residual < 1e-10 * max(1.0, abs(val))
     assert val != 0.0
 
 
-def test_deltaE2b_zero_couplings(dim4, settings):
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
-    r = Resolvent(H, psi)
-    zero = np.zeros((4, 4))
-    assert deltaE2b_direct(spectrum, basis, 2.3, E_c, psi, I_c, zero, r, settings) == (0.0, 0.0)
-    assert deltaE2b_direct(spectrum, basis, 2.3, E_c, psi, zero, g, r, settings) == (0.0, 0.0)
-
-
 def test_combined_conventions_agree_at_zero_shift(dim4, settings):
     spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
-    lind = combined_variant(spectrum, basis, E_c, E_c, psi, I_c, g, settings, "lindgren")
-    dkz = combined_variant(spectrum, basis, E_c, E_c, psi, I_c, g, settings, "dkz")
+    Xv = applied(spectrum, basis, E_c, psi, I_c, g, settings.j_order)
+    lind = combined_variant(basis, E_c, E_c, psi, I_c, "lindgren", Xv)
+    dkz = combined_variant(basis, E_c, E_c, psi, I_c, "dkz", Xv)
     assert lind == dkz
 
 
@@ -88,20 +79,20 @@ def test_combined_equals_chain_sum(dim4, settings):
     spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
     r = Resolvent(H, psi)
     E = E_c + 0.17
-    d1 = deltaE1_direct(spectrum, basis, E, psi, I_c, g, settings)
-    d2, _ = deltaE2b_direct(spectrum, basis, E, E_c, psi, I_c, g, r, settings)
-    lind = combined_variant(spectrum, basis, E, E_c, psi, I_c, g, settings, "lindgren")
+    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    d1 = deltaE1_direct(basis, E, psi, Xv)
+    d2, _ = deltaE2b_direct(basis, E, E_c, psi, I_c, r, Xv)
+    lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
     assert d1 + d2 == pytest.approx(lind, rel=1e-10)
 
 
 def test_difference_is_twice_shift_times_Y(dim4, settings):
     spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
-    from bwlab.propagators import xj_matrix
-
     E = E_c + 0.17
     dE = E - E_c
-    lind = combined_variant(spectrum, basis, E, E_c, psi, I_c, g, settings, "lindgren")
-    dkz = combined_variant(spectrum, basis, E, E_c, psi, I_c, g, settings, "dkz")
+    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
+    dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
     Y = xj_matrix(spectrum, basis, E, g, settings.j_order) @ I_c
     expect = 2.0 * dE * (psi @ Y @ psi)
     assert (lind - dkz) == pytest.approx(expect, abs=1e-12 * max(1.0, abs(lind)))
@@ -116,10 +107,12 @@ def test_dm1_scalar_identity():
 def test_predicted_discrepancy_matches_measured(dim4, settings):
     spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
     E = E_c + 0.17
-    lind = combined_variant(spectrum, basis, E, E_c, psi, I_c, g, settings, "lindgren")
-    dkz = combined_variant(spectrum, basis, E, E_c, psi, I_c, g, settings, "dkz")
+    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
+    dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
     predicted, residuals, dm1_err = predicted_discrepancy(
-        spectrum, basis, E, E_c, psi, I_c, g, settings
+        basis, E, E_c, psi, I_c,
+        applied(spectrum, basis, E, psi, I_c, g, settings.j_order, xj_matrix_ssum_route),
     )
     assert (lind - dkz) == pytest.approx(predicted, rel=1e-10)
     assert residuals["Dm1_route"] < 1e-12
@@ -129,7 +122,8 @@ def test_predicted_discrepancy_matches_measured(dim4, settings):
 def test_predicted_discrepancy_zero_shift(dim4, settings):
     spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
     predicted, _, dm1_err = predicted_discrepancy(
-        spectrum, basis, E_c, E_c, psi, I_c, g, settings
+        basis, E_c, E_c, psi, I_c,
+        applied(spectrum, basis, E_c, psi, I_c, g, settings.j_order, xj_matrix_ssum_route),
     )
     assert predicted == 0.0
     assert dm1_err == 0.0
@@ -138,14 +132,14 @@ def test_predicted_discrepancy_zero_shift(dim4, settings):
 def test_dkz_dc_approx_reported(dim4, settings):
     spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
     E = E_c + 0.17
-    approx = combined_variant(
-        spectrum, basis, E, E_c, psi, I_c, g, settings, "dkz-dc-approx"
-    )
-    dkz = combined_variant(spectrum, basis, E, E_c, psi, I_c, g, settings, "dkz")
+    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    approx = combined_variant(basis, E, E_c, psi, I_c, "dkz-dc-approx",
+                              applied(spectrum, basis, E_c, psi, I_c, g, settings.j_order))
+    dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
     assert np.isfinite(approx)
     assert approx != dkz
     with pytest.raises(ValueError):
-        combined_variant(spectrum, basis, E, E_c, psi, I_c, g, settings, "nonsense")
+        combined_variant(basis, E, E_c, psi, I_c, "nonsense", Xv)
 
 
 def test_model_oracle_free_limit(dim4):
@@ -265,7 +259,6 @@ def test_coupling_scan_runs(dim4_config, settings):
 def count_kernel_builds(monkeypatch):
     """Replace xj_matrix and xj_matrix_ssum_route in every module that binds
     them with counting wrappers; returns the counts by route."""
-    import bwlab.controversy
     import bwlab.identities
     import bwlab.pipeline
     import bwlab.propagators
@@ -278,8 +271,7 @@ def count_kernel_builds(monkeypatch):
             counts[_route] += 1
             return _original(*args, **kwargs)
 
-        for module in (bwlab.propagators, bwlab.controversy, bwlab.pipeline,
-                       bwlab.identities):
+        for module in (bwlab.propagators, bwlab.pipeline, bwlab.identities):
             monkeypatch.setattr(module, name, counted)
     return counts
 
@@ -304,10 +296,14 @@ def test_coupling_scan_propagates_programming_errors(dim4_config, settings, monk
     turned into a failed scan row."""
     import bwlab.pipeline
 
-    def broken(*args, **kwargs):
-        raise TypeError("unexpected argument")
+    ssum_route = bwlab.pipeline.xj_matrix_ssum_route
 
-    monkeypatch.setattr(bwlab.pipeline, "model_oracle", broken)
+    def broken_at_largest(spectrum, basis, E, g_delta, order, v):
+        if np.max(np.abs(g_delta)) > 0.005:  # 0.05 lambda: only at lambda = 0.16
+            raise TypeError("unexpected argument")
+        return ssum_route(spectrum, basis, E, g_delta, order, v=v)
+
+    monkeypatch.setattr(bwlab.pipeline, "xj_matrix_ssum_route", broken_at_largest)
     with pytest.raises(TypeError, match="unexpected argument"):
         coupling_scan(dim4_config, [0.02, 0.04, 0.08, 0.16], settings)
 
@@ -321,3 +317,50 @@ def test_model_oracle_tracking_failure_is_bwlab_error(dim4):
     with pytest.raises(OracleTrackingError, match="ambiguous") as info:
         model_oracle(spectrum, basis, 0.0 * I_c, 0.0 * g, psi)
     assert isinstance(info.value, BwlabError)
+
+
+#: a jittered 2+2 spectrum (dim 16) next to the dim-4 fixture
+JITTERED_2X2 = ModelConfig(positive_energies=(1.03, 1.57), negative_energies=(-1.06, -1.52),
+                           coulomb_scale=0.1, delta_scale=0.05)
+
+
+@pytest.mark.parametrize("jittered", [False, True], ids=["dim4", "jittered-2x2"])
+def test_coupling_scan_matches_pipeline(dim4_config, settings, monkeypatch, jittered):
+    """The scan computes only what it reports: its rows equal run_pipeline's
+    values exactly, while a lambda point builds one X_J per route and never
+    runs the model oracle."""
+    import bwlab.pipeline
+
+    cfg = JITTERED_2X2 if jittered else dim4_config
+    lams = [0.02, 0.04, 0.08, 0.16]
+    expected = [run_pipeline(cfg.scaled(lam), settings).controversy for lam in lams]
+
+    counts = count_kernel_builds(monkeypatch)
+    oracle_calls = []
+    monkeypatch.setattr(bwlab.pipeline, "model_oracle",
+                        lambda *args, **kwargs: oracle_calls.append(args))
+    rows, _, _, failures = coupling_scan(cfg, lams, settings)
+    assert failures == []
+    assert [(diff, pred) for _, diff, pred, _ in rows] == [
+        (rep.difference, rep.predicted_difference) for rep in expected
+    ]
+    assert counts == {"direct": len(lams), "ssum": len(lams)}
+    assert oracle_calls == []
+
+
+@pytest.mark.parametrize("coulomb, delta", [(0.1, 0.0), (0.0, 0.05), (0.0, 0.0)],
+                         ids=["zero-delta", "zero-coulomb", "both-zero"])
+def test_pipeline_zero_coupling_report(settings, monkeypatch, coulomb, delta):
+    """With either coupling zero every report value and chain residual is 0,
+    and no kernel integral is built."""
+    counts = count_kernel_builds(monkeypatch)
+    cfg = ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
+                      coulomb_scale=coulomb, delta_scale=delta)
+    rep = run_pipeline(cfg, settings).controversy
+    assert [rep.dE1_direct, rep.dE2b_direct, rep.combined_lindgren, rep.combined_dkz,
+            rep.combined_dkz_dc_approx, rep.difference, rep.predicted_difference,
+            rep.dm1_error_term] == [0.0] * 8
+    assert rep.identity_residuals == {
+        "E2b_vs_E2b2": 0.0, "chain_sum": 0.0, "central_claim": 0.0, "Dm1_route": 0.0,
+    }
+    assert counts == {"direct": 0, "ssum": 0}

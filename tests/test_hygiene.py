@@ -1,13 +1,21 @@
-"""Static checks on the package source: no unused imports, and no imports
-inside functions except the one that breaks a real import cycle."""
+"""Static checks on the package source: no unused imports, no imports
+inside functions except the one that breaks a real import cycle, and no
+definition that nothing names."""
 
 import ast
+import collections
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "bwlab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bwlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+#: where a definition may be named: the package (its __init__ re-exports do
+#: not count), the tests and the benchmark
+READERS = [*MODULES, *sorted((ROOT / "tests").glob("*.py")),
+           *sorted((ROOT / "perfbench").glob("*.py"))]
 
 #: (module, function, imported module) of the allowed function-level imports:
 #: pipeline imports controversy, so coupling_scan imports pipeline late
@@ -48,3 +56,30 @@ def test_no_function_level_imports(path):
                 elif isinstance(node, ast.ImportFrom):
                     found.add((path.name, func.name, node.module))
     assert sorted(found - ALLOWED_LOCAL_IMPORTS) == []
+
+
+def _definitions(path):
+    """Module-level functions, classes, methods and constants of a module,
+    skipping dunder names, which the language calls."""
+    names = []
+    for node in _tree(path).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+            if isinstance(node, ast.ClassDef):
+                names += [item.name for item in node.body
+                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def test_every_definition_is_named_elsewhere():
+    """Each definition's name occurs in src, tests or perfbench more often
+    than it is defined: the definition alone does not keep it alive."""
+    words = collections.Counter()
+    for path in READERS:
+        words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
+    defined = collections.Counter(n for path in MODULES for n in _definitions(path))
+    assert sorted(n for n, k in defined.items() if words[n] <= k) == []

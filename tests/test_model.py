@@ -47,7 +47,6 @@ def test_basis_patterns_dim4():
     b = build_basis(s)
     assert b.patterns == ("pp", "pm", "mp", "mm")
     assert b.pairs == ((0, 0), (0, 1), (1, 0), (1, 1))
-    assert b.flat_index(1, 0) == 2
 
 
 def test_basis_single_state():

@@ -220,8 +220,7 @@ UNMIXED_E, MIXED_E, GOOD_E = 2.0, -0.2, 2.1
 
 def _predicted(spectrum, basis, E, E_c, I_c, g, settings):
     psi_c = np.array([1.0, 0.0, 0.0, 0.0])
-    return predicted_discrepancy(spectrum, basis, E, E_c, psi_c, I_c, g, settings,
-                                 Xv=np.ones(basis.dim))
+    return predicted_discrepancy(basis, E, E_c, psi_c, I_c, np.ones(basis.dim))
 
 
 GUARD_SITES = {

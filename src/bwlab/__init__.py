@@ -9,7 +9,7 @@ correction, measuring their difference against the predicted
 """
 
 from .bw import EnergyLedger, Resolvent, bw_selfconsistent, bw_terms, solve_no_pair
-from .config import RunConfig, config_hash, emit_config, parse_config
+from .config import IntegrationSettings, RunConfig, config_hash, emit_config, parse_config
 from .controversy import (
     ControversyReport,
     combined_variant,
@@ -48,7 +48,6 @@ from .operators import (
 )
 from .pipeline import PipelineResult, run_pipeline
 from .propagators import (
-    IntegrationSettings,
     contour_integral_Finv,
     j_series,
     propagator_S,

@@ -1,5 +1,10 @@
 """Command-line interface: verify / compare / scan.
 
+Each command parses one RunConfig and studies its reference state, the
+no-pair state [solve] state_index: verify checks the identities there
+(drawing its samples from the interaction seed), compare and scan run the
+pipeline on it.
+
 Exit codes: 0 success, 1 verify with a residual out of tolerance, 2 config
 error, 3 numerical degeneracy (scan: any point failed), 4 nonconvergence (of
 the BW fixed point or of the quadrature oracle), 5 the model oracle lost the
@@ -68,7 +73,7 @@ def _emit(report, fmt):
 def cmd_verify(args) -> int:
     cfg = _load(args)
     t0 = time.perf_counter()
-    residuals = identity_suite(cfg.model, cfg.integration, seed=cfg.model.seed)
+    residuals = identity_suite(cfg)
     elapsed = 1000.0 * (time.perf_counter() - t0)
     report = base_report("verify", cfg)
     report["identity_residuals"] = residuals
@@ -83,11 +88,7 @@ def cmd_compare(args) -> int:
     cfg = _load(args)
     timings = {}
     t0 = time.perf_counter()
-    result = run_pipeline(
-        cfg.model, cfg.integration, bw_order=cfg.bw_order,
-        bw_max_iter=cfg.bw_max_iter, bw_tol=cfg.bw_tol,
-        state_index=cfg.state_index,
-    )
+    result = run_pipeline(cfg)
     timings["pipeline"] = 1000.0 * (time.perf_counter() - t0)
     report = base_report("compare", cfg)
     report["energy"] = energy_section(result.ledger)
@@ -114,11 +115,7 @@ def cmd_scan(args) -> int:
     )
     timings = {}
     t0 = time.perf_counter()
-    rows, slope, r2, failures = coupling_scan(
-        cfg.model, schedule, cfg.integration, bw_order=cfg.bw_order,
-        bw_max_iter=cfg.bw_max_iter, bw_tol=cfg.bw_tol,
-        state_index=cfg.state_index,
-    )
+    rows, slope, r2, failures = coupling_scan(cfg, schedule)
     timings["scan"] = 1000.0 * (time.perf_counter() - t0)
     report = base_report("scan", cfg)
     report["scan"] = {

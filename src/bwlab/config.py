@@ -1,6 +1,6 @@
-"""Config-file ingestion: INI-style sections mapped onto the model,
-integration, and solver settings, with defaults, strict key validation,
-and a canonical emitter for round-trips and hashing.
+"""Run settings and their config-file ingestion: INI-style sections mapped
+onto the model, integration, and solver settings, with strict key
+validation, and a canonical emitter for round-trips and hashing.
 
 Sections and keys:
 
@@ -12,9 +12,12 @@ Sections and keys:
     [bw]                  order, max_iter, tol
     [solve]               state_index
 
-Lists are comma-separated; explicit matrices use ';' between rows and
-whitespace between entries.  Unknown sections or keys are rejected by
-name; duplicate keys are rejected by the parser with a line number.
+Each default is written once, on its dataclass: ModelConfig (model), the
+IntegrationSettings and RunConfig below; a file without [spectrum] keys
+gets model.dirac_like_energies().  parse_config passes on only the keys a
+file sets.  Lists are comma-separated; explicit matrices use ';' between
+rows and whitespace between entries.  Unknown sections or keys are rejected
+by name; duplicate keys are rejected by the parser with a line number.
 """
 
 from __future__ import annotations
@@ -24,23 +27,60 @@ import hashlib
 import os
 from dataclasses import dataclass
 
+from .bw import MAX_ORDER
 from .errors import ConfigError
-from .model import ModelConfig, dirac_like_energies
-from .propagators import DEFAULT_ETA_SEQUENCE, IntegrationSettings
+from .model import ModelConfig, SingleParticleSpectrum, dirac_like_energies
 
-_KNOWN = {
-    "spectrum": {"positive_energies", "negative_energies"},
-    "interaction": {"seed"},
-    "interaction.coulomb": {"scale", "preset", "matrix"},
-    "interaction.delta": {"scale", "preset", "matrix"},
-    "integration": {"eta_sequence", "quadrature_points", "cutoff_factor", "j_order"},
-    "bw": {"order", "max_iter", "tol"},
-    "solve": {"state_index"},
-}
+
+@dataclass(frozen=True)
+class IntegrationSettings:
+    """Quadrature and series-truncation controls.
+
+    eta_sequence drives the eta -> 0 extrapolation of the oracle.  The
+    quadrature range is [-L, L] with L = cutoff_factor * max|e|.  j_order
+    is the truncation K of the interaction-kernel geometric series.
+    """
+
+    eta_sequence: tuple = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
+    quadrature_points: int = 16
+    cutoff_factor: float = 1e4
+    j_order: int = 2
+
+    def __post_init__(self):
+        if not self.eta_sequence:
+            raise ConfigError("eta_sequence must be nonempty")
+        seq = tuple(float(x) for x in self.eta_sequence)
+        if any(x <= 0 for x in seq):
+            raise ConfigError("eta values must be > 0")
+        if any(later >= earlier for earlier, later in zip(seq, seq[1:])):
+            raise ConfigError("eta_sequence must be strictly decreasing")
+        if self.quadrature_points < 4:
+            raise ConfigError("quadrature_points must be >= 4")
+        if self.cutoff_factor < 100:
+            raise ConfigError("cutoff_factor must be >= 100 (cutoff >= 100 max|e|)")
+        if self.j_order < 1:
+            raise ConfigError("j_order must be >= 1")
+        object.__setattr__(self, "eta_sequence", seq)
+
+    def refined(self):
+        """Settings with one extra halved eta level and at least 24 quadrature
+        points (high-precision checks)."""
+        return IntegrationSettings(
+            eta_sequence=self.eta_sequence + (self.eta_sequence[-1] / 2.0,),
+            quadrature_points=max(self.quadrature_points, 24),
+            cutoff_factor=self.cutoff_factor,
+            j_order=self.j_order,
+        )
+
+    def cutoff(self, spectrum: SingleParticleSpectrum) -> float:
+        return self.cutoff_factor * max(abs(e) for e in spectrum.energies)
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """Everything one command runs on; the reference state is the no-pair
+    state state_index of the doubly-positive block."""
+
     model: ModelConfig
     integration: IntegrationSettings
     bw_order: int = 3
@@ -49,8 +89,8 @@ class RunConfig:
     state_index: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.bw_order <= 3:
-            raise ConfigError("bw.order must be 1, 2, or 3")
+        if not 1 <= self.bw_order <= MAX_ORDER:
+            raise ConfigError(f"bw.order must be in 1..{MAX_ORDER}")
         if self.bw_max_iter < 1:
             raise ConfigError("bw.max_iter must be >= 1")
         if self.bw_tol <= 0:
@@ -84,6 +124,10 @@ def _int(text, key):
         raise ConfigError(f"{key}: could not parse integer '{text}'") from exc
 
 
+def _text(text, key):
+    return text
+
+
 def _matrix(text, key):
     rows = [r for r in text.split(";") if r.strip()]
     try:
@@ -95,14 +139,27 @@ def _matrix(text, key):
     return parsed
 
 
-def _interaction_spec(section, prefix):
-    has_preset = "preset" in section
-    has_matrix = "matrix" in section
-    if has_preset and has_matrix:
-        raise ConfigError(f"{prefix}: give either preset or matrix, not both")
-    if has_matrix:
-        return _matrix(section["matrix"], f"{prefix}.matrix")
-    return section.get("preset", "ones")
+#: (section, key) -> (settings object, field, parser): "model" is the
+#: ModelConfig, "integration" the IntegrationSettings, "run" the RunConfig
+_FIELDS = {
+    ("spectrum", "positive_energies"): ("model", "positive_energies", _floats),
+    ("spectrum", "negative_energies"): ("model", "negative_energies", _floats),
+    ("interaction", "seed"): ("model", "seed", _int),
+    ("interaction.coulomb", "scale"): ("model", "coulomb_scale", _float),
+    ("interaction.coulomb", "preset"): ("model", "coulomb_matrix", _text),
+    ("interaction.coulomb", "matrix"): ("model", "coulomb_matrix", _matrix),
+    ("interaction.delta", "scale"): ("model", "delta_scale", _float),
+    ("interaction.delta", "preset"): ("model", "delta_matrix", _text),
+    ("interaction.delta", "matrix"): ("model", "delta_matrix", _matrix),
+    ("integration", "eta_sequence"): ("integration", "eta_sequence", _floats),
+    ("integration", "quadrature_points"): ("integration", "quadrature_points", _int),
+    ("integration", "cutoff_factor"): ("integration", "cutoff_factor", _float),
+    ("integration", "j_order"): ("integration", "j_order", _int),
+    ("bw", "order"): ("run", "bw_order", _int),
+    ("bw", "max_iter"): ("run", "bw_max_iter", _int),
+    ("bw", "tol"): ("run", "bw_tol", _float),
+    ("solve", "state_index"): ("run", "state_index", _int),
+}
 
 
 def parse_config(source: str) -> RunConfig:
@@ -122,61 +179,31 @@ def parse_config(source: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
+    known_sections = {sec for sec, _ in _FIELDS}
+    present = set()
     for sec in parser.sections():
-        if sec not in _KNOWN:
+        if sec not in known_sections:
             raise ConfigError(f"unknown section [{sec}]")
         for key in parser[sec]:
-            if key not in _KNOWN[sec]:
+            if (sec, key) not in _FIELDS:
                 raise ConfigError(f"unknown key '{key}' in section [{sec}]")
-
-    def get(sec, key, default=None):
-        if parser.has_section(sec) and key in parser[sec]:
-            return parser[sec][key]
-        return default
-
-    pos_text = get("spectrum", "positive_energies")
-    neg_text = get("spectrum", "negative_energies")
-    if pos_text is None and neg_text is None:
-        positives, negatives = dirac_like_energies()
-    elif pos_text is None or neg_text is None:
+            present.add((sec, key))
+    has_spectrum = ("spectrum", "positive_energies") in present
+    if has_spectrum != (("spectrum", "negative_energies") in present):
         raise ConfigError("spectrum needs both positive_energies and negative_energies")
-    else:
-        positives = _floats(pos_text, "spectrum.positive_energies")
-        negatives = _floats(neg_text, "spectrum.negative_energies")
+    for sec in ("interaction.coulomb", "interaction.delta"):
+        if (sec, "preset") in present and (sec, "matrix") in present:
+            raise ConfigError(f"{sec}: give either preset or matrix, not both")
 
-    coulomb = parser["interaction.coulomb"] if parser.has_section("interaction.coulomb") else {}
-    delta = parser["interaction.delta"] if parser.has_section("interaction.delta") else {}
-    lam_c = _float(coulomb.get("scale", "0.1"), "interaction.coulomb.scale")
-    lam_d = _float(delta.get("scale", "0.05"), "interaction.delta.scale")
-
-    model = ModelConfig(
-        positive_energies=positives,
-        negative_energies=negatives,
-        coulomb_scale=lam_c,
-        delta_scale=lam_d,
-        coulomb_matrix=_interaction_spec(coulomb, "interaction.coulomb"),
-        delta_matrix=_interaction_spec(delta, "interaction.delta"),
-        seed=_int(get("interaction", "seed", "1"), "interaction.seed"),
-    )
-    eta_text = get("integration", "eta_sequence")
-    integration = IntegrationSettings(
-        eta_sequence=(
-            _floats(eta_text, "integration.eta_sequence") if eta_text else DEFAULT_ETA_SEQUENCE
-        ),
-        quadrature_points=_int(get("integration", "quadrature_points", "16"),
-                               "integration.quadrature_points"),
-        cutoff_factor=_float(get("integration", "cutoff_factor", "1e4"),
-                             "integration.cutoff_factor"),
-        j_order=_int(get("integration", "j_order", "2"), "integration.j_order"),
-    )
-    return RunConfig(
-        model=model,
-        integration=integration,
-        bw_order=_int(get("bw", "order", "3"), "bw.order"),
-        bw_max_iter=_int(get("bw", "max_iter", "200"), "bw.max_iter"),
-        bw_tol=_float(get("bw", "tol", "1e-12"), "bw.tol"),
-        state_index=_int(get("solve", "state_index", "0"), "solve.state_index"),
-    )
+    fields = {"model": {}, "integration": {}, "run": {}}
+    for (sec, key), (part, name, parse) in _FIELDS.items():
+        if (sec, key) in present:
+            fields[part][name] = parse(parser[sec][key], f"{sec}.{key}")
+    model = fields["model"]
+    if not has_spectrum:
+        model["positive_energies"], model["negative_energies"] = dirac_like_energies()
+    return RunConfig(ModelConfig(**model), IntegrationSettings(**fields["integration"]),
+                     **fields["run"])
 
 
 def _fmt(x):

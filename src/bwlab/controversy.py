@@ -36,7 +36,7 @@ decides that once and keeps the all-zero ControversyReport().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -234,12 +234,11 @@ def fit_power_law(lams, values):
     return float(coef[0]), r2
 
 
-def coupling_scan(model_config, lam_schedule, settings, bw_order=3,
-                  bw_max_iter=200, bw_tol=1e-12, state_index=0):
-    """Scale both couplings by each lambda, run the shared pipeline core
-    (no X_J(E_c) and no model oracle: the scan reports neither), record the
-    measured and predicted convention differences, and fit the power law
-    of |difference| against lambda.
+def coupling_scan(cfg, lam_schedule):
+    """Scale both couplings of cfg by each lambda, run the shared pipeline
+    core (no X_J(E_c) and no model oracle: the scan reports neither), record
+    the measured and predicted convention differences, and fit the power
+    law of |difference| against lambda.
 
     Returns (rows, fitted_exponent, r_squared, failures); rows are
     (lambda, difference, predicted, ratio) and failures lists
@@ -258,10 +257,7 @@ def coupling_scan(model_config, lam_schedule, settings, bw_order=3,
     rows, failures = [], []
     for lam in lams:
         try:
-            rep = pipeline_core(
-                model_config.scaled(lam), settings, bw_order=bw_order,
-                bw_max_iter=bw_max_iter, bw_tol=bw_tol, state_index=state_index,
-            ).controversy
+            rep = pipeline_core(replace(cfg, model=cfg.model.scaled(lam))).controversy
             ratio = (
                 rep.difference / rep.predicted_difference
                 if rep.predicted_difference != 0.0

@@ -1,5 +1,7 @@
 """Identity suite: every algebraic anchor of the formalism as a named
-residual, evaluated on a configured model.
+residual, evaluated on the configured reference state (the model and the
+no-pair state solve.state_index, from pipeline.reference_state, as compare
+and scan use it).
 
 Each check returns a residual that should sit at rounding level (or at
 quadrature level for the oracle comparisons); cmd_verify renders the
@@ -10,10 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bw import Resolvent, solve_no_pair
 from .controversy import ControversyReport, convention_report
-from .model import build_basis, build_interaction, build_spectrum
-from .operators import build_G0, build_Hc
+from .operators import build_G0
+from .pipeline import reference_state
 from .propagators import (
     contour_integral_Finv,
     propagator_S,
@@ -49,16 +50,13 @@ def _sample_away_from_poles(rng, pair_sums, lo, hi, min_gap=0.05):
     raise RuntimeError("could not sample away from poles")
 
 
-def identity_suite(model_config, settings, seed=0):
-    """Run every identity check; returns {name: residual}."""
-    rng = np.random.default_rng([seed, 421])
-    spectrum = build_spectrum(model_config)
-    basis = build_basis(spectrum)
-    I_c = build_interaction(model_config, "coulomb")
-    g = build_interaction(model_config, "delta")
-    H_c = build_Hc(spectrum, basis, I_c)
-    E_c, psi_c = solve_no_pair(H_c, basis.pattern_indices("pp"))
-    resolvent = Resolvent(H_c, psi_c)
+def identity_suite(cfg):
+    """Run every identity check on the reference state of cfg, drawing the
+    samples from cfg.model.seed; returns {name: residual}."""
+    rng = np.random.default_rng([cfg.model.seed, 421])
+    st = reference_state(cfg)
+    spectrum, basis, I_c, g, E_c, psi_c = (st.spectrum, st.basis, st.I_c, st.g_delta,
+                                           st.E_c, st.psi_c)
     emax = max(abs(e) for e in spectrum.energies)
     pair_sums = {e1 + e2 for e1 in spectrum.energies for e2 in spectrum.energies}
     lo, hi = -3 * emax, 3 * emax
@@ -92,7 +90,7 @@ def identity_suite(model_config, settings, seed=0):
     # P_mm G(E) D(E) = P_mm, on the mm rows
     E = E_c + 0.25 * max(1.0, abs(E_c))
     mm = basis.unmixed_sign < 0
-    G_mm_D = resolvent.matrix(E)[mm] * (E - basis.pair_energies())
+    G_mm_D = st.resolvent.matrix(E)[mm] * (E - basis.pair_energies())
     res["resolvent_mm_identity"] = float(np.max(np.abs(G_mm_D - np.eye(basis.dim)[mm])))
 
     # basic integral: residue engine vs (P_pp - P_mm) D^-1 and quadrature;
@@ -105,7 +103,7 @@ def identity_suite(model_config, settings, seed=0):
         E = _sample_away_from_poles(rng, pair_sums, E_c + 0.1, E_c + 2.0)
     finv = contour_integral_Finv(spectrum, basis, E)
     res["contour_vs_closed_form"] = float(np.max(np.abs(finv - build_G0(spectrum, basis, E))))
-    fine = settings.refined()
+    fine = cfg.integration.refined()
     quad = quadrature_finv(spectrum, basis, E, fine)
     scale = max(1.0, float(np.max(np.abs(finv))))
     res["contour_vs_quadrature"] = float(np.max(np.abs(quad - finv))) / scale
@@ -140,11 +138,11 @@ def identity_suite(model_config, settings, seed=0):
     E = E_c + 0.1 * max(1.0, abs(E_c))
     rep, g0mod_route = ControversyReport(), 0.0
     if np.any(g):
-        X_direct = xj_matrix(spectrum, basis, E, g, settings.j_order)
-        X_alt = xj_matrix_ssum_route(spectrum, basis, E, g, settings.j_order)
+        X_direct = xj_matrix(spectrum, basis, E, g, cfg.integration.j_order)
+        X_alt = xj_matrix_ssum_route(spectrum, basis, E, g, cfg.integration.j_order)
         if np.any(I_c):
             v = I_c @ psi_c
-            rep = convention_report(basis, E, E_c, psi_c, I_c, resolvent, X_direct @ v,
+            rep = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, X_direct @ v,
                                     X_alt @ v)
         # transformed route reproduces the direct kernel integral
         g0mod_route = float(np.max(np.abs(X_direct - X_alt))) / max(

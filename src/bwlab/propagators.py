@@ -43,64 +43,13 @@ scales v before and the result after.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as _iproduct
 
 import numpy as np
 
-from .errors import ConfigError
 from .model import SingleParticleSpectrum, TwoParticleBasis
 from .operators import inverse_denominator
 from .residues import LOWER, MERGE_TOL, UPPER, clustered_poles, pole_product_integral
-
-DEFAULT_ETA_SEQUENCE = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
-
-
-@dataclass(frozen=True)
-class IntegrationSettings:
-    """Quadrature and series-truncation controls.
-
-    eta_sequence drives the eta -> 0 extrapolation of the oracle; eta is
-    the base regulator (largest member).  The quadrature range is
-    [-L, L] with L = cutoff_factor * max|e|.  j_order is the truncation
-    K of the interaction-kernel geometric series.
-    """
-
-    eta_sequence: tuple = DEFAULT_ETA_SEQUENCE
-    quadrature_points: int = 16
-    cutoff_factor: float = 1e4
-    j_order: int = 2
-    eta: float = field(init=False)
-
-    def __post_init__(self):
-        if not self.eta_sequence:
-            raise ConfigError("eta_sequence must be nonempty")
-        seq = tuple(float(x) for x in self.eta_sequence)
-        if any(x <= 0 for x in seq):
-            raise ConfigError("eta values must be > 0")
-        if any(later >= earlier for earlier, later in zip(seq, seq[1:])):
-            raise ConfigError("eta_sequence must be strictly decreasing")
-        if self.quadrature_points < 4:
-            raise ConfigError("quadrature_points must be >= 4")
-        if self.cutoff_factor < 100:
-            raise ConfigError("cutoff_factor must be >= 100 (cutoff >= 100 max|e|)")
-        if self.j_order < 1:
-            raise ConfigError("j_order must be >= 1")
-        object.__setattr__(self, "eta_sequence", seq)
-        object.__setattr__(self, "eta", seq[0])
-
-    def refined(self):
-        """Settings with one extra halved eta level and at least 24 quadrature
-        points (high-precision checks)."""
-        return IntegrationSettings(
-            eta_sequence=self.eta_sequence + (self.eta_sequence[-1] / 2.0,),
-            quadrature_points=max(self.quadrature_points, 24),
-            cutoff_factor=self.cutoff_factor,
-            j_order=self.j_order,
-        )
-
-    def cutoff(self, spectrum: SingleParticleSpectrum) -> float:
-        return self.cutoff_factor * max(abs(e) for e in spectrum.energies)
 
 
 def propagator_S(spectrum, basis, E, eps, particle, eta):

@@ -27,8 +27,8 @@ import functools
 
 import numpy as np
 
+from .config import IntegrationSettings
 from .errors import QuadratureConvergenceError
-from .propagators import IntegrationSettings
 
 #: relative disagreement of the last two extrapolation levels that counts
 #: as nonconvergence

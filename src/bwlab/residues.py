@@ -124,22 +124,3 @@ def pole_product_integral(poles, prefactor=1.0):
         coef = _series_coeffs(merged, idx, m)
         total += coef[m - 1]
     return prefactor * side * total
-
-
-def residue_sum_check(poles, prefactor=1.0):
-    """Difference between the two closures (zero for a correct engine when
-    the integrand decays at least like eps^-2).  Test helper."""
-    poles = list(poles)
-    upper = _cluster([p for p, s in poles if s == UPPER])
-    lower = _cluster([p for p, s in poles if s == LOWER])
-    if not upper or not lower:
-        return 0.0
-    merged_u = upper + lower
-    tot_u = sum(
-        _series_coeffs(merged_u, i, upper[i][1])[upper[i][1] - 1] for i in range(len(upper))
-    )
-    merged_l = lower + upper
-    tot_l = sum(
-        _series_coeffs(merged_l, i, lower[i][1])[lower[i][1] - 1] for i in range(len(lower))
-    )
-    return prefactor * (-tot_u) - prefactor * tot_l

@@ -17,6 +17,7 @@ from bwlab import (
     IntegrationSettings,
     ModelConfig,
     Resolvent,
+    RunConfig,
     build_basis,
     build_interaction,
     build_spectrum,
@@ -165,7 +166,7 @@ def test_criterion_5_bw_correctness():
     for lam in lams:
         cfg = ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
                           coulomb_scale=lam, delta_scale=lam / 2)
-        res = run_pipeline(cfg, SETTINGS)
+        res = run_pipeline(RunConfig(cfg, SETTINGS))
         errs.append(abs(res.ledger.E - res.oracle_energy))
     slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
     ok = err22 < 1e-10 and abs(slope - 4.0) < 0.3
@@ -178,10 +179,10 @@ def test_criterion_6_central_claim():
     dE1 + dE2b = lindgren to 1e-10 relative, on all fixtures."""
     worst_claim, worst_chain = 0.0, 0.0
     for cfg in FIXTURES:
-        res = run_pipeline(cfg, SETTINGS)
-        spectrum, basis = res.spectrum, res.basis
-        E, E_c, psi = res.ledger.E, res.ledger.E_c, res.psi_c
-        I_c, g = res.I_c, res.g_delta
+        res = run_pipeline(RunConfig(cfg, SETTINGS))
+        spectrum, basis = res.state.spectrum, res.state.basis
+        E, E_c, psi = res.ledger.E, res.ledger.E_c, res.state.psi_c
+        I_c, g = res.state.I_c, res.state.g_delta
         rep = res.controversy
         Xv_alt = xj_matrix_ssum_route(spectrum, basis, E, g, SETTINGS.j_order, v=I_c @ psi)
         predicted, _, _ = predicted_discrepancy(basis, E, E_c, psi, I_c, Xv_alt)
@@ -211,7 +212,7 @@ def test_criterion_7_order_counting_scan():
                       coulomb_scale=0.1, delta_scale=0.05)
     t0 = time.perf_counter()
     rows, slope, r2, failures = coupling_scan(
-        cfg, [0.02, 0.04, 0.08, 0.16], SETTINGS
+        RunConfig(cfg, SETTINGS), [0.02, 0.04, 0.08, 0.16]
     )
     elapsed = time.perf_counter() - t0
     ok = (

@@ -8,13 +8,19 @@ import bwlab.identities
 import bwlab.pipeline
 from bwlab import (
     ConfigError,
+    IntegrationSettings,
+    ModelConfig,
     OracleTrackingError,
     QuadratureConvergenceError,
+    RunConfig,
+    dirac_like_energies,
     emit_config,
     parse_config,
 )
 from bwlab.cli import _load, build_parser, main
 from bwlab.config import config_hash
+from bwlab.identities import identity_suite, suite_passes
+from bwlab.pipeline import reference_state
 from bwlab.report import render_json
 
 
@@ -35,6 +41,9 @@ def test_minimal_config_defaults():
     assert cfg.integration.j_order == 2
     assert cfg.bw_order == 3
     assert cfg.state_index == 0
+    # every default comes from the dataclasses, none from the parser
+    assert parse_config("[spectrum]\n") == RunConfig(
+        ModelConfig(*dirac_like_energies()), IntegrationSettings())
 
 
 def test_empty_config_uses_dirac_preset():
@@ -69,7 +78,15 @@ tol = 1e-10
 state_index = 1
 """
     cfg = parse_config(text)
-    assert cfg.model.delta_matrix == ((0.1, 0.2), (0.2, 0.3))
+    # each of the 15 keys reaches its own field
+    assert cfg.model == ModelConfig(
+        positive_energies=(1.0, 1.5), negative_energies=(-1.2, -1.7), seed=9,
+        coulomb_scale=0.2, coulomb_matrix="random-symmetric",
+        delta_scale=0.03, delta_matrix=((0.1, 0.2), (0.2, 0.3)),
+    )
+    assert cfg.integration == IntegrationSettings(
+        eta_sequence=(1e-2, 5e-3), quadrature_points=24, cutoff_factor=2000.0, j_order=1)
+    assert (cfg.bw_order, cfg.bw_max_iter, cfg.bw_tol, cfg.state_index) == (2, 50, 1e-10, 1)
     again = parse_config(emit_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
@@ -293,7 +310,7 @@ def test_json_float_format():
     assert text == '{"x":0.10000000000000001,"y":2}'
 
 
-@pytest.mark.parametrize("command", ["compare", "scan"])
+@pytest.mark.parametrize("command", ["compare", "scan", "verify"])
 def test_cli_state_index_out_of_range_exit2(tmp_path, capsys, command):
     # the dim-4 model has a single doubly-positive state
     path = tmp_path / "cfg.ini"
@@ -305,6 +322,37 @@ def test_cli_state_index_out_of_range_exit2(tmp_path, capsys, command):
     assert err.splitlines() == [
         "config error: solve.state_index 99 outside the 1-state doubly-positive block"
     ]
+
+
+def test_cli_empty_eta_sequence_exit2(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text() + "[integration]\neta_sequence =\n")
+    code = main(["compare", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["config error: eta_sequence must be nonempty"]
+
+
+def test_verify_checks_configured_state(tmp_path, capsys):
+    """verify studies the no-pair state solve.state_index, as compare does.
+    On the default spectrum state 1 is the antisymmetric pp state, whose
+    E_c = 2.5 is a pair energy: both commands exit 3.  State 2 is regular:
+    the suite runs on compare's E_c and passes."""
+    path = tmp_path / "cfg.ini"
+    path.write_text("[solve]\nstate_index = 1\n")
+    for command in ("compare", "verify"):
+        assert main([command, "--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("degenerate denominator: ")
+
+    path.write_text("[solve]\nstate_index = 2\n")
+    code, out = run_cli(capsys, ["compare", "--config", str(path), "--format", "json"])
+    assert code == 0
+    cfg = parse_config(str(path))
+    assert reference_state(cfg).E_c == json.loads(out)["energy"]["E_c"]
+    assert reference_state(cfg).E_c != reference_state(parse_config("[spectrum]\n")).E_c
+    assert suite_passes(identity_suite(cfg))
 
 
 def test_cli_verify_residual_out_of_tolerance_exit1(tmp_path, capsys, monkeypatch):

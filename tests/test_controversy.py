@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from bwlab import (
     IntegrationSettings,
     ModelConfig,
     Resolvent,
+    RunConfig,
     build_basis,
     build_Hc,
     build_interaction,
@@ -172,7 +175,7 @@ def test_oracle_linear_response_matches_first_order():
     for ld in (0.01, 0.005):
         cfg = ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
                           coulomb_scale=lam_c, delta_scale=ld)
-        res = run_pipeline(cfg, IntegrationSettings())
+        res = run_pipeline(RunConfig(cfg, IntegrationSettings()))
         coefs.append(((res.oracle_energy - res.ledger.E_c) / ld, res.ledger.dE[0] / ld))
     for oracle_coef, dE1_coef in coefs:
         # the oracle also carries a lambda_c^2 piece from the virtual-pair
@@ -182,7 +185,7 @@ def test_oracle_linear_response_matches_first_order():
 
 
 def test_bw_ladder_tracks_oracle(dim4_config, settings):
-    res = run_pipeline(dim4_config, settings)
+    res = run_pipeline(RunConfig(dim4_config, settings))
     assert abs(res.ledger.E - res.oracle_energy) < 5e-5
     assert res.ledger.residual < 1e-11
 
@@ -195,7 +198,7 @@ def test_h_delta2_routes_zero_couplings(dim4, settings):
 
 
 def test_pipeline_identity_residuals(dim4_config, settings):
-    res = run_pipeline(dim4_config, settings)
+    res = run_pipeline(RunConfig(dim4_config, settings))
     rep = res.controversy
     assert rep.identity_residuals["E2b_vs_E2b2"] < 1e-10
     assert rep.identity_residuals["chain_sum"] < 1e-10
@@ -209,7 +212,7 @@ def test_pipeline_zero_delta(dim4_config, settings):
         positive_energies=(1.0,), negative_energies=(-1.2,),
         coulomb_scale=0.1, delta_scale=0.0,
     )
-    res = run_pipeline(cfg, settings)
+    res = run_pipeline(RunConfig(cfg, settings))
     assert res.controversy.difference == 0.0
     assert res.controversy.predicted_difference == 0.0
     assert res.ledger.E == pytest.approx(res.ledger.E_c + sum(res.ledger.dE))
@@ -220,7 +223,7 @@ def test_pipeline_zero_couplings(settings):
         positive_energies=(1.0,), negative_energies=(-1.2,),
         coulomb_scale=0.0, delta_scale=0.0,
     )
-    res = run_pipeline(cfg, settings)
+    res = run_pipeline(RunConfig(cfg, settings))
     assert res.ledger.E == res.ledger.E_c == pytest.approx(2.0)
     assert res.ledger.iterations == 1
 
@@ -235,14 +238,14 @@ def test_fit_power_law_recovers_slope():
 
 def test_coupling_scan_validation(dim4_config, settings):
     with pytest.raises(ValueError, match=">= 4"):
-        coupling_scan(dim4_config, [0.1], settings)
+        coupling_scan(RunConfig(dim4_config, settings), [0.1])
     with pytest.raises(ValueError, match="geometric"):
-        coupling_scan(dim4_config, [0.1, 0.2, 0.25, 0.3], settings)
+        coupling_scan(RunConfig(dim4_config, settings), [0.1, 0.2, 0.25, 0.3])
 
 
 def test_coupling_scan_runs(dim4_config, settings):
     rows, slope, r2, failures = coupling_scan(
-        dim4_config, [0.02, 0.04, 0.08, 0.16], settings
+        RunConfig(dim4_config, settings), [0.02, 0.04, 0.08, 0.16]
     )
     assert not failures
     assert len(rows) == 4
@@ -278,7 +281,7 @@ def count_kernel_builds(monkeypatch):
 
 def test_pipeline_builds_each_kernel_integral_once(dim4_config, settings, monkeypatch):
     counts = count_kernel_builds(monkeypatch)
-    res = run_pipeline(dim4_config, settings)
+    res = run_pipeline(RunConfig(dim4_config, settings))
     assert counts == {"direct": 2, "ssum": 1}  # X_J(E), X_J(E_c); S-sum X_J(E)
     assert res.controversy.identity_residuals["central_claim"] < 1e-12
 
@@ -287,7 +290,7 @@ def test_identity_suite_builds_kernel_integral_once(dim4_config, settings, monke
     from bwlab.identities import identity_suite, suite_passes
 
     counts = count_kernel_builds(monkeypatch)
-    assert suite_passes(identity_suite(dim4_config, settings))
+    assert suite_passes(identity_suite(RunConfig(replace(dim4_config, seed=0), settings)))
     assert counts == {"direct": 1, "ssum": 1}
 
 
@@ -305,7 +308,7 @@ def test_coupling_scan_propagates_programming_errors(dim4_config, settings, monk
 
     monkeypatch.setattr(bwlab.pipeline, "xj_matrix_ssum_route", broken_at_largest)
     with pytest.raises(TypeError, match="unexpected argument"):
-        coupling_scan(dim4_config, [0.02, 0.04, 0.08, 0.16], settings)
+        coupling_scan(RunConfig(dim4_config, settings), [0.02, 0.04, 0.08, 0.16])
 
 
 def test_model_oracle_tracking_failure_is_bwlab_error(dim4):
@@ -333,13 +336,14 @@ def test_coupling_scan_matches_pipeline(dim4_config, settings, monkeypatch, jitt
 
     cfg = JITTERED_2X2 if jittered else dim4_config
     lams = [0.02, 0.04, 0.08, 0.16]
-    expected = [run_pipeline(cfg.scaled(lam), settings).controversy for lam in lams]
+    expected = [run_pipeline(RunConfig(cfg.scaled(lam), settings)).controversy
+                for lam in lams]
 
     counts = count_kernel_builds(monkeypatch)
     oracle_calls = []
     monkeypatch.setattr(bwlab.pipeline, "model_oracle",
                         lambda *args, **kwargs: oracle_calls.append(args))
-    rows, _, _, failures = coupling_scan(cfg, lams, settings)
+    rows, _, _, failures = coupling_scan(RunConfig(cfg, settings), lams)
     assert failures == []
     assert [(diff, pred) for _, diff, pred, _ in rows] == [
         (rep.difference, rep.predicted_difference) for rep in expected
@@ -356,7 +360,7 @@ def test_pipeline_zero_coupling_report(settings, monkeypatch, coulomb, delta):
     counts = count_kernel_builds(monkeypatch)
     cfg = ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
                       coulomb_scale=coulomb, delta_scale=delta)
-    rep = run_pipeline(cfg, settings).controversy
+    rep = run_pipeline(RunConfig(cfg, settings)).controversy
     assert [rep.dE1_direct, rep.dE2b_direct, rep.combined_lindgren, rep.combined_dkz,
             rep.combined_dkz_dc_approx, rep.difference, rep.predicted_difference,
             rep.dm1_error_term] == [0.0] * 8

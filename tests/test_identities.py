@@ -63,7 +63,7 @@ def test_sampled_checks_match_sequential_loop(text, seed):
     model = replace(cfg.model, seed=seed)
     spectrum = build_spectrum(model)
     basis = build_basis(spectrum)
-    res = identity_suite(model, cfg.integration, seed=seed)
+    res = identity_suite(replace(cfg, model=model))
     g0mod, dm1 = sequential_sampled_checks(spectrum, basis, seed)
     assert res["g0mod_pointwise"] == g0mod
     assert res["dm1_diagonal"] == dm1

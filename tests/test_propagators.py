@@ -25,8 +25,27 @@ from bwlab import (
 )
 from bwlab.model import SingleParticleSpectrum, dirac_like_energies
 from bwlab.propagators import ChainIntegrator
-from bwlab.residues import LOWER, UPPER, pole_product_integral, residue_sum_check
+from bwlab.residues import LOWER, UPPER, _cluster, _series_coeffs, pole_product_integral
 from conftest import energy_away_from_poles, random_spectrum
+
+
+def residue_sum_check(poles, prefactor=1.0):
+    """Difference between the two closures (zero for a correct engine when
+    the integrand decays at least like eps^-2)."""
+    poles = list(poles)
+    upper = _cluster([p for p, s in poles if s == UPPER])
+    lower = _cluster([p for p, s in poles if s == LOWER])
+    if not upper or not lower:
+        return 0.0
+    merged_u = upper + lower
+    tot_u = sum(
+        _series_coeffs(merged_u, i, upper[i][1])[upper[i][1] - 1] for i in range(len(upper))
+    )
+    merged_l = lower + upper
+    tot_l = sum(
+        _series_coeffs(merged_l, i, lower[i][1])[lower[i][1] - 1] for i in range(len(lower))
+    )
+    return prefactor * (-tot_u) - prefactor * tot_l
 
 
 def test_propagator_S_value(dim4):
@@ -340,7 +359,6 @@ def test_settings_validation():
     with pytest.raises(Exception):
         IntegrationSettings(j_order=0)
     s = IntegrationSettings()
-    assert s.eta == max(s.eta_sequence)
     assert s.j_order == 2
 
 

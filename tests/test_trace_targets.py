@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from bwlab import run_pipeline
+from bwlab import RunConfig, run_pipeline
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -40,7 +40,7 @@ def test_traced_pipeline_reaches_each_layer(spans, dim4_config, settings):
     mark = tracer.mark()
     tracer.patch()
     try:
-        run_pipeline(dim4_config, settings)
+        run_pipeline(RunConfig(dim4_config, settings))
     finally:
         tracer.unpatch()
     counts = tracer.summary(mark)["counts"]

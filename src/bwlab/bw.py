@@ -8,7 +8,9 @@ The expansion keeps the exact energy E in every denominator:
 with V allowed to depend on E itself, so the total energy is a root of
 f(E) = E_c + Delta E(E) - E.  It is found by a safeguarded secant
 iteration that falls back on the plain (or damped) fixed-point step
-E <- E_c + Delta E(E).  G is applied spectrally: the eigendecomposition of
+E <- E_c + Delta E(E).  V enters only applied to vectors: the caller
+passes a function of E that returns the operator x -> V(E) x, and no
+dense V is required.  G is applied spectrally: the eigendecomposition of
 the deflated H_c is taken once per reference state, so each application
 costs two matrix-vector products.  Orders above three are rejected rather
 than extrapolated.
@@ -24,8 +26,13 @@ from .errors import ConvergenceError, DegenerateDenominatorError
 
 MAX_ORDER = 3
 
-#: a secant step longer than this many plain fixed-point steps is not taken
+#: a secant step longer than this many plain fixed-point steps is not taken,
+#: unless successive secant steps agree (bw_selfconsistent)
 SECANT_MAX_RATIO = 4.0
+
+#: successive secant steps agree when their predicted roots differ by at most
+#: this fraction of the current secant step
+SECANT_AGREE_TOL = 0.1
 
 #: E closer than this, relative to max(1, |E|), to an eigenvalue of H_c other
 #: than the reference one aborts the resolvent
@@ -118,18 +125,19 @@ class Resolvent:
 def bw_terms(resolvent: Resolvent, h_delta_of_E, E, psi_c, order):
     """[Delta E^(1) .. Delta E^(order)] with the perturbation evaluated at E.
 
-    h_delta_of_E(E) returns the (generally nonsymmetric) perturbation
-    matrix; Delta E^(n) = <psi| V (G V)^(n-1) |psi>.
+    h_delta_of_E(E) returns the operator at E: a callable that applies the
+    (generally nonsymmetric) perturbation V(E) to a vector, for instance
+    V.__matmul__ of a fixed matrix.  Delta E^(n) = <psi| V (G V)^(n-1) |psi>.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
-    V = np.asarray(h_delta_of_E(E), dtype=float)
+    V = h_delta_of_E(E)
     psi = np.asarray(psi_c, dtype=float)
     terms = []
-    r = V @ psi
+    r = V(psi)
     terms.append(float(psi @ r))
     for _ in range(order - 1):
-        r = V @ resolvent.apply(E, r)
+        r = V(resolvent.apply(E, r))
         terms.append(float(psi @ r))
     return terms
 
@@ -143,17 +151,22 @@ def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=3,
     (f - f_prev).  The plain fixed-point step E <- E_c + sum_n Delta E^(n)(E)
     (step f) is taken instead on the first iteration, when the secant step
     is undefined (f == f_prev), or when it is more than SECANT_MAX_RATIO
-    plain steps long.  The plain step is damped on oscillation
-    (sign-flipping values of f that do not shrink): the damping halves,
-    starting at 1/2, floor 1/64.  The iteration stops when |f| falls below
-    tol * max(1, |E_c|); E is then set to E_c + sum_n Delta E^(n)(E) and the
-    terms are evaluated once more there, and residual is |f| at that E.
+    plain steps long, unless the previous iteration's secant step predicted
+    the same root to within SECANT_AGREE_TOL of the step: f is then close
+    to linear over the last three evaluations, and the long step is taken
+    (near dSum Delta E/dE = 1 the root is many plain steps away).  The plain
+    step is damped on oscillation (sign-flipping values of f that do not
+    shrink): the damping halves, starting at 1/2, floor 1/64.  The
+    iteration stops when |f| falls below tol * max(1, |E_c|); E is then set
+    to E_c + sum_n Delta E^(n)(E) and the terms are evaluated once more
+    there, and residual is |f| at that E.
     """
     scale_tol = tol * max(1.0, abs(E_c))
     E = float(E_c)
     damping = 1.0
     last_step = None
     E_prev = None
+    last_root = None
     terms = bw_terms(resolvent, h_delta_of_E, E, psi_c, order)
     for it in range(1, max_iter + 1):
         target = E_c + sum(terms)
@@ -169,11 +182,15 @@ def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=3,
         if last_step is not None and step * last_step < 0 and abs(step) >= abs(last_step):
             damping = max(damping / 2.0, 1.0 / 64.0)
         move = damping * step
+        root = None
         if last_step is not None and step != last_step:
             secant = -step * (E - E_prev) / (step - last_step)
-            if abs(secant) <= SECANT_MAX_RATIO * abs(step):
+            root = E + secant
+            agree = last_root is not None and (
+                abs(root - last_root) <= SECANT_AGREE_TOL * abs(secant))
+            if abs(secant) <= SECANT_MAX_RATIO * abs(step) or agree:
                 move = secant
-        E_prev, last_step = E, step
+        E_prev, last_step, last_root = E, step, root
         E = E + move
         terms = bw_terms(resolvent, h_delta_of_E, E, psi_c, order)
     ledger = EnergyLedger(

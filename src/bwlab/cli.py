@@ -20,6 +20,7 @@ differences are nonzero (for instance with zero delta coupling).  The
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import replace
@@ -131,7 +132,10 @@ def cmd_scan(args) -> int:
     return EXIT_OK if not failures else EXIT_DEGENERATE
 
 
+@functools.cache
 def build_parser():
+    """The argparse tree, built once per process: parse_args leaves it
+    unchanged, so every main() call reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a config file (INI sections)")
     common.add_argument("--format", choices=("json", "table"), default="table")

@@ -19,10 +19,14 @@ transformed route through F^-1 = D^-1 (S1 + S2) and the partial-fraction
 identity D^-1 = Dc^-1 - dE/(Dc D).
 
 The model oracle diagonalizes the instantaneous-interaction analog
-h1 + h2 + (P_pp - P_mm)(I_c + g); the effective interaction whose BW
-expansion reproduces that spectrum is the ladder-resummed one (each
-propagator segment between instantaneous vertices carries its own
-relative-energy integral), provided here as h_delta2_ladder.
+h1 + h2 + (P_pp - P_mm)(I_c + g), on its unmixed block, which carries its
+whole coupled spectrum; the effective interaction whose BW expansion
+reproduces that spectrum is the ladder-resummed one (each propagator
+segment between instantaneous vertices carries its own relative-energy
+integral).  ladder_perturbation gives the BW perturbation H_D1 + H_D2(E)
+of that ladder as an operator on vectors, through one inverse of the
+unmixed block per E; h_delta2_ladder is the same closed form as a dense
+matrix, and ladder_kernel the geometric-series reference.
 
 Every evaluator uses X_J only applied to v = I_c psi_c and takes that
 vector Xv = X_J v, already built at the energy it uses, so that one run
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import BwlabError, OracleTrackingError
+from .errors import BwlabError, DegenerateDenominatorError, OracleTrackingError
 from .operators import build_HDelta1, free_propagator, inverse_denominator
 
 #: the chain residuals of a ControversyReport, in report order
@@ -173,21 +177,87 @@ def ladder_kernel(spectrum, basis, E, g_delta):
     This is the geometric series summed in closed form; it is the kernel
     whose BW expansion reproduces the instantaneous model oracle.  G~ is
     diagonal, so with A = G~ g the kernel is (1 - A)^-1 A G~: one linear
-    solve and a column scaling.
+    solve and a column scaling.  The reference form of the ladder;
+    ladder_perturbation applies the same kernel on the unmixed block.
     """
     gt = free_propagator(basis, E)
     A = gt[:, None] * np.asarray(g_delta, dtype=float)
     return np.linalg.solve(np.eye(basis.dim) - A, A) * gt
 
 
+def _ladder_block(basis, g_delta):
+    """E -> D_u (E S_u - K)^-1 on the unmixed pairs u, with S = unmixed_sign,
+    D = E - e and K = diag|e_u| + g_uu (symmetric, independent of E).  The
+    unmixed pair denominators are guarded by inverse_denominator; a
+    singular E S_u - K aborts the same way."""
+    u = basis.unmixed_sign != 0
+    e_u = basis.pair_energies()[u]
+    S_u = np.diag(basis.unmixed_sign[u])
+    K = np.diag(np.abs(e_u)) + np.asarray(g_delta, dtype=float)[np.ix_(u, u)]
+
+    def at(E):
+        inverse_denominator(basis, E, u)
+        try:
+            inv = np.linalg.inv(E * S_u - K)
+        except np.linalg.LinAlgError:
+            raise DegenerateDenominatorError(
+                f"singular ladder block E S_u - K at E = {E:.12g}"
+            ) from None
+        return (E - e_u)[:, None] * inv
+
+    return at
+
+
+def ladder_perturbation(basis, I_c, g_delta):
+    """The BW perturbation V(E) = H_D1 + H_D2(E) of the equal-time ladder as
+    an operator: a function of E that returns x -> V(E) x.
+
+    G~ vanishes on mixed pairs, so (1 - G~ g)^-1 is the identity on mixed
+    rows; on the unmixed pairs u, with S = unmixed_sign, D = E - e and
+    e_u = S_u |e_u|, 1 - G~ g = D_u^-1 S_u (E S_u - K).  With y = I_c x,
+
+        V(E) x = scatter_u( D_u (E S_u - K)^-1 y_u ) - P_pp I_c P_pp x:
+
+    the -S y_u of H_D2 cancels against H_D1, and mixed rows are 0.  Each E
+    costs one inverse of the n_u x n_u block and each application a few
+    matrix-vector products; the dim x dim V is never formed.  With either
+    coupling zero H_D2 vanishes and V = H_D1.
+    """
+    if not np.any(I_c) or not np.any(g_delta):
+        apply = build_HDelta1(basis, I_c).__matmul__
+        return lambda E: apply
+    I_c = np.asarray(I_c, dtype=float)
+    dim = basis.dim
+    u, pp = np.flatnonzero(basis.unmixed_sign), np.flatnonzero(basis.unmixed_sign > 0)
+    I_u, I_pp = I_c[u], I_c[np.ix_(pp, pp)]
+    block = _ladder_block(basis, g_delta)
+
+    def at(E):
+        W = block(E)
+
+        def apply(x):
+            out = np.zeros(dim)
+            out[u] = W @ (I_u @ x)
+            out[pp] -= I_pp @ x[pp]
+            return out
+
+        return apply
+
+    return at
+
+
 def h_delta2_ladder(spectrum, basis, E, I_c, g_delta):
     """Effective remainder interaction D (G~ J~ G~) I_c of the equal-time
-    ladder; vanishes identically when either coupling is zero."""
-    dim = basis.dim
+    ladder as a dense matrix, from ladder_perturbation's closed form: on
+    unmixed rows D_u (E S_u - K)^-1 (I_c)_u - S_u (I_c)_u, 0 on mixed rows.
+    Vanishes identically when either coupling is zero."""
+    out = np.zeros((basis.dim, basis.dim))
     if not np.any(I_c) or not np.any(g_delta):
-        return np.zeros((dim, dim))
-    denom = E - basis.pair_energies()
-    return denom[:, None] * (ladder_kernel(spectrum, basis, E, g_delta) @ I_c)
+        return out
+    u = basis.unmixed_sign != 0
+    I_u = np.asarray(I_c, dtype=float)[u]
+    out[u] = _ladder_block(basis, g_delta)(E) @ I_u - basis.unmixed_sign[u][:, None] * I_u
+    return out
 
 
 # -- model oracle --------------------------------------------------------------
@@ -195,16 +265,21 @@ def h_delta2_ladder(spectrum, basis, E, I_c, g_delta):
 
 def model_oracle(spectrum, basis, I_c, g_delta, psi_c, return_vector=False):
     """Exact reference energy: eigenvalue of
-    h1 + h2 + (P_pp - P_mm)(I_c + g) continuously connected to psi_c.
+    H = h1 + h2 + (P_pp - P_mm)(I_c + g) continuously connected to psi_c.
 
-    The operator is real but not symmetric; the state is tracked by
-    overlap with psi_c and the tracked eigenvalue must stay real.
+    H is real but not symmetric.  Its mixed rows are diag(e_m) only, so H is
+    block triangular: its spectrum is the e_m plus that of the unmixed block
+    H_uu, and the eigenvectors of H_uu, padded with zeros, are eigenvectors
+    of H.  eig runs on H_uu alone; the state is tracked by overlap with
+    psi_c, which lives on pp pairs, and the tracked eigenvalue must stay
+    real.
     """
-    H = np.diag(basis.pair_energies()) + basis.unmixed_sign[:, None] * (
+    u = basis.unmixed_sign != 0
+    H = np.diag(basis.pair_energies()[u]) + basis.unmixed_sign[u][:, None] * (
         np.asarray(I_c) + np.asarray(g_delta)
-    )
+    )[np.ix_(u, u)]
     vals, vecs = np.linalg.eig(H)
-    overlaps = np.abs(vecs.conj().T @ psi_c) / np.linalg.norm(vecs, axis=0)
+    overlaps = np.abs(vecs.conj().T @ np.asarray(psi_c)[u]) / np.linalg.norm(vecs, axis=0)
     k = int(np.argmax(overlaps))
     if overlaps[k] ** 2 < 0.5:
         raise OracleTrackingError(
@@ -214,7 +289,8 @@ def model_oracle(spectrum, basis, I_c, g_delta, psi_c, return_vector=False):
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise OracleTrackingError(f"tracked eigenvalue not real: {val}")
     if return_vector:
-        v = np.real(vecs[:, k])
+        v = np.zeros(basis.dim)
+        v[u] = np.real(vecs[:, k])
         return float(val.real), v / np.linalg.norm(v)
     return float(val.real)
 

@@ -7,14 +7,17 @@ with its BW resolvent.  compare and scan reach it through pipeline_core,
 verify through identities.identity_suite.
 
 The BW perturbation is H_D1 + H_D2 with the ladder (equal-time) kernel,
-the resummation consistent with the instantaneous model oracle; the
-convention comparison evaluates the relative-energy (joint) expressions
-exactly as written, with dE = E - E_c taken from the BW solve.  The
-evaluators need the kernel integral only applied to v = I_c psi_c, so the
-run builds X_J v once per energy and route, never the dim x dim X_J.
-pipeline_core, which compare and scan share, builds X_J(E) v on the direct
-and on the S-sum route; run_pipeline (compare) adds X_J(E_c) v for
-dkz-dc-approx and the model oracle, neither of which scan reports.
+the resummation consistent with the instantaneous model oracle, applied
+to vectors on the unmixed block (controversy.ladder_perturbation), so no
+dim x dim V is formed at any BW energy.  The convention comparison
+evaluates the relative-energy (joint) expressions exactly as written,
+with dE = E - E_c taken from the BW solve.  The evaluators need the
+kernel integral only applied to v = I_c psi_c, so the run builds X_J v
+once per energy and route, never the dim x dim X_J.  pipeline_core,
+which compare and scan share, builds X_J(E) v on the direct and on the
+S-sum route; run_pipeline (compare) adds X_J(E_c) v for dkz-dc-approx and
+the model oracle (eig of the unmixed block), neither of which scan
+reports.
 """
 
 from __future__ import annotations
@@ -29,11 +32,11 @@ from .controversy import (
     ControversyReport,
     combined_variant,
     convention_report,
-    h_delta2_ladder,
+    ladder_perturbation,
     model_oracle,
 )
 from .model import build_basis, build_interaction, build_spectrum
-from .operators import build_HDelta1, build_Hc
+from .operators import build_Hc
 from .propagators import xj_matrix, xj_matrix_ssum_route
 
 
@@ -81,14 +84,9 @@ def pipeline_core(cfg: RunConfig) -> PipelineResult:
     report; combined_dkz_dc_approx stays 0 and oracle_energy None."""
     st = reference_state(cfg)
     spectrum, basis, I_c, g_delta = st.spectrum, st.basis, st.I_c, st.g_delta
-    hd1 = build_HDelta1(basis, I_c)
-
-    def h_delta(E):
-        return hd1 + h_delta2_ladder(spectrum, basis, E, I_c, g_delta)
-
     ledger = bw_selfconsistent(
-        st.resolvent, h_delta, st.psi_c, st.E_c, order=cfg.bw_order,
-        max_iter=cfg.bw_max_iter, tol=cfg.bw_tol,
+        st.resolvent, ladder_perturbation(basis, I_c, g_delta), st.psi_c, st.E_c,
+        order=cfg.bw_order, max_iter=cfg.bw_max_iter, tol=cfg.bw_tol,
     )
     E = ledger.E
 

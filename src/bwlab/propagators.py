@@ -177,7 +177,10 @@ def _diagonal_series(pos, pos_up, x, up, order, ssum):
     r = 1.0 / d
     s = np.empty((len(x), n + 1, pos.size))
     s[:, 0] = sign * at
-    s[:, 1:] = sign * r[:, None] * (-r[:, None]) ** np.arange(n)[:, None]
+    s[:, 1] = sign * r
+    neg_r = -r
+    for k in range(2, n + 1):  # sign r (-r)^(k-1) as a running product
+        s[:, k] = s[:, k - 1] * neg_r
     s1, s2 = s[..., :npairs], s[..., npairs:]
     if ssum:
         return (s1 + s2)[:, :n], m

@@ -52,3 +52,11 @@ def energy_away_from_poles(rng, spectrum, lo=-4.0, hi=6.0, min_gap=0.3):
         E = float(rng.uniform(lo, hi))
         if all(abs(E - s) > min_gap for s in sums):
             return E
+
+
+def jittered_dim36():
+    """3 + 3 levels with the jitter of the benchmark's compare spectrum."""
+    rng = np.random.default_rng([0, 3])
+    pos = [1.0 + 0.5 * k + rng.uniform(0.0, 0.1) for k in range(3)]
+    neg = [-1.0 - 0.5 * k - rng.uniform(0.0, 0.1) for k in range(3)]
+    return ModelConfig(positive_energies=tuple(pos), negative_energies=tuple(neg))

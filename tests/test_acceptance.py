@@ -157,7 +157,7 @@ def test_criterion_5_bw_correctness():
     H_c = np.diag([0.0, 1.0])
     V = np.array([[0.0, 0.1], [0.1, 0.0]])
     psi = np.array([1.0, 0.0])
-    led = bw_selfconsistent(Resolvent(H_c, psi), lambda _: V, psi, 0.0, order=2)
+    led = bw_selfconsistent(Resolvent(H_c, psi), lambda _: V.__matmul__, psi, 0.0, order=2)
     exact = (1.0 - math.sqrt(1.04)) / 2.0
     err22 = abs(led.E - exact)
 

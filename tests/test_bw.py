@@ -10,17 +10,18 @@ from bwlab import (
     Resolvent,
     build_basis,
     build_D,
-    build_HDelta1,
     build_Hc,
     build_interaction,
     build_spectrum,
     bw_selfconsistent,
     bw_terms,
-    h_delta2_ladder,
     projectors,
     solve_no_pair,
 )
+from bwlab.bw import SECANT_MAX_RATIO
+from bwlab.controversy import ladder_perturbation
 from bwlab.model import SingleParticleSpectrum
+from conftest import jittered_dim36
 
 # 2x2 reference model: H = [[0, v], [v, 1]] with v = 0.1; the lowest
 # eigenvalue solves E^2 - E - v^2 = 0.
@@ -137,7 +138,7 @@ def test_bw_terms_two_level():
     H_c, V, psi = two_level()
     r = Resolvent(H_c, psi)
     E = TWO_LEVEL_EXACT
-    t = bw_terms(r, lambda _: V, E, psi, 3)
+    t = bw_terms(r, lambda _: V.__matmul__, E, psi, 3)
     assert t[0] == pytest.approx(0.0, abs=1e-15)
     assert t[1] == pytest.approx(0.01 / (E - 1.0), rel=1e-12)
     assert t[2] == pytest.approx(0.0, abs=1e-15)
@@ -148,7 +149,7 @@ def test_bw_terms_zero_perturbation(dim4):
     H = build_Hc(spectrum, basis, I_c)
     _, psi = solve_no_pair(H, basis.pattern_indices("pp"))
     r = Resolvent(H, psi)
-    t = bw_terms(r, lambda _: np.zeros((4, 4)), 2.4, psi, 3)
+    t = bw_terms(r, lambda _: np.zeros((4, 4)).__matmul__, 2.4, psi, 3)
     assert t == [0.0, 0.0, 0.0]
 
 
@@ -156,13 +157,13 @@ def test_bw_terms_rejects_high_order():
     H_c, V, psi = two_level()
     r = Resolvent(H_c, psi)
     with pytest.raises(ValueError):
-        bw_terms(r, lambda _: V, 0.0, psi, 4)
+        bw_terms(r, lambda _: V.__matmul__, 0.0, psi, 4)
 
 
 def test_bw_selfconsistent_zero_perturbation():
     H_c, _, psi = two_level()
     r = Resolvent(H_c, psi)
-    led = bw_selfconsistent(r, lambda _: np.zeros((2, 2)), psi, 0.0)
+    led = bw_selfconsistent(r, lambda _: np.zeros((2, 2)).__matmul__, psi, 0.0)
     assert led.E == 0.0
     assert led.iterations == 1
     assert led.deltaE == 0.0
@@ -173,7 +174,7 @@ def test_bw_selfconsistent_two_level_exact():
     E = v^2/(E-1) has the exact lowest root."""
     H_c, V, psi = two_level()
     r = Resolvent(H_c, psi)
-    led = bw_selfconsistent(r, lambda _: V, psi, 0.0, order=2)
+    led = bw_selfconsistent(r, lambda _: V.__matmul__, psi, 0.0, order=2)
     assert led.E == pytest.approx(TWO_LEVEL_EXACT, abs=1e-10)
     assert led.deltaE == led.E - led.E_c
     assert led.residual < 1e-12
@@ -196,7 +197,7 @@ def test_bw_truncation_error_slopes():
         for lam in lams:
             V = lam * M
             exact = np.linalg.eigvalsh(H0 + V)[0]
-            led = bw_selfconsistent(r, lambda _: V, psi, 0.0, order=order)
+            led = bw_selfconsistent(r, lambda _: V.__matmul__, psi, 0.0, order=order)
             errs.append(abs(led.E - exact))
         slope = np.polyfit(np.log(lams), np.log(errs), 1)[0]
         assert abs(slope - (order + 1)) < 0.15
@@ -206,7 +207,7 @@ def test_bw_nonconvergence_carries_last():
     H_c, V, psi = two_level()
     r = Resolvent(H_c, psi)
     with pytest.raises(ConvergenceError) as err:
-        bw_selfconsistent(r, lambda _: V, psi, 0.0, order=2, max_iter=2)
+        bw_selfconsistent(r, lambda _: V.__matmul__, psi, 0.0, order=2, max_iter=2)
     assert err.value.last is not None
     assert err.value.last.iterations == 2
 
@@ -221,14 +222,6 @@ def deflated_dense_solve(H_c, psi, E, v):
     return Q @ np.linalg.solve(E * np.eye(n) - H_c + np.outer(psi, psi), Q @ v)
 
 
-def jittered_dim36():
-    """3 + 3 levels with the jitter of the benchmark's compare spectrum."""
-    rng = np.random.default_rng([0, 3])
-    pos = [1.0 + 0.5 * k + rng.uniform(0.0, 0.1) for k in range(3)]
-    neg = [-1.0 - 0.5 * k - rng.uniform(0.0, 0.1) for k in range(3)]
-    return ModelConfig(positive_energies=tuple(pos), negative_energies=tuple(neg))
-
-
 def reference_problem(config):
     """(H_c, psi_c, E_c, h_delta) of the pipeline's BW solve for config."""
     spectrum = build_spectrum(config)
@@ -237,12 +230,7 @@ def reference_problem(config):
     g = build_interaction(config, "delta")
     H_c = build_Hc(spectrum, basis, I_c)
     E_c, psi = solve_no_pair(H_c, basis.pattern_indices("pp"))
-    hd1 = build_HDelta1(basis, I_c)
-
-    def h_delta(E):
-        return hd1 + h_delta2_ladder(spectrum, basis, E, I_c, g)
-
-    return H_c, psi, E_c, h_delta
+    return H_c, psi, E_c, ladder_perturbation(basis, I_c, g)
 
 
 RESOLVENT_FIXTURES = {
@@ -327,26 +315,20 @@ def test_bw_secant_reaches_plain_fixed_point(name):
 
 
 def test_bw_secant_fallback_to_plain_steps():
-    """With Delta E(E) = c + 0.9 (E - E_c) the secant step is ten plain steps
-    long, so every step is the plain one: the result equals the plain
-    iteration exactly."""
+    """With Delta E(E) = c + s (E - E_c) the secant step is 1 / (1 - s)
+    plain steps long: 5, 10 and 20 here, past SECANT_MAX_RATIO.  The first
+    one falls back to the plain step; the next secant step predicts the same
+    root, so it is taken and lands on c / (1 - s)."""
     H_c, _, psi = two_level()
     r = Resolvent(H_c, psi)
-    c = 1e-4
-
-    def h_delta(E):
-        return np.diag([c + 0.9 * E, 0.0])
-
-    led = bw_selfconsistent(r, h_delta, psi, 0.0, order=1, tol=1e-12)
-    E = 0.0
-    for it in range(1, 500):
-        step = c + 0.9 * E - E
-        if abs(step) < 1e-12:
-            break
-        E += step
-    assert led.iterations == it
-    assert led.E == c + 0.9 * E
-    assert abs(led.E - 10 * c) < 1e-10
+    c, tol = 1e-4, 1e-12
+    for s in (0.8, 0.9, 0.95):
+        assert 1.0 / (1.0 - s) > SECANT_MAX_RATIO
+        led = bw_selfconsistent(r, lambda E: np.diag([c + s * E, 0.0]).__matmul__,
+                                psi, 0.0, order=1, tol=tol)
+        assert abs(led.E - c / (1.0 - s)) <= tol
+        assert led.iterations <= 8
+        assert led.residual <= tol
 
 
 def test_bw_secant_max_iter_carries_last(dim4_config):

@@ -484,3 +484,67 @@ def test_cli_compare_table_has_no_verdict(tmp_path, capsys):
     code, out = run_cli(capsys, ["compare", "--config", str(path)])
     assert code == 0
     assert "verdict" not in out and "PASS" not in out
+
+
+def test_cli_parser_built_once(tmp_path, capsys):
+    """main() reuses one parser: successive commands print and return what
+    runs on a freshly built parser do, and a bad flag still exits 2."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    runs = [["verify", "--config", str(path), "--format", "json"],
+            ["compare", "--config", str(path), "--format", "json", "--seed", "3"],
+            ["scan", "--config", str(path), "--format", "json"],
+            ["compare", "--config", str(path), "--format", "table"]]
+
+    def outcome(argv):
+        code, out = run_cli(capsys, argv)
+        if "json" in argv:
+            report = json.loads(out)
+            del report["timings_ms"]
+            out = json.dumps(report, sort_keys=True)
+        else:
+            out = out.split("timings [ms]")[0]
+        return code, out
+
+    fresh = []
+    for argv in runs:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    parser = build_parser()
+    assert [outcome(argv) for argv in runs] == fresh
+    assert build_parser() is parser
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert build_parser() is parser
+    assert outcome(runs[1]) == fresh[1]
+
+
+def test_cli_compare_degenerate_pair_exit3(tmp_path, capsys):
+    """With a strong delta coupling the BW iteration reaches the pp pair
+    energy 2 of the dim-4 model: the unmixed pair-denominator guard aborts."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text() + "[interaction.delta]\nscale = 3\n")
+    code = main(["compare", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "degenerate denominator: degenerate pair denominator at E = 2, pair index(es) [0]"]
+
+
+def test_cli_compare_singular_ladder_block_exit3(tmp_path, capsys):
+    """E_c = 2 + 0.5 with g_pp,pp = 0.5 and g zero across the pp and mm
+    pairs: E S_u - K has a zero row and column at E = E_c, where BW starts."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(
+        dim4_text()
+        + "[interaction.coulomb]\nscale = 1\nmatrix = 0.5 0 0 0; 0 0 0 0; 0 0 0 0; 0 0 0 0\n"
+        + "[interaction.delta]\nscale = 1\nmatrix = 0.5 0 0 0; 0 0 0 0; 0 0 0 0; 0 0 0 0.25\n"
+    )
+    code = main(["compare", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "degenerate denominator: singular ladder block E S_u - K at E = 2.5"]

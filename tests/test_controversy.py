@@ -24,8 +24,9 @@ from bwlab import (
     sandwich_integral,
     solve_no_pair,
 )
-from bwlab.controversy import fit_power_law
-from bwlab.operators import build_D
+from bwlab.controversy import fit_power_law, ladder_kernel, ladder_perturbation
+from bwlab.operators import build_D, build_HDelta1
+from conftest import energy_away_from_poles, jittered_dim36
 from bwlab.propagators import xj_matrix, xj_matrix_ssum_route
 
 
@@ -195,6 +196,50 @@ def test_h_delta2_routes_zero_couplings(dim4, settings):
     zero = np.zeros((4, 4))
     assert not np.any(h_delta2_ladder(spectrum, basis, 2.1, zero, g))
     assert not np.any(h_delta2_ladder(spectrum, basis, 2.1, I_c, zero))
+
+
+#: the last one's delta coupling is strong enough that K = diag|e_u| + g_uu
+#: is indefinite
+LADDER_CASES = {
+    "dim4": ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
+                        coulomb_scale=0.1, delta_scale=0.05),
+    "dim9 random-symmetric": ModelConfig(
+        positive_energies=(1.0, 1.5), negative_energies=(-1.2,),
+        coulomb_matrix="random-symmetric", delta_matrix="random-symmetric", seed=4),
+    "jittered dim36": jittered_dim36(),
+    "dim9 indefinite K": ModelConfig(
+        positive_energies=(1.0, 1.5), negative_energies=(-1.2,),
+        coulomb_matrix="random-symmetric", delta_matrix="random-symmetric",
+        delta_scale=3.0, seed=5),
+}
+
+
+@pytest.mark.parametrize("name", list(LADDER_CASES))
+def test_ladder_operator_matches_dense_forms(name):
+    """V(E) x from the unmixed-block operator equals H_D1 x plus the dense
+    h_delta2_ladder x and plus D (ladder_kernel I_c x), the geometric-series
+    reference."""
+    config = LADDER_CASES[name]
+    spectrum = build_spectrum(config)
+    basis = build_basis(spectrum)
+    I_c = build_interaction(config, "coulomb")
+    g = build_interaction(config, "delta")
+    u = basis.unmixed_sign != 0
+    K = np.diag(np.abs(basis.pair_energies()[u])) + g[np.ix_(u, u)]
+    assert (np.linalg.eigvalsh(K)[0] < 0.0) == (name == "dim9 indefinite K")
+    hd1 = build_HDelta1(basis, I_c)
+    V = ladder_perturbation(basis, I_c, g)
+    rng = np.random.default_rng(basis.dim)
+    for _ in range(3):
+        E = energy_away_from_poles(rng, spectrum)
+        apply = V(E)
+        dense = h_delta2_ladder(spectrum, basis, E, I_c, g)
+        kernel = ladder_kernel(spectrum, basis, E, g)
+        D = E - basis.pair_energies()
+        for x in rng.normal(size=(3, basis.dim)):
+            got = apply(x)
+            for want in (hd1 @ x + dense @ x, hd1 @ x + D * (kernel @ (I_c @ x))):
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_pipeline_identity_residuals(dim4_config, settings):

@@ -14,6 +14,7 @@ from bwlab import (
     build_interaction,
     build_spectrum,
     contour_integral_Finv,
+    dirac_like_energies,
     model_oracle,
     predicted_discrepancy,
     projectors,
@@ -209,7 +210,57 @@ def test_masks_match_dense_projectors(case, monkeypatch):
     except OracleTrackingError:
         pass  # the operator was built; tracking is not what is checked here
     assert len(seen) == 1
-    assert_bitwise(seen[0], pair + (p.pp - p.mm) @ (I_c + g))
+    unmixed = np.flatnonzero(np.diag(p.pp + p.mm))
+    assert_bitwise(seen[0], (pair + (p.pp - p.mm) @ (I_c + g))[np.ix_(unmixed, unmixed)])
+
+
+def full_oracle(basis, I_c, g, psi_c):
+    """The model oracle with eig on the whole operator: (value, state) of
+    the tracked eigenvalue, or the OracleTrackingError message."""
+    H = np.diag(basis.pair_energies()) + basis.unmixed_sign[:, None] * (I_c + g)
+    vals, vecs = np.linalg.eig(H)
+    overlaps = np.abs(vecs.conj().T @ psi_c) / np.linalg.norm(vecs, axis=0)
+    k = int(np.argmax(overlaps))
+    if overlaps[k] ** 2 < 0.5:
+        return "ambiguous"
+    if abs(vals[k].imag) > 1e-10 * max(1.0, abs(vals[k].real)):
+        return "not real"
+    v = np.real(vecs[:, k])
+    return vals[k].real, v / np.linalg.norm(v)
+
+
+def oracle_cases():
+    """(name, spectrum, I_c, g): the mask cases with their couplings scaled
+    by 1/2, 3 and 10, the dim-4 fixture and the shipped default spectrum."""
+    out = [(f"{name} x{k}", spectrum, k * I_c, k * g)
+           for name, spectrum, I_c, g in mask_cases() for k in (0.5, 3.0, 10.0)]
+    for name, config in (("dim4", ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,))),
+                         ("default", ModelConfig(*dirac_like_energies()))):
+        out.append((name, build_spectrum(config), build_interaction(config, "coulomb"),
+                    build_interaction(config, "delta")))
+    return out
+
+
+@pytest.mark.parametrize("case", oracle_cases(), ids=lambda c: c[0])
+def test_model_oracle_unmixed_block_tracks_full_eig(case):
+    """eig on the unmixed block tracks the eigenvalue (and state) that eig
+    on the whole block-triangular operator tracks, or fails the same way.
+    The one exception: at strong coupling, the full eig's best overlap can
+    be an eigenvector of a bare mixed-pair energy e_m, which does not move
+    with the coupling and so is not psi_c's continuation; the unmixed block
+    has no such eigenvector and its tracking fails instead."""
+    _, spectrum, I_c, g = case
+    basis = build_basis(spectrum)
+    _, psi_c = solve_no_pair(build_Hc(spectrum, basis, I_c), basis.pattern_indices("pp"))
+    want = full_oracle(basis, I_c, g, psi_c)
+    mixed_energies = basis.pair_energies()[basis.unmixed_sign == 0]
+    if isinstance(want, str) or np.any(mixed_energies == want[0]):
+        with pytest.raises(OracleTrackingError, match=want if isinstance(want, str) else None):
+            model_oracle(spectrum, basis, I_c, g, psi_c)
+        return
+    val, vec = model_oracle(spectrum, basis, I_c, g, psi_c, return_vector=True)
+    assert abs(val - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
+    assert abs(abs(vec @ want[1]) - 1.0) <= 1e-12
 
 
 # -- the one guarded pair denominator --------------------------------------------

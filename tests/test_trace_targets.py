@@ -46,6 +46,8 @@ def test_traced_pipeline_reaches_each_layer(spans, dim4_config, settings):
     counts = tracer.summary(mark)["counts"]
     assert counts["bw.iterations"] > 0
     assert counts["bw.resolvent_solves"] > 0
-    assert counts["controversy.ladder_calls"] == counts["bw.iterations"] + 1
+    # the BW loop applies the ladder on the unmixed block; the dense
+    # geometric-series kernel is a reference only, never built in a run
+    assert counts["controversy.ladder_calls"] == 0
     assert counts["propagators.xj_builds"] == 2
     assert counts["propagators.xj_ssum_builds"] == 1

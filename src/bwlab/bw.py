@@ -10,19 +10,27 @@ f(E) = E_c + Delta E(E) - E.  It is found by a safeguarded secant
 iteration that falls back on the plain (or damped) fixed-point step
 E <- E_c + Delta E(E).  V enters only applied to vectors: the caller
 passes a function of E that returns the operator x -> V(E) x, and no
-dense V is required.  G is applied spectrally: the eigendecomposition of
-the deflated H_c is taken once per reference state, so each application
-costs two matrix-vector products.  Orders above three are rejected rather
-than extrapolated.
+dense V is required.  G is applied spectrally: H_c is a symmetric block
+plus a diagonal, and the eigendecomposition of the block, taken once by
+the no-pair solve, gives G_Q at every E at the cost of two matrix-vector
+products per application.  Orders above three are rejected rather than
+extrapolated.
+
+Every array may carry leading stack axes: a stack of problems on one basis
+is evaluated in one batched numpy pass, with E one energy per problem.
+bw_lockstep runs the secant iterations of a stack in lock-step, one stacked
+term evaluation per round; bw_selfconsistent is its stack of one.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateDenominatorError
+from .errors import BwlabError, ConvergenceError, DegenerateDenominatorError
 
 MAX_ORDER = 3
 
@@ -53,127 +61,158 @@ class EnergyLedger:
 
 def solve_no_pair(H_c, pp_indices, state_index=0):
     """Diagonalize the doubly-positive block of H_c and embed the selected
-    eigenvector (ascending order; default the lowest) in the full space."""
-    pp = list(pp_indices)
-    if not pp:
+    eigenvector (ascending order; default the lowest) in the full space.
+
+    H_c is h1 + h2 + P_pp I_c P_pp: symmetric on the pp block and diagonal
+    outside it; a stack of them on one basis, along leading axes, is
+    diagonalized in one stacked eigh.  Returns (E_c, psi_c, resolvent), the
+    resolvent about psi_c built from the same eigenpairs.
+    """
+    pp = np.array(pp_indices, dtype=int)
+    if not pp.size:
         raise ValueError("empty doubly-positive subspace")
-    if not 0 <= state_index < len(pp):
-        raise ValueError(f"state_index {state_index} outside the {len(pp)}-dim block")
-    block = np.asarray(H_c)[np.ix_(pp, pp)]
-    vals, vecs = np.linalg.eigh(block)
-    E_c = float(vals[state_index])
-    psi = np.zeros(H_c.shape[0])
-    psi[pp] = vecs[:, state_index]
-    psi /= np.linalg.norm(psi)
-    return E_c, psi
+    if not 0 <= state_index < pp.size:
+        raise ValueError(f"state_index {state_index} outside the {pp.size}-dim block")
+    H_c = np.asarray(H_c, dtype=float)
+    vals, vecs = np.linalg.eigh(H_c[..., pp[:, None], pp])
+    E_c = vals[..., state_index]
+    psi = np.zeros(H_c.shape[:-1])
+    psi[..., pp] = vecs[..., state_index]
+    psi /= np.sqrt(_inner(psi, psi))[..., None]
+    diag = np.diagonal(H_c, axis1=-2, axis2=-1).copy()
+    return E_c, psi, Resolvent(diag, pp, vals, vecs, state_index)
 
 
 class Resolvent:
-    """G_Q(E) = Q (E - H_c)^-1 Q for a fixed reference state.
+    """G_Q(E) = Q (E - H_c)^-1 Q for a fixed reference state, or a stack of
+    them on one basis.
 
-    The reference direction is shifted out of the operator, so that it stays
-    invertible near E = E_c: G_Q(E) = Q (E - H_d)^-1 Q with the deflated
-    H_d = H_c - |psi_c><psi_c| (+1 on the reference mode of E - H_c).
-    __init__ diagonalizes H_d once, H_d = U diag(w) U^T, and keeps QU, so
+    H_c is symmetric on the coordinates `block`, with eigenpairs (vals, vecs)
+    there, and diagonal (diag) elsewhere; psi_c is the eigenvector `ref` of
+    the block.  So the eigenvectors of H_c are the block's and unit vectors
+    elsewhere, the columns of Z, and Q removes exactly the reference column:
 
-        G_Q(E) = QU diag(1 / (E - w)) QU^T
+        G_Q(E) = Z diag(1 / (E - w)) Z^T,  the weight of psi_c set to 0,
 
-    and apply() costs O(dim^2), matrix() one matrix product.  This is the
-    spectral form of the deflated dense solve, exact whether or not
-    eigenvalues of H_c are degenerate.  The eigenvalues of H_c other than the
-    reference one (those of H_d without its reference mode) guard against E
-    hitting the complementary spectrum.
+    exact whether or not eigenvalues of H_c are degenerate; an application
+    costs two matrix-vector products.  The eigenvalues of H_c other than the
+    reference one, `complement`, guard against E hitting the complementary
+    spectrum; the guard runs once per E, in at(E).  restrict(cols) is the
+    same operator on a subset of the coordinates that holds the block (an
+    invariant subspace), and keeps the whole guard.
     """
 
-    def __init__(self, H_c, psi_c):
-        self.H_c = np.asarray(H_c, dtype=float)
-        self.psi = np.asarray(psi_c, dtype=float)
-        vals, vecs = np.linalg.eigh(self.H_c - np.outer(self.psi, self.psi))
-        overlaps = np.abs(vecs.T @ self.psi)
-        self._ref = int(np.argmax(overlaps))
-        self._q_evals = np.delete(vals, self._ref)
-        self._evals = vals
-        self._qvecs = vecs - np.outer(self.psi, self.psi @ vecs)
+    def __init__(self, diag, block, vals, vecs, ref):
+        self.diag = np.asarray(diag, dtype=float)
+        self.block = np.asarray(block, dtype=int)
+        self.vals = np.asarray(vals, dtype=float)
+        self.vecs = np.asarray(vecs, dtype=float)
+        self.ref = ref
+        rest = np.ones(self.diag.shape[-1], dtype=bool)
+        rest[self.block] = False
+        self.complement = np.concatenate(
+            [np.delete(self.vals, ref, axis=-1), self.diag[..., rest]], axis=-1)
+
+    def _replace(self, **arrays):
+        new = copy.copy(self)
+        new.__dict__.pop("_modes", None)
+        new.__dict__.update(arrays)
+        return new
+
+    def take(self, items):
+        """The resolvents `items` (an index or an index array) of a stack."""
+        return self._replace(diag=self.diag[items], vals=self.vals[items],
+                             vecs=self.vecs[items], complement=self.complement[items])
+
+    def restrict(self, cols):
+        """The operator on the coordinates cols (sorted; they hold the block)."""
+        return self._replace(diag=self.diag[..., cols], block=np.searchsorted(cols, self.block))
+
+    @functools.cached_property
+    def _modes(self):
+        """(Z, levels): the eigenvectors of H_c as the columns of Z and their
+        eigenvalues, inf for psi_c's, so that 1 / (E - levels) is its weight."""
+        n = self.diag.shape[-1]
+        Z = np.zeros(self.diag.shape + (n,))
+        Z[..., np.arange(n), np.arange(n)] = 1.0
+        Z[..., self.block[:, None], self.block] = self.vecs
+        levels = self.diag.copy()
+        levels[..., self.block] = self.vals
+        levels[..., self.block[self.ref]] = np.inf
+        return Z, levels
 
     def _check(self, E):
-        if self._q_evals.size:
-            gap = np.min(np.abs(E - self._q_evals))
-            if gap < RESOLVENT_GUARD_TOL * max(1.0, abs(E)):
-                raise DegenerateDenominatorError(
-                    f"E = {E:.12g} hits the complementary spectrum (gap {gap:.3e})"
-                )
+        gap = np.abs(E[..., None] - self.complement).min(axis=-1, initial=np.inf)
+        bad = gap < RESOLVENT_GUARD_TOL * np.maximum(1.0, np.abs(E))
+        if bad.any():
+            k = np.argmax(bad)
+            raise DegenerateDenominatorError(
+                f"E = {E.flat[k]:.12g} hits the complementary spectrum (gap {gap.flat[k]:.3e})"
+            )
 
-    def _inverse_gaps(self, E):
-        """1 / (E - w) after the guard.  The reference mode is psi_c itself
-        (Q removes it) unless its eigenvalue w_ref = E_c - 1 is degenerate,
-        and then the guard fires near w_ref; so where E meets w_ref exactly,
-        its weight is set to 0 instead of dividing by zero."""
+    def at(self, E):
+        """The operator v -> G_Q(E) v, after the guard; E and v broadcast
+        over the stack axes."""
+        E = np.asarray(E, dtype=float)
         self._check(E)
-        gaps = E - self._evals
-        if gaps[self._ref] == 0.0:
-            gaps[self._ref] = np.inf
-        return 1.0 / gaps
+        Z, levels = self._modes
+        weights = (1.0 / (E[..., None] - levels))[..., None, :]
+        Z_t = Z.swapaxes(-1, -2)
+        return lambda v: (((np.asarray(v, dtype=float)[..., None, :] @ Z) * weights) @ Z_t)[..., 0, :]
 
     def apply(self, E, v):
-        coef = (self._qvecs.T @ np.asarray(v, dtype=float)) * self._inverse_gaps(E)
-        return self._qvecs @ coef
+        return self.at(E)(v)
 
     def matrix(self, E):
-        return (self._qvecs * self._inverse_gaps(E)) @ self._qvecs.T
+        """G_Q(E) as a dense matrix (one resolvent, scalar E)."""
+        return self.at(E)(np.eye(self.diag.shape[-1]))
+
+
+def _inner(a, b):
+    """<a|b> over the last axis, per stack item."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def bw_terms(resolvent: Resolvent, h_delta_of_E, E, psi_c, order):
-    """[Delta E^(1) .. Delta E^(order)] with the perturbation evaluated at E.
+    """[Delta E^(1) .. Delta E^(order)] with the perturbation evaluated at E,
+    an array with the terms along its last axis.
 
     h_delta_of_E(E) returns the operator at E: a callable that applies the
     (generally nonsymmetric) perturbation V(E) to a vector, for instance
-    V.__matmul__ of a fixed matrix.  Delta E^(n) = <psi| V (G V)^(n-1) |psi>.
+    V.__matmul__ of a fixed matrix, or to a stack of vectors (..., n) when
+    E and psi_c are stacks.  Delta E^(n) = <psi| V (G V)^(n-1) |psi>.
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
     V = h_delta_of_E(E)
     psi = np.asarray(psi_c, dtype=float)
-    terms = []
     r = V(psi)
-    terms.append(float(psi @ r))
-    for _ in range(order - 1):
-        r = V(resolvent.apply(E, r))
-        terms.append(float(psi @ r))
-    return terms
+    terms = [_inner(psi, r)]
+    if order > 1:
+        G = resolvent.at(E)
+        for _ in range(order - 1):
+            r = V(G(r))
+            terms.append(_inner(psi, r))
+    return np.array(terms).T
 
 
-def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=3,
-                      max_iter=200, tol=1e-12):
-    """Root of f(E) = E_c + sum_n Delta E^(n)(E) - E, starting at E = E_c.
-
-    Each iteration evaluates f once.  From the second iteration on, the step
-    is the secant step through the last two evaluations, -f (E - E_prev) /
-    (f - f_prev).  The plain fixed-point step E <- E_c + sum_n Delta E^(n)(E)
-    (step f) is taken instead on the first iteration, when the secant step
-    is undefined (f == f_prev), or when it is more than SECANT_MAX_RATIO
-    plain steps long, unless the previous iteration's secant step predicted
-    the same root to within SECANT_AGREE_TOL of the step: f is then close
-    to linear over the last three evaluations, and the long step is taken
-    (near dSum Delta E/dE = 1 the root is many plain steps away).  The plain
-    step is damped on oscillation (sign-flipping values of f that do not
-    shrink): the damping halves, starting at 1/2, floor 1/64.  The
-    iteration stops when |f| falls below tol * max(1, |E_c|); E is then set
-    to E_c + sum_n Delta E^(n)(E) and the terms are evaluated once more
-    there, and residual is |f| at that E.
-    """
+def _secant(E_c, max_iter, tol):
+    """The root search of one problem: a generator that yields each E where
+    it needs the terms, receives them (a list), and returns the EnergyLedger
+    or raises ConvergenceError.  The rule is bw_selfconsistent's."""
     scale_tol = tol * max(1.0, abs(E_c))
-    E = float(E_c)
+    E = E_c
     damping = 1.0
     last_step = None
     E_prev = None
     last_root = None
-    terms = bw_terms(resolvent, h_delta_of_E, E, psi_c, order)
+    terms = yield E
     for it in range(1, max_iter + 1):
         target = E_c + sum(terms)
         step = target - E
         if abs(step) < scale_tol:
             E = target
-            terms = bw_terms(resolvent, h_delta_of_E, E, psi_c, order)
+            terms = yield E
             residual = abs(E - (E_c + sum(terms)))
             return EnergyLedger(
                 E_c=E_c, dE=terms, E=E, deltaE=E - E_c,
@@ -192,7 +231,7 @@ def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=3,
                 move = secant
         E_prev, last_step, last_root = E, step, root
         E = E + move
-        terms = bw_terms(resolvent, h_delta_of_E, E, psi_c, order)
+        terms = yield E
     ledger = EnergyLedger(
         E_c=E_c, dE=terms, E=E, deltaE=E - E_c, iterations=max_iter,
         residual=abs(E - (E_c + sum(terms))),
@@ -202,3 +241,90 @@ def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=3,
         f"(last residual {ledger.residual:.3e})",
         last=ledger,
     )
+
+
+def _evaluate_each(select, evaluate, items, E):
+    """Per item, its terms (a list) at E or the BwlabError its evaluation
+    raises.  The stack is evaluated at once; only when that raises is each
+    item evaluated alone, so a guard fails exactly the items that hit it."""
+    try:
+        return evaluate(E).tolist()
+    except BwlabError as exc:
+        if len(items) == 1:
+            return [exc]
+    rows = []
+    for k in range(len(items)):
+        try:
+            rows.append(select(items[k:k + 1])(E[k:k + 1])[0].tolist())
+        except BwlabError as exc:
+            rows.append(exc)
+    return rows
+
+
+def bw_lockstep(select, E_c, max_iter=200, tol=1e-12):
+    """The BW roots of a stack of problems, found in lock-step.
+
+    Problem i starts at E_c[i] and follows bw_selfconsistent's secant rule.
+    select(items) returns the stacked term evaluation of the problems
+    `items` (an index array): a function of their energies E that returns
+    their terms, shape (len(items), order), and raises a BwlabError when an
+    item hits a guard.  Each round evaluates every problem still iterating
+    once; select is called again only when that set changes.  Returns, per
+    problem, its EnergyLedger or the BwlabError (a guard's, or
+    ConvergenceError) that solving it alone raises.  Any other exception
+    propagates.
+    """
+    searches = [_secant(float(e), max_iter, tol) for e in E_c]
+    E = [next(s) for s in searches]
+    outcomes = [None] * len(searches)
+    items, selected, evaluate = list(range(len(searches))), None, None
+    while items:
+        if items != selected:
+            selected, evaluate = items, select(np.array(items))
+        going = []
+        rows = _evaluate_each(select, evaluate, np.array(items), np.array([E[i] for i in items]))
+        for i, row in zip(items, rows):
+            if isinstance(row, BwlabError):
+                outcomes[i] = row
+                continue
+            try:
+                E[i] = searches[i].send(row)
+            except StopIteration as done:
+                outcomes[i] = done.value
+            except ConvergenceError as exc:
+                outcomes[i] = exc
+            else:
+                going.append(i)
+        items = going
+    return outcomes
+
+
+def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=3,
+                      max_iter=200, tol=1e-12):
+    """Root of f(E) = E_c + sum_n Delta E^(n)(E) - E, starting at E = E_c,
+    for one problem: the stack of one of bw_lockstep.
+
+    Each iteration evaluates f once.  From the second iteration on, the step
+    is the secant step through the last two evaluations, -f (E - E_prev) /
+    (f - f_prev).  The plain fixed-point step E <- E_c + sum_n Delta E^(n)(E)
+    (step f) is taken instead on the first iteration, when the secant step
+    is undefined (f == f_prev), or when it is more than SECANT_MAX_RATIO
+    plain steps long, unless the previous iteration's secant step predicted
+    the same root to within SECANT_AGREE_TOL of the step: f is then close
+    to linear over the last three evaluations, and the long step is taken
+    (near dSum Delta E/dE = 1 the root is many plain steps away).  The plain
+    step is damped on oscillation (sign-flipping values of f that do not
+    shrink): the damping halves, starting at 1/2, floor 1/64.  The
+    iteration stops when |f| falls below tol * max(1, |E_c|); E is then set
+    to E_c + sum_n Delta E^(n)(E) and the terms are evaluated once more
+    there, and residual is |f| at that E.
+    """
+    psi = np.asarray(psi_c, dtype=float)
+
+    def evaluate(E):
+        return bw_terms(resolvent, h_delta_of_E, float(E[0]), psi, order)[None]
+
+    (outcome,) = bw_lockstep(lambda items: evaluate, [E_c], max_iter, tol)
+    if isinstance(outcome, BwlabError):
+        raise outcome
+    return outcome

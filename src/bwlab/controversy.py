@@ -40,12 +40,12 @@ decides that once and keeps the all-zero ControversyReport().
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BwlabError, DegenerateDenominatorError, OracleTrackingError
-from .operators import build_HDelta1, free_propagator, inverse_denominator
+from .operators import DEGENERACY_TOL, build_HDelta1, free_propagator, inverse_denominator
 
 #: the chain residuals of a ControversyReport, in report order
 CHAIN_RESIDUALS = ("E2b_vs_E2b2", "chain_sum", "central_claim", "Dm1_route")
@@ -185,61 +185,90 @@ def ladder_kernel(spectrum, basis, E, g_delta):
     return np.linalg.solve(np.eye(basis.dim) - A, A) * gt
 
 
+def _block(A, idx):
+    """The idx x idx block of A, or of every matrix of a stack, C-contiguous
+    (an index on the trailing axes of a stack is not, and matmul then sums
+    a stack item in another order than the same matrix alone)."""
+    return A.take(idx, axis=-2).take(idx, axis=-1)
+
+
 def _ladder_block(basis, g_delta):
-    """E -> D_u (E S_u - K)^-1 on the unmixed pairs u, with S = unmixed_sign,
+    """E -> (D_u, (E S_u - K)^-1) on the unmixed pairs u, with S = unmixed_sign,
     D = E - e and K = diag|e_u| + g_uu (symmetric, independent of E).  The
-    unmixed pair denominators are guarded by inverse_denominator; a
-    singular E S_u - K aborts the same way."""
+    unmixed pair denominators are guarded as inverse_denominator guards
+    them; a singular E S_u - K aborts the same way.  g_delta and E may be
+    stacks (one coupling and energy per item): one batched inverse."""
     u = basis.unmixed_sign != 0
+    ui = np.flatnonzero(u)
     e_u = basis.pair_energies()[u]
     S_u = np.diag(basis.unmixed_sign[u])
-    K = np.diag(np.abs(e_u)) + np.asarray(g_delta, dtype=float)[np.ix_(u, u)]
+    K = np.diag(np.abs(e_u)) + _block(np.asarray(g_delta, dtype=float), ui)
 
     def at(E):
-        inverse_denominator(basis, E, u)
+        E = np.asarray(E, dtype=float)
+        D = E[..., None] - e_u
+        hit = np.abs(D) < DEGENERACY_TOL
+        if hit.any():
+            inverse_denominator(basis, E.flat[np.argmax(hit.any(axis=-1))], u)  # raises
+        M = E[..., None, None] * S_u - K
         try:
-            inv = np.linalg.inv(E * S_u - K)
+            return D, np.linalg.inv(M)
         except np.linalg.LinAlgError:
             raise DegenerateDenominatorError(
-                f"singular ladder block E S_u - K at E = {E:.12g}"
+                f"singular ladder block E S_u - K at E = {_first_singular(E, M):.12g}"
             ) from None
-        return (E - e_u)[:, None] * inv
 
     return at
 
 
+def _first_singular(E, M):
+    """The energy of the first item of a stack whose matrix M is singular."""
+    E = np.broadcast_to(E, M.shape[:-2])
+    for k in np.ndindex(E.shape):
+        try:
+            np.linalg.inv(M[k])
+        except np.linalg.LinAlgError:
+            return E[k]
+    return E.flat[0]
+
+
 def ladder_perturbation(basis, I_c, g_delta):
     """The BW perturbation V(E) = H_D1 + H_D2(E) of the equal-time ladder as
-    an operator: a function of E that returns x -> V(E) x.
+    an operator on the unmixed pairs u: a function of E that returns
+    x_u -> (V(E) x)_u.
 
     G~ vanishes on mixed pairs, so (1 - G~ g)^-1 is the identity on mixed
-    rows; on the unmixed pairs u, with S = unmixed_sign, D = E - e and
+    rows; on the unmixed pairs, with S = unmixed_sign, D = E - e and
     e_u = S_u |e_u|, 1 - G~ g = D_u^-1 S_u (E S_u - K).  With y = I_c x,
 
         V(E) x = scatter_u( D_u (E S_u - K)^-1 y_u ) - P_pp I_c P_pp x:
 
-    the -S y_u of H_D2 cancels against H_D1, and mixed rows are 0.  Each E
-    costs one inverse of the n_u x n_u block and each application a few
-    matrix-vector products; the dim x dim V is never formed.  With either
-    coupling zero H_D2 vanishes and V = H_D1.
+    the -S y_u of H_D2 cancels against H_D1, and mixed rows are 0.  V maps
+    into the unmixed pairs, and the BW solve applies it only to vectors
+    there (psi_c and what G_Q makes of them), so the operator works on the
+    u coordinates alone.  Each E costs one inverse of the n_u x n_u block and
+    each application three matrix-vector products there; the dim x dim V is
+    never formed.  With either coupling zero H_D2 vanishes and V = H_D1.
+    I_c and g_delta may be stacks along leading axes, one problem per item,
+    with E one energy per item; both couplings must then be nonzero in
+    every item or zero in every item.
     """
-    if not np.any(I_c) or not np.any(g_delta):
-        apply = build_HDelta1(basis, I_c).__matmul__
-        return lambda E: apply
+    u = np.flatnonzero(basis.unmixed_sign)
     I_c = np.asarray(I_c, dtype=float)
-    dim = basis.dim
-    u, pp = np.flatnonzero(basis.unmixed_sign), np.flatnonzero(basis.unmixed_sign > 0)
-    I_u, I_pp = I_c[u], I_c[np.ix_(pp, pp)]
+    if not np.any(I_c) or not np.any(g_delta):
+        H = _block(build_HDelta1(basis, I_c), u)
+        return lambda E: lambda x: (H @ x[..., None])[..., 0]
+    I_uu = _block(I_c, u)
+    pp = basis.unmixed_sign[u] > 0
+    I_pp = I_uu * np.outer(pp, pp)
     block = _ladder_block(basis, g_delta)
 
     def at(E):
-        W = block(E)
+        D, inv = block(E)
 
         def apply(x):
-            out = np.zeros(dim)
-            out[u] = W @ (I_u @ x)
-            out[pp] -= I_pp @ x[pp]
-            return out
+            x = x[..., None]
+            return D * (inv @ (I_uu @ x))[..., 0] - (I_pp @ x)[..., 0]
 
         return apply
 
@@ -256,7 +285,8 @@ def h_delta2_ladder(spectrum, basis, E, I_c, g_delta):
         return out
     u = basis.unmixed_sign != 0
     I_u = np.asarray(I_c, dtype=float)[u]
-    out[u] = _ladder_block(basis, g_delta)(E) @ I_u - basis.unmixed_sign[u][:, None] * I_u
+    D, inv = _ladder_block(basis, g_delta)(E)
+    out[u] = (D[:, None] * inv) @ I_u - basis.unmixed_sign[u][:, None] * I_u
     return out
 
 
@@ -316,12 +346,17 @@ def coupling_scan(cfg, lam_schedule):
     the measured and predicted convention differences, and fit the power
     law of |difference| against lambda.
 
+    The points run through pipeline.pipeline_points: their BW solves in
+    lock-step, one stacked evaluation per round, and X_J and the convention
+    report point by point; every row and failure equals that of a
+    one-point pipeline_core run.
+
     Returns (rows, fitted_exponent, r_squared, failures); rows are
     (lambda, difference, predicted, ratio) and failures lists
     (lambda, error message) for points whose pipeline aborted with a
     BwlabError.  Any other exception is a fault, not data, and propagates.
     """
-    from .pipeline import pipeline_core
+    from .pipeline import pipeline_points
 
     lams = [float(x) for x in lam_schedule]
     if len(lams) < 4:
@@ -331,17 +366,17 @@ def coupling_scan(cfg, lam_schedule):
         raise ValueError("scan schedule must be geometrically spaced")
 
     rows, failures = [], []
-    for lam in lams:
-        try:
-            rep = pipeline_core(replace(cfg, model=cfg.model.scaled(lam))).controversy
-            ratio = (
-                rep.difference / rep.predicted_difference
-                if rep.predicted_difference != 0.0
-                else float("nan")
-            )
-            rows.append((lam, rep.difference, rep.predicted_difference, ratio))
-        except BwlabError as exc:  # per-point failures are data; bugs propagate
-            failures.append((lam, f"{type(exc).__name__}: {exc}"))
+    for lam, res in zip(lams, pipeline_points(cfg, lams)):
+        if isinstance(res, BwlabError):  # per-point failures are data
+            failures.append((lam, f"{type(res).__name__}: {res}"))
+            continue
+        rep = res.controversy
+        ratio = (
+            rep.difference / rep.predicted_difference
+            if rep.predicted_difference != 0.0
+            else float("nan")
+        )
+        rows.append((lam, rep.difference, rep.predicted_difference, ratio))
     good = [(l, d) for l, d, _, _ in rows if d != 0.0]
     if len(good) >= 2:
         slope, r2 = fit_power_law([l for l, _ in good], [d for _, d in good])

@@ -10,10 +10,12 @@ table and fails if any residual exceeds its tolerance.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 from .controversy import ControversyReport, convention_report
-from .operators import build_G0
+from .operators import build_G0, build_Hc
 from .pipeline import reference_state
 from .propagators import (
     contour_integral_Finv,
@@ -22,7 +24,7 @@ from .propagators import (
     xj_matrix,
     xj_matrix_ssum_route,
 )
-from .quadrature import quadrature_finv, quadrature_oracle
+from .quadrature import propagator_grid, quadrature_finv, quadrature_oracle
 
 #: (name, tolerance); quadrature comparisons carry looser, honest bounds
 TOLERANCES = {
@@ -43,9 +45,14 @@ TOLERANCES = {
 
 
 def _sample_away_from_poles(rng, pair_sums, lo, hi, min_gap=0.05):
+    """A uniform draw farther than min_gap from every pair sum (a sorted
+    list).  fl(|x - s|) only grows as s moves away from x, so the two sums
+    around x decide, and there it is x - s below x and s - x above."""
     for _ in range(1000):
         x = rng.uniform(lo, hi)
-        if all(abs(x - s) > min_gap for s in pair_sums):
+        k = bisect.bisect(pair_sums, x)
+        if ((k == 0 or x - pair_sums[k - 1] > min_gap)
+                and (k == len(pair_sums) or pair_sums[k] - x > min_gap)):
             return x
     raise RuntimeError("could not sample away from poles")
 
@@ -58,7 +65,7 @@ def identity_suite(cfg):
     spectrum, basis, I_c, g, E_c, psi_c = (st.spectrum, st.basis, st.I_c, st.g_delta,
                                            st.E_c, st.psi_c)
     emax = max(abs(e) for e in spectrum.energies)
-    pair_sums = {e1 + e2 for e1 in spectrum.energies for e2 in spectrum.energies}
+    pair_sums = sorted({e1 + e2 for e1 in spectrum.energies for e2 in spectrum.energies})
     lo, hi = -3 * emax, 3 * emax
     res = {}
 
@@ -87,11 +94,13 @@ def identity_suite(cfg):
     dE = E - Ec
     res["dm1_diagonal"] = float(np.max(np.abs(1.0 / d - (1.0 / dc - dE / (dc * d)))))
 
-    # P_mm G(E) D(E) = P_mm, on the mm rows
+    # G_Q(E) (E - H_c) = Q against the dense H_c, on every row (on the mm
+    # rows it reads P_mm G(E) D(E) = P_mm)
     E = E_c + 0.25 * max(1.0, abs(E_c))
-    mm = basis.unmixed_sign < 0
-    G_mm_D = st.resolvent.matrix(E)[mm] * (E - basis.pair_energies())
-    res["resolvent_mm_identity"] = float(np.max(np.abs(G_mm_D - np.eye(basis.dim)[mm])))
+    H_c = build_Hc(spectrum, basis, I_c)
+    Q = np.eye(basis.dim) - np.outer(psi_c, psi_c)
+    res["resolvent_mm_identity"] = float(
+        np.max(np.abs(st.resolvent.matrix(E) @ (E * np.eye(basis.dim) - H_c) - Q)))
 
     # basic integral: residue engine vs (P_pp - P_mm) D^-1 and quadrature;
     # anchored at the no-pair energy (degenerate configs abort here), except
@@ -104,14 +113,15 @@ def identity_suite(cfg):
     finv = contour_integral_Finv(spectrum, basis, E)
     res["contour_vs_closed_form"] = float(np.max(np.abs(finv - build_G0(spectrum, basis, E))))
     fine = cfg.integration.refined()
-    quad = quadrature_finv(spectrum, basis, E, fine)
+    grid = propagator_grid(spectrum, E, fine)
+    quad = quadrature_finv(spectrum, basis, E, fine, grid=grid)
     scale = max(1.0, float(np.max(np.abs(finv))))
     res["contour_vs_quadrature"] = float(np.max(np.abs(quad - finv))) / scale
 
     # sandwich: quadrature, linearity, exchange symmetry
     X = sandwich_integral(spectrum, basis, E, g)
     if np.any(g):
-        Xq = quadrature_oracle(spectrum, basis, E, g, fine)
+        Xq = quadrature_oracle(spectrum, basis, E, g, fine, grid=grid)
         res["sandwich_vs_quadrature"] = float(np.max(np.abs(X - Xq))) / max(
             1.0, float(np.max(np.abs(X)))
         )

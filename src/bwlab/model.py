@@ -196,11 +196,12 @@ def _base_matrix(spec, dim, seed, channel):
     return 0.5 * (m + m.T)
 
 
-def build_interaction(config: ModelConfig, kind: str) -> np.ndarray:
+def build_interaction(config: ModelConfig, kind: str, factors=None) -> np.ndarray:
     """Scaled interaction matrix lambda * M for kind in {"coulomb", "delta"}.
 
     M is symmetric by construction; the output scales linearly (and exactly)
-    in the coupling.
+    in the coupling.  With factors, the stack (len(factors), dim, dim) whose
+    item i equals build_interaction(config.scaled(factors[i]), kind).
     """
     if kind not in ("coulomb", "delta"):
         raise ConfigError(f"unknown interaction kind '{kind}'")
@@ -210,4 +211,7 @@ def build_interaction(config: ModelConfig, kind: str) -> np.ndarray:
         lam, spec, channel = config.coulomb_scale, config.coulomb_matrix, 0
     else:
         lam, spec, channel = config.delta_scale, config.delta_matrix, 1
-    return lam * _base_matrix(spec, dim, config.seed, channel)
+    M = _base_matrix(spec, dim, config.seed, channel)
+    if factors is None:
+        return lam * M
+    return np.multiply.outer([f * lam for f in factors], M)

@@ -78,8 +78,9 @@ def free_propagator(basis: TwoParticleBasis, E: float) -> np.ndarray:
 
 def build_Hc(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis,
              I_c: np.ndarray) -> np.ndarray:
-    """No-pair Hamiltonian h1 + h2 + P_pp I_c P_pp (block-diagonal, symmetric)."""
-    if I_c.shape != (basis.dim, basis.dim):
+    """No-pair Hamiltonian h1 + h2 + P_pp I_c P_pp (block-diagonal, symmetric);
+    a stack of them for a stack of couplings I_c along leading axes."""
+    if I_c.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"I_c has shape {I_c.shape}, basis needs {(basis.dim, basis.dim)}")
     pp = basis.unmixed_sign > 0
     return np.diag(basis.pair_energies()) + I_c * np.outer(pp, pp)

@@ -3,30 +3,38 @@ both sign conventions -> predicted discrepancy.
 
 Every command works on one RunConfig and one reference state, which
 reference_state builds: the model, and the no-pair state cfg.state_index
-with its BW resolvent.  compare and scan reach it through pipeline_core,
+with its BW resolvent, both from one eigh of the doubly-positive block.
+compare and scan reach it through pipeline_core and pipeline_points,
 verify through identities.identity_suite.
 
 The BW perturbation is H_D1 + H_D2 with the ladder (equal-time) kernel,
 the resummation consistent with the instantaneous model oracle, applied
-to vectors on the unmixed block (controversy.ladder_perturbation), so no
-dim x dim V is formed at any BW energy.  The convention comparison
-evaluates the relative-energy (joint) expressions exactly as written,
-with dE = E - E_c taken from the BW solve.  The evaluators need the
-kernel integral only applied to v = I_c psi_c, so the run builds X_J v
-once per energy and route, never the dim x dim X_J.  pipeline_core,
-which compare and scan share, builds X_J(E) v on the direct and on the
-S-sum route; run_pipeline (compare) adds X_J(E_c) v for dkz-dc-approx and
-the model oracle (eig of the unmixed block), neither of which scan
-reports.
+to vectors on the unmixed pairs (controversy.ladder_perturbation).  V
+maps into those pairs and G_Q keeps vectors there, so the BW solve runs
+on them alone, and no dim x dim V is formed at any BW energy.  The
+convention comparison evaluates the relative-energy (joint) expressions
+exactly as written, with dE = E - E_c taken from the BW solve.  The
+evaluators need the kernel integral only applied to v = I_c psi_c, so the
+run builds X_J v once per energy and route, never the dim x dim X_J.
+pipeline_core, which compare runs and every scan point repeats, builds
+X_J(E) v on the direct and on the S-sum route; run_pipeline (compare) adds
+X_J(E_c) v for dkz-dc-approx and the model oracle (eig of the unmixed
+block), neither of which scan reports.
+
+pipeline_points runs pipeline_core at every point of a coupling schedule
+with the BW solves in lock-step: the reference states of a chunk of points
+are built as one stack (one eigh for all their pp blocks), and one stacked
+term evaluation per round serves every point still iterating
+(bw.bw_lockstep).  X_J and the convention report run point by point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bw import EnergyLedger, Resolvent, bw_selfconsistent, solve_no_pair
+from .bw import EnergyLedger, Resolvent, bw_lockstep, bw_selfconsistent, bw_terms, solve_no_pair
 from .config import RunConfig
 from .controversy import (
     ControversyReport,
@@ -35,14 +43,23 @@ from .controversy import (
     ladder_perturbation,
     model_oracle,
 )
+from .errors import BwlabError
 from .model import build_basis, build_interaction, build_spectrum
 from .operators import build_Hc
 from .propagators import xj_matrix, xj_matrix_ssum_route
 
+#: bytes that the stacked arrays of one chunk of scan points may take; a
+#: point holds about STACK_DOUBLES dim x dim arrays of doubles (the two
+#: couplings, H_c, their copies per BW round and the unmixed blocks)
+STACK_BYTES = 4 << 20
+STACK_DOUBLES = 8
+
 
 @dataclass
 class ReferenceState:
-    """The configured model and its no-pair reference state."""
+    """The configured model and its no-pair reference state; or a stack of
+    them over one spectrum and basis, one per coupling factor, with a
+    leading axis on the arrays."""
 
     spectrum: object
     basis: object
@@ -51,6 +68,12 @@ class ReferenceState:
     E_c: float
     psi_c: np.ndarray
     resolvent: Resolvent
+
+    def take(self, items):
+        """The states `items` (an index or an index array) of a stack."""
+        return replace(self, I_c=self.I_c[items], g_delta=self.g_delta[items],
+                       E_c=self.E_c[items], psi_c=self.psi_c[items],
+                       resolvent=self.resolvent.take(items))
 
 
 @dataclass
@@ -61,43 +84,109 @@ class PipelineResult:
     oracle_energy: float | None
 
 
-def reference_state(cfg: RunConfig) -> ReferenceState:
+def reference_state(cfg: RunConfig, factors=None) -> ReferenceState:
     """Spectrum, basis, both couplings, the no-pair state cfg.state_index of
-    the doubly-positive block, and the BW resolvent about it."""
+    the doubly-positive block, and the BW resolvent about it.  With factors,
+    the stack of the states of cfg.model.scaled(f), one per factor, from one
+    stacked eigh."""
+    if factors is not None:
+        # each scaled model validates its couplings, as a one-point run does
+        for f in factors:
+            cfg.model.scaled(f)
     spectrum = build_spectrum(cfg.model)
     basis = build_basis(spectrum)
-    I_c = build_interaction(cfg.model, "coulomb")
-    g_delta = build_interaction(cfg.model, "delta")
+    I_c = build_interaction(cfg.model, "coulomb", factors)
+    g_delta = build_interaction(cfg.model, "delta", factors)
     H_c = build_Hc(spectrum, basis, I_c)
-    E_c, psi_c = solve_no_pair(H_c, basis.pattern_indices("pp"), state_index=cfg.state_index)
-    return ReferenceState(spectrum, basis, I_c, g_delta, E_c, psi_c, Resolvent(H_c, psi_c))
+    E_c, psi_c, resolvent = solve_no_pair(H_c, basis.pattern_indices("pp"),
+                                          state_index=cfg.state_index)
+    return ReferenceState(spectrum, basis, I_c, g_delta, E_c, psi_c, resolvent)
 
 
 def _coupled(st):
-    """Whether both couplings are nonzero; otherwise every convention value
-    is 0 and X_J is not built (E = E_c is a pair energy when I_c = 0)."""
-    return bool(np.any(st.I_c) and np.any(st.g_delta))
+    """Whether both couplings are nonzero (per item of a stack); otherwise
+    every convention value is 0 and X_J is not built (E = E_c is a pair
+    energy when I_c = 0)."""
+    return st.I_c.any(axis=(-2, -1)) & st.g_delta.any(axis=(-2, -1))
+
+
+def _bw_problem(st):
+    """(resolvent, perturbation, psi_c) of the BW solve of st on the
+    unmixed pairs, where V maps and G_Q keeps every vector the terms use."""
+    u = np.flatnonzero(st.basis.unmixed_sign)
+    return (st.resolvent.restrict(u), ladder_perturbation(st.basis, st.I_c, st.g_delta),
+            st.psi_c.take(u, axis=-1))
+
+
+def _conventions(cfg, st, ledger):
+    """X_J(E) v on both routes and the convention report of one state at the
+    BW energy; combined_dkz_dc_approx stays 0 and oracle_energy None."""
+    rep = ControversyReport()
+    if _coupled(st):
+        E, order = ledger.E, cfg.integration.j_order
+        v = st.I_c @ st.psi_c
+        Xv = xj_matrix(st.spectrum, st.basis, E, st.g_delta, order, v=v)
+        Xv_alt = xj_matrix_ssum_route(st.spectrum, st.basis, E, st.g_delta, order, v=v)
+        rep = convention_report(st.basis, E, ledger.E_c, st.psi_c, st.I_c, st.resolvent,
+                                Xv, Xv_alt)
+    return PipelineResult(state=st, ledger=ledger, controversy=rep, oracle_energy=None)
 
 
 def pipeline_core(cfg: RunConfig) -> PipelineResult:
     """Reference state, BW, X_J(E) v on both routes and the convention
     report; combined_dkz_dc_approx stays 0 and oracle_energy None."""
     st = reference_state(cfg)
-    spectrum, basis, I_c, g_delta = st.spectrum, st.basis, st.I_c, st.g_delta
-    ledger = bw_selfconsistent(
-        st.resolvent, ladder_perturbation(basis, I_c, g_delta), st.psi_c, st.E_c,
-        order=cfg.bw_order, max_iter=cfg.bw_max_iter, tol=cfg.bw_tol,
-    )
-    E = ledger.E
+    resolvent, h_delta, psi_u = _bw_problem(st)
+    ledger = bw_selfconsistent(resolvent, h_delta, psi_u, st.E_c, order=cfg.bw_order,
+                               max_iter=cfg.bw_max_iter, tol=cfg.bw_tol)
+    return _conventions(cfg, st, ledger)
 
-    rep = ControversyReport()
-    if _coupled(st):
-        order = cfg.integration.j_order
-        v = I_c @ st.psi_c
-        Xv = xj_matrix(spectrum, basis, E, g_delta, order, v=v)
-        Xv_alt = xj_matrix_ssum_route(spectrum, basis, E, g_delta, order, v=v)
-        rep = convention_report(basis, E, st.E_c, st.psi_c, I_c, st.resolvent, Xv, Xv_alt)
-    return PipelineResult(state=st, ledger=ledger, controversy=rep, oracle_energy=None)
+
+def _bw_stack(cfg, st):
+    """Per state of the stack st, the EnergyLedger of its BW solve or the
+    BwlabError that pipeline_core's solve raises for it, all solved in
+    lock-step.  Coupled and uncoupled states have different perturbations,
+    so each kind is one stack."""
+    outcomes = [None] * len(st.E_c)
+    coupled = _coupled(st)
+    for members in (np.flatnonzero(coupled), np.flatnonzero(~coupled)):
+        if not members.size:
+            continue
+        group = st if members.size == coupled.size else st.take(members)
+
+        def select(items, group=group):
+            resolvent, h_delta, psi_u = _bw_problem(group.take(items))
+            return lambda E: bw_terms(resolvent, h_delta, E, psi_u, cfg.bw_order)
+
+        solved = bw_lockstep(select, group.E_c, cfg.bw_max_iter, cfg.bw_tol)
+        for i, outcome in zip(members, solved):
+            outcomes[i] = outcome
+    return outcomes
+
+
+def pipeline_points(cfg: RunConfig, factors):
+    """pipeline_core at cfg.model.scaled(f) for each f in factors: yields,
+    in order, each point's PipelineResult or the BwlabError pipeline_core
+    raises there.  The points are taken in chunks whose stacked arrays fit
+    STACK_BYTES; the BW solves of a chunk run in lock-step."""
+    dim = (len(cfg.model.positive_energies) + len(cfg.model.negative_energies)) ** 2
+    size = max(1, STACK_BYTES // (8 * STACK_DOUBLES * dim * dim))
+    for start in range(0, len(factors), size):
+        chunk = factors[start:start + size]
+        try:
+            st = reference_state(cfg, chunk)
+        except BwlabError as exc:
+            # a stack fails as each of its points does: a geometric schedule
+            # has one sign, and nothing else here depends on the factor
+            yield from [exc] * len(chunk)
+            continue
+        for i, outcome in enumerate(_bw_stack(cfg, st)):
+            if not isinstance(outcome, BwlabError):
+                try:
+                    outcome = _conventions(cfg, st.take(i), outcome)
+                except BwlabError as exc:
+                    outcome = exc
+            yield outcome
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:

@@ -14,9 +14,10 @@ That constant is a diagnostic and should be consistent with zero; a pinch
 The integrand factors by particle: for the pair k = i * n + j,
 F^-1 = S1[i] S2[j], where S1 depends only on the state i and S2 only on
 the state j.  So each eta level evaluates the two electron propagators on
-the n single-particle states at the nodes, two (n, nodes) arrays, and
-forms pair products only where an integrand needs them.  The eta levels
-are looped over, one at a time, to keep the working set small.
+the n single-particle states at the nodes, two (n, nodes) arrays
+(propagator_grid, which oracles at the same E and settings share), and
+forms pair products only where an integrand needs them.  Those are formed
+one eta level at a time, to keep the working set small.
 
 This module deliberately shares no code with the residue engine.
 """
@@ -160,21 +161,30 @@ def _propagator_nodes(spectrum, E, nodes, eta):
     return s1, s2
 
 
+def propagator_grid(spectrum, E, settings):
+    """The node weights and, per eta level, the (S1, S2) arrays of
+    _propagator_nodes: all that the oracles below evaluate of the
+    propagators.  Oracles taken at the same E with the same settings can
+    share one grid (their grid argument) instead of each building it."""
+    nodes, weights = _nodes_weights(spectrum, E, settings)
+    return weights, [_propagator_nodes(spectrum, E, nodes, eta) for eta in settings.eta_sequence]
+
+
 def _finv_pairs(s1, s2):
     """(dim, nodes) array of F^-1 per pair, pair index k = i * n + j."""
     return (s1[:, None] * s2[None]).reshape(-1, s1.shape[1])
 
 
-def quadrature_finv(spectrum, basis, E, settings, return_imag=False):
+def quadrature_finv(spectrum, basis, E, settings, return_imag=False, grid=None):
     """Oracle for the basic integral i int deps/2pi F^-1 (diagonal).
 
     The node sum of S1[i] S2[j] over all pairs is one (n, nodes) x (nodes, n)
-    product; F^-1 is never formed per pair.
+    product; F^-1 is never formed per pair.  grid: propagator_grid at E and
+    settings, built here when not given.
     """
-    nodes, weights = _nodes_weights(spectrum, E, settings)
+    weights, levels = propagator_grid(spectrum, E, settings) if grid is None else grid
     per_eta = []
-    for eta in settings.eta_sequence:
-        s1, s2 = _propagator_nodes(spectrum, E, nodes, eta)
+    for s1, s2 in levels:
         per_eta.append(1j * ((s1 * weights) @ s2.T).ravel() / (2 * np.pi))
     re, im = _extrapolate(settings.eta_sequence, per_eta)
     if return_imag:
@@ -182,21 +192,22 @@ def quadrature_finv(spectrum, basis, E, settings, return_imag=False):
     return np.diag(re)
 
 
-def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False):
+def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False, grid=None):
     """Oracle for the sandwich i int deps/2pi F^-1 A F^-1.
 
     The integrand factorizes per element, so one pairwise node sum covers
     the whole matrix: X[p, q] = A[p, q] * i int f_p f_q deps / 2pi.
-    Linear in A, so A = 0 gives zeros without integrating.
+    Linear in A, so A = 0 gives zeros without integrating.  grid:
+    propagator_grid at E and settings, built here when not given.
     """
     A = np.asarray(A, dtype=float)
     if not np.any(A):
         zeros = np.zeros_like(A)
         return (zeros, zeros.copy()) if return_imag else zeros
-    nodes, weights = _nodes_weights(spectrum, E, settings)
+    weights, levels = propagator_grid(spectrum, E, settings) if grid is None else grid
     per_eta = []
-    for eta in settings.eta_sequence:
-        f = _finv_pairs(*_propagator_nodes(spectrum, E, nodes, eta))
+    for s1, s2 in levels:
+        f = _finv_pairs(s1, s2)
         per_eta.append(1j * ((f * weights) @ f.T) / (2 * np.pi))
     re, im = _extrapolate(settings.eta_sequence, per_eta)
     if return_imag:
@@ -208,10 +219,10 @@ def quadrature_chain(spectrum, basis, E, mats, settings):
     """Oracle for i int deps/2pi F^-1 M_1 F^-1 M_2 ... M_k F^-1 with
     constant matrices M_i (validates the higher series terms).  The
     integrand is built for all nodes at once, a (nodes, dim, dim) stack."""
-    nodes, weights = _nodes_weights(spectrum, E, settings)
+    weights, levels = propagator_grid(spectrum, E, settings)
     per_eta = []
-    for eta in settings.eta_sequence:
-        f = _finv_pairs(*_propagator_nodes(spectrum, E, nodes, eta)).T
+    for s1, s2 in levels:
+        f = _finv_pairs(s1, s2).T
         m = f[:, :, None] * np.eye(basis.dim)  # diag(F^-1) per node
         for M in mats:
             m = (m @ M) * f[:, None, :]

@@ -16,7 +16,6 @@ import pytest
 from bwlab import (
     IntegrationSettings,
     ModelConfig,
-    Resolvent,
     RunConfig,
     build_basis,
     build_interaction,
@@ -141,8 +140,7 @@ def test_criterion_4_resolvent_identity():
         basis = build_basis(spectrum)
         I_c = build_interaction(cfg, "coulomb")
         H = build_Hc(spectrum, basis, I_c)
-        E_c, psi = solve_no_pair(H, basis.pattern_indices("pp"))
-        r = Resolvent(H, psi)
+        E_c, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
         mm = projectors(basis).mm
         for shift in (0.1, 0.23, 0.52):
             E = E_c + shift
@@ -157,7 +155,8 @@ def test_criterion_5_bw_correctness():
     H_c = np.diag([0.0, 1.0])
     V = np.array([[0.0, 0.1], [0.1, 0.0]])
     psi = np.array([1.0, 0.0])
-    led = bw_selfconsistent(Resolvent(H_c, psi), lambda _: V.__matmul__, psi, 0.0, order=2)
+    _, _, r = solve_no_pair(H_c, range(2))
+    led = bw_selfconsistent(r, lambda _: V.__matmul__, psi, 0.0, order=2)
     exact = (1.0 - math.sqrt(1.04)) / 2.0
     err22 = abs(led.E - exact)
 

@@ -6,7 +6,6 @@ import pytest
 from bwlab import (
     IntegrationSettings,
     ModelConfig,
-    Resolvent,
     RunConfig,
     build_basis,
     build_Hc,
@@ -33,8 +32,8 @@ from bwlab.propagators import xj_matrix, xj_matrix_ssum_route
 def solved(dim4):
     spectrum, basis, I_c, g = dim4
     H = build_Hc(spectrum, basis, I_c)
-    E_c, psi = solve_no_pair(H, basis.pattern_indices("pp"))
-    return spectrum, basis, I_c, g, H, E_c, psi
+    E_c, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
+    return spectrum, basis, I_c, g, r, E_c, psi
 
 
 def applied(spectrum, basis, E, psi, I_c, g, j_order, route=xj_matrix):
@@ -45,13 +44,13 @@ def applied(spectrum, basis, E, psi, I_c, g, j_order, route=xj_matrix):
 def test_deltaE1_frozen_value(dim4):
     """K=1 at E = E_c = 2.1: psi D sandwich(g) I_c psi = 518/495 exactly
     (from the exact dim-4 residue table)."""
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
+    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     val = deltaE1_direct(basis, E_c, psi, applied(spectrum, basis, E_c, psi, I_c, g, 1))
     assert val == pytest.approx(518.0 / 495.0, rel=1e-13)
 
 
 def test_deltaE1_vs_quadrature_composition(dim4, settings):
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
+    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     val = deltaE1_direct(basis, E_c, psi, applied(spectrum, basis, E_c, psi, I_c, g, 1))
     Xq = quadrature_oracle(spectrum, basis, E_c, g, settings)
     D = build_D(spectrum, basis, E_c)
@@ -60,8 +59,7 @@ def test_deltaE1_vs_quadrature_composition(dim4, settings):
 
 
 def test_deltaE2b_forms_agree(dim4, settings):
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
-    r = Resolvent(H, psi)
+    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.2
     Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
     val, residual = deltaE2b_direct(basis, E, E_c, psi, I_c, r, Xv)
@@ -70,7 +68,7 @@ def test_deltaE2b_forms_agree(dim4, settings):
 
 
 def test_combined_conventions_agree_at_zero_shift(dim4, settings):
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
+    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     Xv = applied(spectrum, basis, E_c, psi, I_c, g, settings.j_order)
     lind = combined_variant(basis, E_c, E_c, psi, I_c, "lindgren", Xv)
     dkz = combined_variant(basis, E_c, E_c, psi, I_c, "dkz", Xv)
@@ -80,8 +78,7 @@ def test_combined_conventions_agree_at_zero_shift(dim4, settings):
 def test_combined_equals_chain_sum(dim4, settings):
     """(D + I_c - D_c) recombines into (I_c + dE): the first-order plus
     reduced second-order terms equal the lindgren combination."""
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
-    r = Resolvent(H, psi)
+    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
     Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
     d1 = deltaE1_direct(basis, E, psi, Xv)
@@ -91,7 +88,7 @@ def test_combined_equals_chain_sum(dim4, settings):
 
 
 def test_difference_is_twice_shift_times_Y(dim4, settings):
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
+    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
     dE = E - E_c
     Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
@@ -109,7 +106,7 @@ def test_dm1_scalar_identity():
 
 
 def test_predicted_discrepancy_matches_measured(dim4, settings):
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
+    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
     Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
     lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
@@ -124,7 +121,7 @@ def test_predicted_discrepancy_matches_measured(dim4, settings):
 
 
 def test_predicted_discrepancy_zero_shift(dim4, settings):
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
+    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     predicted, _, dm1_err = predicted_discrepancy(
         basis, E_c, E_c, psi, I_c,
         applied(spectrum, basis, E_c, psi, I_c, g, settings.j_order, xj_matrix_ssum_route),
@@ -134,7 +131,7 @@ def test_predicted_discrepancy_zero_shift(dim4, settings):
 
 
 def test_dkz_dc_approx_reported(dim4, settings):
-    spectrum, basis, I_c, g, H, E_c, psi = solved(dim4)
+    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
     Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
     approx = combined_variant(basis, E, E_c, psi, I_c, "dkz-dc-approx",
@@ -163,7 +160,7 @@ def test_model_oracle_overlap(dim4_config):
     I_c = build_interaction(cfg, "coulomb")
     g = build_interaction(cfg, "delta")
     H = build_Hc(spectrum, basis, I_c)
-    _, psi = solve_no_pair(H, basis.pattern_indices("pp"))
+    _, psi, _ = solve_no_pair(H, basis.pattern_indices("pp"))
     _, vec = model_oracle(spectrum, basis, I_c, g, psi, return_vector=True)
     assert (psi @ vec) ** 2 > 0.9
 
@@ -218,7 +215,8 @@ LADDER_CASES = {
 def test_ladder_operator_matches_dense_forms(name):
     """V(E) x from the unmixed-block operator equals H_D1 x plus the dense
     h_delta2_ladder x and plus D (ladder_kernel I_c x), the geometric-series
-    reference."""
+    reference, for x on the unmixed pairs, where both dense forms map it
+    (the operator works on those coordinates alone)."""
     config = LADDER_CASES[name]
     spectrum = build_spectrum(config)
     basis = build_basis(spectrum)
@@ -236,8 +234,9 @@ def test_ladder_operator_matches_dense_forms(name):
         dense = h_delta2_ladder(spectrum, basis, E, I_c, g)
         kernel = ladder_kernel(spectrum, basis, E, g)
         D = E - basis.pair_energies()
-        for x in rng.normal(size=(3, basis.dim)):
-            got = apply(x)
+        for x in rng.normal(size=(3, basis.dim)) * u:
+            got = np.zeros(basis.dim)
+            got[u] = apply(x[u])
             for want in (hd1 @ x + dense @ x, hd1 @ x + D * (kernel @ (I_c @ x))):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
@@ -413,3 +412,144 @@ def test_pipeline_zero_coupling_report(settings, monkeypatch, coulomb, delta):
         "E2b_vs_E2b2": 0.0, "chain_sum": 0.0, "central_claim": 0.0, "Dm1_route": 0.0,
     }
     assert counts == {"direct": 0, "ssum": 0}
+
+
+# -- the scan in lock-step --------------------------------------------------------
+
+#: scans whose points mix outcomes: converged points, ConvergenceError under
+#: the small [bw] max_iter, the unmixed pair-denominator guard during BW, and
+#: (dim 9) a pinched pole pair in X_J after BW has converged
+MIXED_SCANS = {
+    "dim4 guard": (ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
+                               coulomb_scale=0.3, delta_scale=0.5, seed=3,
+                               coulomb_matrix="random-symmetric",
+                               delta_matrix="random-symmetric"), 18),
+    "dim9 pinched": (ModelConfig(positive_energies=(1.0, 1.5), negative_energies=(-1.2,),
+                                 coulomb_scale=0.3, delta_scale=0.5, seed=4,
+                                 coulomb_matrix="random-symmetric",
+                                 delta_matrix="random-symmetric"), 9),
+}
+MIXED_LAMS = list(np.geomspace(0.1, 3.0, 8))
+
+
+def one_point_scan(cfg, lams):
+    """coupling_scan's rows and failures from one pipeline_core run per point."""
+    from bwlab import BwlabError
+    from bwlab.pipeline import pipeline_core
+
+    rows, failures = [], []
+    for lam in lams:
+        try:
+            rep = pipeline_core(replace(cfg, model=cfg.model.scaled(lam))).controversy
+        except BwlabError as exc:
+            failures.append((lam, f"{type(exc).__name__}: {exc}"))
+            continue
+        ratio = (rep.difference / rep.predicted_difference if rep.predicted_difference != 0.0
+                 else float("nan"))
+        rows.append((lam, rep.difference, rep.predicted_difference, ratio))
+    return rows, failures
+
+
+@pytest.mark.parametrize("name", list(MIXED_SCANS))
+def test_coupling_scan_mixed_outcomes_match_one_point_runs(name):
+    """Every row and every failure string of a lock-step scan equals the
+    one-point pipeline_core run of its point, in schedule order."""
+    model, max_iter = MIXED_SCANS[name]
+    cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
+    rows, _, _, failures = coupling_scan(cfg, MIXED_LAMS)
+    assert (rows, failures) == one_point_scan(cfg, MIXED_LAMS)
+    kinds = {message.split(":")[0] for _, message in failures}
+    assert rows and "ConvergenceError" in kinds and "DegenerateDenominatorError" in kinds
+    if name == "dim4 guard":
+        assert any("degenerate pair denominator" in message for _, message in failures)
+
+
+def count_stacked_calls(monkeypatch):
+    """Count the stacked eighs (with their stack sizes) and the stacked BW term
+    evaluations of a scan."""
+    import bwlab.pipeline
+
+    calls = {"eigh": [], "bw_terms": 0}
+    eigh, terms = np.linalg.eigh, bwlab.pipeline.bw_terms
+
+    def counted_eigh(a, *args, **kwargs):
+        calls["eigh"].append(a.shape[:-2])
+        return eigh(a, *args, **kwargs)
+
+    def counted_terms(*args, **kwargs):
+        calls["bw_terms"] += 1
+        return terms(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(bwlab.pipeline, "bw_terms", counted_terms)
+    return calls
+
+
+def test_coupling_scan_evaluates_in_lock_step(dim4_config, settings, monkeypatch):
+    """A 64-point scan takes one stacked eigh and at most (the largest
+    per-point iteration count + 1) stacked term evaluations."""
+    from bwlab.pipeline import pipeline_core
+
+    cfg = RunConfig(dim4_config, settings)
+    lams = list(np.geomspace(0.02, 0.16, 64))
+    iterations = [pipeline_core(replace(cfg, model=dim4_config.scaled(lam))).ledger.iterations
+                  for lam in lams]
+    calls = count_stacked_calls(monkeypatch)
+    _, _, _, failures = coupling_scan(cfg, lams)
+    assert failures == []
+    assert calls["eigh"] == [(64,)]
+    assert calls["bw_terms"] <= max(iterations) + 1
+
+
+@pytest.mark.parametrize("name", list(MIXED_SCANS))
+def test_coupling_scan_chunks_give_the_same_rows(name, monkeypatch):
+    """Chunks of 3 points (a stack budget of 3 points) give the rows and
+    failures of the one-chunk scan, with one stacked eigh per chunk."""
+    import bwlab.pipeline
+
+    model, max_iter = MIXED_SCANS[name]
+    cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
+    whole = coupling_scan(cfg, MIXED_LAMS)
+    n = len(model.positive_energies) + len(model.negative_energies)
+    monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 3 * 8 * bwlab.pipeline.STACK_DOUBLES * n ** 4)
+    calls = count_stacked_calls(monkeypatch)
+    chunked = coupling_scan(cfg, MIXED_LAMS)
+    assert (chunked[0], chunked[3]) == (whole[0], whole[3])
+    assert calls["eigh"] == [(3,), (3,), (2,)]
+
+
+def assert_points_match_one_point_runs(cfg, lams):
+    """pipeline_points gives, per point, the ledger and report of the
+    one-point pipeline_core run, or the same error."""
+    from bwlab import BwlabError
+    from bwlab.pipeline import pipeline_core, pipeline_points
+
+    for lam, got in zip(lams, pipeline_points(cfg, lams)):
+        try:
+            want = pipeline_core(replace(cfg, model=cfg.model.scaled(lam)))
+        except BwlabError as exc:
+            assert type(got) is type(exc) and str(got) == str(exc)
+            continue
+        assert (got.ledger, got.controversy) == (want.ledger, want.controversy)
+
+
+@pytest.mark.parametrize("name", [*MIXED_SCANS, "jittered dim36"])
+def test_pipeline_points_match_one_point_runs(name):
+    """Also for blocks of the compare workload's size (n_u = 18)."""
+    model, max_iter = MIXED_SCANS.get(name, (jittered_dim36(), 200))
+    assert_points_match_one_point_runs(
+        RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter), MIXED_LAMS)
+
+
+def test_pipeline_points_stack_coupled_and_uncoupled_points():
+    """A delta coupling that underflows to 0 at the smallest lambda leaves
+    that point uncoupled (V = H_D1) in a stack of coupled ones (the ladder,
+    equal to H_D1 there only up to rounding): each point still ends with
+    its one-point ledger."""
+    cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
+                                coulomb_scale=0.1, delta_scale=1e-320),
+                    IntegrationSettings(j_order=1))
+    lams = [1e-4, 1e-3, 1e-2, 1e-1]
+    assert [np.any(build_interaction(cfg.model.scaled(lam), "delta")) for lam in lams] == [
+        False, True, True, True]
+    assert_points_match_one_point_runs(cfg, lams)

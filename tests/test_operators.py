@@ -204,7 +204,7 @@ def test_masks_match_dense_projectors(case, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", spy)
     H_c = build_Hc(spectrum, basis, I_c)
-    _, psi_c = solve_no_pair(H_c, basis.pattern_indices("pp"))
+    _, psi_c, _ = solve_no_pair(H_c, basis.pattern_indices("pp"))
     try:
         model_oracle(spectrum, basis, I_c, g, psi_c)
     except OracleTrackingError:
@@ -251,7 +251,7 @@ def test_model_oracle_unmixed_block_tracks_full_eig(case):
     has no such eigenvector and its tracking fails instead."""
     _, spectrum, I_c, g = case
     basis = build_basis(spectrum)
-    _, psi_c = solve_no_pair(build_Hc(spectrum, basis, I_c), basis.pattern_indices("pp"))
+    _, psi_c, _ = solve_no_pair(build_Hc(spectrum, basis, I_c), basis.pattern_indices("pp"))
     want = full_oracle(basis, I_c, g, psi_c)
     mixed_energies = basis.pair_energies()[basis.unmixed_sign == 0]
     if isinstance(want, str) or np.any(mixed_energies == want[0]):

@@ -10,11 +10,11 @@ f(E) = E_c + Delta E(E) - E.  It is found by a safeguarded secant
 iteration that falls back on the plain (or damped) fixed-point step
 E <- E_c + Delta E(E).  V enters only applied to vectors: the caller
 passes a function of E that returns the operator x -> V(E) x, and no
-dense V is required.  G is applied spectrally: H_c is a symmetric block
-plus a diagonal, and the eigendecomposition of the block, taken once by
-the no-pair solve, gives G_Q at every E at the cost of two matrix-vector
-products per application.  Orders above three are rejected rather than
-extrapolated.
+dense V is required.  G is kept in the form H_c has, a symmetric block
+plus a diagonal: the eigenpairs of the block, taken once by the no-pair
+solve, and the diagonal outside it give G_Q at every E, at the cost of two
+block-sized matrix-vector products and one scaling per application.
+Orders above three are rejected rather than extrapolated.
 
 Every array may carry leading stack axes: a stack of problems on one basis
 is evaluated in one batched numpy pass, with E one energy per problem.
@@ -24,8 +24,6 @@ term evaluation per round; bw_selfconsistent is its stack of one.
 
 from __future__ import annotations
 
-import copy
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,70 +77,54 @@ def solve_no_pair(H_c, pp_indices, state_index=0):
     psi = np.zeros(H_c.shape[:-1])
     psi[..., pp] = vecs[..., state_index]
     psi /= np.sqrt(_inner(psi, psi))[..., None]
-    diag = np.diagonal(H_c, axis1=-2, axis2=-1).copy()
+    diag = np.diagonal(H_c, axis1=-2, axis2=-1)
     return E_c, psi, Resolvent(diag, pp, vals, vecs, state_index)
 
 
 class Resolvent:
     """G_Q(E) = Q (E - H_c)^-1 Q for a fixed reference state, or a stack of
-    them on one basis.
+    them on one basis, kept in the form H_c has.
 
     H_c is symmetric on the coordinates `block`, with eigenpairs (vals, vecs)
     there, and diagonal (diag) elsewhere; psi_c is the eigenvector `ref` of
-    the block.  So the eigenvectors of H_c are the block's and unit vectors
-    elsewhere, the columns of Z, and Q removes exactly the reference column:
+    the block, and Q removes exactly it.  So
 
-        G_Q(E) = Z diag(1 / (E - w)) Z^T,  the weight of psi_c set to 0,
+        G_Q(E) v = vecs diag(w) vecs^T v   on the block, w = 1 / (E - vals)
+                                           and psi_c's weight 0,
+        G_Q(E) v = v (E - diag)^-1         elsewhere,
 
-    exact whether or not eigenvalues of H_c are degenerate; an application
-    costs two matrix-vector products.  The eigenvalues of H_c other than the
-    reference one, `complement`, guard against E hitting the complementary
-    spectrum; the guard runs once per E, in at(E).  restrict(cols) is the
-    same operator on a subset of the coordinates that holds the block (an
-    invariant subspace), and keeps the whole guard.
+    exact whether or not eigenvalues of H_c are degenerate, and no dim x dim
+    array is formed.  The guard, every eigenvalue of H_c but psi_c's, stops
+    E from hitting the complementary spectrum; it runs once per E, in at(E).
+    restrict(cols) is the same operator on a subset of the coordinates that
+    holds the block (an invariant subspace), and keeps the whole guard.
     """
 
-    def __init__(self, diag, block, vals, vecs, ref):
-        self.diag = np.asarray(diag, dtype=float)
-        self.block = np.asarray(block, dtype=int)
-        self.vals = np.asarray(vals, dtype=float)
-        self.vecs = np.asarray(vecs, dtype=float)
-        self.ref = ref
-        rest = np.ones(self.diag.shape[-1], dtype=bool)
-        rest[self.block] = False
-        self.complement = np.concatenate(
-            [np.delete(self.vals, ref, axis=-1), self.diag[..., rest]], axis=-1)
-
-    def _replace(self, **arrays):
-        new = copy.copy(self)
-        new.__dict__.pop("_modes", None)
-        new.__dict__.update(arrays)
-        return new
+    def __init__(self, diag, block, vals, vecs, ref, guard=None):
+        self.block, self.vals, self.vecs, self.ref = block, vals, vecs, ref
+        if guard is None:
+            guard = np.concatenate(
+                [np.delete(vals, ref, axis=-1), np.delete(diag, block, axis=-1)], axis=-1)
+        self.guard = guard
+        # a level at infinity has the weight 1 / (E - inf) = 0: psi_c's among
+        # the block's, and the block's coordinates on the diagonal
+        self.levels = vals.copy()
+        self.levels[..., ref] = np.inf
+        self.diag = diag.copy()
+        self.diag[..., block] = np.inf
 
     def take(self, items):
         """The resolvents `items` (an index or an index array) of a stack."""
-        return self._replace(diag=self.diag[items], vals=self.vals[items],
-                             vecs=self.vecs[items], complement=self.complement[items])
+        return Resolvent(self.diag[items], self.block, self.vals[items], self.vecs[items],
+                         self.ref, self.guard[items])
 
     def restrict(self, cols):
         """The operator on the coordinates cols (sorted; they hold the block)."""
-        return self._replace(diag=self.diag[..., cols], block=np.searchsorted(cols, self.block))
-
-    @functools.cached_property
-    def _modes(self):
-        """(Z, levels): the eigenvectors of H_c as the columns of Z and their
-        eigenvalues, inf for psi_c's, so that 1 / (E - levels) is its weight."""
-        n = self.diag.shape[-1]
-        Z = np.zeros(self.diag.shape + (n,))
-        Z[..., np.arange(n), np.arange(n)] = 1.0
-        Z[..., self.block[:, None], self.block] = self.vecs
-        levels = self.diag.copy()
-        levels[..., self.block] = self.vals
-        levels[..., self.block[self.ref]] = np.inf
-        return Z, levels
+        return Resolvent(self.diag[..., cols], np.searchsorted(cols, self.block), self.vals,
+                         self.vecs, self.ref, self.guard)
 
     def _check(self, E):
-        gap = np.abs(E[..., None] - self.complement).min(axis=-1, initial=np.inf)
+        gap = np.abs(E[..., None] - self.guard).min(axis=-1, initial=np.inf)
         bad = gap < RESOLVENT_GUARD_TOL * np.maximum(1.0, np.abs(E))
         if bad.any():
             k = np.argmax(bad)
@@ -155,10 +137,18 @@ class Resolvent:
         over the stack axes."""
         E = np.asarray(E, dtype=float)
         self._check(E)
-        Z, levels = self._modes
-        weights = (1.0 / (E[..., None] - levels))[..., None, :]
-        Z_t = Z.swapaxes(-1, -2)
-        return lambda v: (((np.asarray(v, dtype=float)[..., None, :] @ Z) * weights) @ Z_t)[..., 0, :]
+        w_block = (1.0 / (E[..., None] - self.levels))[..., None, :]
+        w_diag = 1.0 / (E[..., None] - self.diag)
+        vecs_t = self.vecs.swapaxes(-1, -2)
+
+        def G(v):
+            v = np.asarray(v, dtype=float)
+            out = v * w_diag
+            out[..., self.block] = (((v[..., None, self.block] @ self.vecs) * w_block)
+                                    @ vecs_t)[..., 0, :]
+            return out
+
+        return G
 
     def apply(self, E, v):
         return self.at(E)(v)

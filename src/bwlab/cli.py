@@ -9,7 +9,9 @@ Exit codes: 0 success, 1 verify with a residual out of tolerance, 2 config
 error, 3 numerical degeneracy (scan: any point failed), 4 nonconvergence (of
 the BW fixed point or of the quadrature oracle), 5 the model oracle lost the
 reference state (compare only; scan does not run it).  Codes 2 to 5 from an
-abort print one stderr line.
+abort print one stderr line.  Exit 2 covers a config value that is not a
+finite number (nan, inf) and, for scan, fewer than 4 points or a lambda
+range whose ends are not two different finite numbers > 0.
 
 scan reports an undefined value as null: a row's ratio when its predicted
 difference is zero, and the fitted exponent and R^2 when fewer than two
@@ -110,6 +112,10 @@ def cmd_scan(args) -> int:
     cfg = _load(args)
     if args.scan_points < 4:
         print("error: scan requires >= 4 points", file=sys.stderr)
+        return EXIT_CONFIG
+    ends = (args.scan_from, args.scan_to)
+    if not (np.all(np.isfinite(ends)) and min(ends) > 0 and ends[0] != ends[1]):
+        print("error: scan range needs two different finite ends > 0", file=sys.stderr)
         return EXIT_CONFIG
     schedule = list(
         np.geomspace(args.scan_from, args.scan_to, args.scan_points)

@@ -17,13 +17,20 @@ IntegrationSettings and RunConfig below; a file without [spectrum] keys
 gets model.dirac_like_energies().  parse_config passes on only the keys a
 file sets.  Lists are comma-separated; explicit matrices use ';' between
 rows and whitespace between entries.  Unknown sections or keys are rejected
-by name; duplicate keys are rejected by the parser with a line number.
+by name; duplicate keys are rejected by the parser with a line number, and
+a number that is not finite (nan, inf) by the key it stands under.
+
+The table _FIELDS drives both directions: parse_config reads each key with
+the row's parser, and emit_config writes the rows in order, each value in
+the text form of its parser (_FORMATS).  A new key is one _FIELDS row plus
+its dataclass field.
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass
 
@@ -103,18 +110,24 @@ class RunConfig:
                               f"{n_pp}-state doubly-positive block")
 
 
-def _floats(text, key):
+def _numbers(tokens, key, kind, text):
+    """The finite floats the tokens spell; anything else is a ConfigError
+    that names the key."""
     try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
+        values = tuple(float(tok) for tok in tokens)
     except ValueError as exc:
-        raise ConfigError(f"{key}: could not parse float list '{text}'") from exc
+        raise ConfigError(f"{key}: could not parse {kind} '{text}'") from exc
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key}: non-finite value in '{text}'")
+    return values
+
+
+def _floats(text, key):
+    return _numbers(text.replace(",", " ").split(), key, "float list", text)
 
 
 def _float(text, key):
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: could not parse float '{text}'") from exc
+    return _numbers([text], key, "float", text)[0]
 
 
 def _int(text, key):
@@ -129,14 +142,20 @@ def _text(text, key):
 
 
 def _matrix(text, key):
-    rows = [r for r in text.split(";") if r.strip()]
-    try:
-        parsed = tuple(tuple(float(t) for t in r.split()) for r in rows)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: could not parse matrix '{text}'") from exc
+    parsed = tuple(_numbers(r.split(), key, "matrix", text) for r in text.split(";") if r.strip())
     if not parsed or any(len(r) != len(parsed) for r in parsed):
         raise ConfigError(f"{key}: matrix must be square")
     return parsed
+
+
+#: the text form of a value, by the parser that reads it back
+_FORMATS = {
+    _floats: lambda values: ", ".join(repr(x) for x in values),
+    _float: lambda x: repr(x) if isinstance(x, float) else str(x),
+    _int: str,
+    _text: str,
+    _matrix: lambda rows: "; ".join(" ".join(repr(float(x)) for x in row) for row in rows),
+}
 
 
 #: (section, key) -> (settings object, field, parser): "model" is the
@@ -206,55 +225,21 @@ def parse_config(source: str) -> RunConfig:
                      **fields["run"])
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
-def _fmt_spec(spec):
-    if isinstance(spec, str):
-        return ("preset", spec)
-    return ("matrix", "; ".join(" ".join(repr(float(v)) for v in row) for row in spec))
-
-
 def emit_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse_config(emit_config(c)) == c."""
-    m, integ = cfg.model, cfg.integration
-    ck, cv = _fmt_spec(m.coulomb_matrix)
-    dk, dv = _fmt_spec(m.delta_matrix)
-    lines = [
-        "[spectrum]",
-        "positive_energies = " + ", ".join(repr(e) for e in m.positive_energies),
-        "negative_energies = " + ", ".join(repr(e) for e in m.negative_energies),
-        "",
-        "[interaction]",
-        f"seed = {m.seed}",
-        "",
-        "[interaction.coulomb]",
-        f"scale = {_fmt(m.coulomb_scale)}",
-        f"{ck} = {cv}",
-        "",
-        "[interaction.delta]",
-        f"scale = {_fmt(m.delta_scale)}",
-        f"{dk} = {dv}",
-        "",
-        "[integration]",
-        "eta_sequence = " + ", ".join(repr(e) for e in integ.eta_sequence),
-        f"quadrature_points = {integ.quadrature_points}",
-        f"cutoff_factor = {_fmt(integ.cutoff_factor)}",
-        f"j_order = {integ.j_order}",
-        "",
-        "[bw]",
-        f"order = {cfg.bw_order}",
-        f"max_iter = {cfg.bw_max_iter}",
-        f"tol = {_fmt(cfg.bw_tol)}",
-        "",
-        "[solve]",
-        f"state_index = {cfg.state_index}",
-        "",
-    ]
-    return "\n".join(lines)
+    """Canonical text form: the _FIELDS rows in order, of an interaction's
+    preset/matrix pair the one its spec is; parse_config(emit_config(c)) == c."""
+    parts = {"model": cfg.model, "integration": cfg.integration, "run": cfg}
+    lines, section = [], None
+    for (sec, key), (part, name, parse) in _FIELDS.items():
+        value = getattr(parts[part], name)
+        # an interaction's spec is a preset name or a matrix: one of its two rows
+        if parse is (_matrix if isinstance(value, str) else _text):
+            continue
+        if sec != section:
+            lines += ["", f"[{sec}]"]
+            section = sec
+        lines.append(f"{key} = {_FORMATS[parse](value)}")
+    return "\n".join(lines[1:] + [""])
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -362,8 +362,8 @@ def coupling_scan(cfg, lam_schedule):
     if len(lams) < 4:
         raise ValueError("scan requires >= 4 points")
     ratios = [b / a for a, b in zip(lams[:-1], lams[1:])]
-    if any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
-        raise ValueError("scan schedule must be geometrically spaced")
+    if ratios[0] == 1.0 or any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
+        raise ValueError("scan schedule must be geometrically spaced, with a ratio other than 1")
 
     rows, failures = [], []
     for lam, res in zip(lams, pipeline_points(cfg, lams)):

@@ -57,6 +57,11 @@ def _sample_away_from_poles(rng, pair_sums, lo, hi, min_gap=0.05):
     raise RuntimeError("could not sample away from poles")
 
 
+def _relative(x, ref):
+    """max|x - ref| relative to max(1, max|ref|)."""
+    return float(np.max(np.abs(x - ref))) / max(1.0, float(np.max(np.abs(ref))))
+
+
 def identity_suite(cfg):
     """Run every identity check on the reference state of cfg, drawing the
     samples from cfg.model.seed; returns {name: residual}."""
@@ -115,16 +120,13 @@ def identity_suite(cfg):
     fine = cfg.integration.refined()
     grid = propagator_grid(spectrum, E, fine)
     quad = quadrature_finv(spectrum, basis, E, fine, grid=grid)
-    scale = max(1.0, float(np.max(np.abs(finv))))
-    res["contour_vs_quadrature"] = float(np.max(np.abs(quad - finv))) / scale
+    res["contour_vs_quadrature"] = _relative(quad, finv)
 
     # sandwich: quadrature, linearity, exchange symmetry
     X = sandwich_integral(spectrum, basis, E, g)
     if np.any(g):
         Xq = quadrature_oracle(spectrum, basis, E, g, fine, grid=grid)
-        res["sandwich_vs_quadrature"] = float(np.max(np.abs(X - Xq))) / max(
-            1.0, float(np.max(np.abs(X)))
-        )
+        res["sandwich_vs_quadrature"] = _relative(Xq, X)
     else:
         res["sandwich_vs_quadrature"] = 0.0
     A = rng.uniform(-1, 1, size=(basis.dim, basis.dim))
@@ -138,9 +140,7 @@ def identity_suite(cfg):
     )
     S = 0.5 * (A + A.T)
     Xs = sandwich_integral(spectrum, basis, E, S)
-    res["sandwich_exchange_symmetry"] = float(np.max(np.abs(Xs - Xs.T))) / max(
-        1.0, float(np.max(np.abs(Xs)))
-    )
+    res["sandwich_exchange_symmetry"] = _relative(Xs.T, Xs)
 
     # controversy-chain identities at a nondegenerate working energy, with the
     # kernel integral built once per route; the convention report takes it
@@ -155,9 +155,7 @@ def identity_suite(cfg):
             rep = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, X_direct @ v,
                                     X_alt @ v)
         # transformed route reproduces the direct kernel integral
-        g0mod_route = float(np.max(np.abs(X_direct - X_alt))) / max(
-            1.0, float(np.max(np.abs(X_direct)))
-        )
+        g0mod_route = _relative(X_alt, X_direct)
     res.update(rep.identity_residuals)
     res["g0mod_route"] = g0mod_route
     return res

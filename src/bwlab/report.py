@@ -17,6 +17,7 @@ Two runs of the same config differ only inside timings_ms.
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 from .config import RunConfig, config_hash, emit_config
 
@@ -80,27 +81,13 @@ def base_report(command: str, cfg: RunConfig) -> dict:
 
 
 def energy_section(ledger) -> dict:
-    return {
-        "E_c": ledger.E_c,
-        "dE": list(ledger.dE),
-        "E": ledger.E,
-        "deltaE": ledger.deltaE,
-        "iterations": ledger.iterations,
-        "residual": ledger.residual,
-    }
+    return {f.name: getattr(ledger, f.name) for f in fields(ledger)}
 
 
 def controversy_section(rep) -> dict:
-    return {
-        "dE1_direct": rep.dE1_direct,
-        "dE2b_direct": rep.dE2b_direct,
-        "combined_lindgren": rep.combined_lindgren,
-        "combined_dkz": rep.combined_dkz,
-        "combined_dkz_dc_approx": rep.combined_dkz_dc_approx,
-        "difference": rep.difference,
-        "predicted_difference": rep.predicted_difference,
-        "dm1_error_term": rep.dm1_error_term,
-    }
+    """The fields of a ControversyReport but identity_residuals, which a
+    report carries as a section of its own."""
+    return {f.name: getattr(rep, f.name) for f in fields(rep) if f.name != "identity_residuals"}
 
 
 def _fixed(value, spec, width):

@@ -142,6 +142,18 @@ def test_resolvent_singular_guard(dim4):
         r.restrict(u).apply(-0.2, np.ones(u.size))
 
 
+def test_resolvent_take_after_restrict_keeps_the_whole_guard(dim4):
+    """Each item of a restricted stack still guards its own mixed-pair
+    energy: -0.2, and -0.1 for the copy of H_c shifted by 0.1."""
+    spectrum, basis, I_c, _ = dim4
+    H = build_Hc(spectrum, basis, I_c)
+    _, _, r = solve_no_pair(np.stack([H, H + 0.1 * np.eye(4)]), basis.pattern_indices("pp"))
+    u = np.flatnonzero(basis.unmixed_sign)
+    for k, E in ((0, -0.2), (1, -0.1)):
+        with pytest.raises(DegenerateDenominatorError, match="complementary spectrum"):
+            r.restrict(u).take(k).apply(E, np.ones(u.size))
+
+
 def test_bw_terms_two_level():
     H_c, V, psi = two_level()
     r = resolvent_of(H_c)

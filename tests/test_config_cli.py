@@ -120,6 +120,40 @@ def test_bad_float_list():
         parse_config("[spectrum]\npositive_energies = a, b\nnegative_energies = -1\n")
 
 
+#: a config text per key whose value is not a finite number
+NON_FINITE = {
+    "spectrum.positive_energies":
+        "[spectrum]\npositive_energies = 1.0, inf\nnegative_energies = -1\n",
+    "interaction.coulomb.scale": MINIMAL + "[interaction.coulomb]\nscale = nan\n",
+    "interaction.delta.matrix": MINIMAL + "[interaction.delta]\nmatrix = 1 0; 0 -inf\n",
+    "integration.cutoff_factor": MINIMAL + "[integration]\ncutoff_factor = inf\n",
+    "integration.eta_sequence": MINIMAL + "[integration]\neta_sequence = 0.01, nan\n",
+    "bw.tol": MINIMAL + "[bw]\ntol = nan\n",
+}
+
+
+@pytest.mark.parametrize("key", NON_FINITE)
+def test_non_finite_value_rejected(key):
+    with pytest.raises(ConfigError, match=f"^{key}: non-finite value in "):
+        parse_config(NON_FINITE[key])
+
+
+def test_emit_config_text():
+    """The canonical text, which config_hash digests, byte for byte."""
+    cfg = parse_config(MINIMAL + "[interaction.coulomb]\nscale = 1\nmatrix = 1 2; 2 1\n"
+                       "[interaction.delta]\npreset = random-symmetric\n")
+    assert emit_config(replace(cfg, model=replace(cfg.model, coulomb_scale=1))) == (
+        "[spectrum]\npositive_energies = 1.0, 1.5\nnegative_energies = -1.2, -1.7\n\n"
+        "[interaction]\nseed = 1\n\n"
+        "[interaction.coulomb]\nscale = 1\nmatrix = 1.0 2.0; 2.0 1.0\n\n"
+        "[interaction.delta]\nscale = 0.05\npreset = random-symmetric\n\n"
+        "[integration]\neta_sequence = 0.01, 0.005, 0.0025, 0.00125\nquadrature_points = 16\n"
+        "cutoff_factor = 10000.0\nj_order = 2\n\n"
+        "[bw]\norder = 3\nmax_iter = 200\ntol = 1e-12\n\n"
+        "[solve]\nstate_index = 0\n"
+    )
+
+
 def dim4_text():
     return """
 [spectrum]
@@ -303,6 +337,30 @@ def test_cli_scan_too_few_points(tmp_path):
     path = tmp_path / "cfg.ini"
     path.write_text(dim4_text())
     assert main(["scan", "--config", str(path), "--scan-points", "1"]) == 2
+
+
+@pytest.mark.parametrize("scan_from, scan_to", [
+    ("0", "0.16"), ("-0.1", "0.16"), ("nan", "0.16"), ("0.02", "inf"), ("0.1", "0.1"),
+])
+def test_cli_scan_bad_range_exit2(tmp_path, capsys, scan_from, scan_to):
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code = main(["scan", "--config", str(path), f"--scan-from={scan_from}",
+                 f"--scan-to={scan_to}"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: scan range needs two different finite ends > 0"]
+
+
+def test_cli_non_finite_config_exit2(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text() + "[bw]\ntol = nan\n")
+    code = main(["compare", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["config error: bw.tol: non-finite value in 'nan'"]
 
 
 def test_json_float_format():

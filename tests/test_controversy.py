@@ -285,6 +285,8 @@ def test_coupling_scan_validation(dim4_config, settings):
         coupling_scan(RunConfig(dim4_config, settings), [0.1])
     with pytest.raises(ValueError, match="geometric"):
         coupling_scan(RunConfig(dim4_config, settings), [0.1, 0.2, 0.25, 0.3])
+    with pytest.raises(ValueError, match="ratio other than 1"):
+        coupling_scan(RunConfig(dim4_config, settings), [0.1, 0.1, 0.1, 0.1])
 
 
 def test_coupling_scan_runs(dim4_config, settings):

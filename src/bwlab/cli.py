@@ -1,9 +1,11 @@
 """Command-line interface: verify / compare / scan.
 
-Each command parses one RunConfig and studies its reference state, the
-no-pair state [solve] state_index: verify checks the identities there
-(drawing its samples from the interaction seed), compare and scan run the
-pipeline on it.
+Each command studies the reference state of one RunConfig, the no-pair
+state [solve] state_index: verify checks the identities there (drawing its
+samples from the interaction seed), compare and scan run the pipeline on
+it.  A command maps (cfg, args) to its timing key, report sections and
+exit code.  _run loads the config, times the command (sections and scan's
+--csv file included) and prints the report; main maps aborts to exit codes.
 
 Exit codes: 0 success, 1 verify with a residual out of tolerance, 2 config
 error, 3 numerical degeneracy (scan: any point failed), 4 nonconvergence (of
@@ -55,52 +57,33 @@ EXIT_NONCONVERGENT = 4
 EXIT_ORACLE = 5
 
 
-def _default_config() -> RunConfig:
-    return parse_config("[spectrum]\n")
+class UsageError(Exception):
+    """A command argument the command cannot run with (exit 2)."""
 
 
 def _load(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else _default_config()
+    cfg = parse_config(args.config or "[spectrum]\n")
     if args.seed is not None:
         cfg = replace(cfg, model=replace(cfg.model, seed=args.seed))
     return cfg
 
 
-def _emit(report, fmt):
-    if fmt == "json":
-        print(render_json(report))
-    else:
-        print(render_table(report))
-
-
-def cmd_verify(args) -> int:
-    cfg = _load(args)
-    t0 = time.perf_counter()
+def cmd_verify(cfg, args):
     residuals = identity_suite(cfg)
-    elapsed = 1000.0 * (time.perf_counter() - t0)
-    report = base_report("verify", cfg)
-    report["identity_residuals"] = residuals
-    report["tolerances"] = dict(TOLERANCES)
-    report["passed"] = suite_passes(residuals)
-    report["timings_ms"] = {"identities": elapsed}
-    _emit(report, args.format)
-    return EXIT_OK if report["passed"] else 1
+    passed = suite_passes(residuals)
+    sections = {"identity_residuals": residuals, "tolerances": dict(TOLERANCES), "passed": passed}
+    return "identities", sections, EXIT_OK if passed else 1
 
 
-def cmd_compare(args) -> int:
-    cfg = _load(args)
-    timings = {}
-    t0 = time.perf_counter()
+def cmd_compare(cfg, args):
     result = run_pipeline(cfg)
-    timings["pipeline"] = 1000.0 * (time.perf_counter() - t0)
-    report = base_report("compare", cfg)
-    report["energy"] = energy_section(result.ledger)
-    report["controversy"] = controversy_section(result.controversy)
-    report["identity_residuals"] = result.controversy.identity_residuals
-    report["oracle_energy"] = result.oracle_energy
-    report["timings_ms"] = timings
-    _emit(report, args.format)
-    return EXIT_OK
+    sections = {
+        "energy": energy_section(result.ledger),
+        "controversy": controversy_section(result.controversy),
+        "identity_residuals": result.controversy.identity_residuals,
+        "oracle_energy": result.oracle_energy,
+    }
+    return "pipeline", sections, EXIT_OK
 
 
 def _defined(value):
@@ -108,34 +91,38 @@ def _defined(value):
     return None if np.isnan(value) else value
 
 
-def cmd_scan(args) -> int:
-    cfg = _load(args)
+def cmd_scan(cfg, args):
     if args.scan_points < 4:
-        print("error: scan requires >= 4 points", file=sys.stderr)
-        return EXIT_CONFIG
+        raise UsageError("scan requires >= 4 points")
     ends = (args.scan_from, args.scan_to)
     if not (np.all(np.isfinite(ends)) and min(ends) > 0 and ends[0] != ends[1]):
-        print("error: scan range needs two different finite ends > 0", file=sys.stderr)
-        return EXIT_CONFIG
-    schedule = list(
-        np.geomspace(args.scan_from, args.scan_to, args.scan_points)
-    )
-    timings = {}
-    t0 = time.perf_counter()
+        raise UsageError("scan range needs two different finite ends > 0")
+    schedule = list(np.geomspace(args.scan_from, args.scan_to, args.scan_points))
     rows, slope, r2, failures = coupling_scan(cfg, schedule)
-    timings["scan"] = 1000.0 * (time.perf_counter() - t0)
-    report = base_report("scan", cfg)
-    report["scan"] = {
+    if args.csv:
+        write_csv(args.csv, rows)
+    sections = {"scan": {
         "rows": [[lam, diff, pred, _defined(ratio)] for lam, diff, pred, ratio in rows],
         "fitted_exponent": _defined(slope),
         "r_squared": _defined(r2),
         "failures": [list(f) for f in failures],
-    }
-    report["timings_ms"] = timings
-    if args.csv:
-        write_csv(args.csv, rows)
-    _emit(report, args.format)
-    return EXIT_OK if not failures else EXIT_DEGENERATE
+    }}
+    return "scan", sections, EXIT_OK if not failures else EXIT_DEGENERATE
+
+
+COMMANDS = {"verify": cmd_verify, "compare": cmd_compare, "scan": cmd_scan}
+
+
+def _run(args) -> int:
+    """Load the config, run the command under the timer, and print its
+    report: base_report, the command's sections, then timings_ms."""
+    cfg = _load(args)
+    t0 = time.perf_counter()
+    key, sections, code = COMMANDS[args.command](cfg, args)
+    elapsed = 1000.0 * (time.perf_counter() - t0)
+    report = {**base_report(args.command, cfg), **sections, "timings_ms": {key: elapsed}}
+    print(render_json(report) if args.format == "json" else render_table(report))
+    return code
 
 
 @functools.cache
@@ -168,9 +155,11 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {"verify": cmd_verify, "compare": cmd_compare, "scan": cmd_scan}
     try:
-        return handlers[args.command](args)
+        return _run(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

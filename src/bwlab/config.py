@@ -18,7 +18,8 @@ gets model.dirac_like_energies().  parse_config passes on only the keys a
 file sets.  Lists are comma-separated; explicit matrices use ';' between
 rows and whitespace between entries.  Unknown sections or keys are rejected
 by name; duplicate keys are rejected by the parser with a line number, and
-a number that is not finite (nan, inf) by the key it stands under.
+a number that is not finite (nan, inf) by the key it stands under.  The
+dataclasses' bounds reject nan and inf too, for configs built in code.
 
 The table _FIELDS drives both directions: parse_config reads each key with
 the row's parser, and emit_config writes the rows in order, each value in
@@ -57,14 +58,14 @@ class IntegrationSettings:
         if not self.eta_sequence:
             raise ConfigError("eta_sequence must be nonempty")
         seq = tuple(float(x) for x in self.eta_sequence)
-        if any(x <= 0 for x in seq):
-            raise ConfigError("eta values must be > 0")
+        if not all(0 < x < math.inf for x in seq):
+            raise ConfigError("eta values must be > 0 and finite")
         if any(later >= earlier for earlier, later in zip(seq, seq[1:])):
             raise ConfigError("eta_sequence must be strictly decreasing")
         if self.quadrature_points < 4:
             raise ConfigError("quadrature_points must be >= 4")
-        if self.cutoff_factor < 100:
-            raise ConfigError("cutoff_factor must be >= 100 (cutoff >= 100 max|e|)")
+        if not 100 <= self.cutoff_factor < math.inf:
+            raise ConfigError("cutoff_factor must be >= 100 and finite (cutoff >= 100 max|e|)")
         if self.j_order < 1:
             raise ConfigError("j_order must be >= 1")
         object.__setattr__(self, "eta_sequence", seq)
@@ -100,8 +101,8 @@ class RunConfig:
             raise ConfigError(f"bw.order must be in 1..{MAX_ORDER}")
         if self.bw_max_iter < 1:
             raise ConfigError("bw.max_iter must be >= 1")
-        if self.bw_tol <= 0:
-            raise ConfigError("bw.tol must be > 0")
+        if not 0 < self.bw_tol < math.inf:
+            raise ConfigError("bw.tol must be > 0 and finite")
         if self.state_index < 0:
             raise ConfigError("solve.state_index must be >= 0")
         n_pp = len(self.model.positive_energies) ** 2
@@ -182,21 +183,23 @@ _FIELDS = {
 
 
 def parse_config(source: str) -> RunConfig:
-    """Parse a config from a file path or from inline text."""
+    """Parse a config from a file path or from inline text: source is read
+    as a file when it names one, else as text when it holds a line break.
+    A parse error is one line."""
     parser = configparser.ConfigParser(strict=True, interpolation=None)
     try:
-        if "\n" in source or "=" in source:
-            parser.read_string(source)
-        else:
-            if not os.path.exists(source):
-                raise ConfigError(f"config file not found: {source}")
+        if os.path.isfile(source):
             with open(source) as fh:
                 parser.read_string(fh.read(), source=source)
+        elif "\n" in source:
+            parser.read_string(source)
+        else:
+            raise ConfigError(f"config file not found: {source}")
     except configparser.DuplicateOptionError as exc:
         raise ConfigError(f"duplicate key '{exc.option}' in section [{exc.section}]"
                           f" (line {exc.lineno})") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+        raise ConfigError(f"config parse error: {' '.join(str(exc).split())}") from exc
 
     known_sections = {sec for sec, _ in _FIELDS}
     present = set()

@@ -355,6 +355,8 @@ def coupling_scan(cfg, lam_schedule):
     (lambda, difference, predicted, ratio) and failures lists
     (lambda, error message) for points whose pipeline aborted with a
     BwlabError.  Any other exception is a fault, not data, and propagates.
+    A schedule that is not >= 4 finite lambdas > 0 in geometric progression
+    raises ValueError before any point runs.
     """
     from .pipeline import pipeline_points
 
@@ -362,8 +364,10 @@ def coupling_scan(cfg, lam_schedule):
     if len(lams) < 4:
         raise ValueError("scan requires >= 4 points")
     ratios = [b / a for a, b in zip(lams[:-1], lams[1:])]
-    if ratios[0] == 1.0 or any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios):
-        raise ValueError("scan schedule must be geometrically spaced, with a ratio other than 1")
+    if (not all(0 < lam < np.inf for lam in lams) or ratios[0] == 1.0
+            or any(abs(r - ratios[0]) > 1e-9 * ratios[0] for r in ratios)):
+        raise ValueError("scan schedule must be finite, > 0 and geometrically spaced, "
+                         "with a ratio other than 1")
 
     rows, failures = [], []
     for lam, res in zip(lams, pipeline_points(cfg, lams)):

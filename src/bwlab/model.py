@@ -13,6 +13,7 @@ energy; they are scaled by their coupling on construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -61,11 +62,11 @@ class SingleParticleSpectrum:
         energies = tuple(float(e) for e in positives) + tuple(float(e) for e in negatives)
         signs = (+1,) * len(positives) + (-1,) * len(negatives)
         for e in positives:
-            if e <= 0:
-                raise ConfigError(f"positive list contains non-positive energy {e}")
+            if not 0 < e < math.inf:
+                raise ConfigError(f"positive list contains non-positive or non-finite energy {e}")
         for e in negatives:
-            if e >= 0:
-                raise ConfigError(f"negative list contains non-negative energy {e}")
+            if not -math.inf < e < 0:
+                raise ConfigError(f"negative list contains non-negative or non-finite energy {e}")
         return cls(energies, signs)
 
 
@@ -138,10 +139,10 @@ class ModelConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.coulomb_scale < 0:
-            raise ConfigError("coulomb_scale must be >= 0")
-        if self.delta_scale < 0:
-            raise ConfigError("delta_scale must be >= 0")
+        if not 0 <= self.coulomb_scale < math.inf:
+            raise ConfigError("coulomb_scale must be >= 0 and finite")
+        if not 0 <= self.delta_scale < math.inf:
+            raise ConfigError("delta_scale must be >= 0 and finite")
         for name, spec in (("coulomb", self.coulomb_matrix), ("delta", self.delta_matrix)):
             if isinstance(spec, str):
                 if spec not in PRESETS:

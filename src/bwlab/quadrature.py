@@ -4,12 +4,12 @@ Integrates along the real axis with a finite Feynman regulator eta, on
 composite Gauss-Legendre panels graded toward the pole positions, then
 extrapolates eta -> 0.  Each captured residue is a rational function of
 i*eta with real coefficients, so the real part of every integral handled
-here is even in eta and extrapolates in eta^2, and the imaginary part is
-odd in eta.  The imaginary part is fitted against {1, eta, eta^3, eta^5,
-...}, one term per eta level: the odd powers carry the regulator
-dependence and the free constant term is the extrapolated imaginary part.
-That constant is a diagnostic and should be consistent with zero; a pinch
-(Im ~ 1/eta) or a constant offset shows up there.
+here is even in eta and the imaginary part is odd in eta.  One rule
+(_limit_weights) takes both limits: a linear fit with one term per eta
+level, c + eta^2 P(eta^2) for the real part and c + eta P(eta^2) for the
+imaginary part, evaluated at eta = 0.  The imaginary constant is a
+diagnostic and should be consistent with zero; a pinch (Im ~ 1/eta) or a
+constant offset shows up there.
 
 The integrand factors by particle: for the pair k = i * n + j,
 F^-1 = S1[i] S2[j], where S1 depends only on the state i and S2 only on
@@ -37,11 +37,9 @@ EXTRAPOLATION_TOL = 1e-4
 
 
 def _pole_positions(spectrum, E):
-    pos = []
-    for e in spectrum.energies:
-        pos.append(e - E / 2)
-        pos.append(E / 2 - e)
-    return sorted(set(pos))
+    """Sorted e - E/2 and E/2 - e over the levels e; _panel_breaks drops repeats."""
+    e = np.asarray(spectrum.energies)
+    return np.sort(np.concatenate((e - E / 2, E / 2 - e))).tolist()
 
 
 def _panel_breaks(poles, eta_min, L):
@@ -85,40 +83,31 @@ def _nodes_weights(spectrum, E, settings: IntegrationSettings):
     return nodes, weights
 
 
-def _neville(xs, ys):
-    t = list(ys)
-    n = len(t)
-    for k in range(1, n):
-        for i in range(n - k):
-            t[i] = t[i + 1] + (t[i] - t[i + 1]) * xs[i + k] / (xs[i + k] - xs[i])
-    return t[0], (t[1] if n > 1 else t[0])
-
-
-def _odd_fit_weights(etas):
+def _limit_weights(etas, power):
     """Weights w with sum(w * y) = c of the interpolant
-    y(eta) = c + eta * P(eta^2), deg P = len(etas) - 2, through the points.
+    y(eta) = c + eta^power * P(eta^2), deg P = len(etas) - 2, through the
+    points: the fit's value at eta = 0.
 
-    (y_i - c) / eta_i are values of P at t_i = eta_i^2, so their divided
-    difference of order len(etas) - 1 vanishes:
-    sum_i (y_i - c) / (eta_i prod_{j != i} (t_i - t_j)) = 0.
+    (y_i - c) / eta_i^power are values of P at t_i = eta_i^2, so their
+    divided difference of order len(etas) - 1 vanishes:
+    sum_i (y_i - c) / (eta_i^power prod_{j != i} (t_i - t_j)) = 0.
     """
-    etas = np.asarray(etas, dtype=float)
     t = etas ** 2
     diffs = t[:, None] - t[None, :]
     np.fill_diagonal(diffs, 1.0)
-    a = 1.0 / (etas * np.prod(diffs, axis=1))
+    a = 1.0 / (etas ** power * np.prod(diffs, axis=1))
     return a / a.sum()
 
 
 def _extrapolate(etas, values):
     """eta -> 0 limit of values[level, ...] sampled on the eta ladder.
 
-    The real part is extrapolated in eta^2 (Neville).  The imaginary part
-    is fitted against {1, eta, eta^3, ...}, one term per level; the free
-    constant term is returned as the imaginary diagnostic, so a pinch
-    (Im ~ 1/eta) or a constant offset stays visible.  The last two
-    estimates of either part are the fit on all levels and the fit without
-    the largest eta; a one-level ladder returns its single value.
+    Each part is a linear fit with one term per level, evaluated at
+    eta = 0: the real part c + eta^2 P(eta^2), the imaginary part
+    c + eta P(eta^2).  The imaginary constant is returned as a diagnostic,
+    so a pinch (Im ~ 1/eta) or a constant offset stays visible.  The
+    previous estimate of either part is the same fit without the largest
+    eta; a one-level ladder returns its single value.
 
     Returns (real, imag_diagnostic); raises if the last refinement moved
     either part by more than EXTRAPOLATION_TOL relatively.  A pinched
@@ -126,12 +115,11 @@ def _extrapolate(etas, values):
     symmetric pinch is exactly zero), so both parts are watched.
     """
     values = np.asarray(values)
-    etas = np.asarray(etas)
-    re, re_prev = _neville(etas ** 2, values.real)
-    im = np.tensordot(_odd_fit_weights(etas), values.imag, axes=1)
-    im_prev = (
-        np.tensordot(_odd_fit_weights(etas[1:]), values.imag[1:], axes=1)
-        if etas.size > 1 else im
+    etas = np.asarray(etas, dtype=float)
+    drop = min(1, etas.size - 1)  # the previous fit leaves out the largest eta
+    re, re_prev, im, im_prev = (
+        np.tensordot(_limit_weights(etas[k:], power), part[k:], axes=1)
+        for part, power in ((values.real, 2), (values.imag, 1)) for k in (0, drop)
     )
     scale = np.maximum(1.0, np.abs(re))
     bad = np.abs(re - re_prev) > EXTRAPOLATION_TOL * scale

@@ -1,12 +1,15 @@
 """Run reports: a stable key set per command, a deterministic JSON
-serializer (floats at 17 significant digits), and an aligned text table.
+serializer (floats at 17 significant digits; one walk, which rejects a nan
+or inf by its key path), and an aligned text table.
 
-Report keys:
-    version, command, config_hash, config (inline echo), energy
-    (E_c, dE, E, deltaE, iterations, residual), controversy (compare),
-    identity_residuals, scan (scan only: rows, fitted_exponent, r_squared,
-    failures; an undefined ratio, exponent or R^2 is None, rendered as
-    null), oracle_energy, timings_ms.
+Report keys, in order: base_report's version, command, config_hash and
+config (inline echo), then the command's sections, then timings_ms (one
+key: identities, pipeline or scan):
+    verify   identity_residuals, tolerances, passed
+    compare  energy (E_c, dE, E, deltaE, iterations, residual), controversy,
+             identity_residuals, oracle_energy
+    scan     scan (rows, fitted_exponent, r_squared, failures; an undefined
+             ratio, exponent or R^2 is None, rendered as null)
 
 The verify table prints each identity residual with its tolerance and
 PASS or FAIL, then the overall verdict.
@@ -24,36 +27,27 @@ from .config import RunConfig, config_hash, emit_config
 VERSION = "0.1.0"
 
 
-def _check_finite(obj, path="report"):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            _check_finite(v, f"{path}.{k}")
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _check_finite(v, f"{path}[{i}]")
-    elif isinstance(obj, float) and not math.isfinite(obj):
-        raise ValueError(f"non-finite value at {path}: {obj}")
-
-
-def _jsonify(obj, out):
+def _jsonify(obj, out, path):
     if isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
             out.append(f'"{k}":')
-            _jsonify(v, out)
+            _jsonify(v, out, f"{path}.{k}")
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
-            _jsonify(v, out)
+            _jsonify(v, out, f"{path}[{i}]")
         out.append("]")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"non-finite value at {path}: {obj}")
         out.append(format(obj, ".17g"))
     elif isinstance(obj, int):
         out.append(str(obj))
@@ -65,9 +59,10 @@ def _jsonify(obj, out):
 
 
 def render_json(report: dict) -> str:
-    _check_finite(report)
+    """The report as JSON; a float that is not finite raises ValueError
+    naming its key path (report.energy.E, report.scan.rows[2][1], ...)."""
     out = []
-    _jsonify(report, out)
+    _jsonify(report, out, "report")
     return "".join(out)
 
 

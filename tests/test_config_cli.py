@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,6 +14,7 @@ from bwlab import (
     OracleTrackingError,
     QuadratureConvergenceError,
     RunConfig,
+    build_spectrum,
     dirac_like_energies,
     emit_config,
     parse_config,
@@ -136,6 +138,32 @@ NON_FINITE = {
 def test_non_finite_value_rejected(key):
     with pytest.raises(ConfigError, match=f"^{key}: non-finite value in "):
         parse_config(NON_FINITE[key])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda cfg: replace(cfg, bw_tol=NAN), "bw.tol must be > 0 and finite"),
+    (lambda cfg: replace(cfg, bw_tol=INF), "bw.tol must be > 0 and finite"),
+    (lambda cfg: replace(cfg.model, coulomb_scale=NAN), "coulomb_scale must be >= 0 and finite"),
+    (lambda cfg: replace(cfg.model, delta_scale=INF), "delta_scale must be >= 0 and finite"),
+    (lambda cfg: replace(cfg.integration, cutoff_factor=NAN), "cutoff_factor must be >= 100 and"),
+    (lambda cfg: replace(cfg.integration, cutoff_factor=INF), "cutoff_factor must be >= 100 and"),
+    (lambda cfg: replace(cfg.integration, eta_sequence=(0.01, NAN)),
+     "eta values must be > 0 and finite"),
+    (lambda cfg: replace(cfg.integration, eta_sequence=(INF, 0.01)),
+     "eta values must be > 0 and finite"),
+    (lambda cfg: build_spectrum(replace(cfg.model, positive_energies=(1.0, INF))),
+     "positive list contains non-positive or non-finite energy inf"),
+    (lambda cfg: build_spectrum(replace(cfg.model, negative_energies=(-INF, -1.2))),
+     "negative list contains non-negative or non-finite energy -inf"),
+], ids=["bw_tol-nan", "bw_tol-inf", "coulomb_scale-nan", "delta_scale-inf",
+        "cutoff_factor-nan", "cutoff_factor-inf", "eta_sequence-nan", "eta_sequence-inf",
+        "positive_energies-inf", "negative_energies-inf"])
+def test_dataclasses_reject_non_finite_values(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        build(parse_config(MINIMAL))
 
 
 def test_emit_config_text():
@@ -313,6 +341,35 @@ def test_cli_config_error_exit2(tmp_path):
     assert main(["compare", "--config", str(tmp_path / "missing.ini")]) == 2
 
 
+def test_cli_config_path_with_equals_sign(tmp_path, capsys):
+    """A path that names a file is read as one, '=' in it or not."""
+    path = tmp_path / "a=b" / "cfg.ini"
+    path.parent.mkdir()
+    path.write_text(dim4_text())
+    code, out = run_cli(capsys, ["compare", "--config", str(path), "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["config"] == emit_config(parse_config(dim4_text()))
+    path.write_text(dim4_text() + "[bw]\ntol = nan\n")
+    code = main(["compare", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["config error: bw.tol: non-finite value in 'nan'"]
+
+
+def test_cli_malformed_config_one_line(tmp_path, capsys):
+    path = tmp_path / "cfg.ini"
+    path.write_text("[spectrum]\npositive_energies = 1.0\ngarbage line\n")
+    code = main(["compare", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f"config error: config parse error: Source contains parsing errors: '{path}'"
+        " [line 3]: 'garbage line\\n'"
+    ]
+
+
 def test_cli_scan_csv(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
     path.write_text(dim4_text())
@@ -366,6 +423,38 @@ def test_cli_non_finite_config_exit2(tmp_path, capsys):
 def test_json_float_format():
     text = render_json({"x": 0.1, "y": 2.0})
     assert text == '{"x":0.10000000000000001,"y":2}'
+
+
+@pytest.mark.parametrize("report, where", [
+    ({"energy": {"E": 2.0, "dE": NAN}}, "report.energy.dE: nan"),
+    ({"scan": {"rows": [[0.1, 1.0], [0.2, -INF]]}}, "report.scan.rows[1][1]: -inf"),
+    ({"timings_ms": (1.0, INF)}, "report.timings_ms[1]: inf"),
+])
+def test_render_json_rejects_non_finite_by_path(report, where):
+    with pytest.raises(ValueError, match=f"^non-finite value at {re.escape(where)}$"):
+        render_json(report)
+
+
+#: the sections of each command's report, between base_report's keys and
+#: timings_ms, and the one timing key
+REPORT_SECTIONS = {
+    "verify": (["identity_residuals", "tolerances", "passed"], "identities"),
+    "compare": (["energy", "controversy", "identity_residuals", "oracle_energy"], "pipeline"),
+    "scan": (["scan"], "scan"),
+}
+
+
+@pytest.mark.parametrize("command", REPORT_SECTIONS)
+def test_cli_report_keys_in_order(tmp_path, capsys, command):
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code, out = run_cli(capsys, [command, "--config", str(path), "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    sections, timing = REPORT_SECTIONS[command]
+    assert list(report) == ["version", "command", "config_hash", "config", *sections,
+                            "timings_ms"]
+    assert list(report["timings_ms"]) == [timing]
 
 
 @pytest.mark.parametrize("command", ["compare", "scan", "verify"])

@@ -287,6 +287,9 @@ def test_coupling_scan_validation(dim4_config, settings):
         coupling_scan(RunConfig(dim4_config, settings), [0.1, 0.2, 0.25, 0.3])
     with pytest.raises(ValueError, match="ratio other than 1"):
         coupling_scan(RunConfig(dim4_config, settings), [0.1, 0.1, 0.1, 0.1])
+    for schedule in ([float("nan")] * 4, [-0.1, -0.2, -0.4, -0.8]):
+        with pytest.raises(ValueError, match="finite, > 0 and geometric"):
+            coupling_scan(RunConfig(dim4_config, settings), schedule)
 
 
 def test_coupling_scan_runs(dim4_config, settings):

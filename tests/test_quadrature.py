@@ -72,14 +72,18 @@ def test_refined_settings_tighter(dim4, settings):
 
 
 def test_extrapolate_imaginary_part_odd_in_eta():
-    """Im = c + odd polynomial in eta with one term per extra level is
-    extrapolated to c exactly; a one-level ladder returns its value."""
+    """Re = a + polynomial in eta^2 and Im = c + odd polynomial in eta, each
+    with one term per extra level, are extrapolated to a and c exactly; a
+    one-level ladder returns its value."""
     etas = np.array(IntegrationSettings().refined().eta_sequence)
+    a = np.array([[1.5, -2.0], [0.0, 4e-3]])
     c = np.array([[0.0, 2.5e-5], [-1.0, 3.0]])
+    t = etas ** 2
+    even = t * 0.7 - t ** 2 * 3e2 + t ** 3 * 2e6 - t ** 4 * 1e10
     odd = etas * 0.4 - etas ** 3 * 8e2 + etas ** 5 * 3e6 - etas ** 7 * 2e10
-    values = [1.5 + 0.7 * e ** 2 + 1j * (c + o) for e, o in zip(etas, odd)]
+    values = [a + v + 1j * (c + o) for v, o in zip(even, odd)]
     re, im = quadrature._extrapolate(etas, values)
-    assert np.allclose(re, 1.5, rtol=0, atol=1e-13)
+    assert np.allclose(re, a, rtol=0, atol=1e-13)
     assert np.allclose(im, c, rtol=0, atol=1e-13)
     re, im = quadrature._extrapolate(etas[:1], values[:1])
     assert np.array_equal(re, values[0].real) and np.array_equal(im, values[0].imag)

@@ -8,6 +8,8 @@ correction, measuring their difference against the predicted
 2 dE <psi|Y|psi> term.
 """
 
+__version__ = "0.1.0"  # set first, so that any submodule can import it
+
 from .bw import EnergyLedger, Resolvent, bw_selfconsistent, bw_terms, solve_no_pair
 from .config import IntegrationSettings, RunConfig, config_hash, emit_config, parse_config
 from .controversy import (
@@ -56,5 +58,3 @@ from .propagators import (
     xj_matrix_ssum_route,
 )
 from .quadrature import quadrature_chain, quadrature_finv, quadrature_oracle
-
-__version__ = "0.1.0"

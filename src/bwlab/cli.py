@@ -10,8 +10,9 @@ exit code.  _run loads the config, times the command (sections and scan's
 Exit codes: 0 success, 1 verify with a residual out of tolerance, 2 config
 error, 3 numerical degeneracy (scan: any point failed), 4 nonconvergence (of
 the BW fixed point or of the quadrature oracle), 5 the model oracle lost the
-reference state (compare only; scan does not run it).  Codes 2 to 5 from an
-abort print one stderr line.  Exit 2 covers a config value that is not a
+reference state (compare only; scan does not run it), 6 stdout closed before
+the whole report was written (the reader of a pipe went away).  Codes 2 to 6
+print one stderr line.  Exit 2 covers a config value that is not a
 finite number (nan, inf) and, for scan, fewer than 4 points or a lambda
 range whose ends are not two different finite numbers > 0.
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 import time
 from dataclasses import replace
@@ -55,6 +57,7 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_NONCONVERGENT = 4
 EXIT_ORACLE = 5
+EXIT_STDOUT_CLOSED = 6
 
 
 class UsageError(Exception):
@@ -122,6 +125,7 @@ def _run(args) -> int:
     elapsed = 1000.0 * (time.perf_counter() - t0)
     report = {**base_report(args.command, cfg), **sections, "timings_ms": {key: elapsed}}
     print(render_json(report) if args.format == "json" else render_table(report))
+    sys.stdout.flush()  # a closed pipe fails here, inside main's handlers
     return code
 
 
@@ -172,6 +176,14 @@ def main(argv=None) -> int:
     except OracleTrackingError as exc:
         print(f"model oracle: {exc}", file=sys.stderr)
         return EXIT_ORACLE
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so the flush at exit
+        # does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout closed before the report was written", file=sys.stderr)
+        return EXIT_STDOUT_CLOSED
 
 
 if __name__ == "__main__":

@@ -19,7 +19,8 @@ file sets.  Lists are comma-separated; explicit matrices use ';' between
 rows and whitespace between entries.  Unknown sections or keys are rejected
 by name; duplicate keys are rejected by the parser with a line number, and
 a number that is not finite (nan, inf) by the key it stands under.  The
-dataclasses' bounds reject nan and inf too, for configs built in code.
+dataclasses' bounds reject nan and inf too, for configs built in code, and
+a field annotated int rejects a value that is not an integer.
 
 The table _FIELDS drives both directions: parse_config reads each key with
 the row's parser, and emit_config writes the rows in order, each value in
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 from .bw import MAX_ORDER
 from .errors import ConfigError
-from .model import ModelConfig, SingleParticleSpectrum, dirac_like_energies
+from .model import ModelConfig, SingleParticleSpectrum, check_integer_fields, dirac_like_energies
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ class IntegrationSettings:
     j_order: int = 2
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not self.eta_sequence:
             raise ConfigError("eta_sequence must be nonempty")
         seq = tuple(float(x) for x in self.eta_sequence)
@@ -97,6 +99,7 @@ class RunConfig:
     state_index: int = 0
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not 1 <= self.bw_order <= MAX_ORDER:
             raise ConfigError(f"bw.order must be in 1..{MAX_ORDER}")
         if self.bw_max_iter < 1:
@@ -245,5 +248,10 @@ def emit_config(cfg: RunConfig) -> str:
     return "\n".join(lines[1:] + [""])
 
 
+def text_hash(text: str) -> str:
+    """The config hash of a canonical text from emit_config: its SHA-256."""
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def config_hash(cfg: RunConfig) -> str:
-    return hashlib.sha256(emit_config(cfg).encode()).hexdigest()
+    return text_hash(emit_config(cfg))

@@ -2,10 +2,12 @@
 and model interaction matrices.
 
 The single-particle spectrum is a finite stand-in for a Dirac-like spectrum:
-every state carries a sign label (+ for positive-energy, - for
-negative-energy states) and energies are pairwise distinct.  Two-particle
-states are ordered pairs (i, j) flattened row-major with j varying fastest,
-so pair (i, j) sits at flat index i * n + j.
+its energies are nonzero and pairwise distinct, and a state's sign class
+(+ for positive-energy, - for negative-energy states) is the sign of its
+energy; nothing stores it apart.  Two-particle states are ordered pairs
+(i, j) flattened row-major with j varying fastest, so pair (i, j) sits at
+flat index i * n + j.  A pair's sign pattern, and the diagonal
+unmixed_sign of P_pp - P_mm that the operators use, follow from the signs.
 
 Interaction matrices are dense, symmetric, and independent of the relative
 energy; they are scaled by their coupling on construction.
@@ -14,8 +16,9 @@ energy; they are scaled by their coupling on construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+import numbers
+from dataclasses import dataclass, fields, replace
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -27,29 +30,32 @@ PRESETS = ("ones", "random-symmetric")
 SYMMETRY_TOL = 1e-14
 
 
+@cache
+def _integer_fields(cls):
+    return [f.name for f in fields(cls) if f.type in ("int", int)]
+
+
+def check_integer_fields(settings):
+    """Raise ConfigError for a field of the settings dataclass annotated int
+    whose value is not a Python or numpy integer."""
+    for name in _integer_fields(type(settings)):
+        value = getattr(settings, name)
+        if not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SingleParticleSpectrum:
-    """Model eigenvalues with positive/negative classification.
-
-    energies: state energies, positives first, then negatives (input order).
-    signs:    +1 or -1 per state, consistent with the sign of the energy.
-    """
+    """Model eigenvalues: positives first, then negatives (input order)."""
 
     energies: tuple
-    signs: tuple
 
     def __post_init__(self):
-        if len(self.energies) != len(self.signs):
-            raise ConfigError("energies and signs must have equal length")
         if not self.energies:
             raise ConfigError("spectrum must contain at least one state")
-        for e, s in zip(self.energies, self.signs):
-            if e == 0.0:
-                raise ConfigError("zero energy is not allowed")
-            if s not in (+1, -1):
-                raise ConfigError("sign labels must be +1 or -1")
-            if np.sign(e) != s:
-                raise ConfigError(f"energy {e} does not match sign label {s}")
+        for e in self.energies:
+            if e == 0.0 or not math.isfinite(e):
+                raise ConfigError(f"energy {e} is zero or not finite")
         if len(set(self.energies)) != len(self.energies):
             raise ConfigError("duplicate energy in spectrum")
 
@@ -57,17 +63,21 @@ class SingleParticleSpectrum:
     def n(self):
         return len(self.energies)
 
+    @property
+    def signs(self):
+        """+1 or -1 per state: the sign of its energy."""
+        return tuple(1 if e > 0 else -1 for e in self.energies)
+
     @classmethod
     def from_lists(cls, positives, negatives):
-        energies = tuple(float(e) for e in positives) + tuple(float(e) for e in negatives)
-        signs = (+1,) * len(positives) + (-1,) * len(negatives)
+        energies = tuple(float(e) for e in (*positives, *negatives))
         for e in positives:
             if not 0 < e < math.inf:
                 raise ConfigError(f"positive list contains non-positive or non-finite energy {e}")
         for e in negatives:
             if not -math.inf < e < 0:
                 raise ConfigError(f"negative list contains non-negative or non-finite energy {e}")
-        return cls(energies, signs)
+        return cls(energies)
 
 
 @dataclass(frozen=True)
@@ -75,22 +85,20 @@ class TwoParticleBasis:
     """Tensor-product pair basis over a spectrum.
 
     pairs[k] = (i, j) with k = i * n + j (row-major, j fastest).
-    patterns[k] in {"pp", "pm", "mp", "mm"} according to the sign labels.
+    patterns[k] in {"pp", "pm", "mp", "mm"} according to the signs of e_i, e_j.
     """
 
     spectrum: SingleParticleSpectrum
-    pairs: tuple = field(init=False)
-    patterns: tuple = field(init=False)
 
-    def __post_init__(self):
+    @cached_property
+    def pairs(self):
         n = self.spectrum.n
-        pairs = tuple((i, j) for i in range(n) for j in range(n))
-        tags = {+1: "p", -1: "m"}
-        pats = tuple(
-            tags[self.spectrum.signs[i]] + tags[self.spectrum.signs[j]] for i, j in pairs
-        )
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "patterns", pats)
+        return tuple((i, j) for i in range(n) for j in range(n))
+
+    @cached_property
+    def patterns(self):
+        tag = ["m" if s < 0 else "p" for s in self.spectrum.signs]
+        return tuple(tag[i] + tag[j] for i, j in self.pairs)
 
     @property
     def dim(self):
@@ -139,6 +147,7 @@ class ModelConfig:
     seed: int = 1
 
     def __post_init__(self):
+        check_integer_fields(self)
         if not 0 <= self.coulomb_scale < math.inf:
             raise ConfigError("coulomb_scale must be >= 0 and finite")
         if not 0 <= self.delta_scale < math.inf:

@@ -1,10 +1,11 @@
 """Sign masks, the guarded pair denominator and the epsilon-independent
 composite operators.
 
-A pair's sign pattern has one representation, the cached
-TwoParticleBasis.unmixed_sign: +1 on pp pairs, -1 on mm pairs, 0 on mixed
-pairs, the diagonal of P_pp - P_mm.  Projector products are row and column
-masks from it, at O(dim^2) instead of a dense O(dim^3) product.
+A pair's sign class comes from the energies: the signs of e_i and e_j.
+The operators read it as the cached TwoParticleBasis.unmixed_sign, derived
+from those signs: +1 on pp pairs, -1 on mm pairs, 0 on mixed pairs, the
+diagonal of P_pp - P_mm.  Projector products are row and column masks from
+it, at O(dim^2) instead of a dense O(dim^3) product.
 
 inverse_denominator is the one guarded 1/(E - e_i - e_j); it aborts where a
 selected denominator is degenerate.  free_propagator is the one closed form

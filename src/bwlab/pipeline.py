@@ -43,7 +43,7 @@ from .controversy import (
     ladder_perturbation,
     model_oracle,
 )
-from .errors import BwlabError
+from .errors import BwlabError, ConfigError
 from .model import build_basis, build_interaction, build_spectrum
 from .operators import build_Hc
 from .propagators import xj_matrix, xj_matrix_ssum_route
@@ -88,11 +88,7 @@ def reference_state(cfg: RunConfig, factors=None) -> ReferenceState:
     """Spectrum, basis, both couplings, the no-pair state cfg.state_index of
     the doubly-positive block, and the BW resolvent about it.  With factors,
     the stack of the states of cfg.model.scaled(f), one per factor, from one
-    stacked eigh."""
-    if factors is not None:
-        # each scaled model validates its couplings, as a one-point run does
-        for f in factors:
-            cfg.model.scaled(f)
+    stacked eigh; the caller checks that each scaled model is valid."""
     spectrum = build_spectrum(cfg.model)
     basis = build_basis(spectrum)
     I_c = build_interaction(cfg.model, "coulomb", factors)
@@ -164,29 +160,50 @@ def _bw_stack(cfg, st):
     return outcomes
 
 
+def _scaling_error(cfg, factor):
+    """The ConfigError of cfg.model.scaled(factor), as a one-point run
+    raises it for couplings that are not finite, or None."""
+    try:
+        cfg.model.scaled(factor)
+    except ConfigError as exc:
+        return exc
+    return None
+
+
+def _stack_outcomes(cfg, factors):
+    """Yields, per factor, its point's PipelineResult or BwlabError, from one
+    stack of reference states and BW solves in lock-step."""
+    try:
+        st = reference_state(cfg, factors)
+    except BwlabError as exc:
+        # a stack fails as each of its points does: a geometric schedule
+        # has one sign, and with the couplings valid nothing else here
+        # depends on the factor
+        yield from [exc] * len(factors)
+        return
+    for i, outcome in enumerate(_bw_stack(cfg, st)):
+        if not isinstance(outcome, BwlabError):
+            try:
+                outcome = _conventions(cfg, st.take(i), outcome)
+            except BwlabError as exc:
+                outcome = exc
+        yield outcome
+
+
 def pipeline_points(cfg: RunConfig, factors):
     """pipeline_core at cfg.model.scaled(f) for each f in factors: yields,
     in order, each point's PipelineResult or the BwlabError pipeline_core
     raises there.  The points are taken in chunks whose stacked arrays fit
-    STACK_BYTES; the BW solves of a chunk run in lock-step."""
+    STACK_BYTES; the points of a chunk whose scaled couplings are valid are
+    stacked, and their BW solves run in lock-step."""
     dim = (len(cfg.model.positive_energies) + len(cfg.model.negative_energies)) ** 2
     size = max(1, STACK_BYTES // (8 * STACK_DOUBLES * dim * dim))
     for start in range(0, len(factors), size):
         chunk = factors[start:start + size]
-        try:
-            st = reference_state(cfg, chunk)
-        except BwlabError as exc:
-            # a stack fails as each of its points does: a geometric schedule
-            # has one sign, and nothing else here depends on the factor
-            yield from [exc] * len(chunk)
-            continue
-        for i, outcome in enumerate(_bw_stack(cfg, st)):
-            if not isinstance(outcome, BwlabError):
-                try:
-                    outcome = _conventions(cfg, st.take(i), outcome)
-                except BwlabError as exc:
-                    outcome = exc
-            yield outcome
+        errors = [_scaling_error(cfg, f) for f in chunk]
+        stacked = _stack_outcomes(cfg, [f for f, error in zip(chunk, errors) if error is None])
+        for error in errors:
+            yield next(stacked) if error is None else error
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:

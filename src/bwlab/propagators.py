@@ -32,13 +32,10 @@ is a check too.  ChainIntegrator, the scalar chain-by-chain evaluation
 through residues.pole_product_integral, stays as a reference; the numerical
 quadrature oracle (quadrature module) is the independent check of both.
 
-Callers that need X_J only applied to a vector v pass v to xj_matrix or
-xj_matrix_ssum_route.  The engine then carries the row block v^T in place
-of the identity: it starts from v^T diag(h) and multiplies from the right,
-at dim^2 rather than dim^3 per step.  Every diagonal factor is symmetric
-and a chain closes on the same side as its reverse, so X_J[g]^T =
-X_J[g^T] and X_J v = (v^T X_J[g^T])^T; on the S-sum route the outer D^-1
-scales v before and the result after.
+xj_matrix and xj_matrix_ssum_route share one body, _xj.  Callers that
+need X_J only applied to a vector v pass v; the engine then carries a row
+block in place of the identity: it starts from v^T diag(h) and multiplies
+from the right, at dim^2 rather than dim^3 per step.
 """
 
 from __future__ import annotations
@@ -315,29 +312,36 @@ def j_series(spectrum, basis, E, g_delta, order):
     return _kernel_terms(spectrum, basis, E, _square(g_delta, basis, "g"), order)
 
 
-def _row(v, basis):
-    """v as the one-row block v^T."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (basis.dim,):
-        raise ValueError(f"v has shape {v.shape}, basis needs {(basis.dim,)}")
-    return v[None, :]
+def _xj(spectrum, basis, E, g_delta, order, v, ssum):
+    """X_J = D_o T[g] D_o, T[g] = sum_k T_k, or X_J v given v.  Direct route:
+    D_o = 1 and the T_k of j_series.  S-sum route: D_o = D^-1, and the T_k
+    have S1 + S2 in place of F^-1 and D^-1 on the inner pairs.
 
-
-def xj_matrix(spectrum, basis, E, g_delta, order, v=None):
-    """Truncated kernel integral sum_k T_k (the X_J of the direct route), or,
-    given a vector v, the applied X_J v.
-
-    X_J v is evaluated as (v^T X_J[g^T])^T: every diagonal factor is
-    symmetric and each chain closes on the same side as its reverse, so
-    X_J[g]^T = X_J[g^T].  The engine then carries the row block v^T instead
-    of the identity, at dim^2 instead of dim^3 per step.
+    X_J v is evaluated as D_o (u^T T[g^T])^T for u = D_o v: every diagonal
+    factor is symmetric and each chain closes on the same side as its
+    reverse, so T[g]^T = T[g^T].
     """
-    if v is None:
-        return sum(j_series(spectrum, basis, E, g_delta, order))
     if order < 1:
         raise ValueError("order must be >= 1")
     g = _square(g_delta, basis, "g")
-    return sum(_kernel_terms(spectrum, basis, E, g.T, order, W=_row(v, basis)))[0]
+    if v is not None:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (basis.dim,):
+            raise ValueError(f"v has shape {v.shape}, basis needs {(basis.dim,)}")
+    if not g.any():  # X_J = 0, also where D^-1 does not exist
+        return np.zeros(g.shape if v is None else v.shape)
+    dinv = inverse_denominator(basis, E) if ssum else None
+    outer = np.ones(basis.dim) if dinv is None else dinv
+    if v is None:
+        return outer[:, None] * sum(_kernel_terms(spectrum, basis, E, g, order, dinv)) * outer
+    u = outer * v
+    return outer * sum(_kernel_terms(spectrum, basis, E, g.T, order, dinv, u[None, :]))[0]
+
+
+def xj_matrix(spectrum, basis, E, g_delta, order, v=None):
+    """Truncated kernel integral sum_k T_k of j_series (the X_J of the direct
+    route), or, given a vector v, the applied X_J v."""
+    return _xj(spectrum, basis, E, g_delta, order, v, ssum=False)
 
 
 def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order, v=None):
@@ -347,21 +351,9 @@ def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order, v=None):
 
     so the residue engine multiplies series of (S1 + S2) factors, the inner
     pairs carry explicit 1/(E - e_i - e_j) weights, and the outer D^-1 is
-    applied afterwards.  Algebraically identical to xj_matrix; numerically
-    an independent evaluation path.  Aborts where any D entry vanishes,
-    which includes the mixed-pair energies the direct route handles.
-
-    Given v, returns X v = D^-1 (W[g] (D^-1 v)), with the bracket W[g] taken
-    as (u^T W[g^T])^T for u = D^-1 v, as in xj_matrix.
+    applied afterwards (to v before, given v).  Algebraically identical to
+    xj_matrix; numerically an independent evaluation path.  Aborts where any
+    D entry vanishes, which includes the mixed-pair energies the direct
+    route handles.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    g = _square(g_delta, basis, "g")
-    vt = None if v is None else _row(v, basis)
-    if not np.any(g):
-        return np.zeros((basis.dim, basis.dim)) if v is None else np.zeros(basis.dim)
-    dinv = inverse_denominator(basis, E)
-    if v is None:
-        W = sum(_kernel_terms(spectrum, basis, E, g, order, dinv))
-        return dinv[:, None] * W * dinv[None, :]
-    return dinv * sum(_kernel_terms(spectrum, basis, E, g.T, order, dinv, vt * dinv))[0]
+    return _xj(spectrum, basis, E, g_delta, order, v, ssum=True)

@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import fields
 
-from .config import RunConfig, config_hash, emit_config
-
-VERSION = "0.1.0"
+from . import __version__
+from .config import RunConfig, emit_config, text_hash
 
 
 def _jsonify(obj, out, path):
@@ -67,12 +66,11 @@ def render_json(report: dict) -> str:
 
 
 def base_report(command: str, cfg: RunConfig) -> dict:
-    return {
-        "version": VERSION,
-        "command": command,
-        "config_hash": config_hash(cfg),
-        "config": emit_config(cfg),
-    }
+    """The package version, the command, and the config's canonical text
+    with its hash (config_hash(cfg)), emitted once."""
+    text = emit_config(cfg)
+    return {"version": __version__, "command": command, "config_hash": text_hash(text),
+            "config": text}
 
 
 def energy_section(ledger) -> dict:

@@ -1,12 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bwlab.config
 import bwlab.identities
 import bwlab.pipeline
+import bwlab.report
 from bwlab import (
     ConfigError,
     IntegrationSettings,
@@ -164,6 +170,32 @@ NAN, INF = float("nan"), float("inf")
 def test_dataclasses_reject_non_finite_values(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         build(parse_config(MINIMAL))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda cfg: replace(cfg, bw_max_iter=INF), "bw_max_iter must be an integer, got inf"),
+    (lambda cfg: replace(cfg, bw_order=2.5), "bw_order must be an integer, got 2.5"),
+    (lambda cfg: replace(cfg, state_index=0.0), "state_index must be an integer, got 0.0"),
+    (lambda cfg: replace(cfg.integration, j_order=2.5), "j_order must be an integer, got 2.5"),
+    (lambda cfg: replace(cfg.integration, quadrature_points=NAN),
+     "quadrature_points must be an integer, got nan"),
+    (lambda cfg: replace(cfg.model, seed=1.5), "seed must be an integer, got 1.5"),
+], ids=["bw_max_iter-inf", "bw_order-2.5", "state_index-0.0", "j_order-2.5",
+        "quadrature_points-nan", "seed-1.5"])
+def test_dataclasses_reject_non_integer_settings(build, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        build(parse_config(MINIMAL))
+
+
+def test_dataclasses_accept_numpy_integers():
+    cfg = parse_config(MINIMAL)
+    numpy_ints = replace(cfg, bw_order=np.int64(3), bw_max_iter=np.int32(200),
+                         state_index=np.int64(0),
+                         integration=replace(cfg.integration, quadrature_points=np.int64(16),
+                                             j_order=np.int16(2)),
+                         model=replace(cfg.model, seed=np.uint8(1)))
+    assert numpy_ints == cfg
+    assert emit_config(numpy_ints) == emit_config(cfg)
 
 
 def test_emit_config_text():
@@ -695,3 +727,117 @@ def test_cli_compare_singular_ladder_block_exit3(tmp_path, capsys):
     assert out == ""
     assert err.splitlines() == [
         "degenerate denominator: singular ladder block E S_u - K at E = 2.5"]
+
+
+#: config texts that exit 2, each with its one stderr line
+CONFIG_ERRORS = {
+    "quadrature_points": (dim4_text() + "[integration]\nquadrature_points = 3\n",
+                          "quadrature_points must be >= 4"),
+    "bw.order": (dim4_text() + "[bw]\norder = 4\n", "bw.order must be in 1..3"),
+    "bw.max_iter": (dim4_text() + "[bw]\nmax_iter = 0\n", "bw.max_iter must be >= 1"),
+    "solve.state_index": (dim4_text() + "[solve]\nstate_index = -1\n",
+                          "solve.state_index must be >= 0"),
+    "j_order": (dim4_text() + "[integration]\nj_order = 2.5\n",
+                "integration.j_order: could not parse integer '2.5'"),
+    "non-square matrix": (dim4_text() + "[interaction.coulomb]\nmatrix = 1 2; 3\n",
+                          "interaction.coulomb.matrix: matrix must be square"),
+    "positives only": ("[spectrum]\npositive_energies = 1.0\n",
+                       "spectrum needs both positive_energies and negative_energies"),
+    "unknown preset": (dim4_text() + "[interaction.delta]\npreset = zeros\n",
+                       "unknown delta preset 'zeros'"),
+    "matrix size": (dim4_text() + "[interaction.coulomb]\nmatrix = 1 0; 0 1\n",
+                    "interaction matrix is 2x2, basis needs 4x4"),
+    "asymmetric matrix": (dim4_text() + "[interaction.coulomb]\n"
+                          "matrix = 1 0 0 0; 0.5 1 0 0; 0 0 1 0; 0 0 0 1\n",
+                          "explicit interaction matrix is not symmetric"),
+}
+
+
+@pytest.mark.parametrize("name", CONFIG_ERRORS)
+def test_cli_config_error_one_line_exit2(tmp_path, capsys, name):
+    text, message = CONFIG_ERRORS[name]
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    code = main(["compare", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"config error: {message}"]
+
+
+def test_cli_verify_weak_coupling_oracle_exit4(tmp_path, capsys):
+    """At coulomb 0.01 and delta 0.005 on the default spectrum, E_c lies so
+    close to a pair energy that the quadrature oracle's imaginary part
+    grows as eta shrinks: verify aborts with exit 4."""
+    path = tmp_path / "cfg.ini"
+    path.write_text("[interaction.coulomb]\nscale = 0.01\n[interaction.delta]\nscale = 0.005\n")
+    code = main(["verify", "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("nonconvergence: imaginary part diverges under eta refinement: ")
+
+
+def test_cli_scan_table_lists_failed_points(tmp_path, capsys):
+    """Two positive levels 5e-11 apart put E_c on a pair energy at every
+    point: the table has no rows and one FAILED line per lambda."""
+    path = tmp_path / "cfg.ini"
+    path.write_text("[spectrum]\npositive_energies = 1.0, 1.00000000005\n"
+                    "negative_energies = -1.2\n")
+    code, out = run_cli(capsys, ["scan", "--config", str(path)])
+    assert code == 3
+    lines = out.splitlines()
+    header = lines.index("coupling scan") + 1
+    assert lines[header + 1:header + 3] == ["  fitted_exponent   null", "  r_squared         null"]
+    failed = [line for line in lines if line.startswith("  FAILED lambda=")]
+    lams = np.geomspace(0.02, 0.16, 4)
+    assert failed == [f"  FAILED lambda={lam}: DegenerateDenominatorError: degenerate pair "
+                      "denominator at E = 2.00000000001, pair index(es) [0, 1, 3, 4]"
+                      for lam in lams]
+
+
+def test_cli_report_formats_config_once(tmp_path, capsys, monkeypatch):
+    """base_report emits the config text once and hashes that text: the
+    hash equals config_hash, and the version is the package's."""
+    calls = []
+    emit = bwlab.report.emit_config
+
+    def counted(cfg):
+        calls.append(cfg)
+        return emit(cfg)
+
+    monkeypatch.setattr(bwlab.config, "emit_config", counted)
+    monkeypatch.setattr(bwlab.report, "emit_config", counted)
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    code, out = run_cli(capsys, ["compare", "--config", str(path), "--format", "json"])
+    assert code == 0
+    report = json.loads(out)
+    assert len(calls) == 1
+    assert report["config_hash"] == config_hash(parse_config(str(path)))
+    assert report["config"] == emit(parse_config(str(path)))
+    assert report["version"] == bwlab.__version__
+
+
+@pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+def test_cli_closed_stdout_exit6(tmp_path, flags):
+    """With the read end of its stdout pipe already closed, the CLI prints
+    one stderr line and exits 6, with no traceback at interpreter exit,
+    whether stdout is block-buffered (the default for a pipe) or not."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text())
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "bwlab.cli", "compare", "--config", str(path),
+             "--format", "json"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 6
+    assert proc.stderr.splitlines() == ["error: stdout closed before the report was written"]

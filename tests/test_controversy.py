@@ -469,6 +469,20 @@ def test_coupling_scan_mixed_outcomes_match_one_point_runs(name):
         assert any("degenerate pair denominator" in message for _, message in failures)
 
 
+def test_coupling_scan_overflowing_point_fails_alone():
+    """A lambda whose scaled coupling overflows to inf fails as its one-point
+    run does, and only that point: the rest of its chunk still runs."""
+    cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
+                                coulomb_scale=10.0), IntegrationSettings())
+    lams = [float(lam) for lam in np.geomspace(0.01, 1e308, 4)]
+    rows, _, _, failures = coupling_scan(cfg, lams)
+    assert (rows, failures) == one_point_scan(cfg, lams)
+    assert [row[0] for row in rows] == [0.01]
+    assert [message.split(":")[0] for _, message in failures] == [
+        "DegenerateDenominatorError", "DegenerateDenominatorError", "ConfigError"]
+    assert failures[-1] == (1e308, "ConfigError: coulomb_scale must be >= 0 and finite")
+
+
 def count_stacked_calls(monkeypatch):
     """Count the stacked eighs (with their stack sizes) and the stacked BW term
     evaluations of a scan."""

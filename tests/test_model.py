@@ -42,6 +42,20 @@ def test_build_spectrum_rejects(pos, neg):
         build_spectrum(ModelConfig(positive_energies=pos, negative_energies=neg))
 
 
+@pytest.mark.parametrize("energies", [(1.0, 0.0), (1.0, float("nan")), (float("-inf"),)])
+def test_spectrum_rejects_zero_or_non_finite_energy(energies):
+    with pytest.raises(ConfigError, match="is zero or not finite"):
+        SingleParticleSpectrum(energies)
+
+
+def test_signs_follow_the_energies():
+    s = SingleParticleSpectrum((1.5, -1.2, 1.0, -2.0))
+    assert s.signs == (1, -1, 1, -1)
+    b = build_basis(s)
+    assert b.patterns[:4] == ("pp", "pm", "pp", "pm")
+    assert np.array_equal(b.unmixed_sign, 0.5 * np.add.outer(s.signs, s.signs).ravel())
+
+
 def test_basis_patterns_dim4():
     s = build_spectrum(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,)))
     b = build_basis(s)

@@ -76,7 +76,7 @@ def solve_no_pair(H_c, pp_indices, state_index=0):
     E_c = vals[..., state_index]
     psi = np.zeros(H_c.shape[:-1])
     psi[..., pp] = vecs[..., state_index]
-    psi /= np.sqrt(_inner(psi, psi))[..., None]
+    psi /= np.sqrt(inner(psi, psi))[..., None]
     diag = np.diagonal(H_c, axis1=-2, axis2=-1)
     return E_c, psi, Resolvent(diag, pp, vals, vecs, state_index)
 
@@ -114,7 +114,7 @@ class Resolvent:
         self.diag[..., block] = np.inf
 
     def take(self, items):
-        """The resolvents `items` (an index or an index array) of a stack."""
+        """The resolvents `items` (an index, an index array or np.newaxis)."""
         return Resolvent(self.diag[items], self.block, self.vals[items], self.vecs[items],
                          self.ref, self.guard[items])
 
@@ -158,7 +158,7 @@ class Resolvent:
         return self.at(E)(np.eye(self.diag.shape[-1]))
 
 
-def _inner(a, b):
+def inner(a, b):
     """<a|b> over the last axis, per stack item."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
@@ -177,12 +177,12 @@ def bw_terms(resolvent: Resolvent, h_delta_of_E, E, psi_c, order):
     V = h_delta_of_E(E)
     psi = np.asarray(psi_c, dtype=float)
     r = V(psi)
-    terms = [_inner(psi, r)]
+    terms = [inner(psi, r)]
     if order > 1:
         G = resolvent.at(E)
         for _ in range(order - 1):
             r = V(G(r))
-            terms.append(_inner(psi, r))
+            terms.append(inner(psi, r))
     return np.array(terms).T
 
 

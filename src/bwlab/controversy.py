@@ -31,11 +31,12 @@ matrix, and ladder_kernel the geometric-series reference.
 Every evaluator uses X_J only applied to v = I_c psi_c and takes that
 vector Xv = X_J v, already built at the energy it uses, so that one run
 builds each of X_J(E) v, X_J(E_c) v and the S-sum route's X_J(E) v once
-and never the dim x dim matrix; what remains is vector algebra.
-convention_report composes them into the report that compare, scan and
-verify share.  With either coupling zero there is nothing to evaluate (and
-X_J may not exist: E = E_c is a pair energy when I_c = 0); the caller
-decides that once and keeps the all-zero ControversyReport().
+and never the dim x dim matrix; what remains is vector algebra, per point
+of a stack.  convention_report composes them into the reports that
+compare, scan and verify share.  With either coupling zero there is
+nothing to evaluate (and X_J may not exist: E = E_c is a pair energy when
+I_c = 0); the caller decides that once and keeps the all-zero
+ControversyReport().
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bw import inner
 from .errors import BwlabError, DegenerateDenominatorError, OracleTrackingError
 from .operators import DEGENERACY_TOL, build_HDelta1, free_propagator, inverse_denominator
 
@@ -69,17 +71,28 @@ class ControversyReport:
 
 
 # -- direct-route evaluators -------------------------------------------------
+# Each takes one point or a stack (a leading item axis), one BLAS dot per item.
+
+
+def _column(E):
+    """E (one energy, or one per item) as a column against the pairs."""
+    return np.asarray(E, dtype=float)[..., None]
+
+
+def _row_times(x, M):
+    """x^T M, per item of a stack."""
+    return (x[..., None, :] @ M)[..., 0, :]
 
 
 def deltaE1_direct(basis, E, psi_c, Xv):
     """First-order term <psi_c| D X_J I_c |psi_c> at energy E
     (Xv: X_J(E) I_c psi_c)."""
-    return float(((E - basis.pair_energies()) * psi_c) @ Xv)
+    return inner((_column(E) - basis.pair_energies()) * psi_c, Xv)
 
 
 def _reduced_left(basis, E_c, psi_c, I_c):
     """psi_c^T (I_c - D_c), the left vector of the reduced second-order form."""
-    return psi_c @ I_c - (E_c - basis.pair_energies()) * psi_c
+    return _row_times(psi_c, I_c) - (_column(E_c) - basis.pair_energies()) * psi_c
 
 
 def deltaE2b_direct(basis, E, E_c, psi_c, I_c, resolvent, Xv):
@@ -91,11 +104,11 @@ def deltaE2b_direct(basis, E, E_c, psi_c, I_c, resolvent, Xv):
     because G(E) D(E) acts as the identity on the complement of the
     doubly-positive sector.
     """
-    reduced = float(_reduced_left(basis, E_c, psi_c, I_c) @ Xv)
-    hd1_psi = psi_c @ build_HDelta1(basis, I_c)
-    hd2_psi = (E - basis.pair_energies()) * Xv
-    gamma_form = float(hd1_psi @ resolvent.apply(E, hd2_psi))
-    return reduced, abs(gamma_form - reduced)
+    reduced = inner(_reduced_left(basis, E_c, psi_c, I_c), Xv)
+    hd1_psi = _row_times(psi_c, build_HDelta1(basis, I_c))
+    hd2_psi = (_column(E) - basis.pair_energies()) * Xv
+    gamma_form = inner(hd1_psi, resolvent.apply(E, hd2_psi))
+    return reduced, np.abs(gamma_form - reduced)
 
 
 def combined_variant(basis, E, E_c, psi_c, I_c, convention, Xv):
@@ -110,7 +123,7 @@ def combined_variant(basis, E, E_c, psi_c, I_c, convention, Xv):
     if convention not in ("lindgren", "dkz", "dkz-dc-approx"):
         raise ValueError(f"unknown convention '{convention}'")
     sign = 1.0 if convention == "lindgren" else -1.0
-    return float((psi_c @ I_c + sign * (E - E_c) * psi_c) @ Xv)
+    return inner(_row_times(psi_c, I_c) + _column(sign * (E - E_c)) * psi_c, Xv)
 
 
 def predicted_discrepancy(basis, E, E_c, psi_c, I_c, Xv):
@@ -124,8 +137,8 @@ def predicted_discrepancy(basis, E, E_c, psi_c, I_c, Xv):
     2 dE <psi_c|(I_c - D_c) (Dc D)^-1 W-route |psi_c> that the transformed
     derivation drops when it flips the sign.
     """
-    dE = E - E_c
-    predicted = 2.0 * dE * float(psi_c @ Xv)
+    dE = np.asarray(E, dtype=float) - E_c
+    predicted = 2.0 * dE * inner(psi_c, Xv)
 
     dinv = inverse_denominator(basis, E)
     dcinv = inverse_denominator(basis, E_c)
@@ -133,38 +146,41 @@ def predicted_discrepancy(basis, E, E_c, psi_c, I_c, Xv):
     # reduced second-order form with the left D^-1 of X split by
     # D^-1 = Dc^-1 - dE (Dc D)^-1; X = D^-1 W D^-1 so D X v = W D^-1 v is
     # the remainder of the transform
-    w_tail = (E - basis.pair_energies()) * Xv
+    w_tail = (_column(E) - basis.pair_energies()) * Xv
     left = _reduced_left(basis, E_c, psi_c, I_c)
-    direct = float(left @ (dinv * w_tail))
-    split = float(left @ ((dcinv - dE * dcinv * dinv) * w_tail))
-    residuals = {"Dm1_route": abs(direct - split) / max(1.0, abs(direct))}
+    direct = inner(left, dinv * w_tail)
+    split = inner(left, (dcinv - _column(dE) * dcinv * dinv) * w_tail)
+    residuals = {"Dm1_route": np.abs(direct - split) / np.maximum(1.0, np.abs(direct))}
 
-    dm1_error_term = 2.0 * dE * float(left @ (dcinv * dinv * w_tail))
+    dm1_error_term = 2.0 * dE * inner(left, dcinv * dinv * w_tail)
     return predicted, residuals, dm1_error_term
 
 
 def convention_report(basis, E, E_c, psi_c, I_c, resolvent, Xv, Xv_alt):
     """Both conventions at energy E, their difference, the predicted
     difference and the four chain residuals (Xv: X_J(E) I_c psi_c on the
-    direct route, Xv_alt on the S-sum route).  combined_dkz_dc_approx is
-    left at 0: it needs X_J(E_c), which only compare builds."""
-    rep = ControversyReport()
-    rep.dE1_direct = deltaE1_direct(basis, E, psi_c, Xv)
-    rep.dE2b_direct, e2b_res = deltaE2b_direct(basis, E, E_c, psi_c, I_c, resolvent, Xv)
-    rep.combined_lindgren = combined_variant(basis, E, E_c, psi_c, I_c, "lindgren", Xv)
-    rep.combined_dkz = combined_variant(basis, E, E_c, psi_c, I_c, "dkz", Xv)
-    rep.difference = rep.combined_lindgren - rep.combined_dkz
-    rep.predicted_difference, dm1_res, rep.dm1_error_term = predicted_discrepancy(
-        basis, E, E_c, psi_c, I_c, Xv_alt
-    )
-    scale = max(1.0, abs(rep.combined_lindgren))
-    rep.identity_residuals = {
-        "E2b_vs_E2b2": e2b_res / max(1.0, abs(rep.dE2b_direct)),
-        "chain_sum": abs(rep.dE1_direct + rep.dE2b_direct - rep.combined_lindgren) / scale,
-        "central_claim": abs(rep.difference - rep.predicted_difference) / scale,
+    direct route, Xv_alt on the S-sum route), as one ControversyReport per
+    item: a list of one for one point.  combined_dkz_dc_approx is left at
+    0: it needs X_J(E_c), which only compare builds."""
+    dE1 = deltaE1_direct(basis, E, psi_c, Xv)
+    dE2b, e2b_res = deltaE2b_direct(basis, E, E_c, psi_c, I_c, resolvent, Xv)
+    lindgren = combined_variant(basis, E, E_c, psi_c, I_c, "lindgren", Xv)
+    dkz = combined_variant(basis, E, E_c, psi_c, I_c, "dkz", Xv)
+    difference = lindgren - dkz
+    predicted, dm1_res, dm1_error = predicted_discrepancy(basis, E, E_c, psi_c, I_c, Xv_alt)
+    scale = np.maximum(1.0, np.abs(lindgren))
+    residuals = {
+        "E2b_vs_E2b2": e2b_res / np.maximum(1.0, np.abs(dE2b)),
+        "chain_sum": np.abs(dE1 + dE2b - lindgren) / scale,
+        "central_claim": np.abs(difference - predicted) / scale,
         **dm1_res,
     }
-    return rep
+    columns = np.array([dE1, dE2b, lindgren, dkz, difference, predicted, dm1_error,
+                        *residuals.values()]).reshape(11, -1).T.tolist()
+    return [ControversyReport(dE1_direct=d1, dE2b_direct=d2, combined_lindgren=lind,
+                              combined_dkz=dkz, difference=diff, predicted_difference=pred,
+                              dm1_error_term=err, identity_residuals=dict(zip(residuals, chain)))
+            for d1, d2, lind, dkz, diff, pred, err, *chain in columns]
 
 
 # -- ladder (equal-time) route ------------------------------------------------
@@ -346,10 +362,11 @@ def coupling_scan(cfg, lam_schedule):
     the measured and predicted convention differences, and fit the power
     law of |difference| against lambda.
 
-    The points run through pipeline.pipeline_points: their BW solves in
-    lock-step, one stacked evaluation per round, and X_J and the convention
-    report point by point; every row and failure equals that of a
-    one-point pipeline_core run.
+    The points run through pipeline.pipeline_points on a leading axis of
+    points, chunk by chunk: their BW solves in lock-step, one stacked
+    evaluation per round, then X_J(E) v on both routes from one stacked
+    build and the convention report from one stacked pass; every row and
+    failure equals that of a one-point pipeline_core run.
 
     Returns (rows, fitted_exponent, r_squared, failures); rows are
     (lambda, difference, predicted, ratio) and failures lists

@@ -152,8 +152,8 @@ def identity_suite(cfg):
         X_alt = xj_matrix_ssum_route(spectrum, basis, E, g, cfg.integration.j_order)
         if np.any(I_c):
             v = I_c @ psi_c
-            rep = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, X_direct @ v,
-                                    X_alt @ v)
+            (rep,) = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, X_direct @ v,
+                                       X_alt @ v)
         # transformed route reproduces the direct kernel integral
         g0mod_route = _relative(X_alt, X_direct)
     res.update(rep.identity_residuals)

@@ -210,8 +210,8 @@ def build_interaction(config: ModelConfig, kind: str, factors=None) -> np.ndarra
     """Scaled interaction matrix lambda * M for kind in {"coulomb", "delta"}.
 
     M is symmetric by construction; the output scales linearly (and exactly)
-    in the coupling.  With factors, the stack (len(factors), dim, dim) whose
-    item i equals build_interaction(config.scaled(factors[i]), kind).
+    in the coupling and must be finite (ConfigError).  With factors, the stack
+    (len(factors), dim, dim) of build_interaction(config.scaled(f), kind).
     """
     if kind not in ("coulomb", "delta"):
         raise ConfigError(f"unknown interaction kind '{kind}'")
@@ -222,6 +222,9 @@ def build_interaction(config: ModelConfig, kind: str, factors=None) -> np.ndarra
     else:
         lam, spec, channel = config.delta_scale, config.delta_matrix, 1
     M = _base_matrix(spec, dim, config.seed, channel)
-    if factors is None:
-        return lam * M
-    return np.multiply.outer([f * lam for f in factors], M)
+    scales = [lam] if factors is None else [f * lam for f in factors]
+    peak = float(np.abs(M).max())  # rounding is monotone: scale * M is finite iff this is
+    for scale in map(float, scales):
+        if not math.isfinite(scale * peak):
+            raise ConfigError(f"{kind} scale {scale!r} times its matrix is not finite")
+    return lam * M if factors is None else np.multiply.outer(scales, M)

@@ -58,16 +58,18 @@ def build_Dc(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E_c: flo
 
 def inverse_denominator(basis: TwoParticleBasis, E: float, where=None) -> np.ndarray:
     """(dim,) 1/(E - e_i - e_j) on the pairs in the boolean mask where (all
-    pairs by default), 0 elsewhere.  Raises DegenerateDenominatorError where a
-    selected |E - e_i - e_j| is below DEGENERACY_TOL."""
-    denom = E - basis.pair_energies()
+    pairs by default; it broadcasts against them), 0 elsewhere; a row per
+    energy for a stack E.  Raises DegenerateDenominatorError where a selected
+    |E - e_i - e_j| is below DEGENERACY_TOL, naming the first such energy."""
+    E = np.asarray(E, dtype=float)
+    denom = E[..., None] - basis.pair_energies()
     sel = True if where is None else where
-    bad = np.flatnonzero(sel & (np.abs(denom) < DEGENERACY_TOL))
-    if bad.size:
-        raise DegenerateDenominatorError(
-            f"degenerate pair denominator at E = {E:.12g}, pair index(es) {bad.tolist()}"
-        )
-    return np.divide(1.0, denom, out=np.zeros(basis.dim), where=sel)
+    bad = sel & (np.abs(denom) < DEGENERACY_TOL)
+    if bad.any():
+        item = np.unravel_index(bad.argmax(), bad.shape)[:-1]
+        raise DegenerateDenominatorError(f"degenerate pair denominator at E = {E[item]:.12g}, "
+                                         f"pair index(es) {np.flatnonzero(bad[item]).tolist()}")
+    return np.divide(1.0, denom, out=np.zeros(denom.shape), where=sel)
 
 
 def free_propagator(basis: TwoParticleBasis, E: float) -> np.ndarray:

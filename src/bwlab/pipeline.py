@@ -22,15 +22,16 @@ X_J(E_c) v for dkz-dc-approx and the model oracle (eig of the unmixed
 block), neither of which scan reports.
 
 pipeline_points runs pipeline_core at every point of a coupling schedule
-with the BW solves in lock-step: the reference states of a chunk of points
-are built as one stack (one eigh for all their pp blocks), and one stacked
-term evaluation per round serves every point still iterating
-(bw.bw_lockstep).  X_J and the convention report run point by point.
+on a leading axis of points, chunk by chunk: one stack of reference states
+(one eigh for all their pp blocks), one stacked BW term evaluation per
+round for every solve still iterating (bw.bw_lockstep), then one stacked
+X_J(E) v build for both routes and one stacked convention report
+(_conventions), which pipeline_core runs on a stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,11 +47,12 @@ from .controversy import (
 from .errors import BwlabError, ConfigError
 from .model import build_basis, build_interaction, build_spectrum
 from .operators import build_Hc
-from .propagators import xj_matrix, xj_matrix_ssum_route
+from .propagators import xj_matrix, xj_matrix_ssum_route, xj_stack
 
 #: bytes that the stacked arrays of one chunk of scan points may take; a
 #: point holds about STACK_DOUBLES dim x dim arrays of doubles (the two
-#: couplings, H_c, their copies per BW round and the unmixed blocks)
+#: couplings, H_c, their copies per BW round and the unmixed blocks; then
+#: X_J's masked copies of g)
 STACK_BYTES = 4 << 20
 STACK_DOUBLES = 8
 
@@ -70,10 +72,10 @@ class ReferenceState:
     resolvent: Resolvent
 
     def take(self, items):
-        """The states `items` (an index or an index array) of a stack."""
-        return replace(self, I_c=self.I_c[items], g_delta=self.g_delta[items],
-                       E_c=self.E_c[items], psi_c=self.psi_c[items],
-                       resolvent=self.resolvent.take(items))
+        """The states `items` (an index, an index array, or np.newaxis for
+        the state as a stack of one) of a stack."""
+        return ReferenceState(self.spectrum, self.basis, self.I_c[items], self.g_delta[items],
+                              self.E_c[items], self.psi_c[items], self.resolvent.take(items))
 
 
 @dataclass
@@ -114,28 +116,49 @@ def _bw_problem(st):
             st.psi_c.take(u, axis=-1))
 
 
-def _conventions(cfg, st, ledger):
-    """X_J(E) v on both routes and the convention report of one state at the
-    BW energy; combined_dkz_dc_approx stays 0 and oracle_energy None."""
-    rep = ControversyReport()
-    if _coupled(st):
-        E, order = ledger.E, cfg.integration.j_order
-        v = st.I_c @ st.psi_c
-        Xv = xj_matrix(st.spectrum, st.basis, E, st.g_delta, order, v=v)
-        Xv_alt = xj_matrix_ssum_route(st.spectrum, st.basis, E, st.g_delta, order, v=v)
-        rep = convention_report(st.basis, E, ledger.E_c, st.psi_c, st.I_c, st.resolvent,
-                                Xv, Xv_alt)
-    return PipelineResult(state=st, ledger=ledger, controversy=rep, oracle_energy=None)
+def _conventions(order, st, ledgers):
+    """Per state of the stack st, at its ledger's BW energy: its convention
+    report from X_J(E) v on both routes (combined_dkz_dc_approx stays 0),
+    or the BwlabError a one-point run raises there.  The coupled states take
+    one xj_stack build and one stacked report, one state alone the one-point
+    wrappers; a stack that aborts is evaluated again state by state, so that
+    each state fails alone, with its one-point error."""
+    reports = [ControversyReport() for _ in ledgers]
+    items = np.flatnonzero(_coupled(st))
+    if not items.size:
+        return reports
+    group = st if items.size == len(ledgers) else st.take(items)
+    E, E_c = (np.array([getattr(ledgers[i], name) for i in items]) for name in ("E", "E_c"))
+    v = (group.I_c @ group.psi_c[..., None])[..., 0]
+    try:
+        if items.size == 1:  # the one-point wrappers, whose calls perfbench/spans.py counts
+            Xv, Xv_alt = (route(st.spectrum, st.basis, E[0], group.g_delta[0], order, v=v[0])[None]
+                          for route in (xj_matrix, xj_matrix_ssum_route))
+        else:
+            Xv, Xv_alt = xj_stack(st.spectrum, st.basis, E, group.g_delta, order, v)
+        for i, rep in zip(items, convention_report(st.basis, E, E_c, group.psi_c, group.I_c,
+                                                   group.resolvent, Xv, Xv_alt)):
+            reports[i] = rep
+    except BwlabError as exc:
+        if len(ledgers) == 1:
+            return [exc]
+        return [_conventions(order, st.take([i]), [ledger])[0]
+                for i, ledger in enumerate(ledgers)]
+    return reports
 
 
 def pipeline_core(cfg: RunConfig) -> PipelineResult:
     """Reference state, BW, X_J(E) v on both routes and the convention
-    report; combined_dkz_dc_approx stays 0 and oracle_energy None."""
+    report, on the state as a stack of one; combined_dkz_dc_approx stays 0
+    and oracle_energy None."""
     st = reference_state(cfg)
     resolvent, h_delta, psi_u = _bw_problem(st)
     ledger = bw_selfconsistent(resolvent, h_delta, psi_u, st.E_c, order=cfg.bw_order,
                                max_iter=cfg.bw_max_iter, tol=cfg.bw_tol)
-    return _conventions(cfg, st, ledger)
+    (rep,) = _conventions(cfg.integration.j_order, st.take(np.newaxis), [ledger])
+    if isinstance(rep, BwlabError):
+        raise rep
+    return PipelineResult(state=st, ledger=ledger, controversy=rep, oracle_energy=None)
 
 
 def _bw_stack(cfg, st):
@@ -172,22 +195,22 @@ def _scaling_error(cfg, factor):
 
 def _stack_outcomes(cfg, factors):
     """Yields, per factor, its point's PipelineResult or BwlabError, from one
-    stack of reference states and BW solves in lock-step."""
+    stack of reference states, BW solves in lock-step and one stacked
+    evaluation of the conventions at the converged points.  A stack whose
+    build fails (a point's interaction overflows) is built point by point."""
     try:
         st = reference_state(cfg, factors)
     except BwlabError as exc:
-        # a stack fails as each of its points does: a geometric schedule
-        # has one sign, and with the couplings valid nothing else here
-        # depends on the factor
-        yield from [exc] * len(factors)
+        yield from [exc] if len(factors) == 1 else (
+            outcome for factor in factors for outcome in _stack_outcomes(cfg, [factor]))
         return
-    for i, outcome in enumerate(_bw_stack(cfg, st)):
-        if not isinstance(outcome, BwlabError):
-            try:
-                outcome = _conventions(cfg, st.take(i), outcome)
-            except BwlabError as exc:
-                outcome = exc
-        yield outcome
+    solved = _bw_stack(cfg, st)
+    done = [i for i, outcome in enumerate(solved) if not isinstance(outcome, BwlabError)]
+    reports = iter(_conventions(cfg.integration.j_order, st.take(done),
+                                [solved[i] for i in done]))
+    for i, outcome in enumerate(solved):
+        rep = outcome if isinstance(outcome, BwlabError) else next(reports)
+        yield rep if isinstance(rep, BwlabError) else PipelineResult(st.take(i), outcome, rep, None)
 
 
 def pipeline_points(cfg: RunConfig, factors):
@@ -215,8 +238,8 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     if _coupled(st):
         E, E_c = res.ledger.E, res.ledger.E_c
         Xv_c = xj_matrix(spectrum, basis, E_c, g, cfg.integration.j_order, v=I_c @ psi_c)
-        res.controversy.combined_dkz_dc_approx = combined_variant(
+        res.controversy.combined_dkz_dc_approx = float(combined_variant(
             basis, E, E_c, psi_c, I_c, "dkz-dc-approx", Xv_c
-        )
+        ))
     res.oracle_energy = model_oracle(spectrum, basis, I_c, g, psi_c)
     return res

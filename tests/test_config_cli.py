@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 import bwlab.config
 import bwlab.identities
 import bwlab.pipeline
+import bwlab.propagators
 import bwlab.report
 from bwlab import (
     ConfigError,
@@ -554,14 +556,17 @@ def test_cli_verify_residual_out_of_tolerance_exit1(tmp_path, capsys, monkeypatc
 
 
 def test_cli_scan_point_failures_exit3(tmp_path, capsys, monkeypatch):
-    ssum_route = bwlab.pipeline.xj_matrix_ssum_route
+    # the S-sum build fails at lambda = 0.16, in the stacked build of the
+    # chunk and in that point's build alone
+    stacked = bwlab.propagators.xj_stack
 
-    def lost_at_largest(spectrum, basis, E, g_delta, order, v):
-        if np.max(np.abs(g_delta)) > 0.005:  # 0.05 lambda: only at lambda = 0.16
+    def lost_at_largest(spectrum, basis, E, g_delta, order, v, routes=("direct", "ssum")):
+        if "ssum" in routes and np.max(np.abs(g_delta)) > 0.005:  # 0.05 lambda
             raise OracleTrackingError("overlap tracking ambiguous")
-        return ssum_route(spectrum, basis, E, g_delta, order, v=v)
+        return stacked(spectrum, basis, E, g_delta, order, v, routes)
 
-    monkeypatch.setattr(bwlab.pipeline, "xj_matrix_ssum_route", lost_at_largest)
+    for module in (bwlab.propagators, bwlab.pipeline):
+        monkeypatch.setattr(module, "xj_stack", lost_at_largest)
     path = tmp_path / "cfg.ini"
     path.write_text(dim4_text())
     code, out = run_cli(capsys, ["scan", "--config", str(path), "--format", "json"])
@@ -841,3 +846,20 @@ def test_cli_closed_stdout_exit6(tmp_path, flags):
         os.close(write_end)
     assert proc.returncode == 6
     assert proc.stderr.splitlines() == ["error: stdout closed before the report was written"]
+
+
+@pytest.mark.parametrize("command", ["compare", "verify"])
+def test_cli_overflowing_interaction_exit2(tmp_path, capsys, command):
+    """A finite scale whose product with the explicit matrix overflows is a
+    config error: exit 2 and one stderr line, before any numpy warning or
+    BW iteration."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(dim4_text() + "[interaction.coulomb]\nscale = 1e308\n"
+                    "matrix = 10 1 1 1; 1 10 1 1; 1 1 10 1; 1 1 1 10\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out, caught) == (2, "", [])
+    assert err.splitlines() == [
+        "config error: coulomb scale 1e+308 times its matrix is not finite"]

@@ -309,22 +309,23 @@ def test_coupling_scan_runs(dim4_config, settings):
 
 
 def count_kernel_builds(monkeypatch):
-    """Replace xj_matrix and xj_matrix_ssum_route in every module that binds
-    them with counting wrappers; returns the counts by route."""
-    import bwlab.identities
+    """Replace xj_stack, the body of every X_J build (xj_matrix and
+    xj_matrix_ssum_route are its stacks of one), in every module that binds
+    it with a counting wrapper; returns the counts of builds by route."""
     import bwlab.pipeline
     import bwlab.propagators
 
     counts = {"direct": 0, "ssum": 0}
-    for route, name in (("direct", "xj_matrix"), ("ssum", "xj_matrix_ssum_route")):
-        original = getattr(bwlab.propagators, name)
+    original = bwlab.propagators.xj_stack
 
-        def counted(*args, _route=route, _original=original, **kwargs):
-            counts[_route] += 1
-            return _original(*args, **kwargs)
+    def counted(*args, **kwargs):
+        routes = kwargs.get("routes", args[6] if len(args) > 6 else ("direct", "ssum"))
+        for route in routes:
+            counts[route] += 1
+        return original(*args, **kwargs)
 
-        for module in (bwlab.propagators, bwlab.pipeline, bwlab.identities):
-            monkeypatch.setattr(module, name, counted)
+    for module in (bwlab.propagators, bwlab.pipeline):
+        monkeypatch.setattr(module, "xj_stack", counted)
     return counts
 
 
@@ -348,14 +349,14 @@ def test_coupling_scan_propagates_programming_errors(dim4_config, settings, monk
     turned into a failed scan row."""
     import bwlab.pipeline
 
-    ssum_route = bwlab.pipeline.xj_matrix_ssum_route
+    stacked = bwlab.pipeline.xj_stack
 
     def broken_at_largest(spectrum, basis, E, g_delta, order, v):
         if np.max(np.abs(g_delta)) > 0.005:  # 0.05 lambda: only at lambda = 0.16
             raise TypeError("unexpected argument")
-        return ssum_route(spectrum, basis, E, g_delta, order, v=v)
+        return stacked(spectrum, basis, E, g_delta, order, v)
 
-    monkeypatch.setattr(bwlab.pipeline, "xj_matrix_ssum_route", broken_at_largest)
+    monkeypatch.setattr(bwlab.pipeline, "xj_stack", broken_at_largest)
     with pytest.raises(TypeError, match="unexpected argument"):
         coupling_scan(RunConfig(dim4_config, settings), [0.02, 0.04, 0.08, 0.16])
 
@@ -379,8 +380,8 @@ JITTERED_2X2 = ModelConfig(positive_energies=(1.03, 1.57), negative_energies=(-1
 @pytest.mark.parametrize("jittered", [False, True], ids=["dim4", "jittered-2x2"])
 def test_coupling_scan_matches_pipeline(dim4_config, settings, monkeypatch, jittered):
     """The scan computes only what it reports: its rows equal run_pipeline's
-    values exactly, while a lambda point builds one X_J per route and never
-    runs the model oracle."""
+    values exactly, while its one chunk of points builds X_J once per route,
+    as one stack, and never runs the model oracle."""
     import bwlab.pipeline
 
     cfg = JITTERED_2X2 if jittered else dim4_config
@@ -397,7 +398,7 @@ def test_coupling_scan_matches_pipeline(dim4_config, settings, monkeypatch, jitt
     assert [(diff, pred) for _, diff, pred, _ in rows] == [
         (rep.difference, rep.predicted_difference) for rep in expected
     ]
-    assert counts == {"direct": len(lams), "ssum": len(lams)}
+    assert counts == {"direct": 1, "ssum": 1}
     assert oracle_calls == []
 
 
@@ -572,3 +573,46 @@ def test_pipeline_points_stack_coupled_and_uncoupled_points():
     assert [np.any(build_interaction(cfg.model.scaled(lam), "delta")) for lam in lams] == [
         False, True, True, True]
     assert_points_match_one_point_runs(cfg, lams)
+
+
+def test_conventions_fail_alone_inside_a_stack():
+    """Two states in the middle of a stack of five fail after the BW stage:
+    one at a mixed-pair energy, where the direct route has a double pole
+    but D^-1 of the S-sum route does not exist, one at an eigenvalue of H_c
+    past the reference state's, where the resolvent guard aborts.  Each
+    gets the error of its one-point evaluation, and every other state its
+    one-point report."""
+    from bwlab import BwlabError
+    from bwlab.pipeline import _bw_stack, _conventions, reference_state
+
+    model, _ = MIXED_SCANS["dim9 pinched"]
+    cfg = RunConfig(model, IntegrationSettings(j_order=2))
+    st = reference_state(cfg, [0.2, 0.25, 0.3, 0.35, 0.4])
+    ledgers = _bw_stack(cfg, st)
+    assert not any(isinstance(ledger, BwlabError) for ledger in ledgers)
+    ledgers[1] = replace(ledgers[1], E=1.5 - 1.2)  # a mixed pair's energy
+    ledgers[3] = replace(ledgers[3], E=float(np.delete(st.resolvent.vals[3], 0)[0]))
+    got = _conventions(2, st, ledgers)
+    alone = [_conventions(2, st.take([i]), [ledger])[0] for i, ledger in enumerate(ledgers)]
+    assert [type(rep) for rep in got] == [type(rep) for rep in alone]
+    assert [str(rep) if isinstance(rep, BwlabError) else rep for rep in got] == [
+        str(rep) if isinstance(rep, BwlabError) else rep for rep in alone]
+    assert str(got[1]).startswith("degenerate pair denominator at E = 0.3")
+    assert "hits the complementary spectrum" in str(got[3])
+    assert not any(isinstance(got[i], BwlabError) for i in (0, 2, 4))
+
+
+def test_coupling_scan_overflowing_interaction_fails_alone():
+    """A lambda at which a finite coulomb scale times its explicit matrix
+    overflows fails with the one-point ConfigError, and only that point:
+    the rest of its chunk still runs as its one-point runs do."""
+    matrix = tuple(tuple(10.0 if i == j else 1.0 for j in range(4)) for i in range(4))
+    cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
+                                coulomb_scale=1.0, coulomb_matrix=matrix),
+                    IntegrationSettings())
+    lams = [float(lam) for lam in np.geomspace(0.01, 1e308, 4)]
+    rows, _, _, failures = coupling_scan(cfg, lams)
+    assert (rows, failures) == one_point_scan(cfg, lams)
+    assert [row[0] for row in rows] == [0.01]
+    assert failures[-1] == (1e308, "ConfigError: coulomb scale 1e+308 times its matrix "
+                                   "is not finite")

@@ -24,6 +24,7 @@ from bwlab import (
     xj_matrix_ssum_route,
 )
 from bwlab.model import SingleParticleSpectrum, dirac_like_energies
+from bwlab import propagators
 from bwlab.propagators import ChainIntegrator
 from bwlab.residues import LOWER, UPPER, _cluster, _series_coeffs, pole_product_integral
 from conftest import energy_away_from_poles, random_spectrum
@@ -447,3 +448,51 @@ def test_applied_path_rejects_wrong_shape(dim4):
     for route in (xj_matrix, xj_matrix_ssum_route):
         with pytest.raises(ValueError, match="v has shape"):
             route(spectrum, basis, 2.25, g, 2, v=np.ones(basis.dim + 1))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_xj_stack_items_equal_one_point_builds(order):
+    """xj_stack over a stack of energies gives, item by item, the one-point
+    builds bit for bit, matrix and applied, on both routes at once or one
+    at a time.  The stack holds two mixed-pair energies, where the direct
+    route has a double pole and fewer pole clusters, among generic ones,
+    and couplings that differ in their active pairs or vanish, so that the
+    engine splits it into pole groups; the S-sum route takes only the items
+    where D^-1 exists."""
+    spectrum = SingleParticleSpectrum.from_lists((1.0, 1.5), (-1.2,))
+    basis = build_basis(spectrum)
+    rng = np.random.default_rng(11)
+    m = rng.uniform(-1.0, 1.0, size=(basis.dim, basis.dim))
+    g0 = 0.05 * (m + m.T)
+    positive = g0 * np.outer(*[basis.unmixed_sign > 0] * 2)  # no pole of the -1.2 state
+    # pairs (-1.2, 1.0) and (1.0, 1.5) only: upper poles of -1.2 and 1.5 merge
+    # at 0.3 as those of -1.2 and 1.0 do at -0.2, but only at -0.2 into the
+    # double pole of an active pair
+    two = np.zeros_like(g0)
+    two[6, 1] = two[1, 6] = two[6, 6] = 0.04
+    E = np.array([2.07, 0.3, 2.31, -0.2, 2.2, 1.93, 2.6, 0.3, -0.2])  # 0.3, -0.2: mixed pairs
+    g = np.array([g0, 1.3 * g0, 0.7 * g0, g0, positive, 0.0 * g0, 0.9 * g0, two, two])
+    v = rng.uniform(-1.0, 1.0, size=(len(E), basis.dim))
+    groups = propagators._pole_groups(spectrum, E, g)
+    assert sorted(items.tolist() for items, *_ in groups) == [[0, 2, 6], [1, 3], [4], [7], [8]]
+    assert sorted(up.size for *_, up in groups) == [2, 3, 3, 4, 6]  # clusters
+    with pytest.raises(DegenerateDenominatorError):
+        xj_matrix_ssum_route(spectrum, basis, E[1], g[1], order)
+    ssum = np.array([0, 2, 4, 5, 6])
+    for vecs in (None, v):
+        def one(route, p):
+            return route(spectrum, basis, E[p], g[p], order, v=None if vecs is None else vecs[p])
+
+        def stack(items, routes=("direct", "ssum")):
+            return propagators.xj_stack(spectrum, basis, E[items], g[items], order,
+                                        None if vecs is None else vecs[items], routes)
+
+        def bits(arrays):
+            return [a.tobytes() for a in arrays]
+
+        every = np.arange(len(E))
+        assert bits(stack(every, ("direct",))[0]) == bits(one(xj_matrix, p) for p in every)
+        direct, alt = stack(ssum)
+        assert bits(direct) == bits(one(xj_matrix, p) for p in ssum)
+        assert bits(alt) == bits(one(xj_matrix_ssum_route, p) for p in ssum)
+        assert bits(stack(ssum, ("ssum",))[0]) == bits(alt)

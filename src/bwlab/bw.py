@@ -24,6 +24,7 @@ term evaluation per round; bw_selfconsistent is its stack of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,7 +190,7 @@ def bw_terms(resolvent: Resolvent, h_delta_of_E, E, psi_c, order):
 def _secant(E_c, max_iter, tol):
     """The root search of one problem: a generator that yields each E where
     it needs the terms, receives them (a list), and returns the EnergyLedger
-    or raises ConvergenceError.  The rule is bw_selfconsistent's."""
+    or raises ConvergenceError, at once on a non-finite E.  bw_selfconsistent's rule."""
     scale_tol = tol * max(1.0, abs(E_c))
     E = E_c
     damping = 1.0
@@ -221,6 +222,9 @@ def _secant(E_c, max_iter, tol):
                 move = secant
         E_prev, last_step, last_root = E, step, root
         E = E + move
+        if not math.isfinite(E):
+            raise ConvergenceError(f"BW iteration {it} steps off the finite numbers from "
+                                   f"E = {E_prev:.6g} (E_c + sum of terms = {target:.6g})")
         terms = yield E
     ledger = EnergyLedger(
         E_c=E_c, dE=terms, E=E, deltaE=E - E_c, iterations=max_iter,

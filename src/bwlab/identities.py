@@ -15,6 +15,7 @@ import bisect
 import numpy as np
 
 from .controversy import ControversyReport, convention_report
+from .errors import DegenerateDenominatorError
 from .operators import build_G0, build_Hc
 from .pipeline import reference_state
 from .propagators import (
@@ -24,7 +25,7 @@ from .propagators import (
     xj_matrix,
     xj_matrix_ssum_route,
 )
-from .quadrature import propagator_grid, quadrature_finv, quadrature_oracle
+from .quadrature import NodeSums, quadrature_finv, quadrature_oracle
 
 #: (name, tolerance); quadrature comparisons carry looser, honest bounds
 TOLERANCES = {
@@ -44,17 +45,24 @@ TOLERANCES = {
 }
 
 
+def _uniform(rng, lo, hi):
+    """rng.uniform(lo, hi) as one scalar, bit for bit (numpy draws it as
+    lo + (hi - lo) * next_double), at a quarter of that call's overhead."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _sample_away_from_poles(rng, pair_sums, lo, hi, min_gap=0.05):
     """A uniform draw farther than min_gap from every pair sum (a sorted
     list).  fl(|x - s|) only grows as s moves away from x, so the two sums
     around x decide, and there it is x - s below x and s - x above."""
     for _ in range(1000):
-        x = rng.uniform(lo, hi)
+        x = _uniform(rng, lo, hi)
         k = bisect.bisect(pair_sums, x)
         if ((k == 0 or x - pair_sums[k - 1] > min_gap)
                 and (k == len(pair_sums) or pair_sums[k] - x > min_gap)):
             return x
-    raise RuntimeError("could not sample away from poles")
+    raise DegenerateDenominatorError(
+        f"no sample energy in [{lo:.6g}, {hi:.6g}] lies {min_gap} away from every pair energy")
 
 
 def _relative(x, ref):
@@ -78,7 +86,7 @@ def identity_suite(cfg):
     # sampling), then evaluate them all at once, one sample per row.
 
     # F^-1 = S1 S2 = D^-1 (S1 + S2), eta = 0, away from poles
-    draws = np.array([(_sample_away_from_poles(rng, pair_sums, lo, hi), rng.uniform(lo, hi))
+    draws = np.array([(_sample_away_from_poles(rng, pair_sums, lo, hi), _uniform(rng, lo, hi))
                       for _ in range(100)])
     E, eps = draws[:, :1], draws[:, 1:]
     s1 = propagator_S(spectrum, basis, E, eps, 1, 0.0)
@@ -117,15 +125,17 @@ def identity_suite(cfg):
         E = _sample_away_from_poles(rng, pair_sums, E_c + 0.1, E_c + 2.0)
     finv = contour_integral_Finv(spectrum, basis, E)
     res["contour_vs_closed_form"] = float(np.max(np.abs(finv - build_G0(spectrum, basis, E))))
+    # both oracles at E read their node sums from one pass over the nodes,
+    # made inside the first of them
     fine = cfg.integration.refined()
-    grid = propagator_grid(spectrum, E, fine)
-    quad = quadrature_finv(spectrum, basis, E, fine, grid=grid)
+    sums = NodeSums(spectrum, E, fine, pairs=bool(np.any(g)))
+    quad = quadrature_finv(spectrum, basis, E, fine, sums=sums)
     res["contour_vs_quadrature"] = _relative(quad, finv)
 
     # sandwich: quadrature, linearity, exchange symmetry
     X = sandwich_integral(spectrum, basis, E, g)
     if np.any(g):
-        Xq = quadrature_oracle(spectrum, basis, E, g, fine, grid=grid)
+        Xq = quadrature_oracle(spectrum, basis, E, g, fine, sums=sums)
         res["sandwich_vs_quadrature"] = _relative(Xq, X)
     else:
         res["sandwich_vs_quadrature"] = 0.0

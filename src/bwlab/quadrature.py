@@ -13,11 +13,11 @@ constant offset shows up there.
 
 The integrand factors by particle: for the pair k = i * n + j,
 F^-1 = S1[i] S2[j], where S1 depends only on the state i and S2 only on
-the state j.  So each eta level evaluates the two electron propagators on
-the n single-particle states at the nodes, two (n, nodes) arrays
-(propagator_grid, which oracles at the same E and settings share), and
-forms pair products only where an integrand needs them.  Those are formed
-one eta level at a time, to keep the working set small.
+the state j.  The nodes are taken in blocks sized from a byte budget
+(BLOCK_BYTES): each block evaluates the two electron propagators on the n
+single-particle states at every eta level and adds its weighted node sums
+to accumulators of the results' shapes, so no array as long as the node
+list is formed.  Oracles at one E and settings share a pass via NodeSums.
 
 This module deliberately shares no code with the residue engine.
 """
@@ -34,6 +34,14 @@ from .errors import QuadratureConvergenceError
 #: relative disagreement of the last two extrapolation levels that counts
 #: as nonconvergence
 EXTRAPOLATION_TOL = 1e-4
+
+#: bytes that the per-node arrays of one node block may take.  A block holds
+#: a nonzero multiple of BLOCK_NODES nodes: BLAS splits a product's
+#: contraction into chunks of such lengths, so the blocked sums round almost
+#: as one product over all nodes does.  The sandwich sums take blocks of at
+#: least 2 dim nodes, as shorter contractions slow BLAS at dims 144 and 256.
+BLOCK_BYTES = 1 << 20
+BLOCK_NODES = 256
 
 
 def _pole_positions(spectrum, E):
@@ -72,15 +80,23 @@ def _gauss_legendre(points):
     return x, w
 
 
-def _nodes_weights(spectrum, E, settings: IntegrationSettings):
+def _node_blocks(spectrum, E, settings: IntegrationSettings, size):
+    """The nodes and weights of the composite rule, in blocks of size nodes:
+    node t is Gauss-Legendre point t % points of panel t // points."""
     poles = _pole_positions(spectrum, E)
     breaks = _panel_breaks(poles, min(settings.eta_sequence), settings.cutoff(spectrum))
     x, w = _gauss_legendre(settings.quadrature_points)
     mids = 0.5 * (breaks[:-1] + breaks[1:])
     halfs = 0.5 * (breaks[1:] - breaks[:-1])
-    nodes = (mids[:, None] + halfs[:, None] * x[None, :]).ravel()
-    weights = (halfs[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    total = mids.size * x.size
+    for start in range(0, total, size):
+        panel, k = np.divmod(np.arange(start, min(start + size, total)), x.size)
+        yield mids[panel] + halfs[panel] * x[k], halfs[panel] * w[k]
+
+
+def _nodes_weights(spectrum, E, settings):
+    """Every node and weight, as two arrays."""
+    return tuple(map(np.concatenate, zip(*_node_blocks(spectrum, E, settings, BLOCK_NODES))))
 
 
 def _limit_weights(etas, power):
@@ -139,65 +155,79 @@ def _extrapolate(etas, values):
     return re, im
 
 
-def _propagator_nodes(spectrum, E, nodes, eta):
-    """S1 and S2 of every single-particle state at the nodes, two (n, nodes)
-    arrays; F^-1 of the pair k = i * n + j is s1[i] * s2[j]."""
+def _block_length(node_bytes, lo=0):
+    """Nodes per block when each node takes node_bytes, and at least lo."""
+    return BLOCK_NODES * max(1, BLOCK_BYTES // (BLOCK_NODES * node_bytes), -(-lo // BLOCK_NODES))
+
+
+def _propagator_blocks(spectrum, E, settings, size):
+    """Per block of size nodes: the weights, and S1 and S2 of every state at
+    every eta level, two (levels, n, block) arrays; F^-1 of the pair
+    i * n + j is s1[:, i] * s2[:, j]."""
     e = np.asarray(spectrum.energies)[:, None]
-    shift = 1j * eta * np.sign(e)
-    s1 = 1.0 / (E / 2 + nodes - e + shift)
-    s2 = 1.0 / (E / 2 - nodes - e + shift)
-    return s1, s2
+    shift = 1j * np.asarray(settings.eta_sequence)[:, None, None] * np.sign(e)
+    for nodes, weights in _node_blocks(spectrum, E, settings, size):
+        yield weights, 1.0 / (E / 2 + nodes - e + shift), 1.0 / (E / 2 - nodes - e + shift)
 
 
-def propagator_grid(spectrum, E, settings):
-    """The node weights and, per eta level, the (S1, S2) arrays of
-    _propagator_nodes: all that the oracles below evaluate of the
-    propagators.  Oracles taken at the same E with the same settings can
-    share one grid (their grid argument) instead of each building it."""
-    nodes, weights = _nodes_weights(spectrum, E, settings)
-    return weights, [_propagator_nodes(spectrum, E, nodes, eta) for eta in settings.eta_sequence]
+class NodeSums:
+    """Weighted node sums per eta level for the oracles at one E and settings:
+    finv = S1 w S2^T, (levels, n, n), entry (i, j) for the pair i * n + j;
+    with pairs, also F^-1 w F^-1^T over pairs, (levels, dim, dim).  One pass
+    over the node blocks takes both on first read, for every oracle sharing it."""
+
+    def __init__(self, spectrum, E, settings, pairs=True):
+        self.spectrum, self.E, self.settings, self.pairs = spectrum, E, settings, pairs
+
+    @functools.cached_property
+    def sums(self):
+        levels, n = len(self.settings.eta_sequence), len(self.spectrum.energies)
+        # per node: s1, s2, s1 w per state, F^-1, F^-1 w per pair (even without pairs,
+        # so finv rounds alike); the buffers last the pass, sparing page faults,
+        # and each block takes a contiguous head of them
+        size = _block_length(16 * levels * (3 * n + 2 * n * n), 2 * n * n)
+        finv = np.zeros((levels, n, n), dtype=complex)
+        sandwich = np.zeros((levels, n * n, n * n), dtype=complex) if self.pairs else None
+        if self.pairs:
+            product, pairs = np.empty_like(sandwich), np.empty(2 * n * n * levels * size, complex)
+        for weights, s1, s2 in _propagator_blocks(self.spectrum, self.E, self.settings, size):
+            finv += (s1 * weights) @ s2.swapaxes(1, 2)
+            if self.pairs:
+                f, fw = pairs[:2 * levels * n * n * weights.size].reshape(2, levels, n * n, -1)
+                np.multiply(s1[:, :, None], s2[:, None], out=f.reshape(levels, n, n, -1))
+                np.multiply(f, weights, out=fw)
+                sandwich += np.matmul(fw, f.swapaxes(1, 2), out=product)
+        return finv, sandwich
 
 
-def _finv_pairs(s1, s2):
-    """(dim, nodes) array of F^-1 per pair, pair index k = i * n + j."""
-    return (s1[:, None] * s2[None]).reshape(-1, s1.shape[1])
-
-
-def quadrature_finv(spectrum, basis, E, settings, return_imag=False, grid=None):
+def quadrature_finv(spectrum, basis, E, settings, return_imag=False, sums=None):
     """Oracle for the basic integral i int deps/2pi F^-1 (diagonal).
 
-    The node sum of S1[i] S2[j] over all pairs is one (n, nodes) x (nodes, n)
-    product; F^-1 is never formed per pair.  grid: propagator_grid at E and
-    settings, built here when not given.
+    The node sum of S1[i] S2[j] over all pairs is one (n, block) x (block, n)
+    product per node block; F^-1 is never formed per pair.  sums: NodeSums
+    at E and settings, made here when not given.
     """
-    weights, levels = propagator_grid(spectrum, E, settings) if grid is None else grid
-    per_eta = []
-    for s1, s2 in levels:
-        per_eta.append(1j * ((s1 * weights) @ s2.T).ravel() / (2 * np.pi))
-    re, im = _extrapolate(settings.eta_sequence, per_eta)
+    finv, _ = (NodeSums(spectrum, E, settings, pairs=False) if sums is None else sums).sums
+    re, im = _extrapolate(settings.eta_sequence, 1j * finv.reshape(len(finv), -1) / (2 * np.pi))
     if return_imag:
         return np.diag(re), np.diag(im)
     return np.diag(re)
 
 
-def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False, grid=None):
+def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False, sums=None):
     """Oracle for the sandwich i int deps/2pi F^-1 A F^-1.
 
     The integrand factorizes per element, so one pairwise node sum covers
     the whole matrix: X[p, q] = A[p, q] * i int f_p f_q deps / 2pi.
-    Linear in A, so A = 0 gives zeros without integrating.  grid:
-    propagator_grid at E and settings, built here when not given.
+    Linear in A, so A = 0 gives zeros without integrating.  sums: NodeSums
+    at E and settings (with pairs), made here when not given.
     """
     A = np.asarray(A, dtype=float)
     if not np.any(A):
         zeros = np.zeros_like(A)
         return (zeros, zeros.copy()) if return_imag else zeros
-    weights, levels = propagator_grid(spectrum, E, settings) if grid is None else grid
-    per_eta = []
-    for s1, s2 in levels:
-        f = _finv_pairs(s1, s2)
-        per_eta.append(1j * ((f * weights) @ f.T) / (2 * np.pi))
-    re, im = _extrapolate(settings.eta_sequence, per_eta)
+    _, sandwich = (NodeSums(spectrum, E, settings) if sums is None else sums).sums
+    re, im = _extrapolate(settings.eta_sequence, 1j * sandwich / (2 * np.pi))
     if return_imag:
         return A * re, A * im
     return A * re
@@ -206,14 +236,16 @@ def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False, grid=N
 def quadrature_chain(spectrum, basis, E, mats, settings):
     """Oracle for i int deps/2pi F^-1 M_1 F^-1 M_2 ... M_k F^-1 with
     constant matrices M_i (validates the higher series terms).  The
-    integrand is built for all nodes at once, a (nodes, dim, dim) stack."""
-    weights, levels = propagator_grid(spectrum, E, settings)
-    per_eta = []
-    for s1, s2 in levels:
-        f = _finv_pairs(s1, s2).T
-        m = f[:, :, None] * np.eye(basis.dim)  # diag(F^-1) per node
+    integrand is built for a node block at once, a (levels, block, dim, dim)
+    stack."""
+    levels, dim = len(settings.eta_sequence), basis.dim
+    acc = np.zeros((levels, dim * dim), dtype=complex)
+    size = _block_length(48 * levels * dim * dim)  # per node: m, m @ M, their product with F^-1
+    for weights, s1, s2 in _propagator_blocks(spectrum, E, settings, size):
+        f = (s1[:, :, None] * s2[:, None]).reshape(levels, dim, -1).swapaxes(1, 2)
+        m = f[..., None] * np.eye(dim)  # diag(F^-1) per node
         for M in mats:
-            m = (m @ M) * f[:, None, :]
-        per_eta.append(1j * np.tensordot(weights, m, axes=1) / (2 * np.pi))
-    out, _ = _extrapolate(settings.eta_sequence, per_eta)
+            m = (m @ M) * f[:, :, None, :]
+        acc += weights @ m.reshape(levels, weights.size, -1)
+    out, _ = _extrapolate(settings.eta_sequence, 1j * acc.reshape(levels, dim, dim) / (2 * np.pi))
     return out

@@ -323,6 +323,20 @@ def test_cli_oracle_nonconvergence_exit4(tmp_path, capsys, monkeypatch):
     assert err.splitlines() == ["nonconvergence: eta extrapolation did not settle"]
 
 
+def test_cli_verify_no_anchor_sample_exit3(tmp_path, capsys):
+    """A non-interacting model whose pair energies leave no gap of 0.05 in
+    the anchor window [E_c + 0.1, E_c + 2] ends in exit 3 and one line."""
+    levels = ", ".join(f"{1.0 + 0.08 * k:.2f}" for k in range(14))
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[spectrum]\npositive_energies = {levels}\nnegative_energies = -1.2\n"
+                    "[interaction.coulomb]\nscale = 0\n[interaction.delta]\nscale = 0\n")
+    code = main(["verify", "--config", str(path)])
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "degenerate denominator: no sample energy in [2.1, 4] lies 0.05 away from every "
+        "pair energy"]
+
+
 def test_cli_scan_zero_delta_coupling(tmp_path, capsys):
     # every difference is zero: the ratios, the exponent and R^2 are undefined
     path = tmp_path / "cfg.ini"

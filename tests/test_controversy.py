@@ -1,3 +1,5 @@
+import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -600,6 +602,24 @@ def test_conventions_fail_alone_inside_a_stack():
     assert str(got[1]).startswith("degenerate pair denominator at E = 0.3")
     assert "hits the complementary spectrum" in str(got[3])
     assert not any(isinstance(got[i], BwlabError) for i in (0, 2, 4))
+
+
+def test_coupling_scan_nonfinite_bw_step_fails_at_once():
+    """A lambda whose BW secant step overflows fails with ConvergenceError at
+    the iteration that leaves the finite numbers, long before bw_max_iter,
+    and the terms are never evaluated at a non-finite E (no numpy warning)."""
+    matrix = tuple(tuple(10.0 if i == j else 1.0 for j in range(4)) for i in range(4))
+    cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
+                                coulomb_scale=1.0, coulomb_matrix=matrix),
+                    IntegrationSettings())
+    lams = [float(lam) for lam in np.geomspace(0.01, 1e308, 4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, _, failures = coupling_scan(cfg, lams)
+    message = dict(failures)[lams[2]]
+    found = re.fullmatch(r"ConvergenceError: BW iteration (\d+) steps off the finite numbers "
+                         r"from E = \S+ \(E_c \+ sum of terms = \S+\)", message)
+    assert found and int(found[1]) < 10
 
 
 def test_coupling_scan_overflowing_interaction_fails_alone():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bwlab import build_basis, build_spectrum, parse_config, propagator_S
-from bwlab.identities import identity_suite
+from bwlab.identities import _uniform, identity_suite
 
 JITTERED_3P3 = """
 [spectrum]
@@ -67,3 +67,11 @@ def test_sampled_checks_match_sequential_loop(text, seed):
     g0mod, dm1 = sequential_sampled_checks(spectrum, basis, seed)
     assert res["g0mod_pointwise"] == g0mod
     assert res["dm1_diagonal"] == dm1
+
+
+def test_uniform_draw_is_numpy_uniform_bit_for_bit():
+    """_uniform and rng.uniform give the same doubles from one seeded stream."""
+    ours, numpys = np.random.default_rng([7, 421]), np.random.default_rng([7, 421])
+    for lo, hi in [(-4.5, 4.5), (2.1, 4.0), (-1e-3, 7.25), (3.0, 3.0)] * 500:
+        x, y = _uniform(ours, lo, hi), numpys.uniform(lo, hi)
+        assert np.float64(x).tobytes() == np.float64(y).tobytes()

@@ -197,18 +197,15 @@ def _secant(E_c, max_iter, tol):
     last_step = None
     E_prev = None
     last_root = None
+    it, converged = 0, False
     terms = yield E
     for it in range(1, max_iter + 1):
         target = E_c + sum(terms)
         step = target - E
         if abs(step) < scale_tol:
-            E = target
+            E, converged = target, True
             terms = yield E
-            residual = abs(E - (E_c + sum(terms)))
-            return EnergyLedger(
-                E_c=E_c, dE=terms, E=E, deltaE=E - E_c,
-                iterations=it, residual=residual,
-            )
+            break
         if last_step is not None and step * last_step < 0 and abs(step) >= abs(last_step):
             damping = max(damping / 2.0, 1.0 / 64.0)
         move = damping * step
@@ -216,7 +213,7 @@ def _secant(E_c, max_iter, tol):
         if last_step is not None and step != last_step:
             secant = -step * (E - E_prev) / (step - last_step)
             root = E + secant
-            agree = last_root is not None and (
+            agree = last_root is not None and math.isfinite(secant) and (
                 abs(root - last_root) <= SECANT_AGREE_TOL * abs(secant))
             if abs(secant) <= SECANT_MAX_RATIO * abs(step) or agree:
                 move = secant
@@ -226,33 +223,26 @@ def _secant(E_c, max_iter, tol):
             raise ConvergenceError(f"BW iteration {it} steps off the finite numbers from "
                                    f"E = {E_prev:.6g} (E_c + sum of terms = {target:.6g})")
         terms = yield E
-    ledger = EnergyLedger(
-        E_c=E_c, dE=terms, E=E, deltaE=E - E_c, iterations=max_iter,
-        residual=abs(E - (E_c + sum(terms))),
-    )
-    raise ConvergenceError(
-        f"BW self-consistency did not converge in {max_iter} iterations "
-        f"(last residual {ledger.residual:.3e})",
-        last=ledger,
-    )
+    ledger = EnergyLedger(E_c=E_c, dE=terms, E=E, deltaE=E - E_c, iterations=it,
+                          residual=abs(E - (E_c + sum(terms))))
+    if converged:
+        return ledger
+    raise ConvergenceError(f"BW self-consistency did not converge in {max_iter} iterations "
+                           f"(last residual {ledger.residual:.3e})", last=ledger)
 
 
-def _evaluate_each(select, evaluate, items, E):
-    """Per item, its terms (a list) at E or the BwlabError its evaluation
-    raises.  The stack is evaluated at once; only when that raises is each
-    item evaluated alone, so a guard fails exactly the items that hit it."""
+def each_alone(run, items):
+    """Per item, its outcome from run(items) (a list in item order), or the
+    BwlabError that run raises on that item alone.  A stack whose run raises
+    is split in two and each half run again, so an item that aborts ends
+    with its own error while the others stay stacked."""
     try:
-        return evaluate(E).tolist()
+        return list(run(items))
     except BwlabError as exc:
         if len(items) == 1:
             return [exc]
-    rows = []
-    for k in range(len(items)):
-        try:
-            rows.append(select(items[k:k + 1])(E[k:k + 1])[0].tolist())
-        except BwlabError as exc:
-            rows.append(exc)
-    return rows
+    half = len(items) // 2
+    return each_alone(run, items[:half]) + each_alone(run, items[half:])
 
 
 def bw_lockstep(select, E_c, max_iter=200, tol=1e-12):
@@ -263,21 +253,26 @@ def bw_lockstep(select, E_c, max_iter=200, tol=1e-12):
     `items` (an index array): a function of their energies E that returns
     their terms, shape (len(items), order), and raises a BwlabError when an
     item hits a guard.  Each round evaluates every problem still iterating
-    once; select is called again only when that set changes.  Returns, per
+    once; select is called again only when that set changes.  A round whose
+    evaluation raises is split in two by each_alone (only the halves call
+    select), so a problem that hits a guard fails alone.  Returns, per
     problem, its EnergyLedger or the BwlabError (a guard's, or
     ConvergenceError) that solving it alone raises.  Any other exception
     propagates.
     """
     searches = [_secant(float(e), max_iter, tol) for e in E_c]
-    E = [next(s) for s in searches]
+    E = np.array([next(s) for s in searches])
     outcomes = [None] * len(searches)
     items, selected, evaluate = list(range(len(searches))), None, None
     while items:
         if items != selected:
             selected, evaluate = items, select(np.array(items))
+
+        def run(part):
+            return (evaluate if len(part) == len(items) else select(part))(E[part]).tolist()
+
         going = []
-        rows = _evaluate_each(select, evaluate, np.array(items), np.array([E[i] for i in items]))
-        for i, row in zip(items, rows):
+        for i, row in zip(items, each_alone(run, np.array(items))):
             if isinstance(row, BwlabError):
                 outcomes[i] = row
                 continue

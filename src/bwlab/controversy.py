@@ -363,10 +363,10 @@ def coupling_scan(cfg, lam_schedule):
     law of |difference| against lambda.
 
     The points run through pipeline.pipeline_points on a leading axis of
-    points, chunk by chunk: their BW solves in lock-step, one stacked
-    evaluation per round, then X_J(E) v on both routes from one stacked
-    build and the convention report from one stacked pass; every row and
-    failure equals that of a one-point pipeline_core run.
+    points, chunk by chunk: BW in lock-step, then one stacked X_J(E) v build
+    on both routes and one stacked convention report.  A stack that aborts
+    is split in two (bw.each_alone), so every row and failure equals that
+    of a one-point pipeline_core run.
 
     Returns (rows, fitted_exponent, r_squared, failures); rows are
     (lambda, difference, predicted, ratio) and failures lists

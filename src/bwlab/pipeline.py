@@ -27,15 +27,21 @@ on a leading axis of points, chunk by chunk: one stack of reference states
 round for every solve still iterating (bw.bw_lockstep), then one stacked
 X_J(E) v build for both routes and one stacked convention report
 (_conventions), which pipeline_core runs on a stack of one.
+
+A point that aborts fails alone by one rule, bw.each_alone: a stack whose
+run raises a BwlabError is split in two and each half run again.
+pipeline_points applies it to each chunk, whose stack of one is
+pipeline_core's run, and bw_lockstep to each round's term evaluation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bw import EnergyLedger, Resolvent, bw_lockstep, bw_selfconsistent, bw_terms, solve_no_pair
+from .bw import (EnergyLedger, Resolvent, bw_lockstep, bw_selfconsistent, bw_terms, each_alone,
+                 solve_no_pair)
 from .config import RunConfig
 from .controversy import (
     ControversyReport,
@@ -44,7 +50,7 @@ from .controversy import (
     ladder_perturbation,
     model_oracle,
 )
-from .errors import BwlabError, ConfigError
+from .errors import BwlabError
 from .model import build_basis, build_interaction, build_spectrum
 from .operators import build_Hc
 from .propagators import xj_matrix, xj_matrix_ssum_route, xj_stack
@@ -117,12 +123,12 @@ def _bw_problem(st):
 
 
 def _conventions(order, st, ledgers):
-    """Per state of the stack st, at its ledger's BW energy: its convention
-    report from X_J(E) v on both routes (combined_dkz_dc_approx stays 0),
-    or the BwlabError a one-point run raises there.  The coupled states take
-    one xj_stack build and one stacked report, one state alone the one-point
-    wrappers; a stack that aborts is evaluated again state by state, so that
-    each state fails alone, with its one-point error."""
+    """Per state of the stack st, at its ledger's BW energy, its convention
+    report from X_J(E) v on both routes (combined_dkz_dc_approx stays 0).
+    The coupled states take one xj_stack build and one stacked report, one
+    state alone the one-point wrappers.  Raises the BwlabError of the first
+    state that aborts, as any stage does; pipeline_points' split of the
+    stack (bw.each_alone) leaves each state its one-point outcome."""
     reports = [ControversyReport() for _ in ledgers]
     items = np.flatnonzero(_coupled(st))
     if not items.size:
@@ -130,20 +136,14 @@ def _conventions(order, st, ledgers):
     group = st if items.size == len(ledgers) else st.take(items)
     E, E_c = (np.array([getattr(ledgers[i], name) for i in items]) for name in ("E", "E_c"))
     v = (group.I_c @ group.psi_c[..., None])[..., 0]
-    try:
-        if items.size == 1:  # the one-point wrappers, whose calls perfbench/spans.py counts
-            Xv, Xv_alt = (route(st.spectrum, st.basis, E[0], group.g_delta[0], order, v=v[0])[None]
-                          for route in (xj_matrix, xj_matrix_ssum_route))
-        else:
-            Xv, Xv_alt = xj_stack(st.spectrum, st.basis, E, group.g_delta, order, v)
-        for i, rep in zip(items, convention_report(st.basis, E, E_c, group.psi_c, group.I_c,
-                                                   group.resolvent, Xv, Xv_alt)):
-            reports[i] = rep
-    except BwlabError as exc:
-        if len(ledgers) == 1:
-            return [exc]
-        return [_conventions(order, st.take([i]), [ledger])[0]
-                for i, ledger in enumerate(ledgers)]
+    if items.size == 1:  # the one-point wrappers, whose calls perfbench/spans.py counts
+        Xv, Xv_alt = (route(st.spectrum, st.basis, E[0], group.g_delta[0], order, v=v[0])[None]
+                      for route in (xj_matrix, xj_matrix_ssum_route))
+    else:
+        Xv, Xv_alt = xj_stack(st.spectrum, st.basis, E, group.g_delta, order, v)
+    for i, rep in zip(items, convention_report(st.basis, E, E_c, group.psi_c, group.I_c,
+                                               group.resolvent, Xv, Xv_alt)):
+        reports[i] = rep
     return reports
 
 
@@ -156,8 +156,6 @@ def pipeline_core(cfg: RunConfig) -> PipelineResult:
     ledger = bw_selfconsistent(resolvent, h_delta, psi_u, st.E_c, order=cfg.bw_order,
                                max_iter=cfg.bw_max_iter, tol=cfg.bw_tol)
     (rep,) = _conventions(cfg.integration.j_order, st.take(np.newaxis), [ledger])
-    if isinstance(rep, BwlabError):
-        raise rep
     return PipelineResult(state=st, ledger=ledger, controversy=rep, oracle_energy=None)
 
 
@@ -183,50 +181,35 @@ def _bw_stack(cfg, st):
     return outcomes
 
 
-def _scaling_error(cfg, factor):
-    """The ConfigError of cfg.model.scaled(factor), as a one-point run
-    raises it for couplings that are not finite, or None."""
-    try:
-        cfg.model.scaled(factor)
-    except ConfigError as exc:
-        return exc
-    return None
-
-
 def _stack_outcomes(cfg, factors):
-    """Yields, per factor, its point's PipelineResult or BwlabError, from one
-    stack of reference states, BW solves in lock-step and one stacked
-    evaluation of the conventions at the converged points.  A stack whose
-    build fails (a point's interaction overflows) is built point by point."""
-    try:
-        st = reference_state(cfg, factors)
-    except BwlabError as exc:
-        yield from [exc] if len(factors) == 1 else (
-            outcome for factor in factors for outcome in _stack_outcomes(cfg, [factor]))
-        return
+    """Per factor, its point's PipelineResult or the BwlabError its BW solve
+    ends with, from one stack of reference states, BW solves in lock-step
+    and one stacked evaluation of the conventions at the converged points;
+    raises where the stacked build or evaluation does.  A stack of one is
+    pipeline_core's run at its point."""
+    if len(factors) == 1:
+        return [pipeline_core(replace(cfg, model=cfg.model.scaled(factors[0])))]
+    st = reference_state(cfg, factors)
     solved = _bw_stack(cfg, st)
     done = [i for i, outcome in enumerate(solved) if not isinstance(outcome, BwlabError)]
     reports = iter(_conventions(cfg.integration.j_order, st.take(done),
                                 [solved[i] for i in done]))
-    for i, outcome in enumerate(solved):
-        rep = outcome if isinstance(outcome, BwlabError) else next(reports)
-        yield rep if isinstance(rep, BwlabError) else PipelineResult(st.take(i), outcome, rep, None)
+    return [outcome if isinstance(outcome, BwlabError)
+            else PipelineResult(st.take(i), outcome, next(reports), None)
+            for i, outcome in enumerate(solved)]
 
 
 def pipeline_points(cfg: RunConfig, factors):
     """pipeline_core at cfg.model.scaled(f) for each f in factors: yields,
     in order, each point's PipelineResult or the BwlabError pipeline_core
     raises there.  The points are taken in chunks whose stacked arrays fit
-    STACK_BYTES; the points of a chunk whose scaled couplings are valid are
-    stacked, and their BW solves run in lock-step."""
+    STACK_BYTES, and their BW solves run in lock-step; a chunk whose run
+    raises is split in two (bw.each_alone), down to one-point runs."""
     dim = (len(cfg.model.positive_energies) + len(cfg.model.negative_energies)) ** 2
     size = max(1, STACK_BYTES // (8 * STACK_DOUBLES * dim * dim))
     for start in range(0, len(factors), size):
-        chunk = factors[start:start + size]
-        errors = [_scaling_error(cfg, f) for f in chunk]
-        stacked = _stack_outcomes(cfg, [f for f, error in zip(chunk, errors) if error is None])
-        for error in errors:
-            yield next(stacked) if error is None else error
+        yield from each_alone(lambda chunk: _stack_outcomes(cfg, chunk),
+                              factors[start:start + size])
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:

@@ -27,26 +27,28 @@ from .config import RunConfig, emit_config, text_hash
 
 
 def _jsonify(obj, out, path):
+    # path: the keys from the report down to obj, formatted only for the error
     if isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
             if i:
                 out.append(",")
             out.append(f'"{k}":')
-            _jsonify(v, out, f"{path}.{k}")
+            _jsonify(v, out, (*path, k))
         out.append("}")
     elif isinstance(obj, (list, tuple)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
-            _jsonify(v, out, f"{path}[{i}]")
+            _jsonify(v, out, (*path, i))
         out.append("]")
     elif isinstance(obj, bool):
         out.append("true" if obj else "false")
     elif isinstance(obj, float):
         if not math.isfinite(obj):
-            raise ValueError(f"non-finite value at {path}: {obj}")
+            where = "".join(f".{k}" if isinstance(k, str) else f"[{k}]" for k in path)
+            raise ValueError(f"non-finite value at report{where}: {obj}")
         out.append(format(obj, ".17g"))
     elif isinstance(obj, int):
         out.append(str(obj))
@@ -61,7 +63,7 @@ def render_json(report: dict) -> str:
     """The report as JSON; a float that is not finite raises ValueError
     naming its key path (report.energy.E, report.scan.rows[2][1], ...)."""
     out = []
-    _jsonify(report, out, "report")
+    _jsonify(report, out, ())
     return "".join(out)
 
 

@@ -17,7 +17,7 @@ from bwlab import (
     projectors,
     solve_no_pair,
 )
-from bwlab.bw import SECANT_MAX_RATIO, bw_lockstep
+from bwlab.bw import SECANT_MAX_RATIO, EnergyLedger, bw_lockstep
 from bwlab.controversy import ladder_perturbation
 from bwlab.model import SingleParticleSpectrum
 from conftest import jittered_dim36
@@ -406,6 +406,28 @@ def test_bw_lockstep_equals_one_problem_solves():
     assert isinstance(outcomes[1], ConvergenceError)
     assert [type(o) for o in outcomes].count(ConvergenceError) == 1
     assert evaluations[0] == len(lams) and evaluations == sorted(evaluations, reverse=True)
+
+
+def test_bw_lockstep_stops_terms_that_overflow_at_iteration_1():
+    """A problem whose terms sum past the largest float (E_c + sum = inf)
+    ends with ConvergenceError at iteration 1, and the terms are never
+    evaluated at a non-finite E; the other problem of the stack converges
+    as it does alone."""
+    terms = {0: lambda E: [0.1 * E, 0.0], 1: lambda E: [1e308, 1e308]}
+    evaluated = []
+
+    def select(items):
+        def evaluate(E):
+            evaluated.extend(E)
+            return np.array([terms[i](e) for i, e in zip(items, E)])
+        return evaluate
+
+    outcomes = bw_lockstep(select, [1.0, 1.0])
+    assert isinstance(outcomes[0], EnergyLedger) and outcomes[0] == bw_lockstep(select, [1.0])[0]
+    assert type(outcomes[1]) is ConvergenceError
+    assert str(outcomes[1]) == ("BW iteration 1 steps off the finite numbers from E = 1 "
+                                "(E_c + sum of terms = inf)")
+    assert all(math.isfinite(E) for E in evaluated)
 
 
 def test_bw_lockstep_fails_only_the_singular_ladder_item(dim4):

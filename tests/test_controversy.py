@@ -13,6 +13,7 @@ from bwlab import (
     build_Hc,
     build_interaction,
     build_spectrum,
+    bw_selfconsistent,
     combined_variant,
     coupling_scan,
     deltaE1_direct,
@@ -537,7 +538,38 @@ def test_coupling_scan_chunks_give_the_same_rows(name, monkeypatch):
     calls = count_stacked_calls(monkeypatch)
     chunked = coupling_scan(cfg, MIXED_LAMS)
     assert (chunked[0], chunked[3]) == (whole[0], whole[3])
-    assert calls["eigh"] == [(3,), (3,), (2,)]
+    # dim 9: lambda = 0.1, the first point, fails its pinch check after BW,
+    # so the first chunk is split in two: the point alone (pipeline_core,
+    # an unstacked eigh) and a stack of the other two
+    assert calls["eigh"] == {"dim4 guard": [(3,), (3,), (2,)],
+                             "dim9 pinched": [(3,), (), (2,), (3,), (2,)]}[name]
+
+
+def test_coupling_scan_splits_a_chunk_down_to_its_failing_point(monkeypatch):
+    """A 64-point chunk whose first point fails after BW (its pinch check in
+    X_J) is halved down to that point: 2 log2(64) + 1 = 13 eighs, one per
+    stack run, and only the last split's two points build X_J alone.  Every
+    row and failure is that of the point's one-point run."""
+    import bwlab.pipeline
+
+    model, max_iter = MIXED_SCANS["dim9 pinched"]
+    cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
+    lams = list(np.geomspace(0.1, 3.0, 64))
+    monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 64 * 8 * bwlab.pipeline.STACK_DOUBLES * 3 ** 4)
+    alone = {"direct": 0, "ssum": 0}
+    for route, name in (("direct", "xj_matrix"), ("ssum", "xj_matrix_ssum_route")):
+        def counted(*args, route=route, build=getattr(bwlab.pipeline, name), **kwargs):
+            alone[route] += 1
+            return build(*args, **kwargs)
+        monkeypatch.setattr(bwlab.pipeline, name, counted)
+    calls = count_stacked_calls(monkeypatch)
+    rows, _, _, failures = coupling_scan(cfg, lams)
+    assert len(calls["eigh"]) == 13
+    assert calls["eigh"][:7] == [(64,), (32,), (16,), (8,), (4,), (2,), ()]
+    # the first point's direct route aborts; its neighbour runs both routes
+    assert alone == {"direct": 2, "ssum": 1}
+    assert (rows, failures) == one_point_scan(cfg, lams)
+    assert failures[0][0] == lams[0] and "pinched pole pair" in failures[0][1]
 
 
 def assert_points_match_one_point_runs(cfg, lams):
@@ -581,10 +613,12 @@ def test_conventions_fail_alone_inside_a_stack():
     """Two states in the middle of a stack of five fail after the BW stage:
     one at a mixed-pair energy, where the direct route has a double pole
     but D^-1 of the S-sum route does not exist, one at an eigenvalue of H_c
-    past the reference state's, where the resolvent guard aborts.  Each
-    gets the error of its one-point evaluation, and every other state its
+    past the reference state's, where the resolvent guard aborts.  The
+    stacked evaluation raises; split by each_alone, each failing state gets
+    the error of its one-point evaluation, and every other state its
     one-point report."""
     from bwlab import BwlabError
+    from bwlab.bw import each_alone
     from bwlab.pipeline import _bw_stack, _conventions, reference_state
 
     model, _ = MIXED_SCANS["dim9 pinched"]
@@ -594,20 +628,32 @@ def test_conventions_fail_alone_inside_a_stack():
     assert not any(isinstance(ledger, BwlabError) for ledger in ledgers)
     ledgers[1] = replace(ledgers[1], E=1.5 - 1.2)  # a mixed pair's energy
     ledgers[3] = replace(ledgers[3], E=float(np.delete(st.resolvent.vals[3], 0)[0]))
-    got = _conventions(2, st, ledgers)
-    alone = [_conventions(2, st.take([i]), [ledger])[0] for i, ledger in enumerate(ledgers)]
+    with pytest.raises(BwlabError):
+        _conventions(2, st, ledgers)
+    got = each_alone(lambda part: _conventions(2, st.take(part), [ledgers[i] for i in part]),
+                     np.arange(len(ledgers)))
+    alone = []
+    for i, ledger in enumerate(ledgers):
+        try:
+            (rep,) = _conventions(2, st.take([i]), [ledger])
+        except BwlabError as exc:
+            rep = exc
+        alone.append(rep)
     assert [type(rep) for rep in got] == [type(rep) for rep in alone]
     assert [str(rep) if isinstance(rep, BwlabError) else rep for rep in got] == [
         str(rep) if isinstance(rep, BwlabError) else rep for rep in alone]
-    assert str(got[1]).startswith("degenerate pair denominator at E = 0.3")
-    assert "hits the complementary spectrum" in str(got[3])
-    assert not any(isinstance(got[i], BwlabError) for i in (0, 2, 4))
+    assert str(alone[1]).startswith("degenerate pair denominator at E = 0.3")
+    assert "hits the complementary spectrum" in str(alone[3])
+    assert not any(isinstance(alone[i], BwlabError) for i in (0, 2, 4))
 
 
 def test_coupling_scan_nonfinite_bw_step_fails_at_once():
-    """A lambda whose BW secant step overflows fails with ConvergenceError at
-    the iteration that leaves the finite numbers, long before bw_max_iter,
-    and the terms are never evaluated at a non-finite E (no numpy warning)."""
+    """A lambda whose BW secant step overflows is never moved by it (an
+    infinite secant step does not count as agreeing): its BW converges in a
+    few iterations, long before bw_max_iter, and the point fails at X_J's
+    pinch check, with no numpy warning on the way."""
+    from bwlab.pipeline import _bw_problem, reference_state
+
     matrix = tuple(tuple(10.0 if i == j else 1.0 for j in range(4)) for i in range(4))
     cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
                                 coulomb_scale=1.0, coulomb_matrix=matrix),
@@ -616,10 +662,11 @@ def test_coupling_scan_nonfinite_bw_step_fails_at_once():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _, _, _, failures = coupling_scan(cfg, lams)
-    message = dict(failures)[lams[2]]
-    found = re.fullmatch(r"ConvergenceError: BW iteration (\d+) steps off the finite numbers "
-                         r"from E = \S+ \(E_c \+ sum of terms = \S+\)", message)
-    assert found and int(found[1]) < 10
+        st = reference_state(replace(cfg, model=cfg.model.scaled(lams[2])))
+        ledger = bw_selfconsistent(*_bw_problem(st), st.E_c, order=cfg.bw_order)
+    assert dict(failures)[lams[2]] == ("DegenerateDenominatorError: pinched pole pair at "
+                                       "eps = -2.33099e+205 (opposite half-planes)")
+    assert ledger.iterations < 10
 
 
 def test_coupling_scan_overflowing_interaction_fails_alone():

@@ -1,6 +1,7 @@
 """Static checks on the package source: no unused imports, no imports
-inside functions except the one that breaks a real import cycle, and no
-definition that nothing names."""
+inside functions except the one that breaks a real import cycle, no
+definition that nothing names, and no handler of a package error outside
+the few places that turn one into an outcome."""
 
 import ast
 import collections
@@ -20,6 +21,16 @@ READERS = [*MODULES, *sorted((ROOT / "tests").glob("*.py")),
 #: (module, function, imported module) of the allowed function-level imports:
 #: pipeline imports controversy, so coupling_scan imports pipeline late
 ALLOWED_LOCAL_IMPORTS = {("controversy.py", "coupling_scan", "pipeline")}
+
+#: (module, function, caught class) of the allowed handlers of BwlabError and
+#: its subclasses: the one rule that makes an item of a stack fail alone, the
+#: lock-step BW's ConvergenceError outcome, and the CLI's exit codes
+ALLOWED_ERROR_HANDLERS = {
+    ("bw.py", "each_alone", "BwlabError"),
+    ("bw.py", "bw_lockstep", "ConvergenceError"),
+    *(("cli.py", "main", name) for name in ("ConfigError", "DegenerateDenominatorError",
+                                            "ConvergenceError", "OracleTrackingError")),
+}
 
 
 def _tree(path):
@@ -83,3 +94,39 @@ def test_every_definition_is_named_elsewhere():
         words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
     defined = collections.Counter(n for path in MODULES for n in _definitions(path))
     assert sorted(n for n, k in defined.items() if words[n] <= k) == []
+
+
+def _package_errors():
+    """BwlabError and the classes of errors.py derived from it."""
+    names = {"BwlabError"}
+    for node in _tree(SRC / "errors.py").body:
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(b, ast.Name) and b.id in names for b in node.bases):
+            names.add(node.name)
+    return names
+
+
+def _handlers(node, function, errors):
+    """(function, caught class) of every except clause under node that
+    catches a package error, with the innermost enclosing function."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _handlers(child, child.name, errors)
+            continue
+        if isinstance(child, ast.ExceptHandler) and child.type is not None:
+            caught = child.type.elts if isinstance(child.type, ast.Tuple) else [child.type]
+            for node in caught:
+                name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+                if name in errors:
+                    yield function, name
+        yield from _handlers(child, function, errors)
+
+
+def test_package_errors_are_caught_only_where_allowed():
+    """A BwlabError is data only where each_alone splits a stack, where
+    bw_lockstep keeps a ConvergenceError as a problem's outcome, and where
+    cli.main maps it to an exit code; every other stage lets it propagate."""
+    errors = _package_errors()
+    found = {(path.name, *handler) for path in MODULES
+             for handler in _handlers(_tree(path), None, errors)}
+    assert sorted(found - ALLOWED_ERROR_HANDLERS) == []

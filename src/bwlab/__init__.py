@@ -18,7 +18,6 @@ from .controversy import (
     coupling_scan,
     deltaE1_direct,
     deltaE2b_direct,
-    h_delta2_ladder,
     model_oracle,
     predicted_discrepancy,
 )
@@ -39,15 +38,7 @@ from .model import (
     build_spectrum,
     dirac_like_energies,
 )
-from .operators import (
-    ProjectorSet,
-    build_D,
-    build_Dc,
-    build_G0,
-    build_HDelta1,
-    build_Hc,
-    projectors,
-)
+from .operators import build_G0, build_HDelta1, build_Hc
 from .pipeline import PipelineResult, run_pipeline
 from .propagators import (
     contour_integral_Finv,
@@ -57,4 +48,4 @@ from .propagators import (
     xj_matrix,
     xj_matrix_ssum_route,
 )
-from .quadrature import quadrature_chain, quadrature_finv, quadrature_oracle
+from .quadrature import quadrature_finv, quadrature_oracle

@@ -25,8 +25,8 @@ reproduces that spectrum is the ladder-resummed one (each propagator
 segment between instantaneous vertices carries its own relative-energy
 integral).  ladder_perturbation gives the BW perturbation H_D1 + H_D2(E)
 of that ladder as an operator on vectors, through one inverse of the
-unmixed block per E; h_delta2_ladder is the same closed form as a dense
-matrix, and ladder_kernel the geometric-series reference.
+unmixed block per E; h_delta2_ladder is the same interaction as a dense
+matrix from ladder_kernel, the geometric-series reference.
 
 Every evaluator uses X_J only applied to v = I_c psi_c and takes that
 vector Xv = X_J v, already built at the energy it uses, so that one run
@@ -47,7 +47,7 @@ import numpy as np
 
 from .bw import inner
 from .errors import BwlabError, DegenerateDenominatorError, OracleTrackingError
-from .operators import DEGENERACY_TOL, build_HDelta1, free_propagator, inverse_denominator
+from .operators import build_HDelta1, free_propagator, inverse_denominator
 
 #: the chain residuals of a ControversyReport, in report order
 CHAIN_RESIDUALS = ("E2b_vs_E2b2", "chain_sum", "central_claim", "Dm1_route")
@@ -211,8 +211,8 @@ def _block(A, idx):
 def _ladder_block(basis, g_delta):
     """E -> (D_u, (E S_u - K)^-1) on the unmixed pairs u, with S = unmixed_sign,
     D = E - e and K = diag|e_u| + g_uu (symmetric, independent of E).  The
-    unmixed pair denominators are guarded as inverse_denominator guards
-    them; a singular E S_u - K aborts the same way.  g_delta and E may be
+    unmixed pair denominators are guarded by inverse_denominator; a
+    singular E S_u - K aborts the same way.  g_delta and E may be
     stacks (one coupling and energy per item): one batched inverse."""
     u = basis.unmixed_sign != 0
     ui = np.flatnonzero(u)
@@ -222,10 +222,8 @@ def _ladder_block(basis, g_delta):
 
     def at(E):
         E = np.asarray(E, dtype=float)
+        inverse_denominator(basis, E, u)  # only its guard: raises at a degenerate pair
         D = E[..., None] - e_u
-        hit = np.abs(D) < DEGENERACY_TOL
-        if hit.any():
-            inverse_denominator(basis, E.flat[np.argmax(hit.any(axis=-1))], u)  # raises
         M = E[..., None, None] * S_u - K
         try:
             return D, np.linalg.inv(M)
@@ -293,17 +291,13 @@ def ladder_perturbation(basis, I_c, g_delta):
 
 def h_delta2_ladder(spectrum, basis, E, I_c, g_delta):
     """Effective remainder interaction D (G~ J~ G~) I_c of the equal-time
-    ladder as a dense matrix, from ladder_perturbation's closed form: on
-    unmixed rows D_u (E S_u - K)^-1 (I_c)_u - S_u (I_c)_u, 0 on mixed rows.
-    Vanishes identically when either coupling is zero."""
-    out = np.zeros((basis.dim, basis.dim))
+    ladder as a dense matrix, from ladder_kernel: the reference that
+    ladder_perturbation's closed form is checked against (0 on mixed rows,
+    where G~ vanishes).  Vanishes identically when either coupling is zero."""
     if not np.any(I_c) or not np.any(g_delta):
-        return out
-    u = basis.unmixed_sign != 0
-    I_u = np.asarray(I_c, dtype=float)[u]
-    D, inv = _ladder_block(basis, g_delta)(E)
-    out[u] = (D[:, None] * inv) @ I_u - basis.unmixed_sign[u][:, None] * I_u
-    return out
+        return np.zeros((basis.dim, basis.dim))
+    kernel = ladder_kernel(spectrum, basis, E, g_delta)
+    return (E - basis.pair_energies())[:, None] * (kernel @ np.asarray(I_c, dtype=float))
 
 
 # -- model oracle --------------------------------------------------------------
@@ -364,9 +358,10 @@ def coupling_scan(cfg, lam_schedule):
 
     The points run through pipeline.pipeline_points on a leading axis of
     points, chunk by chunk: BW in lock-step, then one stacked X_J(E) v build
-    on both routes and one stacked convention report.  A stack that aborts
-    is split in two (bw.each_alone), so every row and failure equals that
-    of a one-point pipeline_core run.
+    on both routes and one stacked convention report.  A stage that aborts
+    on a stack is split in two on its own (bw.each_alone): the reference
+    build by chunk, a BW round, or the convention report; so every row and
+    failure equals that of a one-point pipeline_core run.
 
     Returns (rows, fitted_exponent, r_squared, failures); rows are
     (lambda, difference, predicted, ratio) and failures lists

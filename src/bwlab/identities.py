@@ -132,24 +132,19 @@ def identity_suite(cfg):
     quad = quadrature_finv(spectrum, basis, E, fine, sums=sums)
     res["contour_vs_quadrature"] = _relative(quad, finv)
 
-    # sandwich: quadrature, linearity, exchange symmetry
-    X = sandwich_integral(spectrum, basis, E, g)
+    # sandwich: quadrature, linearity, exchange symmetry, from one stacked
+    # build of g, A, B, 0.3 A + 1.7 B and S = (A + A^T) / 2
+    A = rng.uniform(-1, 1, size=(basis.dim, basis.dim))
+    B = rng.uniform(-1, 1, size=(basis.dim, basis.dim))
+    X, XA, XB, XAB, Xs = sandwich_integral(spectrum, basis, E,
+                                           [g, A, B, 0.3 * A + 1.7 * B, 0.5 * (A + A.T)])
     if np.any(g):
         Xq = quadrature_oracle(spectrum, basis, E, g, fine, sums=sums)
         res["sandwich_vs_quadrature"] = _relative(Xq, X)
     else:
         res["sandwich_vs_quadrature"] = 0.0
-    A = rng.uniform(-1, 1, size=(basis.dim, basis.dim))
-    B = rng.uniform(-1, 1, size=(basis.dim, basis.dim))
-    XA = sandwich_integral(spectrum, basis, E, A)
-    lin = sandwich_integral(spectrum, basis, E, 0.3 * A + 1.7 * B) - (
-        0.3 * XA + 1.7 * sandwich_integral(spectrum, basis, E, B)
-    )
-    res["sandwich_linearity"] = float(np.max(np.abs(lin))) / max(
-        1.0, float(np.max(np.abs(XA)))
-    )
-    S = 0.5 * (A + A.T)
-    Xs = sandwich_integral(spectrum, basis, E, S)
+    lin = float(np.max(np.abs(XAB - (0.3 * XA + 1.7 * XB))))
+    res["sandwich_linearity"] = lin / max(1.0, float(np.max(np.abs(XA))))
     res["sandwich_exchange_symmetry"] = _relative(Xs.T, Xs)
 
     # controversy-chain identities at a nondegenerate working energy, with the

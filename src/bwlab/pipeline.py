@@ -29,9 +29,10 @@ X_J(E) v build for both routes and one stacked convention report
 (_conventions), which pipeline_core runs on a stack of one.
 
 A point that aborts fails alone by one rule, bw.each_alone: a stack whose
-run raises a BwlabError is split in two and each half run again.
-pipeline_points applies it to each chunk, whose stack of one is
-pipeline_core's run, and bw_lockstep to each round's term evaluation.
+run raises a BwlabError is split in two and each half run again.  Three
+sites apply it, each to its own stage only: pipeline_points to the
+reference stage, by chunk (a chunk of one is pipeline_core's run),
+bw_lockstep to a BW round, and _stack_outcomes to the convention stage.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def _conventions(order, st, ledgers):
     report from X_J(E) v on both routes (combined_dkz_dc_approx stays 0).
     The coupled states take one xj_stack build and one stacked report, one
     state alone the one-point wrappers.  Raises the BwlabError of the first
-    state that aborts, as any stage does; pipeline_points' split of the
+    state that aborts, as any stage does; _stack_outcomes' split of the
     stack (bw.each_alone) leaves each state its one-point outcome."""
     reports = [ControversyReport() for _ in ledgers]
     items = np.flatnonzero(_coupled(st))
@@ -182,29 +183,32 @@ def _bw_stack(cfg, st):
 
 
 def _stack_outcomes(cfg, factors):
-    """Per factor, its point's PipelineResult or the BwlabError its BW solve
-    ends with, from one stack of reference states, BW solves in lock-step
-    and one stacked evaluation of the conventions at the converged points;
-    raises where the stacked build or evaluation does.  A stack of one is
+    """Per factor, its point's PipelineResult or the BwlabError that
+    pipeline_core raises there, from one stack of reference states, BW
+    solves in lock-step and one stacked convention stage at the converged
+    points, which bw.each_alone splits alone where a point fails in it.
+    Raises where the stacked reference build does.  A stack of one is
     pipeline_core's run at its point."""
     if len(factors) == 1:
         return [pipeline_core(replace(cfg, model=cfg.model.scaled(factors[0])))]
     st = reference_state(cfg, factors)
     solved = _bw_stack(cfg, st)
     done = [i for i, outcome in enumerate(solved) if not isinstance(outcome, BwlabError)]
-    reports = iter(_conventions(cfg.integration.j_order, st.take(done),
-                                [solved[i] for i in done]))
-    return [outcome if isinstance(outcome, BwlabError)
-            else PipelineResult(st.take(i), outcome, next(reports), None)
-            for i, outcome in enumerate(solved)]
+    reports = each_alone(lambda part: _conventions(cfg.integration.j_order, st.take(part),
+                                                   [solved[i] for i in part]), done)
+    for i, rep in zip(done, reports):
+        solved[i] = rep if isinstance(rep, BwlabError) else PipelineResult(
+            st.take(i), solved[i], rep, None)
+    return solved
 
 
 def pipeline_points(cfg: RunConfig, factors):
     """pipeline_core at cfg.model.scaled(f) for each f in factors: yields,
     in order, each point's PipelineResult or the BwlabError pipeline_core
     raises there.  The points are taken in chunks whose stacked arrays fit
-    STACK_BYTES, and their BW solves run in lock-step; a chunk whose run
-    raises is split in two (bw.each_alone), down to one-point runs."""
+    STACK_BYTES.  A chunk whose reference build raises is split in two
+    (bw.each_alone), down to pipeline_core's one-point runs; its BW rounds
+    and its convention stage split on their own (_stack_outcomes)."""
     dim = (len(cfg.model.positive_energies) + len(cfg.model.negative_energies)) ** 2
     size = max(1, STACK_BYTES // (8 * STACK_DOUBLES * dim * dim))
     for start in range(0, len(factors), size):

@@ -33,7 +33,8 @@ through residues.pole_product_integral, stays as a reference; the numerical
 quadrature oracle (quadrature module) is the independent check of both.
 
 The engine works on a stack of items, one energy, g and row block W each;
-xj_matrix, xj_matrix_ssum_route and j_series are its stacks of one.
+xj_matrix and xj_matrix_ssum_route are its stacks of one, and j_series
+and sandwich_integral its stacks of matrices at one energy.
 _pole_groups finds each item's poles once and groups the items that share
 their active pairs, cluster counts and pole order m (2 where both poles of
 a pair merge, at a mixed-pair energy); a scan chunk is usually one group.
@@ -323,8 +324,9 @@ def _kernel_terms(groups, g, order, dinv=None, W=None):
 
 
 def _square(M, basis, name):
+    """M as floats: a dim x dim matrix, or a stack of them on leading axes."""
     M = np.asarray(M, dtype=float)
-    if M.shape != (basis.dim, basis.dim):
+    if M.ndim < 2 or M.shape[-2:] != (basis.dim, basis.dim):
         raise ValueError(f"{name} has shape {M.shape}, basis needs {(basis.dim, basis.dim)}")
     return M
 
@@ -337,16 +339,20 @@ def j_series(spectrum, basis, E, g_delta, order):
     multiplied out once per cluster, and T_k collects its u^-1 coefficients
     (the residue sums over all index chains at once).  T_0 is
     sandwich_integral(E, g).  The truncated kernel integral is sum(T_k).
+    g_delta may be a stack of matrices on leading axes, all at the one E;
+    each T_k then has its shape, and each item the bits of its own call.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    g = _square(g_delta, basis, "g")[None]
-    groups = _pole_groups(spectrum, np.array([E], dtype=float), g)
-    return [T[0] for T in _kernel_terms(groups, g, order)]
+    g = _square(g_delta, basis, "g")
+    stack = g.reshape(-1, basis.dim, basis.dim)
+    groups = _pole_groups(spectrum, np.full(len(stack), float(E)), stack)
+    return [T.reshape(g.shape) for T in _kernel_terms(groups, stack, order)]
 
 
 def sandwich_integral(spectrum, basis, E, A):
-    """i int deps/2pi F^-1 A F^-1 for an eps-independent matrix A.
+    """i int deps/2pi F^-1 A F^-1 for an eps-independent matrix A, or for
+    each matrix of a stack A on leading axes.
 
     The k = 0 term of the kernel series with g = A, from the same
     matrix-Laurent residue engine; entry (p, q) is A[p, q] times the joint
@@ -392,13 +398,13 @@ def xj_stack(spectrum, basis, E, g_delta, order, v=None, routes=("direct", "ssum
 
 def _one_point(spectrum, basis, E, g_delta, order, v, route):
     """X_J (or X_J v) at one energy on one route: the stack of one."""
-    g = _square(g_delta, basis, "g")
+    g = _square(g_delta, basis, "g").reshape(1, basis.dim, basis.dim)
     if v is not None:
         v = np.asarray(v, dtype=float)
         if v.shape != (basis.dim,):
             raise ValueError(f"v has shape {v.shape}, basis needs {(basis.dim,)}")
         v = v[None]
-    (X,) = xj_stack(spectrum, basis, [E], g[None], order, v, (route,))
+    (X,) = xj_stack(spectrum, basis, [E], g, order, v, (route,))
     return X[0]
 
 

@@ -20,7 +20,6 @@ from bwlab import (
     build_basis,
     build_interaction,
     build_spectrum,
-    build_D,
     build_Hc,
     bw_selfconsistent,
     combined_variant,
@@ -30,13 +29,13 @@ from bwlab import (
     deltaE2b_direct,
     model_oracle,
     predicted_discrepancy,
-    projectors,
     propagator_S,
     quadrature_finv,
     run_pipeline,
     solve_no_pair,
     xj_matrix_ssum_route,
 )
+from bwlab.operators import build_D, projectors
 from bwlab.cli import main
 from bwlab.model import SingleParticleSpectrum
 from conftest import energy_away_from_poles, random_spectrum

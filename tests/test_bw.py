@@ -8,15 +8,14 @@ from bwlab import (
     DegenerateDenominatorError,
     ModelConfig,
     build_basis,
-    build_D,
     build_Hc,
     build_interaction,
     build_spectrum,
     bw_selfconsistent,
     bw_terms,
-    projectors,
     solve_no_pair,
 )
+from bwlab.operators import build_D, projectors
 from bwlab.bw import SECANT_MAX_RATIO, EnergyLedger, bw_lockstep
 from bwlab.controversy import ladder_perturbation
 from bwlab.model import SingleParticleSpectrum

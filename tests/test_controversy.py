@@ -18,7 +18,6 @@ from bwlab import (
     coupling_scan,
     deltaE1_direct,
     deltaE2b_direct,
-    h_delta2_ladder,
     model_oracle,
     predicted_discrepancy,
     quadrature_oracle,
@@ -26,7 +25,7 @@ from bwlab import (
     sandwich_integral,
     solve_no_pair,
 )
-from bwlab.controversy import fit_power_law, ladder_kernel, ladder_perturbation
+from bwlab.controversy import fit_power_law, h_delta2_ladder, ladder_kernel, ladder_perturbation
 from bwlab.operators import build_D, build_HDelta1
 from conftest import energy_away_from_poles, jittered_dim36
 from bwlab.propagators import xj_matrix, xj_matrix_ssum_route
@@ -538,18 +537,18 @@ def test_coupling_scan_chunks_give_the_same_rows(name, monkeypatch):
     calls = count_stacked_calls(monkeypatch)
     chunked = coupling_scan(cfg, MIXED_LAMS)
     assert (chunked[0], chunked[3]) == (whole[0], whole[3])
-    # dim 9: lambda = 0.1, the first point, fails its pinch check after BW,
-    # so the first chunk is split in two: the point alone (pipeline_core,
-    # an unstacked eigh) and a stack of the other two
-    assert calls["eigh"] == {"dim4 guard": [(3,), (3,), (2,)],
-                             "dim9 pinched": [(3,), (), (2,), (3,), (2,)]}[name]
+    # dim 9: lambda = 0.1, the first point, fails its pinch check after BW;
+    # only the convention stage of its chunk is split, so no chunk solves
+    # its reference states or BW again
+    assert calls["eigh"] == [(3,), (3,), (2,)]
 
 
 def test_coupling_scan_splits_a_chunk_down_to_its_failing_point(monkeypatch):
     """A 64-point chunk whose first point fails after BW (its pinch check in
-    X_J) is halved down to that point: 2 log2(64) + 1 = 13 eighs, one per
-    stack run, and only the last split's two points build X_J alone.  Every
-    row and failure is that of the point's one-point run."""
+    X_J) takes one stacked eigh and one lock-step BW solve; only its
+    convention stage is halved down to that point, and only the last
+    split's two points build X_J alone.  Every row and failure is that of
+    the point's one-point run."""
     import bwlab.pipeline
 
     model, max_iter = MIXED_SCANS["dim9 pinched"]
@@ -564,8 +563,8 @@ def test_coupling_scan_splits_a_chunk_down_to_its_failing_point(monkeypatch):
         monkeypatch.setattr(bwlab.pipeline, name, counted)
     calls = count_stacked_calls(monkeypatch)
     rows, _, _, failures = coupling_scan(cfg, lams)
-    assert len(calls["eigh"]) == 13
-    assert calls["eigh"][:7] == [(64,), (32,), (16,), (8,), (4,), (2,), ()]
+    assert calls["eigh"] == [(64,)]
+    assert calls["bw_terms"] <= max_iter + 1
     # the first point's direct route aborts; its neighbour runs both routes
     assert alone == {"direct": 2, "ssum": 1}
     assert (rows, failures) == one_point_scan(cfg, lams)

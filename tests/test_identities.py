@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bwlab import build_basis, build_spectrum, parse_config, propagator_S
-from bwlab.identities import _uniform, identity_suite
+from bwlab.identities import TOLERANCES, _uniform, identity_suite
 
 JITTERED_3P3 = """
 [spectrum]
@@ -75,3 +75,19 @@ def test_uniform_draw_is_numpy_uniform_bit_for_bit():
     for lo, hi in [(-4.5, 4.5), (2.1, 4.0), (-1e-3, 7.25), (3.0, 3.0)] * 500:
         x, y = _uniform(ours, lo, hi), numpys.uniform(lo, hi)
         assert np.float64(x).tobytes() == np.float64(y).tobytes()
+
+
+def test_identity_suite_builds_its_sandwiches_in_one_call(monkeypatch):
+    """g, A, B, 0.3 A + 1.7 B and S take one stacked sandwich_integral call."""
+    import bwlab.identities
+
+    calls, build = [], bwlab.identities.sandwich_integral
+
+    def counted(spectrum, basis, E, A):
+        calls.append(np.shape(A))
+        return build(spectrum, basis, E, A)
+
+    monkeypatch.setattr(bwlab.identities, "sandwich_integral", counted)
+    res = identity_suite(parse_config("[spectrum]\n"))
+    assert calls == [(5, 16, 16)]
+    assert res["sandwich_linearity"] <= TOLERANCES["sandwich_linearity"]

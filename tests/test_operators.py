@@ -6,8 +6,6 @@ from bwlab import (
     ModelConfig,
     OracleTrackingError,
     build_basis,
-    build_D,
-    build_Dc,
     build_G0,
     build_HDelta1,
     build_Hc,
@@ -17,12 +15,11 @@ from bwlab import (
     dirac_like_energies,
     model_oracle,
     predicted_discrepancy,
-    projectors,
     solve_no_pair,
     xj_matrix_ssum_route,
 )
 from bwlab.controversy import ladder_kernel
-from bwlab.operators import free_propagator, inverse_denominator
+from bwlab.operators import build_D, build_Dc, free_propagator, inverse_denominator, projectors
 from conftest import energy_away_from_poles, random_spectrum
 
 from bwlab.model import SingleParticleSpectrum

@@ -17,12 +17,12 @@ from bwlab import (
     contour_integral_Finv,
     j_series,
     propagator_S,
-    quadrature_chain,
     quadrature_oracle,
     sandwich_integral,
     xj_matrix,
     xj_matrix_ssum_route,
 )
+from bwlab.quadrature import quadrature_chain
 from bwlab.model import SingleParticleSpectrum, dirac_like_energies
 from bwlab import propagators
 from bwlab.propagators import ChainIntegrator
@@ -195,6 +195,29 @@ def test_j_series_first_term_is_sandwich(dim4, settings):
     terms = j_series(spectrum, basis, 2.25, g, 1)
     assert len(terms) == 1
     assert np.array_equal(terms[0], sandwich_integral(spectrum, basis, 2.25, g))
+
+
+@pytest.mark.parametrize("E", [2.07, 0.3])  # 0.3: a mixed pair's energy, a double pole
+def test_sandwich_stack_equals_per_matrix_calls(E):
+    """sandwich_integral and j_series over a stack of matrices at one E give,
+    item by item, the per-matrix calls bit for bit: dense matrices, a zero
+    matrix and a sparse coupling, whose active pairs differ."""
+    spectrum = SingleParticleSpectrum.from_lists((1.0, 1.5), (-1.2,))
+    basis = build_basis(spectrum)
+    rng = np.random.default_rng(5)
+    A = rng.uniform(-1.0, 1.0, size=(basis.dim, basis.dim))
+    sparse = np.zeros_like(A)
+    sparse[6, 1] = sparse[1, 6] = sparse[6, 6] = 0.04
+    stack = np.array([A, np.zeros_like(A), sparse, 0.5 * (A + A.T)])
+    got = sandwich_integral(spectrum, basis, E, stack)
+    assert got.shape == stack.shape
+    assert [X.tobytes() for X in got] == [
+        sandwich_integral(spectrum, basis, E, M).tobytes() for M in stack]
+    assert not np.any(got[1])
+    terms = j_series(spectrum, basis, E, stack, 2)
+    for p, M in enumerate(stack):
+        assert [T[p].tobytes() for T in terms] == [
+            T.tobytes() for T in j_series(spectrum, basis, E, M, 2)]
 
 
 def test_j_series_zero_coupling(dim4):

@@ -6,11 +6,11 @@ from bwlab import (
     QuadratureConvergenceError,
     build_basis,
     contour_integral_Finv,
-    quadrature_chain,
     quadrature_finv,
     quadrature_oracle,
     sandwich_integral,
 )
+from bwlab.quadrature import quadrature_chain
 from bwlab import quadrature
 from bwlab.model import SingleParticleSpectrum
 from conftest import energy_away_from_poles, random_spectrum

@@ -8,7 +8,7 @@ Sections and keys:
     [interaction]         seed
     [interaction.coulomb] scale, preset | matrix
     [interaction.delta]   scale, preset | matrix
-    [integration]         eta_sequence, quadrature_points, cutoff_factor, j_order
+    [integration]         quadrature_points, j_order
     [bw]                  order, max_iter, tol
     [solve]               state_index
 
@@ -38,52 +38,25 @@ from dataclasses import dataclass
 
 from .bw import MAX_ORDER
 from .errors import ConfigError
-from .model import ModelConfig, SingleParticleSpectrum, check_integer_fields, dirac_like_energies
+from .model import ModelConfig, check_integer_fields, dirac_like_energies
 
 
 @dataclass(frozen=True)
 class IntegrationSettings:
-    """Quadrature and series-truncation controls.
+    """Quadrature and series-truncation controls: quadrature_points per panel
+    of the oracle's coarser contour rule (the finer takes
+    quadrature.CHECK_POINTS more, and the two must agree), and j_order, the
+    truncation K of the interaction-kernel geometric series."""
 
-    eta_sequence drives the eta -> 0 extrapolation of the oracle.  The
-    quadrature range is [-L, L] with L = cutoff_factor * max|e|.  j_order
-    is the truncation K of the interaction-kernel geometric series.
-    """
-
-    eta_sequence: tuple = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
     quadrature_points: int = 16
-    cutoff_factor: float = 1e4
     j_order: int = 2
 
     def __post_init__(self):
         check_integer_fields(self)
-        if not self.eta_sequence:
-            raise ConfigError("eta_sequence must be nonempty")
-        seq = tuple(float(x) for x in self.eta_sequence)
-        if not all(0 < x < math.inf for x in seq):
-            raise ConfigError("eta values must be > 0 and finite")
-        if any(later >= earlier for earlier, later in zip(seq, seq[1:])):
-            raise ConfigError("eta_sequence must be strictly decreasing")
         if self.quadrature_points < 4:
             raise ConfigError("quadrature_points must be >= 4")
-        if not 100 <= self.cutoff_factor < math.inf:
-            raise ConfigError("cutoff_factor must be >= 100 and finite (cutoff >= 100 max|e|)")
         if self.j_order < 1:
             raise ConfigError("j_order must be >= 1")
-        object.__setattr__(self, "eta_sequence", seq)
-
-    def refined(self):
-        """Settings with one extra halved eta level and at least 24 quadrature
-        points (high-precision checks)."""
-        return IntegrationSettings(
-            eta_sequence=self.eta_sequence + (self.eta_sequence[-1] / 2.0,),
-            quadrature_points=max(self.quadrature_points, 24),
-            cutoff_factor=self.cutoff_factor,
-            j_order=self.j_order,
-        )
-
-    def cutoff(self, spectrum: SingleParticleSpectrum) -> float:
-        return self.cutoff_factor * max(abs(e) for e in spectrum.energies)
 
 
 @dataclass(frozen=True)
@@ -174,9 +147,7 @@ _FIELDS = {
     ("interaction.delta", "scale"): ("model", "delta_scale", _float),
     ("interaction.delta", "preset"): ("model", "delta_matrix", _text),
     ("interaction.delta", "matrix"): ("model", "delta_matrix", _matrix),
-    ("integration", "eta_sequence"): ("integration", "eta_sequence", _floats),
     ("integration", "quadrature_points"): ("integration", "quadrature_points", _int),
-    ("integration", "cutoff_factor"): ("integration", "cutoff_factor", _float),
     ("integration", "j_order"): ("integration", "j_order", _int),
     ("bw", "order"): ("run", "bw_order", _int),
     ("bw", "max_iter"): ("run", "bw_max_iter", _int),

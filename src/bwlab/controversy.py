@@ -47,7 +47,7 @@ import numpy as np
 
 from .bw import inner
 from .errors import BwlabError, DegenerateDenominatorError, OracleTrackingError
-from .operators import build_HDelta1, free_propagator, inverse_denominator
+from .operators import build_HDelta1, free_propagator, inverse_denominator, pair_denominator
 
 #: the chain residuals of a ControversyReport, in report order
 CHAIN_RESIDUALS = ("E2b_vs_E2b2", "chain_sum", "central_claim", "Dm1_route")
@@ -211,7 +211,7 @@ def _block(A, idx):
 def _ladder_block(basis, g_delta):
     """E -> (D_u, (E S_u - K)^-1) on the unmixed pairs u, with S = unmixed_sign,
     D = E - e and K = diag|e_u| + g_uu (symmetric, independent of E).  The
-    unmixed pair denominators are guarded by inverse_denominator; a
+    unmixed pair denominators are guarded by pair_denominator; a
     singular E S_u - K aborts the same way.  g_delta and E may be
     stacks (one coupling and energy per item): one batched inverse."""
     u = basis.unmixed_sign != 0
@@ -222,8 +222,7 @@ def _ladder_block(basis, g_delta):
 
     def at(E):
         E = np.asarray(E, dtype=float)
-        inverse_denominator(basis, E, u)  # only its guard: raises at a degenerate pair
-        D = E[..., None] - e_u
+        D = pair_denominator(basis, E, u)[..., u]
         M = E[..., None, None] * S_u - K
         try:
             return D, np.linalg.inv(M)

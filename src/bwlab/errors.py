@@ -30,4 +30,4 @@ class ConvergenceError(BwlabError):
 
 
 class QuadratureConvergenceError(ConvergenceError):
-    """The eta -> 0 extrapolation of the quadrature oracle did not settle."""
+    """The quadrature oracle's two contour rules disagree beyond its bound."""

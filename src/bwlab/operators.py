@@ -7,12 +7,12 @@ from those signs: +1 on pp pairs, -1 on mm pairs, 0 on mixed pairs, the
 diagonal of P_pp - P_mm.  Projector products are row and column masks from
 it, at O(dim^2) instead of a dense O(dim^3) product.
 
-inverse_denominator is the one guarded 1/(E - e_i - e_j); it aborts where a
-selected denominator is degenerate.  free_propagator is the one closed form
-of (P_pp - P_mm) D^-1, the value of i int deps/2pi F^-1; the propagators
-module evaluates that integral with its residue engine, and the identity
-suite compares the two.  The dense projectors, build_D and build_Dc have no
-caller in the package.
+pair_denominator is the one guarded E - e_i - e_j; it aborts where a
+selected denominator is degenerate, and inverse_denominator divides it.
+free_propagator is the one closed form of (P_pp - P_mm) D^-1, the value of
+i int deps/2pi F^-1; the propagators module evaluates that integral with
+its residue engine, and the identity suite compares the two.  The dense
+projectors, build_D and build_Dc have no caller in the package.
 """
 
 from __future__ import annotations
@@ -56,20 +56,26 @@ def build_Dc(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E_c: flo
     return np.diag(E_c - basis.pair_energies())
 
 
-def inverse_denominator(basis: TwoParticleBasis, E: float, where=None) -> np.ndarray:
-    """(dim,) 1/(E - e_i - e_j) on the pairs in the boolean mask where (all
-    pairs by default; it broadcasts against them), 0 elsewhere; a row per
-    energy for a stack E.  Raises DegenerateDenominatorError where a selected
-    |E - e_i - e_j| is below DEGENERACY_TOL, naming the first such energy."""
+def pair_denominator(basis: TwoParticleBasis, E: float, where=None) -> np.ndarray:
+    """(dim,) E - e_i - e_j, a row per energy for a stack E.  Raises
+    DegenerateDenominatorError where |E - e_i - e_j| is below DEGENERACY_TOL
+    on a pair in the boolean mask where (all pairs by default; it broadcasts
+    against them), naming the first such energy."""
     E = np.asarray(E, dtype=float)
     denom = E[..., None] - basis.pair_energies()
-    sel = True if where is None else where
-    bad = sel & (np.abs(denom) < DEGENERACY_TOL)
+    bad = (True if where is None else where) & (np.abs(denom) < DEGENERACY_TOL)
     if bad.any():
         item = np.unravel_index(bad.argmax(), bad.shape)[:-1]
         raise DegenerateDenominatorError(f"degenerate pair denominator at E = {E[item]:.12g}, "
                                          f"pair index(es) {np.flatnonzero(bad[item]).tolist()}")
-    return np.divide(1.0, denom, out=np.zeros(denom.shape), where=sel)
+    return denom
+
+
+def inverse_denominator(basis: TwoParticleBasis, E: float, where=None) -> np.ndarray:
+    """(dim,) 1/pair_denominator on the pairs in the mask where (all pairs by
+    default), 0 elsewhere; a row per energy for a stack E."""
+    denom = pair_denominator(basis, E, where)
+    return np.divide(1.0, denom, out=np.zeros(denom.shape), where=True if where is None else where)
 
 
 def free_propagator(basis: TwoParticleBasis, E: float) -> np.ndarray:

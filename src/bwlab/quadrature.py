@@ -1,25 +1,31 @@
 """Independent numerical oracle for the relative-energy integrals.
 
-Integrates along the real axis with a finite Feynman regulator eta, on
-composite Gauss-Legendre panels graded toward the pole positions, then
-extrapolates eta -> 0.  Each captured residue is a rational function of
-i*eta with real coefficients, so the real part of every integral handled
-here is even in eta and the imaginary part is odd in eta.  One rule
-(_limit_weights) takes both limits: a linear fit with one term per eta
-level, c + eta^2 P(eta^2) for the real part and c + eta P(eta^2) for the
-imaginary part, evaluated at eta = 0.  The imaginary constant is a
-diagnostic and should be consistent with zero; a pinch (Im ~ 1/eta) or a
-constant offset shows up there.
+S1[i] = 1/(E/2 + eps - e_i + i0 sign(e_i)) has its pole at x = e_i - E/2,
+above the real axis for e_i < 0; S2[j] = 1/(E/2 - eps - e_j + i0 sign(e_j))
+has it at x = E/2 - e_j, above for e_j > 0.  So the eta -> 0 integral is the
+integral along any path above the lower poles and below the upper ones
+(the contour deformation of Nagy & Soper, Phys. Rev. D 74, 093006 (2006)):
+eps(t) = t + i h(t), h(t) = sum_p -s_p a sigma_p exp(-((t - x_p)/sigma_p)^2)
+over the distinct poles x_p, s_p = +1 above, a = CONTOUR_DEPTH and
+sigma_p = a min(d_p, 1), d_p the distance to the nearest opposite pole.
+Gauss-Legendre at eta = 0, weights dt (1 + i h'(t)), converges fast on
+panels that break at x_p + k sigma_p, |k| <= 3, then at distances doubling
+out to R = max|x_p| + 4; each tail |t| > R is a panel of t = +-R/u.
 
-The integrand factors by particle: for the pair k = i * n + j,
-F^-1 = S1[i] S2[j], where S1 depends only on the state i and S2 only on
-the state j.  The nodes are taken in blocks sized from a byte budget
-(BLOCK_BYTES): each block evaluates the two electron propagators on the n
-single-particle states at every eta level and adds its weighted node sums
-to accumulators of the results' shapes, so no array as long as the node
-list is formed.  Oracles at one E and settings share a pass via NodeSums.
+Two rules share the panels, quadrature_points and CHECK_POINTS more: the
+oracles return the finer one's value, raise QuadratureConvergenceError
+when the two differ by more than CONVERGENCE_TOL, and raise
+DegenerateDenominatorError where the path cannot pass a pole on its side
+(a pinch).  The imaginary part of a result is a diagnostic.
 
-This module deliberately shares no code with the residue engine.
+F^-1 of the pair i * n + j is S1[i] S2[j].  The nodes come in blocks of one
+rule, sized from a byte budget (BLOCK_BYTES); each adds the node sums of S1
+and S2 on the n single-particle states to its rule's accumulators, so no
+array as long as the node list is formed.  Oracles at one E and settings
+share a pass via NodeSums.
+
+This module deliberately shares no code with the residue engine: it reads
+only the pole positions and their Feynman sides.
 """
 
 from __future__ import annotations
@@ -28,12 +34,16 @@ import functools
 
 import numpy as np
 
-from .config import IntegrationSettings
-from .errors import QuadratureConvergenceError
+from .errors import DegenerateDenominatorError, QuadratureConvergenceError
 
-#: relative disagreement of the last two extrapolation levels that counts
-#: as nonconvergence
-EXTRAPOLATION_TOL = 1e-4
+#: a: the path's depth at a pole is a sigma_p, and sigma_p = a min(d_p, 1)
+CONTOUR_DEPTH = 0.3
+#: the finer rule takes this many more points per panel than the coarser one
+CHECK_POINTS = 8
+#: relative disagreement of the two rules that counts as nonconvergence
+CONVERGENCE_TOL = 1e-8
+#: an upper and a lower pole closer than this pinch the path
+PINCH_TOL = 1e-10
 
 #: bytes that the per-node arrays of one node block may take.  A block holds
 #: a nonzero multiple of BLOCK_NODES nodes: BLAS splits a product's
@@ -44,30 +54,46 @@ BLOCK_BYTES = 1 << 20
 BLOCK_NODES = 256
 
 
-def _pole_positions(spectrum, E):
-    """Sorted e - E/2 and E/2 - e over the levels e; _panel_breaks drops repeats."""
+def _poles(spectrum, E):
+    """The distinct pole positions x_p, their sides s_p (+1 upper, -1 lower)
+    and widths sigma_p.  Raises where two opposite poles lie closer than
+    PINCH_TOL, or where the dips of farther poles outweigh a close pair's."""
     e = np.asarray(spectrum.energies)
-    return np.sort(np.concatenate((e - E / 2, E / 2 - e))).tolist()
+    x, s = np.array(sorted({*zip(e - E / 2, -np.sign(e)), *zip(E / 2 - e, np.sign(e))})).T
+    gap = np.abs(x[:, None] - x) + np.where(s[:, None] == s, np.inf, 0.0)
+    d = gap.min(axis=1)
+    p = np.argmin(d)
+    if d[p] >= PINCH_TOL:
+        sigma = CONTOUR_DEPTH * np.minimum(d, 1.0)
+        clearance = -s * _path(x, x, s, sigma)[0]
+        p = np.argmin(clearance)
+        if clearance[p] > 0:
+            return x, s, sigma
+    raise DegenerateDenominatorError(
+        f"pinched contour at E = {E:.12g}: the path cannot pass the pole at x = {x[p]:.12g} "
+        f"on its side, {d[p]:.3e} from a pole on the other side")
 
 
-def _panel_breaks(poles, eta_min, L):
-    """Graded breakpoints: nested refinement around each pole down to the
-    finest eta scale, geometric fill to the cutoff."""
-    pts = {-L, L}
-    for p in poles:
-        pts.add(p)
-        s = eta_min / 2
-        while s < 4.0:
-            pts.add(p - s)
-            pts.add(p + s)
-            s *= 4
-    edge = max(abs(p) for p in poles) + 4.0
-    s = edge
-    while s < L:
-        pts.add(s)
-        pts.add(-s)
-        s *= 4
-    return np.array(sorted(x for x in pts if -L <= x <= L))
+def _path(t, x, s, sigma):
+    """h(t) and h'(t) of the path eps(t) = t + i h(t), at the points t."""
+    z = (t[:, None] - x) / sigma
+    g = CONTOUR_DEPTH * s * np.exp(-z * z)
+    return -(g * sigma).sum(axis=1), 2 * (g * z).sum(axis=1)
+
+
+def _panel_breaks(x, sigma):
+    """Breakpoints on [-R, R]: x_p + k sigma_p for |k| <= 3, then at
+    distances 3 sigma_p 2^m that double out to R = max|x_p| + 4; and -2R and
+    2R, which close the two tail panels."""
+    R = np.max(np.abs(x)) + 4.0
+    pts = {-R, R}
+    for p, width in zip(x, sigma):
+        pts.update(p + k * width for k in range(-3, 4))
+        d = 6 * width
+        while p - d > -R or p + d < R:
+            pts.update((p - d, p + d))
+            d *= 2
+    return np.array([-2 * R, *sorted(t for t in pts if -R <= t <= R), 2 * R]), R
 
 
 @functools.cache
@@ -80,79 +106,47 @@ def _gauss_legendre(points):
     return x, w
 
 
-def _node_blocks(spectrum, E, settings: IntegrationSettings, size):
-    """The nodes and weights of the composite rule, in blocks of size nodes:
-    node t is Gauss-Legendre point t % points of panel t // points."""
-    poles = _pole_positions(spectrum, E)
-    breaks = _panel_breaks(poles, min(settings.eta_sequence), settings.cutoff(spectrum))
-    x, w = _gauss_legendre(settings.quadrature_points)
-    mids = 0.5 * (breaks[:-1] + breaks[1:])
-    halfs = 0.5 * (breaks[1:] - breaks[:-1])
-    total = mids.size * x.size
-    for start in range(0, total, size):
-        panel, k = np.divmod(np.arange(start, min(start + size, total)), x.size)
-        yield mids[panel] + halfs[panel] * x[k], halfs[panel] * w[k]
+def _node_blocks(spectrum, E, settings, size):
+    """Per block of at most size nodes: its rule (1 for the finer), the path
+    nodes eps(t), the weights dt (1 + i h'(t)), and S1 and S2 of every state
+    there, two (n, block) arrays.  Node m of a rule is Gauss-Legendre point
+    m % points of panel m // points."""
+    e = np.asarray(spectrum.energies)[:, None]
+    x, s, sigma = _poles(spectrum, E)
+    breaks, R = _panel_breaks(x, sigma)
+    mids, halfs = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
+    for rule, points in enumerate((settings.quadrature_points,
+                                   settings.quadrature_points + CHECK_POINTS)):
+        gl, gw = _gauss_legendre(points)
+        total = mids.size * points
+        for start in range(0, total, size):
+            panel, k = np.divmod(np.arange(start, min(start + size, total)), points)
+            # on a tail panel, |u| > R, t = sign(u) R^2 / (2R - |u|) runs out to infinity
+            u = mids[panel] + halfs[panel] * gl[k]
+            tail, stretch = np.abs(u) > R, R / (2 * R - np.abs(u))
+            t = np.where(tail, np.sign(u) * R * stretch, u)
+            dt = halfs[panel] * gw[k] * np.where(tail, stretch ** 2, 1.0)
+            h, dh = _path(t, x, s, sigma)
+            nodes = t + 1j * h
+            yield rule, nodes, dt * (1 + 1j * dh), 1 / (E / 2 + nodes - e), 1 / (E / 2 - nodes - e)
 
 
 def _nodes_weights(spectrum, E, settings):
-    """Every node and weight, as two arrays."""
-    return tuple(map(np.concatenate, zip(*_node_blocks(spectrum, E, settings, BLOCK_NODES))))
+    """Every node and weight of the finer rule, as two arrays."""
+    blocks = [b[1:3] for b in _node_blocks(spectrum, E, settings, BLOCK_NODES) if b[0] == 1]
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
-def _limit_weights(etas, power):
-    """Weights w with sum(w * y) = c of the interpolant
-    y(eta) = c + eta^power * P(eta^2), deg P = len(etas) - 2, through the
-    points: the fit's value at eta = 0.
-
-    (y_i - c) / eta_i^power are values of P at t_i = eta_i^2, so their
-    divided difference of order len(etas) - 1 vanishes:
-    sum_i (y_i - c) / (eta_i^power prod_{j != i} (t_i - t_j)) = 0.
-    """
-    t = etas ** 2
-    diffs = t[:, None] - t[None, :]
-    np.fill_diagonal(diffs, 1.0)
-    a = 1.0 / (etas ** power * np.prod(diffs, axis=1))
-    return a / a.sum()
-
-
-def _extrapolate(etas, values):
-    """eta -> 0 limit of values[level, ...] sampled on the eta ladder.
-
-    Each part is a linear fit with one term per level, evaluated at
-    eta = 0: the real part c + eta^2 P(eta^2), the imaginary part
-    c + eta P(eta^2).  The imaginary constant is returned as a diagnostic,
-    so a pinch (Im ~ 1/eta) or a constant offset stays visible.  The
-    previous estimate of either part is the same fit without the largest
-    eta; a one-level ladder returns its single value.
-
-    Returns (real, imag_diagnostic); raises if the last refinement moved
-    either part by more than EXTRAPOLATION_TOL relatively.  A pinched
-    configuration shows up in the imaginary part (the real part of a
-    symmetric pinch is exactly zero), so both parts are watched.
-    """
-    values = np.asarray(values)
-    etas = np.asarray(etas, dtype=float)
-    drop = min(1, etas.size - 1)  # the previous fit leaves out the largest eta
-    re, re_prev, im, im_prev = (
-        np.tensordot(_limit_weights(etas[k:], power), part[k:], axes=1)
-        for part, power in ((values.real, 2), (values.imag, 1)) for k in (0, drop)
-    )
-    scale = np.maximum(1.0, np.abs(re))
-    bad = np.abs(re - re_prev) > EXTRAPOLATION_TOL * scale
-    if np.any(bad):
-        k = np.argmax(bad)
-        raise QuadratureConvergenceError(
-            f"eta extrapolation did not settle: last two estimates "
-            f"{re_prev.flat[k]:.6e} vs {re.flat[k]:.6e}"
-        )
-    bad = np.abs(im - im_prev) > EXTRAPOLATION_TOL * np.maximum(np.abs(im), scale)
-    if np.any(bad):
-        k = np.argmax(bad)
-        raise QuadratureConvergenceError(
-            f"imaginary part diverges under eta refinement: "
-            f"{im_prev.flat[k]:.6e} vs {im.flat[k]:.6e} (pinched poles?)"
-        )
-    return re, im
+def _settled(rules, settings):
+    """The finer rule's value of rules[rule, ...], as (real, imag_diagnostic),
+    once the coarser one agrees to CONVERGENCE_TOL of max(1, max|value|)."""
+    coarse, fine = rules
+    diff = float(np.max(np.abs(fine - coarse))) / max(1.0, float(np.max(np.abs(fine))))
+    if diff > CONVERGENCE_TOL:
+        q = settings.quadrature_points
+        raise QuadratureConvergenceError(f"contour rules of {q} and {q + CHECK_POINTS} points "
+                                         f"differ by {diff:.3e} relative, above {CONVERGENCE_TOL:g}")
+    return fine.real, fine.imag
 
 
 def _block_length(node_bytes, lo=0):
@@ -160,20 +154,10 @@ def _block_length(node_bytes, lo=0):
     return BLOCK_NODES * max(1, BLOCK_BYTES // (BLOCK_NODES * node_bytes), -(-lo // BLOCK_NODES))
 
 
-def _propagator_blocks(spectrum, E, settings, size):
-    """Per block of size nodes: the weights, and S1 and S2 of every state at
-    every eta level, two (levels, n, block) arrays; F^-1 of the pair
-    i * n + j is s1[:, i] * s2[:, j]."""
-    e = np.asarray(spectrum.energies)[:, None]
-    shift = 1j * np.asarray(settings.eta_sequence)[:, None, None] * np.sign(e)
-    for nodes, weights in _node_blocks(spectrum, E, settings, size):
-        yield weights, 1.0 / (E / 2 + nodes - e + shift), 1.0 / (E / 2 - nodes - e + shift)
-
-
 class NodeSums:
-    """Weighted node sums per eta level for the oracles at one E and settings:
-    finv = S1 w S2^T, (levels, n, n), entry (i, j) for the pair i * n + j;
-    with pairs, also F^-1 w F^-1^T over pairs, (levels, dim, dim).  One pass
+    """Weighted node sums per rule for the oracles at one E and settings:
+    finv = S1 w S2^T, (2, n, n), entry (i, j) for the pair i * n + j;
+    with pairs, also F^-1 w F^-1^T over pairs, (2, dim, dim).  One pass
     over the node blocks takes both on first read, for every oracle sharing it."""
 
     def __init__(self, spectrum, E, settings, pairs=True):
@@ -181,22 +165,23 @@ class NodeSums:
 
     @functools.cached_property
     def sums(self):
-        levels, n = len(self.settings.eta_sequence), len(self.spectrum.energies)
-        # per node: s1, s2, s1 w per state, F^-1, F^-1 w per pair (even without pairs,
-        # so finv rounds alike); the buffers last the pass, sparing page faults,
+        n = len(self.spectrum.energies)
+        # per node: s1, s2, s1 w and the path's 4 reals per pole (2n poles) and 2
+        # denominators per state, F^-1, F^-1 w per pair (even without pairs, so
+        # finv rounds alike); the buffers last the pass, sparing page faults,
         # and each block takes a contiguous head of them
-        size = _block_length(16 * levels * (3 * n + 2 * n * n), 2 * n * n)
-        finv = np.zeros((levels, n, n), dtype=complex)
-        sandwich = np.zeros((levels, n * n, n * n), dtype=complex) if self.pairs else None
+        size = _block_length(16 * (9 * n + 2 * n * n), 2 * n * n)
+        finv = np.zeros((2, n, n), dtype=complex)
+        sandwich = np.zeros((2, n * n, n * n), dtype=complex) if self.pairs else None
         if self.pairs:
-            product, pairs = np.empty_like(sandwich), np.empty(2 * n * n * levels * size, complex)
-        for weights, s1, s2 in _propagator_blocks(self.spectrum, self.E, self.settings, size):
-            finv += (s1 * weights) @ s2.swapaxes(1, 2)
+            product, pairs = np.empty_like(sandwich[0]), np.empty(2 * n * n * size, complex)
+        for rule, _, weights, s1, s2 in _node_blocks(self.spectrum, self.E, self.settings, size):
+            finv[rule] += (s1 * weights) @ s2.T
             if self.pairs:
-                f, fw = pairs[:2 * levels * n * n * weights.size].reshape(2, levels, n * n, -1)
-                np.multiply(s1[:, :, None], s2[:, None], out=f.reshape(levels, n, n, -1))
+                f, fw = pairs[:2 * n * n * weights.size].reshape(2, n * n, -1)
+                np.multiply(s1[:, None], s2[None], out=f.reshape(n, n, -1))
                 np.multiply(f, weights, out=fw)
-                sandwich += np.matmul(fw, f.swapaxes(1, 2), out=product)
+                sandwich[rule] += np.matmul(fw, f.T, out=product)
         return finv, sandwich
 
 
@@ -208,7 +193,7 @@ def quadrature_finv(spectrum, basis, E, settings, return_imag=False, sums=None):
     at E and settings, made here when not given.
     """
     finv, _ = (NodeSums(spectrum, E, settings, pairs=False) if sums is None else sums).sums
-    re, im = _extrapolate(settings.eta_sequence, 1j * finv.reshape(len(finv), -1) / (2 * np.pi))
+    re, im = _settled(1j * finv.reshape(2, -1) / (2 * np.pi), settings)
     if return_imag:
         return np.diag(re), np.diag(im)
     return np.diag(re)
@@ -227,7 +212,7 @@ def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False, sums=N
         zeros = np.zeros_like(A)
         return (zeros, zeros.copy()) if return_imag else zeros
     _, sandwich = (NodeSums(spectrum, E, settings) if sums is None else sums).sums
-    re, im = _extrapolate(settings.eta_sequence, 1j * sandwich / (2 * np.pi))
+    re, im = _settled(1j * sandwich / (2 * np.pi), settings)
     if return_imag:
         return A * re, A * im
     return A * re
@@ -236,16 +221,16 @@ def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False, sums=N
 def quadrature_chain(spectrum, basis, E, mats, settings):
     """Oracle for i int deps/2pi F^-1 M_1 F^-1 M_2 ... M_k F^-1 with
     constant matrices M_i (validates the higher series terms).  The
-    integrand is built for a node block at once, a (levels, block, dim, dim)
+    integrand is built for a node block at once, a (block, dim, dim)
     stack."""
-    levels, dim = len(settings.eta_sequence), basis.dim
-    acc = np.zeros((levels, dim * dim), dtype=complex)
-    size = _block_length(48 * levels * dim * dim)  # per node: m, m @ M, their product with F^-1
-    for weights, s1, s2 in _propagator_blocks(spectrum, E, settings, size):
-        f = (s1[:, :, None] * s2[:, None]).reshape(levels, dim, -1).swapaxes(1, 2)
+    dim = basis.dim
+    acc = np.zeros((2, dim * dim), dtype=complex)
+    size = _block_length(48 * dim * dim)  # per node: m, m @ M, their product with F^-1
+    for rule, _, weights, s1, s2 in _node_blocks(spectrum, E, settings, size):
+        f = (s1[:, None] * s2[None]).reshape(dim, -1).T
         m = f[..., None] * np.eye(dim)  # diag(F^-1) per node
         for M in mats:
-            m = (m @ M) * f[:, :, None, :]
-        acc += weights @ m.reshape(levels, weights.size, -1)
-    out, _ = _extrapolate(settings.eta_sequence, 1j * acc.reshape(levels, dim, dim) / (2 * np.pi))
+            m = (m @ M) * f[:, None, :]
+        acc[rule] += weights @ m.reshape(weights.size, -1)
+    out, _ = _settled(1j * acc.reshape(2, dim, dim) / (2 * np.pi), settings)
     return out

@@ -76,9 +76,7 @@ preset = random-symmetric
 scale = 0.03
 matrix = 0.1 0.2; 0.2 0.3
 [integration]
-eta_sequence = 1e-2, 5e-3
 quadrature_points = 24
-cutoff_factor = 2000
 j_order = 1
 [bw]
 order = 2
@@ -88,14 +86,13 @@ tol = 1e-10
 state_index = 1
 """
     cfg = parse_config(text)
-    # each of the 15 keys reaches its own field
+    # each of the 13 keys reaches its own field
     assert cfg.model == ModelConfig(
         positive_energies=(1.0, 1.5), negative_energies=(-1.2, -1.7), seed=9,
         coulomb_scale=0.2, coulomb_matrix="random-symmetric",
         delta_scale=0.03, delta_matrix=((0.1, 0.2), (0.2, 0.3)),
     )
-    assert cfg.integration == IntegrationSettings(
-        eta_sequence=(1e-2, 5e-3), quadrature_points=24, cutoff_factor=2000.0, j_order=1)
+    assert cfg.integration == IntegrationSettings(quadrature_points=24, j_order=1)
     assert (cfg.bw_order, cfg.bw_max_iter, cfg.bw_tol, cfg.state_index) == (2, 50, 1e-10, 1)
     again = parse_config(emit_config(cfg))
     assert again == cfg
@@ -136,8 +133,6 @@ NON_FINITE = {
         "[spectrum]\npositive_energies = 1.0, inf\nnegative_energies = -1\n",
     "interaction.coulomb.scale": MINIMAL + "[interaction.coulomb]\nscale = nan\n",
     "interaction.delta.matrix": MINIMAL + "[interaction.delta]\nmatrix = 1 0; 0 -inf\n",
-    "integration.cutoff_factor": MINIMAL + "[integration]\ncutoff_factor = inf\n",
-    "integration.eta_sequence": MINIMAL + "[integration]\neta_sequence = 0.01, nan\n",
     "bw.tol": MINIMAL + "[bw]\ntol = nan\n",
 }
 
@@ -156,18 +151,11 @@ NAN, INF = float("nan"), float("inf")
     (lambda cfg: replace(cfg, bw_tol=INF), "bw.tol must be > 0 and finite"),
     (lambda cfg: replace(cfg.model, coulomb_scale=NAN), "coulomb_scale must be >= 0 and finite"),
     (lambda cfg: replace(cfg.model, delta_scale=INF), "delta_scale must be >= 0 and finite"),
-    (lambda cfg: replace(cfg.integration, cutoff_factor=NAN), "cutoff_factor must be >= 100 and"),
-    (lambda cfg: replace(cfg.integration, cutoff_factor=INF), "cutoff_factor must be >= 100 and"),
-    (lambda cfg: replace(cfg.integration, eta_sequence=(0.01, NAN)),
-     "eta values must be > 0 and finite"),
-    (lambda cfg: replace(cfg.integration, eta_sequence=(INF, 0.01)),
-     "eta values must be > 0 and finite"),
     (lambda cfg: build_spectrum(replace(cfg.model, positive_energies=(1.0, INF))),
      "positive list contains non-positive or non-finite energy inf"),
     (lambda cfg: build_spectrum(replace(cfg.model, negative_energies=(-INF, -1.2))),
      "negative list contains non-negative or non-finite energy -inf"),
 ], ids=["bw_tol-nan", "bw_tol-inf", "coulomb_scale-nan", "delta_scale-inf",
-        "cutoff_factor-nan", "cutoff_factor-inf", "eta_sequence-nan", "eta_sequence-inf",
         "positive_energies-inf", "negative_energies-inf"])
 def test_dataclasses_reject_non_finite_values(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
@@ -209,8 +197,7 @@ def test_emit_config_text():
         "[interaction]\nseed = 1\n\n"
         "[interaction.coulomb]\nscale = 1\nmatrix = 1.0 2.0; 2.0 1.0\n\n"
         "[interaction.delta]\nscale = 0.05\npreset = random-symmetric\n\n"
-        "[integration]\neta_sequence = 0.01, 0.005, 0.0025, 0.00125\nquadrature_points = 16\n"
-        "cutoff_factor = 10000.0\nj_order = 2\n\n"
+        "[integration]\nquadrature_points = 16\nj_order = 2\n\n"
         "[bw]\norder = 3\nmax_iter = 200\ntol = 1e-12\n\n"
         "[solve]\nstate_index = 0\n"
     )
@@ -269,9 +256,8 @@ def test_cli_verify_exit_zero(tmp_path, capsys):
 
 
 def test_cli_verify_small_pole_gap(tmp_path, capsys):
-    # jittered 2+2 spectrum whose oracle energy sits close enough to a pair
-    # energy that 2*eta/gap is not small on the default eta ladder; the
-    # imaginary-part extrapolation must still settle
+    # jittered 2+2 spectrum whose oracle energy sits close to a pair energy;
+    # the oracle's contour must pass between those two poles
     path = tmp_path / "cfg.ini"
     path.write_text(
         "[spectrum]\n"
@@ -520,13 +506,16 @@ def test_cli_state_index_out_of_range_exit2(tmp_path, capsys, command):
 
 
 def test_cli_empty_eta_sequence_exit2(tmp_path, capsys):
+    """The oracle takes no eta ladder and no cutoff: either key is unknown."""
     path = tmp_path / "cfg.ini"
-    path.write_text(dim4_text() + "[integration]\neta_sequence =\n")
-    code = main(["compare", "--config", str(path)])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == ["config error: eta_sequence must be nonempty"]
+    for line in ("eta_sequence =", "cutoff_factor = 1e4"):
+        path.write_text(dim4_text() + f"[integration]\n{line}\n")
+        code = main(["compare", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        key = line.split()[0]
+        assert err.splitlines() == [f"config error: unknown key '{key}' in section [integration]"]
 
 
 def test_verify_checks_configured_state(tmp_path, capsys):
@@ -785,17 +774,48 @@ def test_cli_config_error_one_line_exit2(tmp_path, capsys, name):
 
 
 def test_cli_verify_weak_coupling_oracle_exit4(tmp_path, capsys):
-    """At coulomb 0.01 and delta 0.005 on the default spectrum, E_c lies so
-    close to a pair energy that the quadrature oracle's imaginary part
-    grows as eta shrinks: verify aborts with exit 4."""
+    """At coulomb 0.01 and 0.03 (delta half of it) on the default spectrum,
+    E_c lies about one coupling from a pair energy.  The oracle's contour
+    passes between those two poles: verify passes, every residual within
+    its tolerance."""
     path = tmp_path / "cfg.ini"
-    path.write_text("[interaction.coulomb]\nscale = 0.01\n[interaction.delta]\nscale = 0.005\n")
+    for scale in (0.01, 0.03):
+        path.write_text(f"[interaction.coulomb]\nscale = {scale}\n"
+                        f"[interaction.delta]\nscale = {scale / 2}\n")
+        code, out = run_cli(capsys, ["verify", "--config", str(path), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert all(report["identity_residuals"][name] <= tol
+                   for name, tol in report["tolerances"].items())
+
+
+def test_cli_verify_few_quadrature_points_exit4(tmp_path, capsys):
+    """With 4 points per panel the oracle's two contour rules disagree:
+    verify aborts with exit 4 and one stderr line."""
+    path = tmp_path / "cfg.ini"
+    path.write_text("[integration]\nquadrature_points = 4\n")
     code = main(["verify", "--config", str(path)])
     out, err = capsys.readouterr()
     assert code == 4
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("nonconvergence: imaginary part diverges under eta refinement: ")
+    assert err.startswith("nonconvergence: ")
+
+
+def test_cli_verify_jittered_dim64(tmp_path, capsys):
+    """verify passes on jittered 4 + 4 levels (dim 64, the benchmark's
+    jitter at seed 0), every residual within its tolerance."""
+    rng = np.random.default_rng([0, 4])
+    pos = [1.0 + 0.5 * k + rng.uniform(0.0, 0.1) for k in range(4)]
+    neg = [-1.0 - 0.5 * k - rng.uniform(0.0, 0.1) for k in range(4)]
+    path = tmp_path / "cfg.ini"
+    path.write_text(f"[spectrum]\npositive_energies = {', '.join(map(repr, pos))}\n"
+                    f"negative_energies = {', '.join(map(repr, neg))}\n")
+    code, out = run_cli(capsys, ["verify", "--config", str(path), "--format", "json",
+                                 "--seed", "0"])
+    assert code == 0
+    assert json.loads(out)["passed"] is True
 
 
 def test_cli_scan_table_lists_failed_points(tmp_path, capsys):

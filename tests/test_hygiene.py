@@ -130,3 +130,17 @@ def test_package_errors_are_caught_only_where_allowed():
     found = {(path.name, *handler) for path in MODULES
              for handler in _handlers(_tree(path), None, errors)}
     assert sorted(found - ALLOWED_ERROR_HANDLERS) == []
+
+
+def test_quadrature_imports_nothing_of_the_engine():
+    """The quadrature oracle is the independent check of the residue engine:
+    quadrature.py imports nothing from residues, propagators or operators."""
+    imported = set()
+    for node in ast.walk(_tree(SRC / "quadrature.py")):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert sorted(parts & {"residues", "propagators", "operators"}) == []

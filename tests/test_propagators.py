@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from bwlab import (
-    ConfigError,
     DegenerateDenominatorError,
     IntegrationSettings,
     build_basis,
@@ -375,20 +374,9 @@ def test_laurent_engine_dim64_routes_agree():
 
 def test_settings_validation():
     with pytest.raises(Exception):
-        IntegrationSettings(eta_sequence=())
-    with pytest.raises(Exception):
-        IntegrationSettings(eta_sequence=(1e-3, 1e-2))
-    with pytest.raises(Exception):
-        IntegrationSettings(cutoff_factor=10.0)
-    with pytest.raises(Exception):
         IntegrationSettings(j_order=0)
     s = IntegrationSettings()
     assert s.j_order == 2
-
-
-def test_settings_reject_repeated_eta():
-    with pytest.raises(ConfigError, match="strictly decreasing"):
-        IntegrationSettings(eta_sequence=(1e-2, 1e-2, 5e-3))
 
 
 def assert_applied_matches(spectrum, basis, E, g, order, v,

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bwlab import (
+    DegenerateDenominatorError,
     IntegrationSettings,
     QuadratureConvergenceError,
     build_basis,
@@ -35,6 +36,17 @@ def test_finv_oracle_random_spectra(settings):
         assert np.max(np.abs(quad - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
 
 
+def test_oracle_odd_point_count():
+    """The breaks are symmetric about 0, so a panel centred on 0 puts a node
+    of an odd rule (17 and 25 points) at t = 0; the tail map must not divide
+    by it (numpy warnings fail the suite)."""
+    spectrum = SingleParticleSpectrum.from_lists([1.0, 1.5], [-1.0, -1.5])
+    basis = build_basis(spectrum)
+    exact = contour_integral_Finv(spectrum, basis, 2.25)
+    quad = quadrature_finv(spectrum, basis, 2.25, IntegrationSettings(quadrature_points=17))
+    assert np.max(np.abs(quad - exact)) < 1e-12 * np.max(np.abs(exact))
+
+
 def test_oracle_zero_matrix(dim4, settings):
     spectrum, basis, _, _ = dim4
     out = quadrature_oracle(spectrum, basis, 2.1, np.zeros((4, 4)), settings)
@@ -42,8 +54,8 @@ def test_oracle_zero_matrix(dim4, settings):
 
 
 def test_oracle_imaginary_part_small():
-    """Extrapolated imaginary part of the sandwich is a pure diagnostic;
-    for a real symmetric A on a well-separated fixture it sits below 1e-8."""
+    """The imaginary part of the sandwich is a pure diagnostic; for a real
+    symmetric A on a well-separated fixture it sits below 1e-8."""
     spectrum = SingleParticleSpectrum.from_lists([1.0], [-1.2])
     basis = build_basis(spectrum)
     settings = IntegrationSettings()
@@ -54,79 +66,69 @@ def test_oracle_imaginary_part_small():
 
 
 def test_oracle_nonconvergence_raises(dim4):
-    """A pinched configuration (E on a pair energy) cannot extrapolate."""
+    """Four points per panel leave the two contour rules (4 and 12 points)
+    about 1e-3 apart, beyond CONVERGENCE_TOL."""
     spectrum, basis, _, _ = dim4
-    settings = IntegrationSettings()
-    with pytest.raises(QuadratureConvergenceError):
-        quadrature_finv(spectrum, basis, 2.0, settings)
+    settings = IntegrationSettings(quadrature_points=4)
+    with pytest.raises(QuadratureConvergenceError, match="contour rules of 4 and 12 points differ"):
+        quadrature_finv(spectrum, basis, 2.1, settings)
 
 
-def test_refined_settings_tighter(dim4, settings):
-    spectrum, basis, _, g = dim4
-    exact = sandwich_integral(spectrum, basis, 2.1, g)
-    coarse = quadrature_oracle(spectrum, basis, 2.1, g, settings)
-    fine = quadrature_oracle(spectrum, basis, 2.1, g, settings.refined())
-    err_coarse = np.max(np.abs(coarse - exact))
-    err_fine = np.max(np.abs(fine - exact))
-    assert err_fine < err_coarse
+@pytest.mark.parametrize("positives, E", [([1.0], 2.0), ([1.0, 1.5], 2.5)],
+                         ids=["e1+e1", "e1+e2"])
+def test_oracle_pinch_raises(positives, E):
+    """At a pp pair energy E = e_i + e_j the lower pole e_i - E/2 of S1 and
+    the upper pole E/2 - e_j of S2 coincide: the oracle's own pinch check
+    raises (it calls nothing of the residue engine)."""
+    spectrum = SingleParticleSpectrum.from_lists(positives, [-1.2])
+    with pytest.raises(DegenerateDenominatorError, match="^pinched contour at E = "):
+        quadrature_finv(spectrum, build_basis(spectrum), E, IntegrationSettings())
 
 
-def test_extrapolate_imaginary_part_odd_in_eta():
-    """Re = a + polynomial in eta^2 and Im = c + odd polynomial in eta, each
-    with one term per extra level, are extrapolated to a and c exactly; a
-    one-level ladder returns its value."""
-    etas = np.array(IntegrationSettings().refined().eta_sequence)
-    a = np.array([[1.5, -2.0], [0.0, 4e-3]])
-    c = np.array([[0.0, 2.5e-5], [-1.0, 3.0]])
-    t = etas ** 2
-    even = t * 0.7 - t ** 2 * 3e2 + t ** 3 * 2e6 - t ** 4 * 1e10
-    odd = etas * 0.4 - etas ** 3 * 8e2 + etas ** 5 * 3e6 - etas ** 7 * 2e10
-    values = [a + v + 1j * (c + o) for v, o in zip(even, odd)]
-    re, im = quadrature._extrapolate(etas, values)
-    assert np.allclose(re, a, rtol=0, atol=1e-13)
-    assert np.allclose(im, c, rtol=0, atol=1e-13)
-    re, im = quadrature._extrapolate(etas[:1], values[:1])
-    assert np.array_equal(re, values[0].real) and np.array_equal(im, values[0].imag)
+def test_oracle_raises_where_path_cannot_separate_poles():
+    """At E = 2.4 + 1e-5, levels 1.0 and 1.4 put a lower and an upper pole
+    1e-5 apart at x = -0.2.  The wider dip of the upper pole at x = -0.9,
+    whose nearest lower pole lies 0.7 away, outweighs theirs there, so the
+    path would pass the pair on the wrong side: the check raises.  At
+    E = 2.4 + 1e-4 the path clears the pair."""
+    spectrum = SingleParticleSpectrum.from_lists([1.0, 1.4, 2.1], [-1.2])
+    basis = build_basis(spectrum)
+    with pytest.raises(DegenerateDenominatorError, match="cannot pass the pole at x = -0.2"):
+        quadrature_finv(spectrum, basis, 2.4 + 1e-5, IntegrationSettings())
+    exact = contour_integral_Finv(spectrum, basis, 2.4 + 1e-4)
+    quad = quadrature_finv(spectrum, basis, 2.4 + 1e-4, IntegrationSettings())
+    assert np.max(np.abs(quad - exact)) < 1e-12 * np.max(np.abs(exact))
 
 
 # -- the oracle against a plain per-pair reference -----------------------------
 
 
-def scalar_finv_levels(spectrum, basis, E, settings):
-    """Per eta level, F^-1 = S1 S2 of every pair at the nodes, computed one
-    pair at a time: the per-pair form the oracle factors away.  Returns
-    (weights, [(dim, nodes) array per level])."""
+def scalar_finv(spectrum, basis, E, settings):
+    """F^-1 = S1 S2 of every pair at the finer rule's contour nodes,
+    computed one pair at a time: the per-pair form the oracle factors
+    away.  Returns (weights, (dim, nodes) array)."""
     nodes, weights = quadrature._nodes_weights(spectrum, E, settings)
     e = np.asarray(spectrum.energies)
-    levels = []
-    for eta in settings.eta_sequence:
-        f = np.empty((basis.dim, nodes.size), dtype=complex)
-        for k, (i, j) in enumerate(basis.pairs):
-            s1 = 1.0 / (E / 2 + nodes - e[i] + 1j * eta * np.sign(e[i]))
-            s2 = 1.0 / (E / 2 - nodes - e[j] + 1j * eta * np.sign(e[j]))
-            f[k] = s1 * s2
-        levels.append(f)
-    return weights, levels
+    f = np.empty((basis.dim, nodes.size), dtype=complex)
+    for k, (i, j) in enumerate(basis.pairs):
+        f[k] = 1.0 / (E / 2 + nodes - e[i]) / (E / 2 - nodes - e[j])
+    return weights, f
 
 
-def reference_chain(weights, levels, etas, mats):
+def reference_chain(weights, f, mats):
     """i int deps/2pi F^-1 M_1 F^-1 ... M_k F^-1, one node at a time, and
-    the largest absolute node sum int |...| deps/2pi over the levels: the
-    node sum cancels by orders of magnitude, so its rounding scales with
-    that, not with the result."""
-    per_eta, node_scale = [], 0.0
-    for f in levels:
-        acc = np.zeros((f.shape[0], f.shape[0]), dtype=complex)
-        size = np.zeros((f.shape[0], f.shape[0]))
-        for t in range(f.shape[1]):
-            m = np.diag(f[:, t])
-            for M in mats:
-                m = m @ M @ np.diag(f[:, t])
-            acc += weights[t] * m
-            size += weights[t] * np.abs(m)
-        per_eta.append(1j * acc / (2 * np.pi))
-        node_scale = max(node_scale, np.max(size) / (2 * np.pi))
-    return quadrature._extrapolate(etas, per_eta)[0], node_scale
+    the absolute node sum int |...| |deps|/2pi: the node sum cancels by
+    orders of magnitude, so its rounding scales with that, not with the
+    result."""
+    acc = np.zeros((f.shape[0], f.shape[0]), dtype=complex)
+    size = np.zeros((f.shape[0], f.shape[0]))
+    for t in range(f.shape[1]):
+        m = np.diag(f[:, t])
+        for M in mats:
+            m = m @ M @ np.diag(f[:, t])
+        acc += weights[t] * m
+        size += np.abs(weights[t]) * np.abs(m)
+    return (1j * acc / (2 * np.pi)).real, np.max(size) / (2 * np.pi)
 
 
 def _jittered_3p3():
@@ -138,14 +140,14 @@ def _jittered_3p3():
 
 @pytest.fixture(params=["dim4", "jittered 3+3"])
 def reference_case(request):
-    """(spectrum, basis, E, settings, weights, per-level F^-1) of one case."""
+    """(spectrum, basis, E, settings, weights, F^-1 at the nodes) of one case."""
     if request.param == "dim4":
         spectrum, E = SingleParticleSpectrum.from_lists([1.0], [-1.2]), 2.25
     else:
         spectrum, E = _jittered_3p3()
     basis = build_basis(spectrum)
     settings = IntegrationSettings()
-    return (spectrum, basis, E, settings) + scalar_finv_levels(spectrum, basis, E, settings)
+    return (spectrum, basis, E, settings) + scalar_finv(spectrum, basis, E, settings)
 
 
 def assert_close(got, want, scale):
@@ -156,25 +158,20 @@ def assert_close(got, want, scale):
 def test_oracle_matches_per_pair_reference(reference_case):
     """The factored node sums reproduce the per-pair evaluation to rounding;
     the imaginary diagnostic is held to the scale of the real part."""
-    spectrum, basis, E, settings, weights, levels = reference_case
-    etas = settings.eta_sequence
+    spectrum, basis, E, settings, weights, f = reference_case
     A = np.random.default_rng(5).uniform(-1, 1, size=(basis.dim, basis.dim))
 
-    re, im = quadrature._extrapolate(
-        etas, [1j * (f @ weights) / (2 * np.pi) for f in levels]
-    )
+    want = 1j * (f @ weights) / (2 * np.pi)
     got_re, got_im = quadrature_finv(spectrum, basis, E, settings, return_imag=True)
-    scale = max(1.0, np.max(np.abs(re)))
-    assert_close(got_re, np.diag(re), scale)
-    assert_close(got_im, np.diag(im), scale)
+    scale = max(1.0, np.max(np.abs(want.real)))
+    assert_close(got_re, np.diag(want.real), scale)
+    assert_close(got_im, np.diag(want.imag), scale)
 
-    re, im = quadrature._extrapolate(
-        etas, [1j * ((f * weights) @ f.T) / (2 * np.pi) for f in levels]
-    )
+    want = 1j * ((f * weights) @ f.T) / (2 * np.pi)
     got_re, got_im = quadrature_oracle(spectrum, basis, E, A, settings, return_imag=True)
-    scale = max(1.0, np.max(np.abs(A * re)))
-    assert_close(got_re, A * re, scale)
-    assert_close(got_im, A * im, scale)
+    scale = max(1.0, np.max(np.abs(A * want.real)))
+    assert_close(got_re, A * want.real, scale)
+    assert_close(got_im, A * want.imag, scale)
 
 
 def test_chain_oracle_one_matrix_is_the_sandwich(dim4, settings):
@@ -188,8 +185,8 @@ def test_chain_oracle_one_matrix_is_the_sandwich(dim4, settings):
 def test_chain_oracle_two_matrices_matches_reference(dim4, settings):
     spectrum, basis, _, _ = dim4
     E = 2.25
-    weights, levels = scalar_finv_levels(spectrum, basis, E, settings)
+    weights, f = scalar_finv(spectrum, basis, E, settings)
     A, B = np.random.default_rng(9).uniform(-1, 1, size=(2, basis.dim, basis.dim))
-    want, node_scale = reference_chain(weights, levels, settings.eta_sequence, [A, B])
+    want, node_scale = reference_chain(weights, f, [A, B])
     got = quadrature_chain(spectrum, basis, E, [A, B], settings)
     assert_close(got, want, node_scale)

@@ -38,7 +38,7 @@ def test_oracle_memory_does_not_grow_with_nodes():
 
 def test_block_length_changes_only_rounding(monkeypatch):
     basis = build_basis(DEFAULT_2P2)
-    settings = IntegrationSettings().refined()
+    settings = IntegrationSettings()
     A = np.random.default_rng(4).uniform(-1, 1, size=(basis.dim, basis.dim))
     want = quadrature_oracle(DEFAULT_2P2, basis, E, A, settings)
     monkeypatch.setattr(quadrature, "BLOCK_BYTES", 1)  # one BLOCK_NODES chunk per block
@@ -48,7 +48,7 @@ def test_block_length_changes_only_rounding(monkeypatch):
 
 def test_shared_node_sums_match_separate_oracles():
     basis = build_basis(DEFAULT_2P2)
-    settings = IntegrationSettings().refined()
+    settings = IntegrationSettings()
     A = np.random.default_rng(5).uniform(-1, 1, size=(basis.dim, basis.dim))
     sums = NodeSums(DEFAULT_2P2, E, settings)
     finv = quadrature_finv(DEFAULT_2P2, basis, E, settings, sums=sums)

@@ -19,7 +19,8 @@ Orders above three are rejected rather than extrapolated.
 Every array may carry leading stack axes: a stack of problems on one basis
 is evaluated in one batched numpy pass, with E one energy per problem.
 bw_lockstep runs the secant iterations of a stack in lock-step, one stacked
-term evaluation per round; bw_selfconsistent is its stack of one.
+term evaluation per round, for every scan point; bw_selfconsistent, its
+stack of one, is compare's solve.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ class Resolvent:
         self.diag[..., block] = np.inf
 
     def take(self, items):
-        """The resolvents `items` (an index, an index array or np.newaxis)."""
+        """The resolvents `items` (an index or an index array)."""
         return Resolvent(self.diag[items], self.block, self.vals[items], self.vecs[items],
                          self.ref, self.guard[items])
 

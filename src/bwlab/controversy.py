@@ -227,22 +227,12 @@ def _ladder_block(basis, g_delta):
         try:
             return D, np.linalg.inv(M)
         except np.linalg.LinAlgError:
+            # slogdet's sign is 0 exactly where inv's LU finds a zero pivot
+            first = np.broadcast_to(E, M.shape[:-2])[np.linalg.slogdet(M)[0] == 0][0]
             raise DegenerateDenominatorError(
-                f"singular ladder block E S_u - K at E = {_first_singular(E, M):.12g}"
-            ) from None
+                f"singular ladder block E S_u - K at E = {first:.12g}") from None
 
     return at
-
-
-def _first_singular(E, M):
-    """The energy of the first item of a stack whose matrix M is singular."""
-    E = np.broadcast_to(E, M.shape[:-2])
-    for k in np.ndindex(E.shape):
-        try:
-            np.linalg.inv(M[k])
-        except np.linalg.LinAlgError:
-            return E[k]
-    return E.flat[0]
 
 
 def ladder_perturbation(basis, I_c, g_delta):
@@ -350,17 +340,17 @@ def fit_power_law(lams, values):
 
 
 def coupling_scan(cfg, lam_schedule):
-    """Scale both couplings of cfg by each lambda, run the shared pipeline
-    core (no X_J(E_c) and no model oracle: the scan reports neither), record
-    the measured and predicted convention differences, and fit the power
-    law of |difference| against lambda.
+    """Scale both couplings of cfg by each lambda, run BW and the convention
+    report at each point (no X_J(E_c) and no model oracle: the scan reports
+    neither), record the measured and predicted convention differences,
+    and fit the power law of |difference| against lambda.
 
-    The points run through pipeline.pipeline_points on a leading axis of
-    points, chunk by chunk: BW in lock-step, then one stacked X_J(E) v build
-    on both routes and one stacked convention report.  A stage that aborts
-    on a stack is split in two on its own (bw.each_alone): the reference
-    build by chunk, a BW round, or the convention report; so every row and
-    failure equals that of a one-point pipeline_core run.
+    Every point runs through the stacked stages of pipeline.pipeline_points
+    on a leading axis of points, chunk by chunk: BW in lock-step, then one
+    stacked X_J(E) v build on both routes and one stacked convention
+    report.  A stage that aborts on a stack is split in two on its own
+    (bw.each_alone): the reference build by chunk, a BW round, or the
+    convention report; so every row and failure is that of the point alone.
 
     Returns (rows, fitted_exponent, r_squared, failures); rows are
     (lambda, difference, predicted, ratio) and failures lists
@@ -385,7 +375,7 @@ def coupling_scan(cfg, lam_schedule):
         if isinstance(res, BwlabError):  # per-point failures are data
             failures.append((lam, f"{type(res).__name__}: {res}"))
             continue
-        rep = res.controversy
+        _, rep = res
         ratio = (
             rep.difference / rep.predicted_difference
             if rep.predicted_difference != 0.0

@@ -65,6 +65,14 @@ def _sample_away_from_poles(rng, pair_sums, lo, hi, min_gap=0.05):
         f"no sample energy in [{lo:.6g}, {hi:.6g}] lies {min_gap} away from every pair energy")
 
 
+def _widest_gap_middle(lo, hi, levels):
+    """The middle of the widest gap between lo, the levels inside (lo, hi)
+    and hi: the point of that window farthest from them, with no rng draw."""
+    points = sorted([lo, hi, *(x for x in levels if lo < x < hi)])
+    a, b = max(zip(points, points[1:]), key=lambda gap: gap[1] - gap[0])
+    return float(0.5 * (a + b))
+
+
 def _relative(x, ref):
     """max|x - ref| relative to max(1, max|ref|)."""
     return float(np.max(np.abs(x - ref))) / max(1.0, float(np.max(np.abs(ref))))
@@ -85,17 +93,17 @@ def identity_suite(cfg):
     # The sampled checks draw their samples one at a time (rejection
     # sampling), then evaluate them all at once, one sample per row.
 
-    # F^-1 = S1 S2 = D^-1 (S1 + S2), eta = 0, away from poles
+    # F^-1 = S1 S2 = D^-1 (S1 + S2) on the real axis, away from poles
     draws = np.array([(_sample_away_from_poles(rng, pair_sums, lo, hi), _uniform(rng, lo, hi))
                       for _ in range(100)])
     E, eps = draws[:, :1], draws[:, 1:]
-    s1 = propagator_S(spectrum, basis, E, eps, 1, 0.0)
-    s2 = propagator_S(spectrum, basis, E, eps, 2, 0.0)
+    s1 = propagator_S(spectrum, basis, E, eps, 1)
+    s2 = propagator_S(spectrum, basis, E, eps, 2)
     d = E - basis.pair_energies()
     keep = ((np.min(np.abs(1.0 / s1), axis=1) >= 0.05)
             & (np.min(np.abs(1.0 / s2), axis=1) >= 0.05)
             & (np.min(np.abs(d), axis=1) >= 0.05))
-    err = np.max(np.abs(s1 * s2 - (s1 + s2) / d), axis=1)
+    err = np.max(np.abs(s1 * s2 - (1.0 / d) * (s1 + s2)), axis=1)
     res["g0mod_pointwise"] = float(np.max(err[keep], initial=0.0))
 
     # D^-1 = Dc^-1 - dE/(Dc D) on scalars and diagonals
@@ -108,8 +116,8 @@ def identity_suite(cfg):
     res["dm1_diagonal"] = float(np.max(np.abs(1.0 / d - (1.0 / dc - dE / (dc * d)))))
 
     # G_Q(E) (E - H_c) = Q against the dense H_c, on every row (on the mm
-    # rows it reads P_mm G(E) D(E) = P_mm)
-    E = E_c + 0.25 * max(1.0, abs(E_c))
+    # rows it reads P_mm G(E) D(E) = P_mm), away from the poles of G_Q
+    E = _widest_gap_middle(E_c, E_c + max(1.0, abs(E_c)), st.resolvent.guard)
     H_c = build_Hc(spectrum, basis, I_c)
     Q = np.eye(basis.dim) - np.outer(psi_c, psi_c)
     res["resolvent_mm_identity"] = float(
@@ -118,12 +126,13 @@ def identity_suite(cfg):
     # basic integral: residue engine vs (P_pp - P_mm) D^-1 and quadrature;
     # anchored at the no-pair energy (degenerate configs abort here), except
     # that a fully non-interacting model has no distinguished energy and any
-    # nondegenerate anchor serves.  E_c lies about one coupling from a pair
-    # energy: the oracle's contour passes between those poles
+    # nondegenerate anchor in [E_c + 0.1, E_c + 2] serves.  E_c lies about
+    # one coupling from a pair energy: the oracle's contour passes between
+    # those poles
     if np.any(I_c) or np.any(g):
         E = E_c
     else:
-        E = _sample_away_from_poles(rng, pair_sums, E_c + 0.1, E_c + 2.0)
+        E = _widest_gap_middle(E_c + 0.1, E_c + 2.0, pair_sums)
     finv = contour_integral_Finv(spectrum, basis, E)
     res["contour_vs_closed_form"] = float(np.max(np.abs(finv - build_G0(spectrum, basis, E))))
     # both oracles at E read their node sums from one pass over the nodes,

@@ -4,8 +4,6 @@ both sign conventions -> predicted discrepancy.
 Every command works on one RunConfig and one reference state, which
 reference_state builds: the model, and the no-pair state cfg.state_index
 with its BW resolvent, both from one eigh of the doubly-positive block.
-compare and scan reach it through pipeline_core and pipeline_points,
-verify through identities.identity_suite.
 
 The BW perturbation is H_D1 + H_D2 with the ladder (equal-time) kernel,
 the resummation consistent with the instantaneous model oracle, applied
@@ -16,28 +14,27 @@ convention comparison evaluates the relative-energy (joint) expressions
 exactly as written, with dE = E - E_c taken from the BW solve.  The
 evaluators need the kernel integral only applied to v = I_c psi_c, so the
 run builds X_J v once per energy and route, never the dim x dim X_J.
-pipeline_core, which compare runs and every scan point repeats, builds
-X_J(E) v on the direct and on the S-sum route; run_pipeline (compare) adds
-X_J(E_c) v for dkz-dc-approx and the model oracle (eig of the unmixed
-block), neither of which scan reports.
 
-pipeline_points runs pipeline_core at every point of a coupling schedule
-on a leading axis of points, chunk by chunk: one stack of reference states
-(one eigh for all their pp blocks), one stacked BW term evaluation per
-round for every solve still iterating (bw.bw_lockstep), then one stacked
-X_J(E) v build for both routes and one stacked convention report
-(_conventions), which pipeline_core runs on a stack of one.
+Each command takes one path.  compare's run_pipeline runs its one point:
+BW (bw.bw_selfconsistent), X_J(E) v on the direct and the S-sum route, the
+convention report, then X_J(E_c) v for dkz-dc-approx and the model oracle
+(eig of the unmixed block), neither of which scan reports.  verify runs
+identities.identity_suite.  scan's pipeline_points runs every point through
+the stacked stages alone, chunk by chunk, a chunk of one too: one stack of
+reference states (one eigh for all their pp blocks), BW in lock-step
+(_bw_stack), then one stacked X_J(E) v build for both routes and one
+stacked convention report (_conventions).
 
 A point that aborts fails alone by one rule, bw.each_alone: a stack whose
 run raises a BwlabError is split in two and each half run again.  Three
 sites apply it, each to its own stage only: pipeline_points to the
-reference stage, by chunk (a chunk of one is pipeline_core's run),
-bw_lockstep to a BW round, and _stack_outcomes to the convention stage.
+reference stage, by chunk, bw_lockstep to a BW round, and _stack_outcomes
+to the convention stage.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,25 +76,32 @@ class ReferenceState:
     resolvent: Resolvent
 
     def take(self, items):
-        """The states `items` (an index, an index array, or np.newaxis for
-        the state as a stack of one) of a stack."""
+        """The stack of the states `items` (an index array) of a stack."""
         return ReferenceState(self.spectrum, self.basis, self.I_c[items], self.g_delta[items],
                               self.E_c[items], self.psi_c[items], self.resolvent.take(items))
 
 
 @dataclass
 class PipelineResult:
+    """compare's run: reference state, BW ledger, full report, oracle energy."""
+
     state: ReferenceState
     ledger: EnergyLedger
     controversy: ControversyReport
-    oracle_energy: float | None
+    oracle_energy: float
 
 
 def reference_state(cfg: RunConfig, factors=None) -> ReferenceState:
     """Spectrum, basis, both couplings, the no-pair state cfg.state_index of
     the doubly-positive block, and the BW resolvent about it.  With factors,
     the stack of the states of cfg.model.scaled(f), one per factor, from one
-    stacked eigh; the caller checks that each scaled model is valid."""
+    stacked eigh; a factor whose scaled couplings are not both finite
+    raises first, with the ConfigError of cfg.model.scaled(f)."""
+    if factors is not None:
+        with np.errstate(over="ignore"):
+            scales = np.multiply.outer(factors, (cfg.model.coulomb_scale, cfg.model.delta_scale))
+        for i in np.flatnonzero(~np.isfinite(scales).all(axis=-1)):
+            cfg.model.scaled(factors[i])
     spectrum = build_spectrum(cfg.model)
     basis = build_basis(spectrum)
     I_c = build_interaction(cfg.model, "coulomb", factors)
@@ -125,11 +129,11 @@ def _bw_problem(st):
 
 def _conventions(order, st, ledgers):
     """Per state of the stack st, at its ledger's BW energy, its convention
-    report from X_J(E) v on both routes (combined_dkz_dc_approx stays 0).
-    The coupled states take one xj_stack build and one stacked report, one
-    state alone the one-point wrappers.  Raises the BwlabError of the first
-    state that aborts, as any stage does; _stack_outcomes' split of the
-    stack (bw.each_alone) leaves each state its one-point outcome."""
+    report from X_J(E) v on both routes (combined_dkz_dc_approx stays 0):
+    one xj_stack build and one stacked report for the coupled states.
+    Raises the BwlabError of the first state that aborts, as any stage
+    does; _stack_outcomes' split of the stack (bw.each_alone) leaves each
+    state the outcome it has alone."""
     reports = [ControversyReport() for _ in ledgers]
     items = np.flatnonzero(_coupled(st))
     if not items.size:
@@ -137,34 +141,18 @@ def _conventions(order, st, ledgers):
     group = st if items.size == len(ledgers) else st.take(items)
     E, E_c = (np.array([getattr(ledgers[i], name) for i in items]) for name in ("E", "E_c"))
     v = (group.I_c @ group.psi_c[..., None])[..., 0]
-    if items.size == 1:  # the one-point wrappers, whose calls perfbench/spans.py counts
-        Xv, Xv_alt = (route(st.spectrum, st.basis, E[0], group.g_delta[0], order, v=v[0])[None]
-                      for route in (xj_matrix, xj_matrix_ssum_route))
-    else:
-        Xv, Xv_alt = xj_stack(st.spectrum, st.basis, E, group.g_delta, order, v)
+    Xv, Xv_alt = xj_stack(st.spectrum, st.basis, E, group.g_delta, order, v)
     for i, rep in zip(items, convention_report(st.basis, E, E_c, group.psi_c, group.I_c,
                                                group.resolvent, Xv, Xv_alt)):
         reports[i] = rep
     return reports
 
 
-def pipeline_core(cfg: RunConfig) -> PipelineResult:
-    """Reference state, BW, X_J(E) v on both routes and the convention
-    report, on the state as a stack of one; combined_dkz_dc_approx stays 0
-    and oracle_energy None."""
-    st = reference_state(cfg)
-    resolvent, h_delta, psi_u = _bw_problem(st)
-    ledger = bw_selfconsistent(resolvent, h_delta, psi_u, st.E_c, order=cfg.bw_order,
-                               max_iter=cfg.bw_max_iter, tol=cfg.bw_tol)
-    (rep,) = _conventions(cfg.integration.j_order, st.take(np.newaxis), [ledger])
-    return PipelineResult(state=st, ledger=ledger, controversy=rep, oracle_energy=None)
-
-
 def _bw_stack(cfg, st):
     """Per state of the stack st, the EnergyLedger of its BW solve or the
-    BwlabError that pipeline_core's solve raises for it, all solved in
-    lock-step.  Coupled and uncoupled states have different perturbations,
-    so each kind is one stack."""
+    BwlabError that solving it alone raises, all solved in lock-step.
+    Coupled and uncoupled states have different perturbations, so each
+    kind is one stack."""
     outcomes = [None] * len(st.E_c)
     coupled = _coupled(st)
     for members in (np.flatnonzero(coupled), np.flatnonzero(~coupled)):
@@ -183,32 +171,29 @@ def _bw_stack(cfg, st):
 
 
 def _stack_outcomes(cfg, factors):
-    """Per factor, its point's PipelineResult or the BwlabError that
-    pipeline_core raises there, from one stack of reference states, BW
+    """Per factor, its point's (EnergyLedger, ControversyReport) or the
+    BwlabError it raises alone, from one stack of reference states, BW
     solves in lock-step and one stacked convention stage at the converged
-    points, which bw.each_alone splits alone where a point fails in it.
-    Raises where the stacked reference build does.  A stack of one is
-    pipeline_core's run at its point."""
-    if len(factors) == 1:
-        return [pipeline_core(replace(cfg, model=cfg.model.scaled(factors[0])))]
+    points, which bw.each_alone splits where a point fails in it.  Raises
+    where the stacked reference build does."""
     st = reference_state(cfg, factors)
     solved = _bw_stack(cfg, st)
     done = [i for i, outcome in enumerate(solved) if not isinstance(outcome, BwlabError)]
     reports = each_alone(lambda part: _conventions(cfg.integration.j_order, st.take(part),
                                                    [solved[i] for i in part]), done)
     for i, rep in zip(done, reports):
-        solved[i] = rep if isinstance(rep, BwlabError) else PipelineResult(
-            st.take(i), solved[i], rep, None)
+        solved[i] = rep if isinstance(rep, BwlabError) else (solved[i], rep)
     return solved
 
 
 def pipeline_points(cfg: RunConfig, factors):
-    """pipeline_core at cfg.model.scaled(f) for each f in factors: yields,
-    in order, each point's PipelineResult or the BwlabError pipeline_core
-    raises there.  The points are taken in chunks whose stacked arrays fit
+    """The point cfg.model.scaled(f) for each f in factors, through the
+    stacked stages: yields, in order, each point's (EnergyLedger,
+    ControversyReport), with combined_dkz_dc_approx 0, or the BwlabError it
+    raises alone.  The points are taken in chunks whose stacked arrays fit
     STACK_BYTES.  A chunk whose reference build raises is split in two
-    (bw.each_alone), down to pipeline_core's one-point runs; its BW rounds
-    and its convention stage split on their own (_stack_outcomes)."""
+    (bw.each_alone), down to single points; its BW rounds and its
+    convention stage split on their own (_stack_outcomes)."""
     dim = (len(cfg.model.positive_energies) + len(cfg.model.negative_energies)) ** 2
     size = max(1, STACK_BYTES // (8 * STACK_DOUBLES * dim * dim))
     for start in range(0, len(factors), size):
@@ -217,16 +202,20 @@ def pipeline_points(cfg: RunConfig, factors):
 
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
-    """pipeline_core, then the dkz-dc-approx value from X_J(E_c) v and the
-    model oracle's energy."""
-    res = pipeline_core(cfg)
-    st = res.state
+    """compare's one point: reference state, BW, X_J(E) v on both routes and
+    the convention report, then the dkz-dc-approx value from X_J(E_c) v and
+    the model oracle's energy."""
+    st = reference_state(cfg)
     spectrum, basis, I_c, g, psi_c = st.spectrum, st.basis, st.I_c, st.g_delta, st.psi_c
+    ledger = bw_selfconsistent(*_bw_problem(st), st.E_c, order=cfg.bw_order,
+                               max_iter=cfg.bw_max_iter, tol=cfg.bw_tol)
+    rep = ControversyReport()
     if _coupled(st):
-        E, E_c = res.ledger.E, res.ledger.E_c
-        Xv_c = xj_matrix(spectrum, basis, E_c, g, cfg.integration.j_order, v=I_c @ psi_c)
-        res.controversy.combined_dkz_dc_approx = float(combined_variant(
-            basis, E, E_c, psi_c, I_c, "dkz-dc-approx", Xv_c
-        ))
-    res.oracle_energy = model_oracle(spectrum, basis, I_c, g, psi_c)
-    return res
+        E, E_c, order, v = ledger.E, ledger.E_c, cfg.integration.j_order, I_c @ psi_c
+        Xv, Xv_alt = (route(spectrum, basis, E, g, order, v=v)
+                      for route in (xj_matrix, xj_matrix_ssum_route))
+        (rep,) = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, Xv, Xv_alt)
+        Xv_c = xj_matrix(spectrum, basis, E_c, g, order, v=v)
+        rep.combined_dkz_dc_approx = float(combined_variant(basis, E, E_c, psi_c, I_c,
+                                                            "dkz-dc-approx", Xv_c))
+    return PipelineResult(st, ledger, rep, model_oracle(spectrum, basis, I_c, g, psi_c))

@@ -57,20 +57,18 @@ from .operators import inverse_denominator
 from .residues import LOWER, MERGE_TOL, UPPER, clustered_poles, pole_product_integral
 
 
-def propagator_S(spectrum, basis, E, eps, particle, eta):
-    """Diagonal of the chosen electron propagator on the two-particle basis.
-
-    particle 1 depends on the row state i, particle 2 on the column state
-    j of the pair (i, j); eta = 0 is allowed away from poles.  E and eps
-    broadcast against the pairs: columns of shape (m, 1) give (m, dim).
-    """
+def propagator_S(spectrum, basis, E, eps, particle):
+    """Diagonal of the chosen electron propagator on the two-particle basis,
+    on the real axis away from its poles: particle 1 depends on the row
+    state i, particle 2 on the column state j of the pair (i, j).  E and
+    eps broadcast against the pairs: columns of shape (m, 1) give (m, dim)."""
     if particle not in (1, 2):
         raise ValueError("particle must be 1 or 2")
     e = np.asarray(spectrum.energies)
     i, j = np.divmod(np.arange(basis.dim), spectrum.n)  # pair index k = i * n + j
     if particle == 1:
-        return 1.0 / (E / 2 + eps - e[i] + 1j * eta * np.sign(e[i]))
-    return 1.0 / (E / 2 - eps - e[j] + 1j * eta * np.sign(e[j]))
+        return 1.0 / (E / 2 + eps - e[i])
+    return 1.0 / (E / 2 - eps - e[j])
 
 
 def _pair_pole_factors(e_i, e_j, E):

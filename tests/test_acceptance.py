@@ -98,8 +98,8 @@ def test_criterion_2_g0mod_identity():
     while checked < 100:
         E = energy_away_from_poles(rng, spectrum)
         eps = float(rng.uniform(-5, 5))
-        s1 = propagator_S(spectrum, basis, E, eps, 1, 0.0)
-        s2 = propagator_S(spectrum, basis, E, eps, 2, 0.0)
+        s1 = propagator_S(spectrum, basis, E, eps, 1)
+        s2 = propagator_S(spectrum, basis, E, eps, 2)
         if np.min(np.abs(1.0 / s1)) < 0.05 or np.min(np.abs(1.0 / s2)) < 0.05:
             continue
         d = E - basis.pair_energies()

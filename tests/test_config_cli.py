@@ -309,18 +309,23 @@ def test_cli_oracle_nonconvergence_exit4(tmp_path, capsys, monkeypatch):
     assert err.splitlines() == ["nonconvergence: eta extrapolation did not settle"]
 
 
-def test_cli_verify_no_anchor_sample_exit3(tmp_path, capsys):
+def test_cli_verify_dense_levels_anchor_exit0(tmp_path, capsys):
     """A non-interacting model whose pair energies leave no gap of 0.05 in
-    the anchor window [E_c + 0.1, E_c + 2] ends in exit 3 and one line."""
+    the anchor window [E_c + 0.1, E_c + 2] anchors the basic integral in the
+    middle of the window's widest gap: verify passes, every residual within
+    its tolerance."""
     levels = ", ".join(f"{1.0 + 0.08 * k:.2f}" for k in range(14))
     path = tmp_path / "cfg.ini"
-    path.write_text(f"[spectrum]\npositive_energies = {levels}\nnegative_energies = -1.2\n"
-                    "[interaction.coulomb]\nscale = 0\n[interaction.delta]\nscale = 0\n")
-    code = main(["verify", "--config", str(path)])
-    assert code == 3
-    assert capsys.readouterr().err.splitlines() == [
-        "degenerate denominator: no sample energy in [2.1, 4] lies 0.05 away from every "
-        "pair energy"]
+    for negative in (-1.0, -1.2):
+        path.write_text(f"[spectrum]\npositive_energies = {levels}\n"
+                        f"negative_energies = {negative}\n"
+                        "[interaction.coulomb]\nscale = 0\n[interaction.delta]\nscale = 0\n")
+        code, out = run_cli(capsys, ["verify", "--config", str(path), "--format", "json"])
+        assert code == 0
+        report = json.loads(out)
+        assert report["passed"] is True
+        assert all(report["identity_residuals"][name] <= tol
+                   for name, tol in report["tolerances"].items())
 
 
 def test_cli_scan_zero_delta_coupling(tmp_path, capsys):
@@ -777,9 +782,11 @@ def test_cli_verify_weak_coupling_oracle_exit4(tmp_path, capsys):
     """At coulomb 0.01 and 0.03 (delta half of it) on the default spectrum,
     E_c lies about one coupling from a pair energy.  The oracle's contour
     passes between those two poles: verify passes, every residual within
-    its tolerance."""
+    its tolerance.  At 1e-4 and 1e-5 the 2.5 pair levels also lie within
+    about a coupling of E_c + 0.5; the resolvent identity is taken in the
+    middle of the widest gap between the poles of G_Q, far from them."""
     path = tmp_path / "cfg.ini"
-    for scale in (0.01, 0.03):
+    for scale in (0.01, 0.03, 1e-4, 1e-5):
         path.write_text(f"[interaction.coulomb]\nscale = {scale}\n"
                         f"[interaction.delta]\nscale = {scale / 2}\n")
         code, out = run_cli(capsys, ["verify", "--config", str(path), "--format", "json"])

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from bwlab import (
+    BwlabError,
+    ControversyReport,
     IntegrationSettings,
     ModelConfig,
     RunConfig,
@@ -25,8 +27,10 @@ from bwlab import (
     sandwich_integral,
     solve_no_pair,
 )
-from bwlab.controversy import fit_power_law, h_delta2_ladder, ladder_kernel, ladder_perturbation
+from bwlab.controversy import (convention_report, fit_power_law, h_delta2_ladder, ladder_kernel,
+                               ladder_perturbation)
 from bwlab.operators import build_D, build_HDelta1
+from bwlab.pipeline import _bw_problem, reference_state
 from conftest import energy_away_from_poles, jittered_dim36
 from bwlab.propagators import xj_matrix, xj_matrix_ssum_route
 
@@ -440,15 +444,31 @@ MIXED_SCANS = {
 MIXED_LAMS = list(np.geomspace(0.1, 3.0, 8))
 
 
-def one_point_scan(cfg, lams):
-    """coupling_scan's rows and failures from one pipeline_core run per point."""
-    from bwlab import BwlabError
-    from bwlab.pipeline import pipeline_core
+def one_point_run(cfg, lam):
+    """The (ledger, report) of the point cfg.model.scaled(lam) alone, from the
+    one-point blocks: bw_selfconsistent, the xj_matrix and
+    xj_matrix_ssum_route wrappers and convention_report on unstacked arrays
+    (combined_dkz_dc_approx stays 0).  Raises the point's BwlabError."""
+    cfg = replace(cfg, model=cfg.model.scaled(lam))
+    st = reference_state(cfg)
+    ledger = bw_selfconsistent(*_bw_problem(st), st.E_c, order=cfg.bw_order,
+                               max_iter=cfg.bw_max_iter, tol=cfg.bw_tol)
+    if not (np.any(st.I_c) and np.any(st.g_delta)):
+        return ledger, ControversyReport()
+    v = st.I_c @ st.psi_c
+    Xv, Xv_alt = (route(st.spectrum, st.basis, ledger.E, st.g_delta, cfg.integration.j_order,
+                        v=v) for route in (xj_matrix, xj_matrix_ssum_route))
+    (rep,) = convention_report(st.basis, ledger.E, ledger.E_c, st.psi_c, st.I_c, st.resolvent,
+                               Xv, Xv_alt)
+    return ledger, rep
 
+
+def one_point_scan(cfg, lams):
+    """coupling_scan's rows and failures from one one_point_run per point."""
     rows, failures = [], []
     for lam in lams:
         try:
-            rep = pipeline_core(replace(cfg, model=cfg.model.scaled(lam))).controversy
+            _, rep = one_point_run(cfg, lam)
         except BwlabError as exc:
             failures.append((lam, f"{type(exc).__name__}: {exc}"))
             continue
@@ -461,7 +481,7 @@ def one_point_scan(cfg, lams):
 @pytest.mark.parametrize("name", list(MIXED_SCANS))
 def test_coupling_scan_mixed_outcomes_match_one_point_runs(name):
     """Every row and every failure string of a lock-step scan equals the
-    one-point pipeline_core run of its point, in schedule order."""
+    one-point run of its point, in schedule order."""
     model, max_iter = MIXED_SCANS[name]
     cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
     rows, _, _, failures = coupling_scan(cfg, MIXED_LAMS)
@@ -470,6 +490,23 @@ def test_coupling_scan_mixed_outcomes_match_one_point_runs(name):
     assert rows and "ConvergenceError" in kinds and "DegenerateDenominatorError" in kinds
     if name == "dim4 guard":
         assert any("degenerate pair denominator" in message for _, message in failures)
+
+
+@pytest.mark.parametrize("name", list(MIXED_SCANS))
+def test_coupling_scan_one_point_chunks_match_one_point_runs(name, monkeypatch):
+    """With a stack budget of one point, each chunk of one still runs the
+    stacked stages, and every row and failure string equals the one-point
+    run of its point."""
+    import bwlab.pipeline
+
+    model, max_iter = MIXED_SCANS[name]
+    cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
+    n = len(model.positive_energies) + len(model.negative_energies)
+    monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 8 * bwlab.pipeline.STACK_DOUBLES * n ** 4)
+    calls = count_stacked_calls(monkeypatch)
+    rows, _, _, failures = coupling_scan(cfg, MIXED_LAMS)
+    assert calls["eigh"] == [(1,)] * len(MIXED_LAMS)
+    assert (rows, failures) == one_point_scan(cfg, MIXED_LAMS)
 
 
 def test_coupling_scan_overflowing_point_fails_alone():
@@ -510,12 +547,9 @@ def count_stacked_calls(monkeypatch):
 def test_coupling_scan_evaluates_in_lock_step(dim4_config, settings, monkeypatch):
     """A 64-point scan takes one stacked eigh and at most (the largest
     per-point iteration count + 1) stacked term evaluations."""
-    from bwlab.pipeline import pipeline_core
-
     cfg = RunConfig(dim4_config, settings)
     lams = list(np.geomspace(0.02, 0.16, 64))
-    iterations = [pipeline_core(replace(cfg, model=dim4_config.scaled(lam))).ledger.iterations
-                  for lam in lams]
+    iterations = [one_point_run(cfg, lam)[0].iterations for lam in lams]
     calls = count_stacked_calls(monkeypatch)
     _, _, _, failures = coupling_scan(cfg, lams)
     assert failures == []
@@ -546,44 +580,50 @@ def test_coupling_scan_chunks_give_the_same_rows(name, monkeypatch):
 def test_coupling_scan_splits_a_chunk_down_to_its_failing_point(monkeypatch):
     """A 64-point chunk whose first point fails after BW (its pinch check in
     X_J) takes one stacked eigh and one lock-step BW solve; only its
-    convention stage is halved down to that point, and only the last
-    split's two points build X_J alone.  Every row and failure is that of
-    the point's one-point run."""
+    convention stage is halved down to that point: each failing half is
+    split again and each other half takes one stacked X_J build.  Every row
+    and failure is that of the point's one-point run."""
     import bwlab.pipeline
 
     model, max_iter = MIXED_SCANS["dim9 pinched"]
     cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
     lams = list(np.geomspace(0.1, 3.0, 64))
     monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 64 * 8 * bwlab.pipeline.STACK_DOUBLES * 3 ** 4)
-    alone = {"direct": 0, "ssum": 0}
-    for route, name in (("direct", "xj_matrix"), ("ssum", "xj_matrix_ssum_route")):
-        def counted(*args, route=route, build=getattr(bwlab.pipeline, name), **kwargs):
-            alone[route] += 1
-            return build(*args, **kwargs)
-        monkeypatch.setattr(bwlab.pipeline, name, counted)
+    sizes, xj_stack = [], bwlab.pipeline.xj_stack
+
+    def counted(spectrum, basis, E, *args, **kwargs):
+        sizes.append(len(E))
+        return xj_stack(spectrum, basis, E, *args, **kwargs)
+
+    monkeypatch.setattr(bwlab.pipeline, "xj_stack", counted)
     calls = count_stacked_calls(monkeypatch)
     rows, _, _, failures = coupling_scan(cfg, lams)
     assert calls["eigh"] == [(64,)]
     assert calls["bw_terms"] <= max_iter + 1
-    # the first point's direct route aborts; its neighbour runs both routes
-    assert alone == {"direct": 2, "ssum": 1}
+
+    def halving(n):
+        """The stack sizes of a split down to its first item, the one that fails."""
+        return [n] if n == 1 else [n, *halving(n // 2), n - n // 2]
+
+    # the convention stage runs on the points whose BW converged: the rows
+    # and the failing first point
+    assert sizes == halving(len(rows) + 1)
     assert (rows, failures) == one_point_scan(cfg, lams)
     assert failures[0][0] == lams[0] and "pinched pole pair" in failures[0][1]
 
 
 def assert_points_match_one_point_runs(cfg, lams):
-    """pipeline_points gives, per point, the ledger and report of the
-    one-point pipeline_core run, or the same error."""
-    from bwlab import BwlabError
-    from bwlab.pipeline import pipeline_core, pipeline_points
+    """pipeline_points gives, per point, the ledger and report of its
+    one-point run, or the same error."""
+    from bwlab.pipeline import pipeline_points
 
     for lam, got in zip(lams, pipeline_points(cfg, lams)):
         try:
-            want = pipeline_core(replace(cfg, model=cfg.model.scaled(lam)))
+            want = one_point_run(cfg, lam)
         except BwlabError as exc:
             assert type(got) is type(exc) and str(got) == str(exc)
             continue
-        assert (got.ledger, got.controversy) == (want.ledger, want.controversy)
+        assert got == want
 
 
 @pytest.mark.parametrize("name", [*MIXED_SCANS, "jittered dim36"])

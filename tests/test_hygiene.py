@@ -144,3 +144,18 @@ def test_quadrature_imports_nothing_of_the_engine():
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
     parts = {part for name in imported for part in name.split(".")}
     assert sorted(parts & {"residues", "propagators", "operators"}) == []
+
+
+#: the one-point calls whose spans the traced benchmark counts
+ONE_POINT_CALLS = ("bw_selfconsistent", "xj_matrix", "xj_matrix_ssum_route")
+
+
+def test_only_run_pipeline_makes_the_one_point_calls():
+    """In pipeline.py only run_pipeline, compare's one point, names
+    bw_selfconsistent, xj_matrix and xj_matrix_ssum_route: the traced
+    calls stay in one place, and every scan point, a chunk of one
+    included, runs the stacked stages alone."""
+    found = {(getattr(top, "name", None), node.id)
+             for top in _tree(SRC / "pipeline.py").body for node in ast.walk(top)
+             if isinstance(node, ast.Name) and node.id in ONE_POINT_CALLS}
+    assert found == {("run_pipeline", name) for name in ONE_POINT_CALLS}

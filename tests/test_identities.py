@@ -35,14 +35,14 @@ def sequential_sampled_checks(spectrum, basis, seed):
     for _ in range(100):
         E = sample_away_from_poles(rng, spectrum, -3 * emax, 3 * emax)
         eps = rng.uniform(-3 * emax, 3 * emax)
-        s1 = propagator_S(spectrum, basis, E, eps, 1, 0.0)
-        s2 = propagator_S(spectrum, basis, E, eps, 2, 0.0)
+        s1 = propagator_S(spectrum, basis, E, eps, 1)
+        s2 = propagator_S(spectrum, basis, E, eps, 2)
         if np.min(np.abs(1.0 / s1)) < 0.05 or np.min(np.abs(1.0 / s2)) < 0.05:
             continue
         d = E - basis.pair_energies()
         if np.min(np.abs(d)) < 0.05:
             continue
-        worst = max(worst, float(np.max(np.abs(s1 * s2 - (s1 + s2) / d))))
+        worst = max(worst, float(np.max(np.abs(s1 * s2 - (1.0 / d) * (s1 + s2)))))
     g0mod = worst
 
     worst = 0.0

@@ -11,7 +11,7 @@ correction, measuring their difference against the predicted
 __version__ = "0.1.0"  # set first, so that any submodule can import it
 
 from .bw import EnergyLedger, Resolvent, bw_selfconsistent, bw_terms, solve_no_pair
-from .config import IntegrationSettings, RunConfig, config_hash, emit_config, parse_config
+from .config import RunConfig, config_hash, emit_config, parse_config
 from .controversy import (
     ControversyReport,
     combined_variant,

@@ -12,9 +12,11 @@ error, 3 numerical degeneracy (scan: any point failed), 4 nonconvergence (of
 the BW fixed point or of the quadrature oracle), 5 the model oracle lost the
 reference state (compare only; scan does not run it), 6 stdout closed before
 the whole report was written (the reader of a pipe went away).  Codes 2 to 6
-print one stderr line.  Exit 2 covers a config value that is not a
-finite number (nan, inf) and, for scan, fewer than 4 points or a lambda
-range whose ends are not two different finite numbers > 0.
+print one stderr line.  Exit 2 covers a config file that cannot be read or
+is not UTF-8, a config value that is not a finite number (nan, inf), a
+negative seed and, for scan, fewer than 4 points, a lambda range whose ends
+are not two different finite numbers > 0, or a --csv file that cannot be
+written.
 
 scan reports an undefined value as null: a row's ratio when its predicted
 difference is zero, and the fitted exponent and R^2 when fewer than two
@@ -103,7 +105,10 @@ def cmd_scan(cfg, args):
     schedule = list(np.geomspace(args.scan_from, args.scan_to, args.scan_points))
     rows, slope, r2, failures = coupling_scan(cfg, schedule)
     if args.csv:
-        write_csv(args.csv, rows)
+        try:
+            write_csv(args.csv, rows)
+        except OSError as exc:
+            raise UsageError(f"cannot write --csv file: {exc}") from exc
     sections = {"scan": {
         "rows": [[lam, diff, pred, _defined(ratio)] for lam, diff, pred, ratio in rows],
         "fitted_exponent": _defined(slope),

@@ -1,6 +1,6 @@
 """Run settings and their config-file ingestion: INI-style sections mapped
-onto the model, integration, and solver settings, with strict key
-validation, and a canonical emitter for round-trips and hashing.
+onto the model and run settings, with strict key validation, and a
+canonical emitter for round-trips and hashing.
 
 Sections and keys:
 
@@ -8,19 +8,20 @@ Sections and keys:
     [interaction]         seed
     [interaction.coulomb] scale, preset | matrix
     [interaction.delta]   scale, preset | matrix
-    [integration]         quadrature_points, j_order
+    [integration]         j_order
     [bw]                  order, max_iter, tol
     [solve]               state_index
 
-Each default is written once, on its dataclass: ModelConfig (model), the
-IntegrationSettings and RunConfig below; a file without [spectrum] keys
-gets model.dirac_like_energies().  parse_config passes on only the keys a
-file sets.  Lists are comma-separated; explicit matrices use ';' between
-rows and whitespace between entries.  Unknown sections or keys are rejected
-by name; duplicate keys are rejected by the parser with a line number, and
-a number that is not finite (nan, inf) by the key it stands under.  The
-dataclasses' bounds reject nan and inf too, for configs built in code, and
-a field annotated int rejects a value that is not an integer.
+Each default is written once, on its dataclass: ModelConfig (model) and
+RunConfig below; a file without [spectrum] keys gets
+model.dirac_like_energies().  parse_config passes on only the keys a file
+sets.  Lists are comma-separated; explicit matrices use ';' between rows
+and whitespace between entries.  A file that cannot be read or is not UTF-8
+is a ConfigError.  Unknown sections or keys are rejected by name; duplicate
+keys are rejected by the parser with a line number, and a number that is
+not finite (nan, inf) by the key it stands under.  The dataclasses' bounds
+reject nan and inf too, for configs built in code, and a field annotated
+int rejects a value that is not an integer.
 
 The table _FIELDS drives both directions: parse_config reads each key with
 the row's parser, and emit_config writes the rows in order, each value in
@@ -42,30 +43,13 @@ from .model import ModelConfig, check_integer_fields, dirac_like_energies
 
 
 @dataclass(frozen=True)
-class IntegrationSettings:
-    """Quadrature and series-truncation controls: quadrature_points per panel
-    of the oracle's coarser contour rule (the finer takes
-    quadrature.CHECK_POINTS more, and the two must agree), and j_order, the
-    truncation K of the interaction-kernel geometric series."""
-
-    quadrature_points: int = 16
-    j_order: int = 2
-
-    def __post_init__(self):
-        check_integer_fields(self)
-        if self.quadrature_points < 4:
-            raise ConfigError("quadrature_points must be >= 4")
-        if self.j_order < 1:
-            raise ConfigError("j_order must be >= 1")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     """Everything one command runs on; the reference state is the no-pair
-    state state_index of the doubly-positive block."""
+    state state_index of the doubly-positive block, and j_order is the
+    truncation K of the interaction-kernel geometric series."""
 
     model: ModelConfig
-    integration: IntegrationSettings
+    j_order: int = 2
     bw_order: int = 3
     bw_max_iter: int = 200
     bw_tol: float = 1e-12
@@ -73,6 +57,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_integer_fields(self)
+        if self.j_order < 1:
+            raise ConfigError("j_order must be >= 1")
         if not 1 <= self.bw_order <= MAX_ORDER:
             raise ConfigError(f"bw.order must be in 1..{MAX_ORDER}")
         if self.bw_max_iter < 1:
@@ -136,7 +122,7 @@ _FORMATS = {
 
 
 #: (section, key) -> (settings object, field, parser): "model" is the
-#: ModelConfig, "integration" the IntegrationSettings, "run" the RunConfig
+#: ModelConfig, "run" the RunConfig
 _FIELDS = {
     ("spectrum", "positive_energies"): ("model", "positive_energies", _floats),
     ("spectrum", "negative_energies"): ("model", "negative_energies", _floats),
@@ -147,8 +133,7 @@ _FIELDS = {
     ("interaction.delta", "scale"): ("model", "delta_scale", _float),
     ("interaction.delta", "preset"): ("model", "delta_matrix", _text),
     ("interaction.delta", "matrix"): ("model", "delta_matrix", _matrix),
-    ("integration", "quadrature_points"): ("integration", "quadrature_points", _int),
-    ("integration", "j_order"): ("integration", "j_order", _int),
+    ("integration", "j_order"): ("run", "j_order", _int),
     ("bw", "order"): ("run", "bw_order", _int),
     ("bw", "max_iter"): ("run", "bw_max_iter", _int),
     ("bw", "tol"): ("run", "bw_tol", _float),
@@ -163,12 +148,14 @@ def parse_config(source: str) -> RunConfig:
     parser = configparser.ConfigParser(strict=True, interpolation=None)
     try:
         if os.path.isfile(source):
-            with open(source) as fh:
+            with open(source, encoding="utf-8") as fh:
                 parser.read_string(fh.read(), source=source)
         elif "\n" in source:
             parser.read_string(source)
         else:
             raise ConfigError(f"config file not found: {source}")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from exc
     except configparser.DuplicateOptionError as exc:
         raise ConfigError(f"duplicate key '{exc.option}' in section [{exc.section}]"
                           f" (line {exc.lineno})") from exc
@@ -191,21 +178,20 @@ def parse_config(source: str) -> RunConfig:
         if (sec, "preset") in present and (sec, "matrix") in present:
             raise ConfigError(f"{sec}: give either preset or matrix, not both")
 
-    fields = {"model": {}, "integration": {}, "run": {}}
+    fields = {"model": {}, "run": {}}
     for (sec, key), (part, name, parse) in _FIELDS.items():
         if (sec, key) in present:
             fields[part][name] = parse(parser[sec][key], f"{sec}.{key}")
     model = fields["model"]
     if not has_spectrum:
         model["positive_energies"], model["negative_energies"] = dirac_like_energies()
-    return RunConfig(ModelConfig(**model), IntegrationSettings(**fields["integration"]),
-                     **fields["run"])
+    return RunConfig(ModelConfig(**model), **fields["run"])
 
 
 def emit_config(cfg: RunConfig) -> str:
     """Canonical text form: the _FIELDS rows in order, of an interaction's
     preset/matrix pair the one its spec is; parse_config(emit_config(c)) == c."""
-    parts = {"model": cfg.model, "integration": cfg.integration, "run": cfg}
+    parts = {"model": cfg.model, "run": cfg}
     lines, section = [], None
     for (sec, key), (part, name, parse) in _FIELDS.items():
         value = getattr(parts[part], name)

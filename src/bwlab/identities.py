@@ -10,8 +10,6 @@ the table and fails if any residual exceeds its tolerance.
 
 from __future__ import annotations
 
-import bisect
-
 import numpy as np
 
 from .controversy import ControversyReport, convention_report
@@ -45,24 +43,14 @@ TOLERANCES = {
 }
 
 
-def _uniform(rng, lo, hi):
-    """rng.uniform(lo, hi) as one scalar, bit for bit (numpy draws it as
-    lo + (hi - lo) * next_double), at a quarter of that call's overhead."""
-    return lo + (hi - lo) * rng.random()
-
-
-def _sample_away_from_poles(rng, pair_sums, lo, hi, min_gap=0.05):
-    """A uniform draw farther than min_gap from every pair sum (a sorted
-    list).  fl(|x - s|) only grows as s moves away from x, so the two sums
-    around x decide, and there it is x - s below x and s - x above."""
-    for _ in range(1000):
-        x = _uniform(rng, lo, hi)
-        k = bisect.bisect(pair_sums, x)
-        if ((k == 0 or x - pair_sums[k - 1] > min_gap)
-                and (k == len(pair_sums) or pair_sums[k] - x > min_gap)):
-            return x
-    raise DegenerateDenominatorError(
-        f"no sample energy in [{lo:.6g}, {hi:.6g}] lies {min_gap} away from every pair energy")
+def _kept(lo, hi, *denominators, min_gap=0.05):
+    """The sample rows whose denominators (a (rows, k) array per argument)
+    all lie min_gap or more from zero; raises where no row does."""
+    keep = np.logical_and.reduce([np.min(np.abs(d), axis=1) >= min_gap for d in denominators])
+    if not keep.any():
+        raise DegenerateDenominatorError(
+            f"no sample energy in [{lo:.6g}, {hi:.6g}] lies {min_gap} away from every pair energy")
+    return keep
 
 
 def _widest_gap_middle(lo, hi, levels):
@@ -86,34 +74,29 @@ def identity_suite(cfg):
     spectrum, basis, I_c, g, E_c, psi_c = (st.spectrum, st.basis, st.I_c, st.g_delta,
                                            st.E_c, st.psi_c)
     emax = max(abs(e) for e in spectrum.energies)
-    pair_sums = sorted({e1 + e2 for e1 in spectrum.energies for e2 in spectrum.energies})
     lo, hi = -3 * emax, 3 * emax
     res = {}
 
-    # The sampled checks draw their samples one at a time (rejection
-    # sampling), then evaluate them all at once, one sample per row.
+    # Each sampled check draws its 128 rows at once and drops those near a pole.
 
     # F^-1 = S1 S2 = D^-1 (S1 + S2) on the real axis, away from poles
-    draws = np.array([(_sample_away_from_poles(rng, pair_sums, lo, hi), _uniform(rng, lo, hi))
-                      for _ in range(100)])
+    draws = rng.uniform(lo, hi, size=(128, 2))
     E, eps = draws[:, :1], draws[:, 1:]
     s1 = propagator_S(spectrum, basis, E, eps, 1)
     s2 = propagator_S(spectrum, basis, E, eps, 2)
     d = E - basis.pair_energies()
-    keep = ((np.min(np.abs(1.0 / s1), axis=1) >= 0.05)
-            & (np.min(np.abs(1.0 / s2), axis=1) >= 0.05)
-            & (np.min(np.abs(d), axis=1) >= 0.05))
+    keep = _kept(lo, hi, d, 1.0 / s1, 1.0 / s2)
     err = np.max(np.abs(s1 * s2 - (1.0 / d) * (s1 + s2)), axis=1)
-    res["g0mod_pointwise"] = float(np.max(err[keep], initial=0.0))
+    res["g0mod_pointwise"] = float(np.max(err[keep]))
 
     # D^-1 = Dc^-1 - dE/(Dc D) on scalars and diagonals
-    draws = np.array([(_sample_away_from_poles(rng, pair_sums, lo, hi),
-                       _sample_away_from_poles(rng, pair_sums, lo, hi)) for _ in range(100)])
+    draws = rng.uniform(lo, hi, size=(128, 2))
     E, Ec = draws[:, :1], draws[:, 1:]
     d = E - basis.pair_energies()
     dc = Ec - basis.pair_energies()
     dE = E - Ec
-    res["dm1_diagonal"] = float(np.max(np.abs(1.0 / d - (1.0 / dc - dE / (dc * d)))))
+    err = np.max(np.abs(1.0 / d - (1.0 / dc - dE / (dc * d))), axis=1)
+    res["dm1_diagonal"] = float(np.max(err[_kept(lo, hi, d, dc)]))
 
     # G_Q(E) (E - H_c) = Q against the dense H_c, on every row (on the mm
     # rows it reads P_mm G(E) D(E) = P_mm), away from the poles of G_Q
@@ -132,13 +115,13 @@ def identity_suite(cfg):
     if np.any(I_c) or np.any(g):
         E = E_c
     else:
-        E = _widest_gap_middle(E_c + 0.1, E_c + 2.0, pair_sums)
+        E = _widest_gap_middle(E_c + 0.1, E_c + 2.0, basis.pair_energies())
     finv = contour_integral_Finv(spectrum, basis, E)
     res["contour_vs_closed_form"] = float(np.max(np.abs(finv - build_G0(spectrum, basis, E))))
     # both oracles at E read their node sums from one pass over the nodes,
     # made inside the first of them
-    sums = NodeSums(spectrum, E, cfg.integration, pairs=bool(np.any(g)))
-    quad = quadrature_finv(spectrum, basis, E, cfg.integration, sums=sums)
+    sums = NodeSums(spectrum, E, pairs=bool(np.any(g)))
+    quad = quadrature_finv(spectrum, E, sums=sums)
     res["contour_vs_quadrature"] = _relative(quad, finv)
 
     # sandwich: quadrature, linearity, exchange symmetry, from one stacked
@@ -148,7 +131,7 @@ def identity_suite(cfg):
     X, XA, XB, XAB, Xs = sandwich_integral(spectrum, basis, E,
                                            [g, A, B, 0.3 * A + 1.7 * B, 0.5 * (A + A.T)])
     if np.any(g):
-        Xq = quadrature_oracle(spectrum, basis, E, g, cfg.integration, sums=sums)
+        Xq = quadrature_oracle(spectrum, E, g, sums=sums)
         res["sandwich_vs_quadrature"] = _relative(Xq, X)
     else:
         res["sandwich_vs_quadrature"] = 0.0
@@ -162,8 +145,8 @@ def identity_suite(cfg):
     E = E_c + 0.1 * max(1.0, abs(E_c))
     rep, g0mod_route = ControversyReport(), 0.0
     if np.any(g):
-        X_direct = xj_matrix(spectrum, basis, E, g, cfg.integration.j_order)
-        X_alt = xj_matrix_ssum_route(spectrum, basis, E, g, cfg.integration.j_order)
+        X_direct = xj_matrix(spectrum, basis, E, g, cfg.j_order)
+        X_alt = xj_matrix_ssum_route(spectrum, basis, E, g, cfg.j_order)
         if np.any(I_c):
             v = I_c @ psi_c
             (rep,) = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, X_direct @ v,

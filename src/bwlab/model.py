@@ -152,6 +152,8 @@ class ModelConfig:
             raise ConfigError("coulomb_scale must be >= 0 and finite")
         if not 0 <= self.delta_scale < math.inf:
             raise ConfigError("delta_scale must be >= 0 and finite")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name, spec in (("coulomb", self.coulomb_matrix), ("delta", self.delta_matrix)):
             if isinstance(spec, str):
                 if spec not in PRESETS:

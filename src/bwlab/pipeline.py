@@ -179,7 +179,7 @@ def _stack_outcomes(cfg, factors):
     st = reference_state(cfg, factors)
     solved = _bw_stack(cfg, st)
     done = [i for i, outcome in enumerate(solved) if not isinstance(outcome, BwlabError)]
-    reports = each_alone(lambda part: _conventions(cfg.integration.j_order, st.take(part),
+    reports = each_alone(lambda part: _conventions(cfg.j_order, st.take(part),
                                                    [solved[i] for i in part]), done)
     for i, rep in zip(done, reports):
         solved[i] = rep if isinstance(rep, BwlabError) else (solved[i], rep)
@@ -211,7 +211,7 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
                                max_iter=cfg.bw_max_iter, tol=cfg.bw_tol)
     rep = ControversyReport()
     if _coupled(st):
-        E, E_c, order, v = ledger.E, ledger.E_c, cfg.integration.j_order, I_c @ psi_c
+        E, E_c, order, v = ledger.E, ledger.E_c, cfg.j_order, I_c @ psi_c
         Xv, Xv_alt = (route(spectrum, basis, E, g, order, v=v)
                       for route in (xj_matrix, xj_matrix_ssum_route))
         (rep,) = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, Xv, Xv_alt)

@@ -12,8 +12,8 @@ Gauss-Legendre at eta = 0, weights dt (1 + i h'(t)), converges fast on
 panels that break at x_p + k sigma_p, |k| <= 3, then at distances doubling
 out to R = max|x_p| + 4; each tail |t| > R is a panel of t = +-R/u.
 
-Two rules share the panels, quadrature_points and CHECK_POINTS more: the
-oracles return the finer one's value, raise QuadratureConvergenceError
+Two rules share the panels, COARSE_POINTS per panel and CHECK_POINTS more:
+the oracles return the finer one's value, raise QuadratureConvergenceError
 when the two differ by more than CONVERGENCE_TOL, and raise
 DegenerateDenominatorError where the path cannot pass a pole on its side
 (a pinch).  The imaginary part of a result is a diagnostic.
@@ -21,8 +21,8 @@ DegenerateDenominatorError where the path cannot pass a pole on its side
 F^-1 of the pair i * n + j is S1[i] S2[j].  The nodes come in blocks of one
 rule, sized from a byte budget (BLOCK_BYTES); each adds the node sums of S1
 and S2 on the n single-particle states to its rule's accumulators, so no
-array as long as the node list is formed.  Oracles at one E and settings
-share a pass via NodeSums.
+array as long as the node list is formed.  Oracles at one E share a pass
+via NodeSums.
 
 This module deliberately shares no code with the residue engine: it reads
 only the pole positions and their Feynman sides.
@@ -38,6 +38,8 @@ from .errors import DegenerateDenominatorError, QuadratureConvergenceError
 
 #: a: the path's depth at a pole is a sigma_p, and sigma_p = a min(d_p, 1)
 CONTOUR_DEPTH = 0.3
+#: Gauss-Legendre points per panel of the coarser rule
+COARSE_POINTS = 16
 #: the finer rule takes this many more points per panel than the coarser one
 CHECK_POINTS = 8
 #: relative disagreement of the two rules that counts as nonconvergence
@@ -106,7 +108,7 @@ def _gauss_legendre(points):
     return x, w
 
 
-def _node_blocks(spectrum, E, settings, size):
+def _node_blocks(spectrum, E, size):
     """Per block of at most size nodes: its rule (1 for the finer), the path
     nodes eps(t), the weights dt (1 + i h'(t)), and S1 and S2 of every state
     there, two (n, block) arrays.  Node m of a rule is Gauss-Legendre point
@@ -115,8 +117,7 @@ def _node_blocks(spectrum, E, settings, size):
     x, s, sigma = _poles(spectrum, E)
     breaks, R = _panel_breaks(x, sigma)
     mids, halfs = 0.5 * (breaks[1:] + breaks[:-1]), 0.5 * (breaks[1:] - breaks[:-1])
-    for rule, points in enumerate((settings.quadrature_points,
-                                   settings.quadrature_points + CHECK_POINTS)):
+    for rule, points in enumerate((COARSE_POINTS, COARSE_POINTS + CHECK_POINTS)):
         gl, gw = _gauss_legendre(points)
         total = mids.size * points
         for start in range(0, total, size):
@@ -131,21 +132,15 @@ def _node_blocks(spectrum, E, settings, size):
             yield rule, nodes, dt * (1 + 1j * dh), 1 / (E / 2 + nodes - e), 1 / (E / 2 - nodes - e)
 
 
-def _nodes_weights(spectrum, E, settings):
-    """Every node and weight of the finer rule, as two arrays."""
-    blocks = [b[1:3] for b in _node_blocks(spectrum, E, settings, BLOCK_NODES) if b[0] == 1]
-    return tuple(map(np.concatenate, zip(*blocks)))
-
-
-def _settled(rules, settings):
+def _settled(rules):
     """The finer rule's value of rules[rule, ...], as (real, imag_diagnostic),
     once the coarser one agrees to CONVERGENCE_TOL of max(1, max|value|)."""
     coarse, fine = rules
     diff = float(np.max(np.abs(fine - coarse))) / max(1.0, float(np.max(np.abs(fine))))
     if diff > CONVERGENCE_TOL:
-        q = settings.quadrature_points
-        raise QuadratureConvergenceError(f"contour rules of {q} and {q + CHECK_POINTS} points "
-                                         f"differ by {diff:.3e} relative, above {CONVERGENCE_TOL:g}")
+        raise QuadratureConvergenceError(
+            f"contour rules of {COARSE_POINTS} and {COARSE_POINTS + CHECK_POINTS} points "
+            f"differ by {diff:.3e} relative, above {CONVERGENCE_TOL:g}")
     return fine.real, fine.imag
 
 
@@ -155,13 +150,13 @@ def _block_length(node_bytes, lo=0):
 
 
 class NodeSums:
-    """Weighted node sums per rule for the oracles at one E and settings:
+    """Weighted node sums per rule for the oracles at one E:
     finv = S1 w S2^T, (2, n, n), entry (i, j) for the pair i * n + j;
     with pairs, also F^-1 w F^-1^T over pairs, (2, dim, dim).  One pass
     over the node blocks takes both on first read, for every oracle sharing it."""
 
-    def __init__(self, spectrum, E, settings, pairs=True):
-        self.spectrum, self.E, self.settings, self.pairs = spectrum, E, settings, pairs
+    def __init__(self, spectrum, E, pairs=True):
+        self.spectrum, self.E, self.pairs = spectrum, E, pairs
 
     @functools.cached_property
     def sums(self):
@@ -175,7 +170,7 @@ class NodeSums:
         sandwich = np.zeros((2, n * n, n * n), dtype=complex) if self.pairs else None
         if self.pairs:
             product, pairs = np.empty_like(sandwich[0]), np.empty(2 * n * n * size, complex)
-        for rule, _, weights, s1, s2 in _node_blocks(self.spectrum, self.E, self.settings, size):
+        for rule, _, weights, s1, s2 in _node_blocks(self.spectrum, self.E, size):
             finv[rule] += (s1 * weights) @ s2.T
             if self.pairs:
                 f, fw = pairs[:2 * n * n * weights.size].reshape(2, n * n, -1)
@@ -185,52 +180,52 @@ class NodeSums:
         return finv, sandwich
 
 
-def quadrature_finv(spectrum, basis, E, settings, return_imag=False, sums=None):
+def quadrature_finv(spectrum, E, return_imag=False, sums=None):
     """Oracle for the basic integral i int deps/2pi F^-1 (diagonal).
 
     The node sum of S1[i] S2[j] over all pairs is one (n, block) x (block, n)
     product per node block; F^-1 is never formed per pair.  sums: NodeSums
-    at E and settings, made here when not given.
+    at E, made here when not given.
     """
-    finv, _ = (NodeSums(spectrum, E, settings, pairs=False) if sums is None else sums).sums
-    re, im = _settled(1j * finv.reshape(2, -1) / (2 * np.pi), settings)
+    finv, _ = (NodeSums(spectrum, E, pairs=False) if sums is None else sums).sums
+    re, im = _settled(1j * finv.reshape(2, -1) / (2 * np.pi))
     if return_imag:
         return np.diag(re), np.diag(im)
     return np.diag(re)
 
 
-def quadrature_oracle(spectrum, basis, E, A, settings, return_imag=False, sums=None):
+def quadrature_oracle(spectrum, E, A, return_imag=False, sums=None):
     """Oracle for the sandwich i int deps/2pi F^-1 A F^-1.
 
     The integrand factorizes per element, so one pairwise node sum covers
     the whole matrix: X[p, q] = A[p, q] * i int f_p f_q deps / 2pi.
     Linear in A, so A = 0 gives zeros without integrating.  sums: NodeSums
-    at E and settings (with pairs), made here when not given.
+    at E (with pairs), made here when not given.
     """
     A = np.asarray(A, dtype=float)
     if not np.any(A):
         zeros = np.zeros_like(A)
         return (zeros, zeros.copy()) if return_imag else zeros
-    _, sandwich = (NodeSums(spectrum, E, settings) if sums is None else sums).sums
-    re, im = _settled(1j * sandwich / (2 * np.pi), settings)
+    _, sandwich = (NodeSums(spectrum, E) if sums is None else sums).sums
+    re, im = _settled(1j * sandwich / (2 * np.pi))
     if return_imag:
         return A * re, A * im
     return A * re
 
 
-def quadrature_chain(spectrum, basis, E, mats, settings):
+def quadrature_chain(spectrum, E, mats):
     """Oracle for i int deps/2pi F^-1 M_1 F^-1 M_2 ... M_k F^-1 with
     constant matrices M_i (validates the higher series terms).  The
     integrand is built for a node block at once, a (block, dim, dim)
     stack."""
-    dim = basis.dim
+    dim = spectrum.n ** 2
     acc = np.zeros((2, dim * dim), dtype=complex)
     size = _block_length(48 * dim * dim)  # per node: m, m @ M, their product with F^-1
-    for rule, _, weights, s1, s2 in _node_blocks(spectrum, E, settings, size):
+    for rule, _, weights, s1, s2 in _node_blocks(spectrum, E, size):
         f = (s1[:, None] * s2[None]).reshape(dim, -1).T
         m = f[..., None] * np.eye(dim)  # diag(F^-1) per node
         for M in mats:
             m = (m @ M) * f[:, None, :]
         acc[rule] += weights @ m.reshape(weights.size, -1)
-    out, _ = _settled(1j * acc.reshape(2, dim, dim) / (2 * np.pi), settings)
+    out, _ = _settled(1j * acc.reshape(2, dim, dim) / (2 * np.pi))
     return out

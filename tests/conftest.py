@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from bwlab import (
-    IntegrationSettings,
-    ModelConfig,
-    build_basis,
-    build_interaction,
-    build_spectrum,
-)
+from bwlab import ModelConfig, build_basis, build_interaction, build_spectrum
 
 
 @pytest.fixture
@@ -28,11 +22,6 @@ def dim4(dim4_config):
     I_c = build_interaction(dim4_config, "coulomb")
     g = build_interaction(dim4_config, "delta")
     return spectrum, basis, I_c, g
-
-
-@pytest.fixture
-def settings():
-    return IntegrationSettings()
 
 
 def random_spectrum(rng, max_each=3):

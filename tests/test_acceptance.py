@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from bwlab import (
-    IntegrationSettings,
     ModelConfig,
     RunConfig,
     build_basis,
@@ -39,8 +38,6 @@ from bwlab.operators import build_D, projectors
 from bwlab.cli import main
 from bwlab.model import SingleParticleSpectrum
 from conftest import energy_away_from_poles, random_spectrum
-
-SETTINGS = IntegrationSettings()
 
 DIM4 = ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
                    coulomb_scale=0.1, delta_scale=0.05)
@@ -79,7 +76,7 @@ def test_criterion_1_basic_contour_identity():
         d = E - basis.pair_energies()
         expected = (np.diag(p.pp) - np.diag(p.mm)) / d
         worst_exact = max(worst_exact, float(np.max(np.abs(np.diag(closed) - expected))))
-        quad = quadrature_finv(spectrum, basis, E, SETTINGS)
+        quad = quadrature_finv(spectrum, E)
         scale = max(np.max(np.abs(closed)), 1e-30)
         worst_quad = max(worst_quad, float(np.max(np.abs(quad - closed))) / scale)
     elapsed = time.perf_counter() - t0
@@ -164,7 +161,7 @@ def test_criterion_5_bw_correctness():
     for lam in lams:
         cfg = ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
                           coulomb_scale=lam, delta_scale=lam / 2)
-        res = run_pipeline(RunConfig(cfg, SETTINGS))
+        res = run_pipeline(RunConfig(cfg))
         errs.append(abs(res.ledger.E - res.oracle_energy))
     slope = float(np.polyfit(np.log(lams), np.log(errs), 1)[0])
     ok = err22 < 1e-10 and abs(slope - 4.0) < 0.3
@@ -176,13 +173,14 @@ def test_criterion_6_central_claim():
     """lindgren - dkz = 2 dE <psi|Y|psi> to 1e-12 scaled and
     dE1 + dE2b = lindgren to 1e-10 relative, on all fixtures."""
     worst_claim, worst_chain = 0.0, 0.0
-    for cfg in FIXTURES:
-        res = run_pipeline(RunConfig(cfg, SETTINGS))
+    for model in FIXTURES:
+        cfg = RunConfig(model)
+        res = run_pipeline(cfg)
         spectrum, basis = res.state.spectrum, res.state.basis
         E, E_c, psi = res.ledger.E, res.ledger.E_c, res.state.psi_c
         I_c, g = res.state.I_c, res.state.g_delta
         rep = res.controversy
-        Xv_alt = xj_matrix_ssum_route(spectrum, basis, E, g, SETTINGS.j_order, v=I_c @ psi)
+        Xv_alt = xj_matrix_ssum_route(spectrum, basis, E, g, cfg.j_order, v=I_c @ psi)
         predicted, _, _ = predicted_discrepancy(basis, E, E_c, psi, I_c, Xv_alt)
         scale = max(1.0, abs(rep.combined_lindgren))
         worst_claim = max(worst_claim, abs(rep.difference - predicted) / scale)
@@ -210,7 +208,7 @@ def test_criterion_7_order_counting_scan():
                       coulomb_scale=0.1, delta_scale=0.05)
     t0 = time.perf_counter()
     rows, slope, r2, failures = coupling_scan(
-        RunConfig(cfg, SETTINGS), [0.02, 0.04, 0.08, 0.16]
+        RunConfig(cfg), [0.02, 0.04, 0.08, 0.16]
     )
     elapsed = time.perf_counter() - t0
     ok = (

@@ -14,10 +14,10 @@ import bwlab.config
 import bwlab.identities
 import bwlab.pipeline
 import bwlab.propagators
+import bwlab.quadrature
 import bwlab.report
 from bwlab import (
     ConfigError,
-    IntegrationSettings,
     ModelConfig,
     OracleTrackingError,
     QuadratureConvergenceError,
@@ -48,12 +48,11 @@ def test_minimal_config_defaults():
     assert cfg.model.delta_scale == 0.05
     assert cfg.model.coulomb_matrix == "ones"
     assert cfg.model.delta_matrix == "ones"
-    assert cfg.integration.j_order == 2
+    assert cfg.j_order == 2
     assert cfg.bw_order == 3
     assert cfg.state_index == 0
     # every default comes from the dataclasses, none from the parser
-    assert parse_config("[spectrum]\n") == RunConfig(
-        ModelConfig(*dirac_like_energies()), IntegrationSettings())
+    assert parse_config("[spectrum]\n") == RunConfig(ModelConfig(*dirac_like_energies()))
 
 
 def test_empty_config_uses_dirac_preset():
@@ -76,7 +75,6 @@ preset = random-symmetric
 scale = 0.03
 matrix = 0.1 0.2; 0.2 0.3
 [integration]
-quadrature_points = 24
 j_order = 1
 [bw]
 order = 2
@@ -86,14 +84,14 @@ tol = 1e-10
 state_index = 1
 """
     cfg = parse_config(text)
-    # each of the 13 keys reaches its own field
+    # each of the 12 keys reaches its own field
     assert cfg.model == ModelConfig(
         positive_energies=(1.0, 1.5), negative_energies=(-1.2, -1.7), seed=9,
         coulomb_scale=0.2, coulomb_matrix="random-symmetric",
         delta_scale=0.03, delta_matrix=((0.1, 0.2), (0.2, 0.3)),
     )
-    assert cfg.integration == IntegrationSettings(quadrature_points=24, j_order=1)
-    assert (cfg.bw_order, cfg.bw_max_iter, cfg.bw_tol, cfg.state_index) == (2, 50, 1e-10, 1)
+    assert (cfg.j_order, cfg.bw_order, cfg.bw_max_iter, cfg.bw_tol, cfg.state_index) == (
+        1, 2, 50, 1e-10, 1)
     again = parse_config(emit_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
@@ -166,12 +164,9 @@ def test_dataclasses_reject_non_finite_values(build, message):
     (lambda cfg: replace(cfg, bw_max_iter=INF), "bw_max_iter must be an integer, got inf"),
     (lambda cfg: replace(cfg, bw_order=2.5), "bw_order must be an integer, got 2.5"),
     (lambda cfg: replace(cfg, state_index=0.0), "state_index must be an integer, got 0.0"),
-    (lambda cfg: replace(cfg.integration, j_order=2.5), "j_order must be an integer, got 2.5"),
-    (lambda cfg: replace(cfg.integration, quadrature_points=NAN),
-     "quadrature_points must be an integer, got nan"),
+    (lambda cfg: replace(cfg, j_order=2.5), "j_order must be an integer, got 2.5"),
     (lambda cfg: replace(cfg.model, seed=1.5), "seed must be an integer, got 1.5"),
-], ids=["bw_max_iter-inf", "bw_order-2.5", "state_index-0.0", "j_order-2.5",
-        "quadrature_points-nan", "seed-1.5"])
+], ids=["bw_max_iter-inf", "bw_order-2.5", "state_index-0.0", "j_order-2.5", "seed-1.5"])
 def test_dataclasses_reject_non_integer_settings(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build(parse_config(MINIMAL))
@@ -180,9 +175,7 @@ def test_dataclasses_reject_non_integer_settings(build, message):
 def test_dataclasses_accept_numpy_integers():
     cfg = parse_config(MINIMAL)
     numpy_ints = replace(cfg, bw_order=np.int64(3), bw_max_iter=np.int32(200),
-                         state_index=np.int64(0),
-                         integration=replace(cfg.integration, quadrature_points=np.int64(16),
-                                             j_order=np.int16(2)),
+                         state_index=np.int64(0), j_order=np.int16(2),
                          model=replace(cfg.model, seed=np.uint8(1)))
     assert numpy_ints == cfg
     assert emit_config(numpy_ints) == emit_config(cfg)
@@ -197,7 +190,7 @@ def test_emit_config_text():
         "[interaction]\nseed = 1\n\n"
         "[interaction.coulomb]\nscale = 1\nmatrix = 1.0 2.0; 2.0 1.0\n\n"
         "[interaction.delta]\nscale = 0.05\npreset = random-symmetric\n\n"
-        "[integration]\nquadrature_points = 16\nj_order = 2\n\n"
+        "[integration]\nj_order = 2\n\n"
         "[bw]\norder = 3\nmax_iter = 200\ntol = 1e-12\n\n"
         "[solve]\nstate_index = 0\n"
     )
@@ -447,6 +440,26 @@ def test_cli_scan_bad_range_exit2(tmp_path, capsys, scan_from, scan_to):
     assert code == 2
     assert out == ""
     assert err.splitlines() == ["error: scan range needs two different finite ends > 0"]
+
+
+#: command lines that exit 2 on a default config, each with its one stderr line
+ARGUMENT_ERRORS = {
+    "negative seed": (["verify", "--seed", "-1"], "config error: seed must be >= 0"),
+    "csv in a missing directory": (
+        ["scan", "--csv", "{tmp}/missing/x.csv"],
+        "error: cannot write --csv file: [Errno 2] No such file or directory: "
+        "'{tmp}/missing/x.csv'"),
+}
+
+
+@pytest.mark.parametrize("name", ARGUMENT_ERRORS)
+def test_cli_argument_error_one_line_exit2(tmp_path, capsys, name):
+    argv, message = ARGUMENT_ERRORS[name]
+    code = main([arg.format(tmp=tmp_path) for arg in argv])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [message.format(tmp=tmp_path)]
 
 
 def test_cli_non_finite_config_exit2(tmp_path, capsys):
@@ -742,10 +755,14 @@ def test_cli_compare_singular_ladder_block_exit3(tmp_path, capsys):
         "degenerate denominator: singular ladder block E S_u - K at E = 2.5"]
 
 
-#: config texts that exit 2, each with its one stderr line
+#: config texts (or bytes) that exit 2, each with its one stderr line
 CONFIG_ERRORS = {
     "quadrature_points": (dim4_text() + "[integration]\nquadrature_points = 3\n",
-                          "quadrature_points must be >= 4"),
+                          "unknown key 'quadrature_points' in section [integration]"),
+    "negative seed": (dim4_text() + "[interaction]\nseed = -3\n", "seed must be >= 0"),
+    "not UTF-8": (b"\xff\xfe" + dim4_text().encode(),
+                  "cannot read config file: 'utf-8' codec can't decode byte 0xff in position 0:"
+                  " invalid start byte"),
     "bw.order": (dim4_text() + "[bw]\norder = 4\n", "bw.order must be in 1..3"),
     "bw.max_iter": (dim4_text() + "[bw]\nmax_iter = 0\n", "bw.max_iter must be >= 1"),
     "solve.state_index": (dim4_text() + "[solve]\nstate_index = -1\n",
@@ -770,7 +787,10 @@ CONFIG_ERRORS = {
 def test_cli_config_error_one_line_exit2(tmp_path, capsys, name):
     text, message = CONFIG_ERRORS[name]
     path = tmp_path / "cfg.ini"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     code = main(["compare", "--config", str(path)])
     out, err = capsys.readouterr()
     assert code == 2
@@ -797,12 +817,11 @@ def test_cli_verify_weak_coupling_oracle_exit4(tmp_path, capsys):
                    for name, tol in report["tolerances"].items())
 
 
-def test_cli_verify_few_quadrature_points_exit4(tmp_path, capsys):
+def test_cli_verify_few_quadrature_points_exit4(capsys, monkeypatch):
     """With 4 points per panel the oracle's two contour rules disagree:
     verify aborts with exit 4 and one stderr line."""
-    path = tmp_path / "cfg.ini"
-    path.write_text("[integration]\nquadrature_points = 4\n")
-    code = main(["verify", "--config", str(path)])
+    monkeypatch.setattr(bwlab.quadrature, "COARSE_POINTS", 4)
+    code = main(["verify"])
     out, err = capsys.readouterr()
     assert code == 4
     assert out == ""

@@ -8,7 +8,6 @@ import pytest
 from bwlab import (
     BwlabError,
     ControversyReport,
-    IntegrationSettings,
     ModelConfig,
     RunConfig,
     build_basis,
@@ -34,6 +33,9 @@ from bwlab.pipeline import _bw_problem, reference_state
 from conftest import energy_away_from_poles, jittered_dim36
 from bwlab.propagators import xj_matrix, xj_matrix_ssum_route
 
+#: the kernel series' truncation, RunConfig's default j_order
+J_ORDER = 2
+
 
 def solved(dim4):
     spectrum, basis, I_c, g = dim4
@@ -55,52 +57,52 @@ def test_deltaE1_frozen_value(dim4):
     assert val == pytest.approx(518.0 / 495.0, rel=1e-13)
 
 
-def test_deltaE1_vs_quadrature_composition(dim4, settings):
+def test_deltaE1_vs_quadrature_composition(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     val = deltaE1_direct(basis, E_c, psi, applied(spectrum, basis, E_c, psi, I_c, g, 1))
-    Xq = quadrature_oracle(spectrum, basis, E_c, g, settings)
+    Xq = quadrature_oracle(spectrum, E_c, g)
     D = build_D(spectrum, basis, E_c)
     quad_val = psi @ D @ Xq @ I_c @ psi
     assert val == pytest.approx(quad_val, rel=1e-6)
 
 
-def test_deltaE2b_forms_agree(dim4, settings):
+def test_deltaE2b_forms_agree(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.2
-    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
     val, residual = deltaE2b_direct(basis, E, E_c, psi, I_c, r, Xv)
     assert residual < 1e-10 * max(1.0, abs(val))
     assert val != 0.0
 
 
-def test_combined_conventions_agree_at_zero_shift(dim4, settings):
+def test_combined_conventions_agree_at_zero_shift(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    Xv = applied(spectrum, basis, E_c, psi, I_c, g, settings.j_order)
+    Xv = applied(spectrum, basis, E_c, psi, I_c, g, J_ORDER)
     lind = combined_variant(basis, E_c, E_c, psi, I_c, "lindgren", Xv)
     dkz = combined_variant(basis, E_c, E_c, psi, I_c, "dkz", Xv)
     assert lind == dkz
 
 
-def test_combined_equals_chain_sum(dim4, settings):
+def test_combined_equals_chain_sum(dim4):
     """(D + I_c - D_c) recombines into (I_c + dE): the first-order plus
     reduced second-order terms equal the lindgren combination."""
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
-    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
     d1 = deltaE1_direct(basis, E, psi, Xv)
     d2, _ = deltaE2b_direct(basis, E, E_c, psi, I_c, r, Xv)
     lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
     assert d1 + d2 == pytest.approx(lind, rel=1e-10)
 
 
-def test_difference_is_twice_shift_times_Y(dim4, settings):
+def test_difference_is_twice_shift_times_Y(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
     dE = E - E_c
-    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
     lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
     dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
-    Y = xj_matrix(spectrum, basis, E, g, settings.j_order) @ I_c
+    Y = xj_matrix(spectrum, basis, E, g, J_ORDER) @ I_c
     expect = 2.0 * dE * (psi @ Y @ psi)
     assert (lind - dkz) == pytest.approx(expect, abs=1e-12 * max(1.0, abs(lind)))
 
@@ -111,37 +113,37 @@ def test_dm1_scalar_identity():
     assert 1.0 / Dc - dE / (Dc * D) == pytest.approx(1.0 / D, rel=1e-15)
 
 
-def test_predicted_discrepancy_matches_measured(dim4, settings):
+def test_predicted_discrepancy_matches_measured(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
-    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
     lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
     dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
     predicted, residuals, dm1_err = predicted_discrepancy(
         basis, E, E_c, psi, I_c,
-        applied(spectrum, basis, E, psi, I_c, g, settings.j_order, xj_matrix_ssum_route),
+        applied(spectrum, basis, E, psi, I_c, g, J_ORDER, xj_matrix_ssum_route),
     )
     assert (lind - dkz) == pytest.approx(predicted, rel=1e-10)
     assert residuals["Dm1_route"] < 1e-12
     assert dm1_err != 0.0
 
 
-def test_predicted_discrepancy_zero_shift(dim4, settings):
+def test_predicted_discrepancy_zero_shift(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     predicted, _, dm1_err = predicted_discrepancy(
         basis, E_c, E_c, psi, I_c,
-        applied(spectrum, basis, E_c, psi, I_c, g, settings.j_order, xj_matrix_ssum_route),
+        applied(spectrum, basis, E_c, psi, I_c, g, J_ORDER, xj_matrix_ssum_route),
     )
     assert predicted == 0.0
     assert dm1_err == 0.0
 
 
-def test_dkz_dc_approx_reported(dim4, settings):
+def test_dkz_dc_approx_reported(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
-    Xv = applied(spectrum, basis, E, psi, I_c, g, settings.j_order)
+    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
     approx = combined_variant(basis, E, E_c, psi, I_c, "dkz-dc-approx",
-                              applied(spectrum, basis, E_c, psi, I_c, g, settings.j_order))
+                              applied(spectrum, basis, E_c, psi, I_c, g, J_ORDER))
     dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
     assert np.isfinite(approx)
     assert approx != dkz
@@ -179,7 +181,7 @@ def test_oracle_linear_response_matches_first_order():
     for ld in (0.01, 0.005):
         cfg = ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
                           coulomb_scale=lam_c, delta_scale=ld)
-        res = run_pipeline(RunConfig(cfg, IntegrationSettings()))
+        res = run_pipeline(RunConfig(cfg))
         coefs.append(((res.oracle_energy - res.ledger.E_c) / ld, res.ledger.dE[0] / ld))
     for oracle_coef, dE1_coef in coefs:
         # the oracle also carries a lambda_c^2 piece from the virtual-pair
@@ -188,13 +190,13 @@ def test_oracle_linear_response_matches_first_order():
         assert abs(oracle_coef - dE1_coef) < 3 * lam_c * abs(dE1_coef)
 
 
-def test_bw_ladder_tracks_oracle(dim4_config, settings):
-    res = run_pipeline(RunConfig(dim4_config, settings))
+def test_bw_ladder_tracks_oracle(dim4_config):
+    res = run_pipeline(RunConfig(dim4_config))
     assert abs(res.ledger.E - res.oracle_energy) < 5e-5
     assert res.ledger.residual < 1e-11
 
 
-def test_h_delta2_routes_zero_couplings(dim4, settings):
+def test_h_delta2_routes_zero_couplings(dim4):
     spectrum, basis, I_c, g, *_ = solved(dim4)
     zero = np.zeros((4, 4))
     assert not np.any(h_delta2_ladder(spectrum, basis, 2.1, zero, g))
@@ -247,8 +249,8 @@ def test_ladder_operator_matches_dense_forms(name):
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_pipeline_identity_residuals(dim4_config, settings):
-    res = run_pipeline(RunConfig(dim4_config, settings))
+def test_pipeline_identity_residuals(dim4_config):
+    res = run_pipeline(RunConfig(dim4_config))
     rep = res.controversy
     assert rep.identity_residuals["E2b_vs_E2b2"] < 1e-10
     assert rep.identity_residuals["chain_sum"] < 1e-10
@@ -257,23 +259,23 @@ def test_pipeline_identity_residuals(dim4_config, settings):
     assert rep.difference == rep.combined_lindgren - rep.combined_dkz
 
 
-def test_pipeline_zero_delta(dim4_config, settings):
+def test_pipeline_zero_delta(dim4_config):
     cfg = ModelConfig(
         positive_energies=(1.0,), negative_energies=(-1.2,),
         coulomb_scale=0.1, delta_scale=0.0,
     )
-    res = run_pipeline(RunConfig(cfg, settings))
+    res = run_pipeline(RunConfig(cfg))
     assert res.controversy.difference == 0.0
     assert res.controversy.predicted_difference == 0.0
     assert res.ledger.E == pytest.approx(res.ledger.E_c + sum(res.ledger.dE))
 
 
-def test_pipeline_zero_couplings(settings):
+def test_pipeline_zero_couplings():
     cfg = ModelConfig(
         positive_energies=(1.0,), negative_energies=(-1.2,),
         coulomb_scale=0.0, delta_scale=0.0,
     )
-    res = run_pipeline(RunConfig(cfg, settings))
+    res = run_pipeline(RunConfig(cfg))
     assert res.ledger.E == res.ledger.E_c == pytest.approx(2.0)
     assert res.ledger.iterations == 1
 
@@ -286,21 +288,21 @@ def test_fit_power_law_recovers_slope():
     assert r2 > 0.999999
 
 
-def test_coupling_scan_validation(dim4_config, settings):
+def test_coupling_scan_validation(dim4_config):
     with pytest.raises(ValueError, match=">= 4"):
-        coupling_scan(RunConfig(dim4_config, settings), [0.1])
+        coupling_scan(RunConfig(dim4_config), [0.1])
     with pytest.raises(ValueError, match="geometric"):
-        coupling_scan(RunConfig(dim4_config, settings), [0.1, 0.2, 0.25, 0.3])
+        coupling_scan(RunConfig(dim4_config), [0.1, 0.2, 0.25, 0.3])
     with pytest.raises(ValueError, match="ratio other than 1"):
-        coupling_scan(RunConfig(dim4_config, settings), [0.1, 0.1, 0.1, 0.1])
+        coupling_scan(RunConfig(dim4_config), [0.1, 0.1, 0.1, 0.1])
     for schedule in ([float("nan")] * 4, [-0.1, -0.2, -0.4, -0.8]):
         with pytest.raises(ValueError, match="finite, > 0 and geometric"):
-            coupling_scan(RunConfig(dim4_config, settings), schedule)
+            coupling_scan(RunConfig(dim4_config), schedule)
 
 
-def test_coupling_scan_runs(dim4_config, settings):
+def test_coupling_scan_runs(dim4_config):
     rows, slope, r2, failures = coupling_scan(
-        RunConfig(dim4_config, settings), [0.02, 0.04, 0.08, 0.16]
+        RunConfig(dim4_config), [0.02, 0.04, 0.08, 0.16]
     )
     assert not failures
     assert len(rows) == 4
@@ -335,22 +337,22 @@ def count_kernel_builds(monkeypatch):
     return counts
 
 
-def test_pipeline_builds_each_kernel_integral_once(dim4_config, settings, monkeypatch):
+def test_pipeline_builds_each_kernel_integral_once(dim4_config, monkeypatch):
     counts = count_kernel_builds(monkeypatch)
-    res = run_pipeline(RunConfig(dim4_config, settings))
+    res = run_pipeline(RunConfig(dim4_config))
     assert counts == {"direct": 2, "ssum": 1}  # X_J(E), X_J(E_c); S-sum X_J(E)
     assert res.controversy.identity_residuals["central_claim"] < 1e-12
 
 
-def test_identity_suite_builds_kernel_integral_once(dim4_config, settings, monkeypatch):
+def test_identity_suite_builds_kernel_integral_once(dim4_config, monkeypatch):
     from bwlab.identities import identity_suite, suite_passes
 
     counts = count_kernel_builds(monkeypatch)
-    assert suite_passes(identity_suite(RunConfig(replace(dim4_config, seed=0), settings)))
+    assert suite_passes(identity_suite(RunConfig(replace(dim4_config, seed=0))))
     assert counts == {"direct": 1, "ssum": 1}
 
 
-def test_coupling_scan_propagates_programming_errors(dim4_config, settings, monkeypatch):
+def test_coupling_scan_propagates_programming_errors(dim4_config, monkeypatch):
     """Only BwlabError is per-point data; a fault inside the pipeline is not
     turned into a failed scan row."""
     import bwlab.pipeline
@@ -364,7 +366,7 @@ def test_coupling_scan_propagates_programming_errors(dim4_config, settings, monk
 
     monkeypatch.setattr(bwlab.pipeline, "xj_stack", broken_at_largest)
     with pytest.raises(TypeError, match="unexpected argument"):
-        coupling_scan(RunConfig(dim4_config, settings), [0.02, 0.04, 0.08, 0.16])
+        coupling_scan(RunConfig(dim4_config), [0.02, 0.04, 0.08, 0.16])
 
 
 def test_model_oracle_tracking_failure_is_bwlab_error(dim4):
@@ -384,7 +386,7 @@ JITTERED_2X2 = ModelConfig(positive_energies=(1.03, 1.57), negative_energies=(-1
 
 
 @pytest.mark.parametrize("jittered", [False, True], ids=["dim4", "jittered-2x2"])
-def test_coupling_scan_matches_pipeline(dim4_config, settings, monkeypatch, jittered):
+def test_coupling_scan_matches_pipeline(dim4_config, monkeypatch, jittered):
     """The scan computes only what it reports: its rows equal run_pipeline's
     values exactly, while its one chunk of points builds X_J once per route,
     as one stack, and never runs the model oracle."""
@@ -392,14 +394,14 @@ def test_coupling_scan_matches_pipeline(dim4_config, settings, monkeypatch, jitt
 
     cfg = JITTERED_2X2 if jittered else dim4_config
     lams = [0.02, 0.04, 0.08, 0.16]
-    expected = [run_pipeline(RunConfig(cfg.scaled(lam), settings)).controversy
+    expected = [run_pipeline(RunConfig(cfg.scaled(lam))).controversy
                 for lam in lams]
 
     counts = count_kernel_builds(monkeypatch)
     oracle_calls = []
     monkeypatch.setattr(bwlab.pipeline, "model_oracle",
                         lambda *args, **kwargs: oracle_calls.append(args))
-    rows, _, _, failures = coupling_scan(RunConfig(cfg, settings), lams)
+    rows, _, _, failures = coupling_scan(RunConfig(cfg), lams)
     assert failures == []
     assert [(diff, pred) for _, diff, pred, _ in rows] == [
         (rep.difference, rep.predicted_difference) for rep in expected
@@ -410,13 +412,13 @@ def test_coupling_scan_matches_pipeline(dim4_config, settings, monkeypatch, jitt
 
 @pytest.mark.parametrize("coulomb, delta", [(0.1, 0.0), (0.0, 0.05), (0.0, 0.0)],
                          ids=["zero-delta", "zero-coulomb", "both-zero"])
-def test_pipeline_zero_coupling_report(settings, monkeypatch, coulomb, delta):
+def test_pipeline_zero_coupling_report(monkeypatch, coulomb, delta):
     """With either coupling zero every report value and chain residual is 0,
     and no kernel integral is built."""
     counts = count_kernel_builds(monkeypatch)
     cfg = ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
                       coulomb_scale=coulomb, delta_scale=delta)
-    rep = run_pipeline(RunConfig(cfg, settings)).controversy
+    rep = run_pipeline(RunConfig(cfg)).controversy
     assert [rep.dE1_direct, rep.dE2b_direct, rep.combined_lindgren, rep.combined_dkz,
             rep.combined_dkz_dc_approx, rep.difference, rep.predicted_difference,
             rep.dm1_error_term] == [0.0] * 8
@@ -456,7 +458,7 @@ def one_point_run(cfg, lam):
     if not (np.any(st.I_c) and np.any(st.g_delta)):
         return ledger, ControversyReport()
     v = st.I_c @ st.psi_c
-    Xv, Xv_alt = (route(st.spectrum, st.basis, ledger.E, st.g_delta, cfg.integration.j_order,
+    Xv, Xv_alt = (route(st.spectrum, st.basis, ledger.E, st.g_delta, cfg.j_order,
                         v=v) for route in (xj_matrix, xj_matrix_ssum_route))
     (rep,) = convention_report(st.basis, ledger.E, ledger.E_c, st.psi_c, st.I_c, st.resolvent,
                                Xv, Xv_alt)
@@ -483,7 +485,7 @@ def test_coupling_scan_mixed_outcomes_match_one_point_runs(name):
     """Every row and every failure string of a lock-step scan equals the
     one-point run of its point, in schedule order."""
     model, max_iter = MIXED_SCANS[name]
-    cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
+    cfg = RunConfig(model, j_order=1, bw_max_iter=max_iter)
     rows, _, _, failures = coupling_scan(cfg, MIXED_LAMS)
     assert (rows, failures) == one_point_scan(cfg, MIXED_LAMS)
     kinds = {message.split(":")[0] for _, message in failures}
@@ -500,7 +502,7 @@ def test_coupling_scan_one_point_chunks_match_one_point_runs(name, monkeypatch):
     import bwlab.pipeline
 
     model, max_iter = MIXED_SCANS[name]
-    cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
+    cfg = RunConfig(model, j_order=1, bw_max_iter=max_iter)
     n = len(model.positive_energies) + len(model.negative_energies)
     monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 8 * bwlab.pipeline.STACK_DOUBLES * n ** 4)
     calls = count_stacked_calls(monkeypatch)
@@ -513,7 +515,7 @@ def test_coupling_scan_overflowing_point_fails_alone():
     """A lambda whose scaled coupling overflows to inf fails as its one-point
     run does, and only that point: the rest of its chunk still runs."""
     cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
-                                coulomb_scale=10.0), IntegrationSettings())
+                                coulomb_scale=10.0))
     lams = [float(lam) for lam in np.geomspace(0.01, 1e308, 4)]
     rows, _, _, failures = coupling_scan(cfg, lams)
     assert (rows, failures) == one_point_scan(cfg, lams)
@@ -544,10 +546,10 @@ def count_stacked_calls(monkeypatch):
     return calls
 
 
-def test_coupling_scan_evaluates_in_lock_step(dim4_config, settings, monkeypatch):
+def test_coupling_scan_evaluates_in_lock_step(dim4_config, monkeypatch):
     """A 64-point scan takes one stacked eigh and at most (the largest
     per-point iteration count + 1) stacked term evaluations."""
-    cfg = RunConfig(dim4_config, settings)
+    cfg = RunConfig(dim4_config)
     lams = list(np.geomspace(0.02, 0.16, 64))
     iterations = [one_point_run(cfg, lam)[0].iterations for lam in lams]
     calls = count_stacked_calls(monkeypatch)
@@ -564,7 +566,7 @@ def test_coupling_scan_chunks_give_the_same_rows(name, monkeypatch):
     import bwlab.pipeline
 
     model, max_iter = MIXED_SCANS[name]
-    cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
+    cfg = RunConfig(model, j_order=1, bw_max_iter=max_iter)
     whole = coupling_scan(cfg, MIXED_LAMS)
     n = len(model.positive_energies) + len(model.negative_energies)
     monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 3 * 8 * bwlab.pipeline.STACK_DOUBLES * n ** 4)
@@ -586,7 +588,7 @@ def test_coupling_scan_splits_a_chunk_down_to_its_failing_point(monkeypatch):
     import bwlab.pipeline
 
     model, max_iter = MIXED_SCANS["dim9 pinched"]
-    cfg = RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter)
+    cfg = RunConfig(model, j_order=1, bw_max_iter=max_iter)
     lams = list(np.geomspace(0.1, 3.0, 64))
     monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 64 * 8 * bwlab.pipeline.STACK_DOUBLES * 3 ** 4)
     sizes, xj_stack = [], bwlab.pipeline.xj_stack
@@ -631,7 +633,7 @@ def test_pipeline_points_match_one_point_runs(name):
     """Also for blocks of the compare workload's size (n_u = 18)."""
     model, max_iter = MIXED_SCANS.get(name, (jittered_dim36(), 200))
     assert_points_match_one_point_runs(
-        RunConfig(model, IntegrationSettings(j_order=1), bw_max_iter=max_iter), MIXED_LAMS)
+        RunConfig(model, j_order=1, bw_max_iter=max_iter), MIXED_LAMS)
 
 
 def test_pipeline_points_stack_coupled_and_uncoupled_points():
@@ -640,8 +642,7 @@ def test_pipeline_points_stack_coupled_and_uncoupled_points():
     equal to H_D1 there only up to rounding): each point still ends with
     its one-point ledger."""
     cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
-                                coulomb_scale=0.1, delta_scale=1e-320),
-                    IntegrationSettings(j_order=1))
+                                coulomb_scale=0.1, delta_scale=1e-320), j_order=1)
     lams = [1e-4, 1e-3, 1e-2, 1e-1]
     assert [np.any(build_interaction(cfg.model.scaled(lam), "delta")) for lam in lams] == [
         False, True, True, True]
@@ -661,7 +662,7 @@ def test_conventions_fail_alone_inside_a_stack():
     from bwlab.pipeline import _bw_stack, _conventions, reference_state
 
     model, _ = MIXED_SCANS["dim9 pinched"]
-    cfg = RunConfig(model, IntegrationSettings(j_order=2))
+    cfg = RunConfig(model, j_order=2)
     st = reference_state(cfg, [0.2, 0.25, 0.3, 0.35, 0.4])
     ledgers = _bw_stack(cfg, st)
     assert not any(isinstance(ledger, BwlabError) for ledger in ledgers)
@@ -695,8 +696,7 @@ def test_coupling_scan_nonfinite_bw_step_fails_at_once():
 
     matrix = tuple(tuple(10.0 if i == j else 1.0 for j in range(4)) for i in range(4))
     cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
-                                coulomb_scale=1.0, coulomb_matrix=matrix),
-                    IntegrationSettings())
+                                coulomb_scale=1.0, coulomb_matrix=matrix))
     lams = [float(lam) for lam in np.geomspace(0.01, 1e308, 4)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -714,8 +714,7 @@ def test_coupling_scan_overflowing_interaction_fails_alone():
     the rest of its chunk still runs as its one-point runs do."""
     matrix = tuple(tuple(10.0 if i == j else 1.0 for j in range(4)) for i in range(4))
     cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
-                                coulomb_scale=1.0, coulomb_matrix=matrix),
-                    IntegrationSettings())
+                                coulomb_scale=1.0, coulomb_matrix=matrix))
     lams = [float(lam) for lam in np.geomspace(0.01, 1e308, 4)]
     rows, _, _, failures = coupling_scan(cfg, lams)
     assert (rows, failures) == one_point_scan(cfg, lams)

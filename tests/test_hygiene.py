@@ -1,7 +1,8 @@
 """Static checks on the package source: no unused imports, no imports
 inside functions except the one that breaks a real import cycle, no
-definition that nothing names, and no handler of a package error outside
-the few places that turn one into an outcome."""
+definition that nothing names, no private definition that only tests read,
+and no handler of a package error outside the few places that turn one
+into an outcome."""
 
 import ast
 import collections
@@ -69,20 +70,27 @@ def test_no_function_level_imports(path):
     assert sorted(found - ALLOWED_LOCAL_IMPORTS) == []
 
 
+def _top_level_names(node):
+    """Names a module-level statement defines: a function, a class, or the
+    plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def _definitions(path):
     """Module-level functions, classes, methods and constants of a module,
     skipping dunder names, which the language calls."""
     names = []
     for node in _tree(path).body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
-            if isinstance(node, ast.ClassDef):
-                names += [item.name for item in node.body
-                          if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        elif isinstance(node, ast.Assign):
-            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.append(node.target.id)
+        names += _top_level_names(node)
+        if isinstance(node, ast.ClassDef):
+            names += [item.name for item in node.body
+                      if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))]
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
@@ -94,6 +102,35 @@ def test_every_definition_is_named_elsewhere():
         words.update(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", path.read_text()))
     defined = collections.Counter(n for path in MODULES for n in _definitions(path))
     assert sorted(n for n, k in defined.items() if words[n] <= k) == []
+
+
+def _read_names(node):
+    """Names that code under node reads: loaded names, attributes and the
+    names an import takes from a module."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            yield child.id
+        elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+            yield child.attr
+        elif isinstance(child, ast.ImportFrom):
+            yield from (alias.name for alias in child.names)
+
+
+def test_every_private_definition_is_read_in_src():
+    """Each private (_-prefixed) module-level definition in the package is
+    read by src code outside its own definition: a helper that only tests
+    call belongs in the tests."""
+    private, readers = set(), collections.defaultdict(set)
+    for path in MODULES:
+        for top in _tree(path).body:
+            private.update((path.name, n) for n in _top_level_names(top)
+                           if n.startswith("_") and not n.startswith("__"))
+            for n in _read_names(top):
+                readers[n].add((path.name, tuple(_top_level_names(top))))
+    unread = [(module, name) for module, name in private
+              if not any(where != module or name not in defines
+                         for where, defines in readers[name])]
+    assert sorted(unread) == []
 
 
 def _package_errors():

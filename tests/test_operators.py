@@ -266,22 +266,22 @@ def test_model_oracle_unmixed_block_tracks_full_eig(case):
 UNMIXED_E, MIXED_E, GOOD_E = 2.0, -0.2, 2.1
 
 
-def _predicted(spectrum, basis, E, E_c, I_c, g, settings):
+def _predicted(spectrum, basis, E, E_c, I_c, g):
     psi_c = np.array([1.0, 0.0, 0.0, 0.0])
     return predicted_discrepancy(basis, E, E_c, psi_c, I_c, np.ones(basis.dim))
 
 
 GUARD_SITES = {
-    "inverse_denominator": lambda s, b, E, I_c, g, st: inverse_denominator(b, E),
-    "free_propagator": lambda s, b, E, I_c, g, st: free_propagator(b, E),
-    "build_G0": lambda s, b, E, I_c, g, st: build_G0(s, b, E),
-    "ladder_kernel": lambda s, b, E, I_c, g, st: ladder_kernel(s, b, E, g),
-    "contour_integral_Finv": lambda s, b, E, I_c, g, st: contour_integral_Finv(s, b, E),
-    "xj_matrix_ssum_route": lambda s, b, E, I_c, g, st: xj_matrix_ssum_route(s, b, E, g, 2),
+    "inverse_denominator": lambda s, b, E, I_c, g: inverse_denominator(b, E),
+    "free_propagator": lambda s, b, E, I_c, g: free_propagator(b, E),
+    "build_G0": lambda s, b, E, I_c, g: build_G0(s, b, E),
+    "ladder_kernel": lambda s, b, E, I_c, g: ladder_kernel(s, b, E, g),
+    "contour_integral_Finv": lambda s, b, E, I_c, g: contour_integral_Finv(s, b, E),
+    "xj_matrix_ssum_route": lambda s, b, E, I_c, g: xj_matrix_ssum_route(s, b, E, g, 2),
     "predicted_discrepancy at E":
-        lambda s, b, E, I_c, g, st: _predicted(s, b, E, GOOD_E, I_c, g, st),
+        lambda s, b, E, I_c, g: _predicted(s, b, E, GOOD_E, I_c, g),
     "predicted_discrepancy at E_c":
-        lambda s, b, E, I_c, g, st: _predicted(s, b, GOOD_E, E, I_c, g, st),
+        lambda s, b, E, I_c, g: _predicted(s, b, GOOD_E, E, I_c, g),
 }
 
 #: sites that guard every pair, so that a mixed-pair energy aborts them too
@@ -291,15 +291,15 @@ GUARD_EVERY_PAIR = {"inverse_denominator", "xj_matrix_ssum_route",
 
 @pytest.mark.parametrize("energy", ["unmixed", "mixed"])
 @pytest.mark.parametrize("site", sorted(GUARD_SITES))
-def test_pair_denominator_guard(dim4, settings, site, energy):
+def test_pair_denominator_guard(dim4, site, energy):
     spectrum, basis, I_c, g = dim4
     E = UNMIXED_E if energy == "unmixed" else MIXED_E
     call = GUARD_SITES[site]
     if energy == "unmixed" or site in GUARD_EVERY_PAIR:
         with pytest.raises(DegenerateDenominatorError):
-            call(spectrum, basis, E, I_c, g, settings)
+            call(spectrum, basis, E, I_c, g)
     else:
-        assert np.all(np.isfinite(call(spectrum, basis, E, I_c, g, settings)))
+        assert np.all(np.isfinite(call(spectrum, basis, E, I_c, g)))
 
 
 def test_inverse_denominator_message_and_mask(dim4):

@@ -11,7 +11,7 @@ import pytest
 
 from bwlab import (
     DegenerateDenominatorError,
-    IntegrationSettings,
+    RunConfig,
     build_basis,
     contour_integral_Finv,
     j_series,
@@ -156,7 +156,7 @@ def test_sandwich_scales_with_entry(dim4):
     assert np.count_nonzero(X) == 1
 
 
-def test_sandwich_zero_and_linearity(dim4, settings):
+def test_sandwich_zero_and_linearity(dim4):
     spectrum, basis, _, _ = dim4
     assert not np.any(sandwich_integral(spectrum, basis, 2.1, np.zeros((4, 4))))
     rng = np.random.default_rng(1)
@@ -181,14 +181,14 @@ def test_sandwich_exchange_symmetry():
     assert np.max(np.abs(X - X.T)) < 1e-12 * max(1.0, np.max(np.abs(X)))
 
 
-def test_sandwich_vs_quadrature(dim4, settings):
+def test_sandwich_vs_quadrature(dim4):
     spectrum, basis, _, g = dim4
     X = sandwich_integral(spectrum, basis, 2.1, g)
-    Xq = quadrature_oracle(spectrum, basis, 2.1, g, settings)
+    Xq = quadrature_oracle(spectrum, 2.1, g)
     assert np.max(np.abs(X - Xq)) < 1e-6 * np.max(np.abs(X))
 
 
-def test_j_series_first_term_is_sandwich(dim4, settings):
+def test_j_series_first_term_is_sandwich(dim4):
     spectrum, basis, _, g = dim4
     terms = j_series(spectrum, basis, 2.25, g, 1)
     assert len(terms) == 1
@@ -236,11 +236,11 @@ def test_j_series_second_term_dim1():
     assert terms[1][0, 0] == pytest.approx(6.0 * gamma ** 2, rel=1e-12)
 
 
-def test_j_series_vs_chain_quadrature(dim4, settings):
+def test_j_series_vs_chain_quadrature(dim4):
     spectrum, basis, _, g = dim4
     terms = j_series(spectrum, basis, 2.25, g, 2)
-    q1 = quadrature_chain(spectrum, basis, 2.25, [g], settings)
-    q2 = quadrature_chain(spectrum, basis, 2.25, [g, g], settings)
+    q1 = quadrature_chain(spectrum, 2.25, [g])
+    q2 = quadrature_chain(spectrum, 2.25, [g, g])
     assert np.max(np.abs(terms[0] - q1)) < 1e-6 * np.max(np.abs(terms[0]))
     assert np.max(np.abs(terms[1] - q2)) < 1e-6 * np.max(np.abs(terms[1]))
 
@@ -371,10 +371,10 @@ def test_laurent_engine_dim64_routes_agree():
     assert np.max(np.abs(X1 - X2)) < 1e-10 * np.max(np.abs(X1))
 
 
-def test_settings_validation():
+def test_settings_validation(dim4_config):
     with pytest.raises(Exception):
-        IntegrationSettings(j_order=0)
-    s = IntegrationSettings()
+        RunConfig(dim4_config, j_order=0)
+    s = RunConfig(dim4_config)
     assert s.j_order == 2
 
 

@@ -35,12 +35,12 @@ def test_every_trace_target_resolves(spans):
         assert callable(getattr(owner, attr, None)), f"{mod_name}.{attr}"
 
 
-def test_traced_pipeline_reaches_each_layer(spans, dim4_config, settings):
+def test_traced_pipeline_reaches_each_layer(spans, dim4_config):
     tracer = spans.Tracer()
     mark = tracer.mark()
     tracer.patch()
     try:
-        run_pipeline(RunConfig(dim4_config, settings))
+        run_pipeline(RunConfig(dim4_config))
     finally:
         tracer.unpatch()
     counts = tracer.summary(mark)["counts"]

@@ -34,6 +34,10 @@ from .errors import BwlabError, ConvergenceError, DegenerateDenominatorError
 
 MAX_ORDER = 3
 
+#: defaults: iterations before ConvergenceError; converged step / max(1, |E_c|)
+MAX_ITER = 200
+TOL = 1e-12
+
 #: a secant step longer than this many plain fixed-point steps is not taken,
 #: unless successive secant steps agree (bw_selfconsistent)
 SECANT_MAX_RATIO = 4.0
@@ -190,8 +194,9 @@ def bw_terms(resolvent: Resolvent, h_delta_of_E, E, psi_c, order):
 
 def _secant(E_c, max_iter, tol):
     """The root search of one problem: a generator that yields each E where
-    it needs the terms, receives them (a list), and returns the EnergyLedger
-    or raises ConvergenceError, at once on a non-finite E.  bw_selfconsistent's rule."""
+    it needs the terms, receives them (a list), and returns its outcome, the
+    EnergyLedger or a ConvergenceError: after max_iter iterations, or at
+    once on a non-finite E.  bw_selfconsistent's rule."""
     scale_tol = tol * max(1.0, abs(E_c))
     E = E_c
     damping = 1.0
@@ -221,15 +226,15 @@ def _secant(E_c, max_iter, tol):
         E_prev, last_step, last_root = E, step, root
         E = E + move
         if not math.isfinite(E):
-            raise ConvergenceError(f"BW iteration {it} steps off the finite numbers from "
-                                   f"E = {E_prev:.6g} (E_c + sum of terms = {target:.6g})")
+            return ConvergenceError(f"BW iteration {it} steps off the finite numbers from "
+                                    f"E = {E_prev:.6g} (E_c + sum of terms = {target:.6g})")
         terms = yield E
     ledger = EnergyLedger(E_c=E_c, dE=terms, E=E, deltaE=E - E_c, iterations=it,
                           residual=abs(E - (E_c + sum(terms))))
     if converged:
         return ledger
-    raise ConvergenceError(f"BW self-consistency did not converge in {max_iter} iterations "
-                           f"(last residual {ledger.residual:.3e})", last=ledger)
+    return ConvergenceError(f"BW self-consistency did not converge in {max_iter} iterations "
+                            f"(last residual {ledger.residual:.3e})", last=ledger)
 
 
 def each_alone(run, items):
@@ -246,7 +251,7 @@ def each_alone(run, items):
     return each_alone(run, items[:half]) + each_alone(run, items[half:])
 
 
-def bw_lockstep(select, E_c, max_iter=200, tol=1e-12):
+def bw_lockstep(select, E_c, max_iter=MAX_ITER, tol=TOL):
     """The BW roots of a stack of problems, found in lock-step.
 
     Problem i starts at E_c[i] and follows bw_selfconsistent's secant rule.
@@ -257,9 +262,9 @@ def bw_lockstep(select, E_c, max_iter=200, tol=1e-12):
     once; select is called again only when that set changes.  A round whose
     evaluation raises is split in two by each_alone (only the halves call
     select), so a problem that hits a guard fails alone.  Returns, per
-    problem, its EnergyLedger or the BwlabError (a guard's, or
-    ConvergenceError) that solving it alone raises.  Any other exception
-    propagates.
+    problem, its EnergyLedger or its BwlabError: a guard's, which solving
+    it alone raises, or the ConvergenceError its secant search returns.
+    Any other exception propagates.
     """
     searches = [_secant(float(e), max_iter, tol) for e in E_c]
     E = np.array([next(s) for s in searches])
@@ -281,16 +286,14 @@ def bw_lockstep(select, E_c, max_iter=200, tol=1e-12):
                 E[i] = searches[i].send(row)
             except StopIteration as done:
                 outcomes[i] = done.value
-            except ConvergenceError as exc:
-                outcomes[i] = exc
             else:
                 going.append(i)
         items = going
     return outcomes
 
 
-def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=3,
-                      max_iter=200, tol=1e-12):
+def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=MAX_ORDER,
+                      max_iter=MAX_ITER, tol=TOL):
     """Root of f(E) = E_c + sum_n Delta E^(n)(E) - E, starting at E = E_c,
     for one problem: the stack of one of bw_lockstep.
 

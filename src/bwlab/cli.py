@@ -5,22 +5,21 @@ state [solve] state_index: verify checks the identities there (drawing its
 samples from the interaction seed), compare and scan run the pipeline on
 it.  A command maps (cfg, args) to its timing key, report sections and
 exit code.  _run loads the config, times the command (sections and scan's
---csv file included) and prints the report; main maps aborts to exit codes.
+--csv file included) and prints the report; main maps an abort to its
+stderr label and exit code through the one table ABORTS.
 
-Exit codes: 0 success, 1 verify with a residual out of tolerance, 2 config
-error, 3 numerical degeneracy (scan: any point failed), 4 nonconvergence (of
-the BW fixed point or of the quadrature oracle), 5 the model oracle lost the
-reference state (compare only; scan does not run it), 6 stdout closed before
-the whole report was written (the reader of a pipe went away).  Codes 2 to 6
-print one stderr line.  Exit 2 covers a config file that cannot be read or
-is not UTF-8, a config value that is not a finite number (nan, inf), a
-negative seed and, for scan, fewer than 4 points, a lambda range whose ends
-are not two different finite numbers > 0, or a --csv file that cannot be
-written.
+Exit codes: 0 success, 1 verify with a residual out of tolerance, 2 a usage
+error (for scan, fewer than 4 points, a lambda range whose ends are not two
+different finite numbers > 0, or a --csv file that cannot be written) or a
+config error (a file that cannot be read or is not UTF-8, a bad key or
+value, a model that cannot be built, a coupling whose matrix overflows), 3
+numerical degeneracy (scan: any point failed), 4 nonconvergence (of the BW
+fixed point or of the quadrature oracle), 5 the model oracle lost the
+reference state (compare only), 6 stdout closed before the whole report was
+written (the reader of a pipe went away).  An abort prints one stderr line
+and no report; scan's exit 3 prints its report, which lists each failure.
 
-scan reports an undefined value as null: a row's ratio when its predicted
-difference is zero, and the fitted exponent and R^2 when fewer than two
-differences are nonzero (for instance with zero delta coupling).  The
+scan reports an undefined value (None from coupling_scan) as null; the
 --csv file leaves such a ratio's field empty.
 """
 
@@ -38,6 +37,7 @@ import numpy as np
 from .config import RunConfig, parse_config
 from .controversy import coupling_scan
 from .errors import (
+    BwlabError,
     ConfigError,
     ConvergenceError,
     DegenerateDenominatorError,
@@ -55,15 +55,23 @@ from .report import (
 )
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
-EXIT_NONCONVERGENT = 4
-EXIT_ORACLE = 5
 EXIT_STDOUT_CLOSED = 6
 
 
 class UsageError(Exception):
     """A command argument the command cannot run with (exit 2)."""
+
+
+#: class -> (stderr label, exit code) of an abort; an error takes the row of
+#: the first class in its MRO that has one
+ABORTS = {
+    UsageError: ("error", 2),
+    ConfigError: ("config error", 2),
+    DegenerateDenominatorError: ("degenerate denominator", EXIT_DEGENERATE),
+    ConvergenceError: ("nonconvergence", 4),
+    OracleTrackingError: ("model oracle", 5),
+}
 
 
 def _load(args) -> RunConfig:
@@ -91,11 +99,6 @@ def cmd_compare(cfg, args):
     return "pipeline", sections, EXIT_OK
 
 
-def _defined(value):
-    """None for an undefined (NaN) scan value, which the report shows as null."""
-    return None if np.isnan(value) else value
-
-
 def cmd_scan(cfg, args):
     if args.scan_points < 4:
         raise UsageError("scan requires >= 4 points")
@@ -109,12 +112,8 @@ def cmd_scan(cfg, args):
             write_csv(args.csv, rows)
         except OSError as exc:
             raise UsageError(f"cannot write --csv file: {exc}") from exc
-    sections = {"scan": {
-        "rows": [[lam, diff, pred, _defined(ratio)] for lam, diff, pred, ratio in rows],
-        "fitted_exponent": _defined(slope),
-        "r_squared": _defined(r2),
-        "failures": [list(f) for f in failures],
-    }}
+    sections = {"scan": {"rows": rows, "fitted_exponent": slope, "r_squared": r2,
+                         "failures": failures}}
     return "scan", sections, EXIT_OK if not failures else EXIT_DEGENERATE
 
 
@@ -166,21 +165,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _run(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DegenerateDenominatorError as exc:
-        print(f"degenerate denominator: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except ConvergenceError as exc:
-        print(f"nonconvergence: {exc}", file=sys.stderr)
-        return EXIT_NONCONVERGENT
-    except OracleTrackingError as exc:
-        print(f"model oracle: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+    except (UsageError, BwlabError) as exc:
+        label, code = next(ABORTS[c] for c in type(exc).__mro__ if c in ABORTS)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
     except BrokenPipeError:
         # what is left in the buffer goes to devnull, so the flush at exit
         # does not fail again

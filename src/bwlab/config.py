@@ -12,16 +12,17 @@ Sections and keys:
     [bw]                  order, max_iter, tol
     [solve]               state_index
 
-Each default is written once, on its dataclass: ModelConfig (model) and
-RunConfig below; a file without [spectrum] keys gets
-model.dirac_like_energies().  parse_config passes on only the keys a file
-sets.  Lists are comma-separated; explicit matrices use ';' between rows
-and whitespace between entries.  A file that cannot be read or is not UTF-8
-is a ConfigError.  Unknown sections or keys are rejected by name; duplicate
-keys are rejected by the parser with a line number, and a number that is
-not finite (nan, inf) by the key it stands under.  The dataclasses' bounds
-reject nan and inf too, for configs built in code, and a field annotated
-int rejects a value that is not an integer.
+Each default is written once, on ModelConfig, on RunConfig below or, for
+the BW solve, in bw (MAX_ORDER, MAX_ITER, TOL); a file without [spectrum]
+keys gets model.dirac_like_energies().  parse_config passes on only the
+keys a file sets.  Lists are comma-separated; explicit matrices use ';'
+between rows and whitespace between entries.  A file that cannot be read or
+is not UTF-8 is a ConfigError.  Unknown sections or keys are rejected by
+name; duplicate keys are rejected by the parser with a line number, and a
+number that is not finite (nan, inf) by the key it stands under.  The
+dataclasses' bounds reject nan and inf too, for configs built in code, and
+a field annotated int rejects a value that is not an integer; ModelConfig
+checks its spectrum and matrices too.
 
 The table _FIELDS drives both directions: parse_config reads each key with
 the row's parser, and emit_config writes the rows in order, each value in
@@ -37,7 +38,7 @@ import math
 import os
 from dataclasses import dataclass
 
-from .bw import MAX_ORDER
+from .bw import MAX_ITER, MAX_ORDER, TOL
 from .errors import ConfigError
 from .model import ModelConfig, check_integer_fields, dirac_like_energies
 
@@ -50,9 +51,9 @@ class RunConfig:
 
     model: ModelConfig
     j_order: int = 2
-    bw_order: int = 3
-    bw_max_iter: int = 200
-    bw_tol: float = 1e-12
+    bw_order: int = MAX_ORDER
+    bw_max_iter: int = MAX_ITER
+    bw_tol: float = TOL
     state_index: int = 0
 
     def __post_init__(self):
@@ -68,7 +69,7 @@ class RunConfig:
         if self.state_index < 0:
             raise ConfigError("solve.state_index must be >= 0")
         n_pp = len(self.model.positive_energies) ** 2
-        if n_pp and self.state_index >= n_pp:
+        if self.state_index >= n_pp:
             raise ConfigError(f"solve.state_index {self.state_index} outside the "
                               f"{n_pp}-state doubly-positive block")
 

@@ -355,7 +355,11 @@ def coupling_scan(cfg, lam_schedule):
     Returns (rows, fitted_exponent, r_squared, failures); rows are
     (lambda, difference, predicted, ratio) and failures lists
     (lambda, error message) for points whose pipeline aborted with a
-    BwlabError.  Any other exception is a fault, not data, and propagates.
+    BwlabError; a ConfigError there is a scaled coupling that overflows.  An
+    undefined value is None: a row's ratio when its predicted difference is
+    0, and the exponent and R^2 when fewer than two differences are nonzero
+    (for instance with zero delta coupling).  Any other exception is a
+    fault, not data, and propagates.
     A schedule that is not >= 4 finite lambdas > 0 in geometric progression
     raises ValueError before any point runs.
     """
@@ -376,15 +380,12 @@ def coupling_scan(cfg, lam_schedule):
             failures.append((lam, f"{type(res).__name__}: {res}"))
             continue
         _, rep = res
-        ratio = (
-            rep.difference / rep.predicted_difference
-            if rep.predicted_difference != 0.0
-            else float("nan")
-        )
+        ratio = (rep.difference / rep.predicted_difference
+                 if rep.predicted_difference != 0.0 else None)
         rows.append((lam, rep.difference, rep.predicted_difference, ratio))
     good = [(l, d) for l, d, _, _ in rows if d != 0.0]
     if len(good) >= 2:
         slope, r2 = fit_power_law([l for l, _ in good], [d for _, d in good])
     else:
-        slope, r2 = float("nan"), float("nan")
+        slope, r2 = None, None
     return rows, slope, r2, failures

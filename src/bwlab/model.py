@@ -2,12 +2,13 @@
 and model interaction matrices.
 
 The single-particle spectrum is a finite stand-in for a Dirac-like spectrum:
-its energies are nonzero and pairwise distinct, and a state's sign class
-(+ for positive-energy, - for negative-energy states) is the sign of its
-energy; nothing stores it apart.  Two-particle states are ordered pairs
-(i, j) flattened row-major with j varying fastest, so pair (i, j) sits at
-flat index i * n + j.  A pair's sign pattern, and the diagonal
-unmixed_sign of P_pp - P_mm that the operators use, follow from the signs.
+its energies are nonzero, pairwise distinct and below MAX_LEVEL in
+magnitude, and a state's sign class (+ for positive-energy, - for
+negative-energy states) is the sign of its energy; nothing stores it
+apart.  Two-particle states are ordered pairs (i, j) flattened row-major
+with j varying fastest, so pair (i, j) sits at flat index i * n + j.  A
+pair's sign pattern, and the diagonal unmixed_sign of P_pp - P_mm that the
+operators use, follow from the signs.
 
 Interaction matrices are dense, symmetric, and independent of the relative
 energy; they are scaled by their coupling on construction.
@@ -28,6 +29,10 @@ from .errors import ConfigError
 PRESETS = ("ones", "random-symmetric")
 
 SYMMETRY_TOL = 1e-14
+
+#: levels are below this in magnitude: verify multiplies two pair
+#: denominators of up to about 12 max|e|, and that product must stay finite
+MAX_LEVEL = 1e150
 
 
 @cache
@@ -56,6 +61,8 @@ class SingleParticleSpectrum:
         for e in self.energies:
             if e == 0.0 or not math.isfinite(e):
                 raise ConfigError(f"energy {e} is zero or not finite")
+            if abs(e) >= MAX_LEVEL:
+                raise ConfigError(f"energy {e} is not below {MAX_LEVEL:g} in magnitude")
         if len(set(self.energies)) != len(self.energies):
             raise ConfigError("duplicate energy in spectrum")
 
@@ -130,7 +137,7 @@ class TwoParticleBasis:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Couplings and matrix specs for the model interactions.
+    """Spectrum, couplings and matrix specs, checked in full when made.
 
     coulomb_matrix / delta_matrix are either a preset name ("ones",
     "random-symmetric") or an explicit symmetric matrix of shape
@@ -154,10 +161,20 @@ class ModelConfig:
             raise ConfigError("delta_scale must be >= 0 and finite")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
+        dim = build_spectrum(self).n ** 2
         for name, spec in (("coulomb", self.coulomb_matrix), ("delta", self.delta_matrix)):
             if isinstance(spec, str):
                 if spec not in PRESETS:
                     raise ConfigError(f"unknown {name} preset '{spec}'")
+                continue
+            m = np.asarray(spec, dtype=float)
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ConfigError("explicit interaction matrix must be square")
+            if m.shape[0] != dim:
+                raise ConfigError(f"interaction matrix is {m.shape[0]}x{m.shape[0]}, "
+                                  f"basis needs {dim}x{dim}")
+            if not np.allclose(m, m.T, rtol=0.0, atol=SYMMETRY_TOL * max(1.0, np.abs(m).max())):
+                raise ConfigError("explicit interaction matrix is not symmetric")
 
     def scaled(self, factor):
         """Copy with both couplings multiplied by factor (coupling scans)."""
@@ -166,7 +183,8 @@ class ModelConfig:
 
 
 def build_spectrum(config: ModelConfig) -> SingleParticleSpectrum:
-    """Spectrum from a model config.  Both sign classes must be populated."""
+    """Spectrum of a model config, both sign classes populated (checked when
+    the ModelConfig is made)."""
     if not config.positive_energies:
         raise ConfigError("spectrum needs at least one positive energy")
     if not config.negative_energies:
@@ -190,21 +208,13 @@ def dirac_like_energies(n_each=2, mass=1.0, step=0.5):
 
 
 def _base_matrix(spec, dim, seed, channel):
-    if isinstance(spec, str):
-        if spec == "ones":
-            return np.ones((dim, dim))
-        if spec == "random-symmetric":
-            rng = np.random.default_rng([seed, channel])
-            m = rng.uniform(-1.0, 1.0, size=(dim, dim))
-            return 0.5 * (m + m.T)
-        raise ConfigError(f"unknown preset '{spec}'")
-    m = np.asarray(spec, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError("explicit interaction matrix must be square")
-    if m.shape[0] != dim:
-        raise ConfigError(f"interaction matrix is {m.shape[0]}x{m.shape[0]}, basis needs {dim}x{dim}")
-    if not np.allclose(m, m.T, rtol=0.0, atol=SYMMETRY_TOL * max(1.0, np.abs(m).max())):
-        raise ConfigError("explicit interaction matrix is not symmetric")
+    """The unscaled matrix of a spec that ModelConfig has checked."""
+    if not isinstance(spec, str):
+        m = np.asarray(spec, dtype=float)
+    elif spec == "ones":
+        return np.ones((dim, dim))
+    else:  # "random-symmetric"
+        m = np.random.default_rng([seed, channel]).uniform(-1.0, 1.0, size=(dim, dim))
     return 0.5 * (m + m.T)
 
 
@@ -217,8 +227,7 @@ def build_interaction(config: ModelConfig, kind: str, factors=None) -> np.ndarra
     """
     if kind not in ("coulomb", "delta"):
         raise ConfigError(f"unknown interaction kind '{kind}'")
-    spectrum = build_spectrum(config)
-    dim = spectrum.n ** 2
+    dim = build_spectrum(config).n ** 2
     if kind == "coulomb":
         lam, spec, channel = config.coulomb_scale, config.coulomb_matrix, 0
     else:

@@ -138,7 +138,7 @@ def _conventions(order, st, ledgers):
     items = np.flatnonzero(_coupled(st))
     if not items.size:
         return reports
-    group = st if items.size == len(ledgers) else st.take(items)
+    group = st.take(items)
     E, E_c = (np.array([getattr(ledgers[i], name) for i in items]) for name in ("E", "E_c"))
     v = (group.I_c @ group.psi_c[..., None])[..., 0]
     Xv, Xv_alt = xj_stack(st.spectrum, st.basis, E, group.g_delta, order, v)
@@ -158,7 +158,7 @@ def _bw_stack(cfg, st):
     for members in (np.flatnonzero(coupled), np.flatnonzero(~coupled)):
         if not members.size:
             continue
-        group = st if members.size == coupled.size else st.take(members)
+        group = st.take(members)
 
         def select(items, group=group):
             resolvent, h_delta, psi_u = _bw_problem(group.take(items))

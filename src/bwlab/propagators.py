@@ -273,8 +273,7 @@ def _pole_groups(spectrum, E, g):
         for key in {k for k in keys if k[0] and k[1]}:
             same = [p for p, k in enumerate(keys) if k == key]
             n = len(rows[same[0]])
-            part = slice(None) if len(same) == len(keys) else same  # no copy for all
-            groups.append((np.array(members)[same], act, via, d[part, :n], at[part, :n],
+            groups.append((np.array(members)[same], act, via, d[same, :n], at[same, :n],
                            up[same[0], :n]))
     return groups
 
@@ -306,8 +305,9 @@ def _kernel_terms(groups, g, order, dinv=None, W=None):
     for items, act, via, d, at, up in groups:
         h, m = _diagonal_series(d, at, order, dinv is not None)
         full = act.size == dim
-        # copies that keep g's layout, so that each item's matrix products
-        # are those of its stack of one
+        # not only a shortcut: g is transposed on the X_J v route, g[items]
+        # keeps its strides where the three-axis index copies C-contiguous,
+        # and matmul rounds the two differently (compare's last digits move)
         ga = g[items] if full else g[items[:, None, None], act[:, None], act]
         Wa = None if W is None else W[items] if full else W[items][..., act]
         scale = None if dinv is None else dinv[items][:, act]

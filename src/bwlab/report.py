@@ -146,9 +146,9 @@ def render_table(report: dict) -> str:
 
 def write_csv(path, rows):
     """Scan rows as CSV: header lambda,difference,predicted,ratio.  An
-    undefined (NaN) ratio is written as an empty field."""
+    undefined ratio (None) is written as an empty field."""
     with open(path, "w") as fh:
         fh.write("lambda,difference,predicted,ratio\n")
         for lam, diff, pred, ratio in rows:
-            ratio_text = "" if math.isnan(ratio) else f"{ratio:.17g}"
+            ratio_text = "" if ratio is None else f"{ratio:.17g}"
             fh.write(f"{lam:.17g},{diff:.17g},{pred:.17g},{ratio_text}\n")

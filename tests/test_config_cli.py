@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 import bwlab.config
+import bwlab.errors
 import bwlab.identities
 import bwlab.pipeline
 import bwlab.propagators
 import bwlab.quadrature
 import bwlab.report
 from bwlab import (
+    BwlabError,
     ConfigError,
     ModelConfig,
     OracleTrackingError,
@@ -27,7 +29,7 @@ from bwlab import (
     emit_config,
     parse_config,
 )
-from bwlab.cli import _load, build_parser, main
+from bwlab.cli import ABORTS, _load, build_parser, main
 from bwlab.config import config_hash
 from bwlab.identities import identity_suite, suite_passes
 from bwlab.pipeline import reference_state
@@ -62,6 +64,9 @@ def test_empty_config_uses_dirac_preset():
 
 
 def test_full_roundtrip():
+    # a symmetric 16 x 16 delta matrix for the dim-16 basis
+    delta = tuple(tuple(0.1 * (1 + min(i, j)) / (1 + abs(i - j)) for j in range(16))
+                  for i in range(16))
     text = """
 [spectrum]
 positive_energies = 1.0, 1.5
@@ -73,7 +78,7 @@ scale = 0.2
 preset = random-symmetric
 [interaction.delta]
 scale = 0.03
-matrix = 0.1 0.2; 0.2 0.3
+matrix = """ + "; ".join(" ".join(map(repr, row)) for row in delta) + """
 [integration]
 j_order = 1
 [bw]
@@ -88,7 +93,7 @@ state_index = 1
     assert cfg.model == ModelConfig(
         positive_energies=(1.0, 1.5), negative_energies=(-1.2, -1.7), seed=9,
         coulomb_scale=0.2, coulomb_matrix="random-symmetric",
-        delta_scale=0.03, delta_matrix=((0.1, 0.2), (0.2, 0.3)),
+        delta_scale=0.03, delta_matrix=delta,
     )
     assert (cfg.j_order, cfg.bw_order, cfg.bw_max_iter, cfg.bw_tol, cfg.state_index) == (
         1, 2, 50, 1e-10, 1)
@@ -183,12 +188,14 @@ def test_dataclasses_accept_numpy_integers():
 
 def test_emit_config_text():
     """The canonical text, which config_hash digests, byte for byte."""
-    cfg = parse_config(MINIMAL + "[interaction.coulomb]\nscale = 1\nmatrix = 1 2; 2 1\n"
+    cfg = parse_config(dim4_text() + "[interaction.coulomb]\nscale = 1\n"
+                       "matrix = 1 2 0 0; 2 1 0 0; 0 0 1 0; 0 0 0 1\n"
                        "[interaction.delta]\npreset = random-symmetric\n")
     assert emit_config(replace(cfg, model=replace(cfg.model, coulomb_scale=1))) == (
-        "[spectrum]\npositive_energies = 1.0, 1.5\nnegative_energies = -1.2, -1.7\n\n"
+        "[spectrum]\npositive_energies = 1.0\nnegative_energies = -1.2\n\n"
         "[interaction]\nseed = 1\n\n"
-        "[interaction.coulomb]\nscale = 1\nmatrix = 1.0 2.0; 2.0 1.0\n\n"
+        "[interaction.coulomb]\nscale = 1\n"
+        "matrix = 1.0 2.0 0.0 0.0; 2.0 1.0 0.0 0.0; 0.0 0.0 1.0 0.0; 0.0 0.0 0.0 1.0\n\n"
         "[interaction.delta]\nscale = 0.05\npreset = random-symmetric\n\n"
         "[integration]\nj_order = 2\n\n"
         "[bw]\norder = 3\nmax_iter = 200\ntol = 1e-12\n\n"
@@ -780,22 +787,44 @@ CONFIG_ERRORS = {
     "asymmetric matrix": (dim4_text() + "[interaction.coulomb]\n"
                           "matrix = 1 0 0 0; 0.5 1 0 0; 0 0 1 0; 0 0 0 1\n",
                           "explicit interaction matrix is not symmetric"),
+    "duplicate level": ("[spectrum]\npositive_energies = 1.0, 1.0\nnegative_energies = -1.2\n",
+                        "duplicate energy in spectrum"),
+    "huge level": ("[spectrum]\npositive_energies = 1e308\nnegative_energies = -1e308\n",
+                   "energy 1e+308 is not below 1e+150 in magnitude"),
 }
 
 
 @pytest.mark.parametrize("name", CONFIG_ERRORS)
 def test_cli_config_error_one_line_exit2(tmp_path, capsys, name):
+    """Each config error ends verify, compare and scan alike: exit 2, its
+    one stderr line and no stdout (scan runs no point on it)."""
     text, message = CONFIG_ERRORS[name]
     path = tmp_path / "cfg.ini"
     if isinstance(text, bytes):
         path.write_bytes(text)
     else:
         path.write_text(text)
-    code = main(["compare", "--config", str(path)])
-    out, err = capsys.readouterr()
-    assert code == 2
-    assert out == ""
-    assert err.splitlines() == [f"config error: {message}"]
+    for command in ("verify", "compare", "scan"):
+        code = main([command, "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert (command, code, out, err.splitlines()) == (
+            command, 2, "", [f"config error: {message}"])
+
+
+def test_every_package_error_has_an_abort_row():
+    """Each BwlabError subclass of errors.py takes the ABORTS row of the
+    first class in its MRO that has one: a QuadratureConvergenceError is a
+    nonconvergence."""
+    classes = [c for c in vars(bwlab.errors).values()
+               if isinstance(c, type) and issubclass(c, BwlabError) and c is not BwlabError]
+    rows = {c.__name__: next(ABORTS[k] for k in c.__mro__ if k in ABORTS) for c in classes}
+    assert rows == {
+        "ConfigError": ("config error", 2),
+        "DegenerateDenominatorError": ("degenerate denominator", 3),
+        "OracleTrackingError": ("model oracle", 5),
+        "ConvergenceError": ("nonconvergence", 4),
+        "QuadratureConvergenceError": ("nonconvergence", 4),
+    }
 
 
 def test_cli_verify_weak_coupling_oracle_exit4(tmp_path, capsys):

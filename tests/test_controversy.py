@@ -475,7 +475,7 @@ def one_point_scan(cfg, lams):
             failures.append((lam, f"{type(exc).__name__}: {exc}"))
             continue
         ratio = (rep.difference / rep.predicted_difference if rep.predicted_difference != 0.0
-                 else float("nan"))
+                 else None)
         rows.append((lam, rep.difference, rep.predicted_difference, ratio))
     return rows, failures
 

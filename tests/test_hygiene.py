@@ -1,7 +1,7 @@
 """Static checks on the package source: no unused imports, no imports
 inside functions except the one that breaks a real import cycle, no
 definition that nothing names, no private definition that only tests read,
-and no handler of a package error outside the few places that turn one
+and no handler of a package error outside the two places that turn one
 into an outcome."""
 
 import ast
@@ -24,13 +24,11 @@ READERS = [*MODULES, *sorted((ROOT / "tests").glob("*.py")),
 ALLOWED_LOCAL_IMPORTS = {("controversy.py", "coupling_scan", "pipeline")}
 
 #: (module, function, caught class) of the allowed handlers of BwlabError and
-#: its subclasses: the one rule that makes an item of a stack fail alone, the
-#: lock-step BW's ConvergenceError outcome, and the CLI's exit codes
+#: its subclasses: the one rule that makes an item of a stack fail alone, and
+#: the CLI's one table of exit codes
 ALLOWED_ERROR_HANDLERS = {
     ("bw.py", "each_alone", "BwlabError"),
-    ("bw.py", "bw_lockstep", "ConvergenceError"),
-    *(("cli.py", "main", name) for name in ("ConfigError", "DegenerateDenominatorError",
-                                            "ConvergenceError", "OracleTrackingError")),
+    ("cli.py", "main", "BwlabError"),
 }
 
 
@@ -160,13 +158,13 @@ def _handlers(node, function, errors):
 
 
 def test_package_errors_are_caught_only_where_allowed():
-    """A BwlabError is data only where each_alone splits a stack, where
-    bw_lockstep keeps a ConvergenceError as a problem's outcome, and where
-    cli.main maps it to an exit code; every other stage lets it propagate."""
+    """A BwlabError is data only where each_alone splits a stack and where
+    cli.main maps it to an exit code; every other stage lets it propagate
+    (or, as BW's secant search, returns it)."""
     errors = _package_errors()
     found = {(path.name, *handler) for path in MODULES
              for handler in _handlers(_tree(path), None, errors)}
-    assert sorted(found - ALLOWED_ERROR_HANDLERS) == []
+    assert sorted(found) == sorted(ALLOWED_ERROR_HANDLERS)
 
 
 def test_quadrature_imports_nothing_of_the_engine():

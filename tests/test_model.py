@@ -48,6 +48,14 @@ def test_spectrum_rejects_zero_or_non_finite_energy(energies):
         SingleParticleSpectrum(energies)
 
 
+@pytest.mark.parametrize("energies", [(1e150, -1.0), (1e160, 2.0, -1.0),
+                                      (1e200, 2e200, -1.0), (1.0, -1e308)])
+def test_spectrum_rejects_level_of_max_level_or_more(energies):
+    with pytest.raises(ConfigError, match=r"is not below 1e\+150 in magnitude"):
+        SingleParticleSpectrum(energies)
+    assert SingleParticleSpectrum((9.9e149, -9.9e149)).n == 2
+
+
 def test_signs_follow_the_energies():
     s = SingleParticleSpectrum((1.5, -1.2, 1.0, -2.0))
     assert s.signs == (1, -1, 1, -1)

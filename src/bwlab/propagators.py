@@ -35,9 +35,10 @@ quadrature oracle (quadrature module) is the independent check of both.
 The engine works on a stack of items, one energy, g and row block W each;
 xj_matrix and xj_matrix_ssum_route are its stacks of one, and j_series
 and sandwich_integral its stacks of matrices at one energy.
-_pole_groups finds each item's poles once and groups the items that share
-their active pairs, cluster counts and pole order m (2 where both poles of
-a pair merge, at a mixed-pair energy); a scan chunk is usually one group.
+_pole_groups clusters the poles of the items that share their active pairs
+in one residues.clustered_poles call and groups those that also share their
+cluster starts and pole order m (2 where both poles of a pair merge, at a
+mixed-pair energy); a scan chunk is usually one group.
 Groups are not padded to one count or m: BLAS may round a product's row
 differently with the number of rows, and an item keeps its one-point bits.
 
@@ -147,23 +148,6 @@ def contour_integral_Finv(spectrum, basis, E):
     return np.diag(out)
 
 
-def _finv_poles(spectrum, E, pairs):
-    """Poles of F^-1 on the given pair indices at each energy of the stack E:
-    positions (a row per energy: S1 poles, then S2 poles), whether each is
-    upper (the same at every E), and per energy the (upper, lower) cluster
-    positions, from each state's pole once, after the pinch aborts."""
-    e = np.asarray(spectrum.energies)
-    i, j = np.divmod(pairs, spectrum.n)  # pair index k = i * n + j
-    half = E[:, None] / 2
-    pos = np.concatenate([e[i] - half, half - e[j]], axis=1)
-    pos_up = np.concatenate([e[i] <= 0, e[j] > 0])
-    s1, s2 = ([spectrum.energies[k] for k in set(ks.tolist())] for ks in (i, j))
-    clusters = [tuple([p for p, _ in side] for side in clustered_poles(
-        [(a - h, UPPER if a <= 0 else LOWER) for a in s1]
-        + [(h - b, UPPER if b > 0 else LOWER) for b in s2])) for h in (E / 2).tolist()]
-    return pos, pos_up, clusters
-
-
 def _diagonal_series(d, at, order, ssum):
     """u^m times the diagonal factor about each pole cluster x[p, c] of each
     item p (u = eps - x[p, c]): F^-1 = S1 S2, or S1 + S2 on the S-sum route.
@@ -246,35 +230,42 @@ def _residue_terms(h, m, g, order, scale, via=None, W=None):
 
 def _pole_groups(spectrum, E, g):
     """Groups (items, act, via, d, at, up) of the items of a stack (E[p], g[p])
-    that share their active pairs act (a nonzero row or column of g), their
-    numbers of upper and lower pole clusters and their pole order m.  via marks
-    the pairs whose chains close downwards, up the upper clusters; d and at go
-    to _diagonal_series.  Each item's poles are found and checked for pinches
-    once; an item with no active pair or no pole on one side is in no group."""
+    that share their active pairs act (a nonzero row or column of g), the
+    starts of their pole clusters and their pole order m.  via marks the pairs
+    whose chains close downwards, up the upper clusters; d and at go to
+    _diagonal_series.  One clustered_poles call per act clusters the poles of
+    all its items, each state's pole once, and checks them for pinches; an
+    item with no active pair or no pole on one side is in no group."""
+    n, e = spectrum.n, np.asarray(spectrum.energies)
+    upper = np.concatenate([e <= 0, e > 0])  # the S1 pole, then the S2 pole, of each state
     active = g.any(axis=-1) | g.any(axis=-2)
     patterns = [row.tobytes() for row in active]
     groups = []
     for pattern in dict.fromkeys(patterns):
-        members = [p for p, k in enumerate(patterns) if k == pattern]
+        members = np.flatnonzero([k == pattern for k in patterns])
         act = np.flatnonzero(active[members[0]])
-        if not act.size:
+        cols = np.concatenate([act // n, n + act % n])  # pair k = i * n + j: poles i, then n + j
+        pos_up = upper.take(cols)
+        if not 0 < np.count_nonzero(pos_up) < cols.size:  # also where act is empty
             continue
-        pos, pos_up, clusters = _finv_poles(spectrum, E[members], act)
+        half = E.take(members)[:, None] / 2
+        poles = np.concatenate([e - half, half - e], axis=1)
+        once = np.bincount(cols, minlength=2 * n) > 0
+        (xu, su), (xl, sl) = clustered_poles(poles.compress(once, axis=1), upper.compress(once))
+        pos = poles.take(cols, axis=1)
         via = pos_up[: act.size] & pos_up[act.size:]
-        rows = [upper + (lower if via.any() else []) for upper, lower in clusters]
-        width = max(map(len, rows))  # shorter rows padded with nan, a cluster at no pole
-        x = np.array([row + [np.nan] * (width - len(row)) for row in rows])
-        up = np.array([[c < len(upper) for c in range(width)] for upper, _ in clusters])
+        x, start = ((np.concatenate([xu, xl], axis=1), np.concatenate([su, sl], axis=1))
+                    if via.any() else (xu, su))  # the lower clusters take part where via
         d = x[..., None] - pos[:, None, :]
-        tol = MERGE_TOL * np.maximum(1.0, np.abs(pos))[:, None]
-        at = (pos_up == up[..., None]) & (np.abs(d) <= tol)
-        double = (at[..., :act.size] & at[..., act.size:]).any(axis=(1, 2)).tolist()
-        keys = [(len(upper), len(lower), m) for (upper, lower), m in zip(clusters, double)]
-        for key in {k for k in keys if k[0] and k[1]}:
+        # no pole of the other side is this close to a cluster: it would have pinched
+        at = np.abs(d) <= MERGE_TOL * np.maximum(1.0, np.abs(pos))[:, None]
+        double = (start[..., None] & at[..., :act.size] & at[..., act.size:]).any(axis=(1, 2))
+        keys = list(zip([row.tobytes() for row in start], double.tolist()))
+        up = np.arange(x.shape[1]) < xu.shape[1]
+        for key in dict.fromkeys(keys):
             same = [p for p, k in enumerate(keys) if k == key]
-            n = len(rows[same[0]])
-            groups.append((np.array(members)[same], act, via, d[same, :n], at[same, :n],
-                           up[same[0], :n]))
+            c = start[same[0]]  # the group's clusters, where its items' clusters start
+            groups.append((members[same], act, via, d[same][:, c], at[same][:, c], up[c]))
     return groups
 
 

@@ -15,6 +15,8 @@ Repeated positions on the same side are confluent poles; their residues
 use the derivative formula, implemented as a truncated Taylor product of
 the remaining factors.  A pole pair closing in on the same position from
 opposite sides pinches the contour: the limit diverges and we abort.
+clustered_poles clusters the poles of a whole stack in one pass, for the
+propagators engine and, as a stack of one, for pole_product_integral.
 """
 
 from __future__ import annotations
@@ -32,20 +34,6 @@ PINCH_TOL = 1e-10
 
 #: same-side poles within this distance are treated as one confluent pole
 MERGE_TOL = 1e-12
-
-
-def _cluster(positions):
-    """Group sorted positions into (position, multiplicity) clusters."""
-    if not positions:
-        return []
-    pos = sorted(positions)
-    out = [[pos[0], 1]]
-    for p in pos[1:]:
-        if abs(p - out[-1][0]) <= MERGE_TOL * max(1.0, abs(p)):
-            out[-1][1] += 1
-        else:
-            out.append([p, 1])
-    return [(p, m) for p, m in out]
 
 
 def _series_coeffs(groups, skip_index, order):
@@ -67,46 +55,64 @@ def _series_coeffs(groups, skip_index, order):
     return coef
 
 
-def clustered_poles(poles):
-    """Same-side clusters [(position, multiplicity)] of the given poles, as
-    (upper, lower), after the pinch and near-coincidence aborts.
+def clustered_poles(pos, upper):
+    """Same-side pole clusters of a whole stack of pole sets in one pass,
+    after the pinch and near-coincidence aborts.  pos: (items, k) positions;
+    upper: (k,) True for the poles above the real axis, alike for every item.
+    Returns (upper, lower), per side (x, start): its positions sorted per
+    item, and True where a cluster starts.  A pole joins the cluster before
+    it when within MERGE_TOL max(1, |p|) of that cluster's first pole, whose
+    position is the cluster's.  With both sides occupied, an item aborts on
+    opposite-side clusters, then on adjacent same-side ones, closer than
+    PINCH_TOL max(1, max |p|); the first failing item raises."""
+    sides = [pos.compress(s, axis=1) for s in (upper, ~upper)]
+    for x in sides:
+        x.sort()
+    ordered = np.sort(pos)
+    if not (ordered[:, 1:] - ordered[:, :-1] < PINCH_TOL * np.abs(pos).max(initial=1.0)).any():
+        return [(x, np.ones(x.shape, dtype=bool)) for x in sides]  # a cluster each, no abort
 
-    poles: iterable of (position, side) with side UPPER (+1) or LOWER (-1).
-    When either half-plane is empty the contour closes in it, the integral
-    vanishes and no abort applies.
-    """
-    poles = list(poles)
-    scale = max(1.0, max(abs(p) for p, _ in poles))
-    upper = _cluster([p for p, s in poles if s == UPPER])
-    lower = _cluster([p for p, s in poles if s == LOWER])
-    if not upper or not lower:
-        return upper, lower
-
-    for pu, _ in upper:
-        for pl, _ in lower:
-            if abs(pu - pl) < PINCH_TOL * scale:
-                raise DegenerateDenominatorError(
-                    f"pinched pole pair at eps = {pu:.6g} (opposite half-planes)"
-                )
-    for side in (upper, lower):
-        for (p1, _), (p2, _) in zip(side, side[1:]):
-            if abs(p1 - p2) < PINCH_TOL * scale:
-                raise DegenerateDenominatorError(
-                    f"near-coincident poles at eps = {p1:.6g} (ill-conditioned)"
-                )
-    return upper, lower
+    near = PINCH_TOL * np.abs(pos).max(axis=1, initial=1.0)[:, None]
+    out = []
+    for x in sides:
+        tol = MERGE_TOL * np.maximum(1.0, np.abs(x))
+        start = np.ones(x.shape, dtype=bool)
+        start[:, 1:] = np.diff(x) > tol[:, 1:]  # too far from the pole before it
+        while True:  # or, after two merges in a row, from its cluster's first pole
+            first = np.take_along_axis(x, np.maximum.accumulate(
+                np.where(start, np.arange(x.shape[1]), 0), axis=1), axis=1)
+            late = ~start & (x - first > tol)
+            if not late.any():
+                break
+            start |= late & (late.cumsum(axis=1) == 1)  # the first per item moves the later firsts
+        out.append((x, start, first))
+    (xu, su, fu), (xl, sl, fl) = out
+    pinched = su & (sl[:, None] & (np.abs(xu[..., None] - xl[:, None]) < near[..., None])).any(2)
+    crowded = [s[:, 1:] & (x[:, 1:] - f[:, :-1] < near) for x, s, f in out]  # adjacent clusters
+    failed = np.concatenate([pinched, *crowded], axis=1)
+    if xu.shape[1] and xl.shape[1] and failed.any():  # the first failing item's first failure
+        p, c = divmod(int(failed.argmax()), failed.shape[1])
+        at = np.concatenate([xu, fu[:, :-1], fl[:, :-1]], axis=1)[p, c]
+        raise DegenerateDenominatorError(
+            f"pinched pole pair at eps = {at:.6g} (opposite half-planes)" if c < xu.shape[1]
+            else f"near-coincident poles at eps = {at:.6g} (ill-conditioned)")
+    return [(x, start) for x, start, _ in out]
 
 
 def pole_product_integral(poles, prefactor=1.0):
     """i * int deps/2pi of prefactor * prod 1/(eps - p) over the given poles.
 
-    poles: iterable of (position, side) with side UPPER (+1) or LOWER (-1).
+    poles: iterable of (position, side) with side UPPER (+1) or LOWER (-1),
+    clustered by clustered_poles as a stack of one.
     Returns a float (all positions are real in the eta -> 0 limit).
     """
     poles = list(poles)
     if not poles:
         raise ValueError("empty pole product")
-    upper, lower = clustered_poles(poles)
+    pos, sides = np.array(poles, dtype=float).T
+    # (position, multiplicity) per cluster, on each side
+    upper, lower = ([*zip(x[0, start[0]].tolist(), np.bincount(start[0].cumsum() - 1).tolist())]
+                    for x, start in clustered_poles(pos[None], sides == UPPER))
 
     # all poles on one side: the contour closes in the empty half-plane
     if not upper or not lower:
@@ -117,10 +123,5 @@ def pole_product_integral(poles, prefactor=1.0):
     else:
         side, groups, other = +1.0, lower, upper
     merged = groups + other
-
-    total = 0.0
-    for idx in range(len(groups)):
-        m = groups[idx][1]
-        coef = _series_coeffs(merged, idx, m)
-        total += coef[m - 1]
-    return prefactor * side * total
+    return prefactor * side * sum(_series_coeffs(merged, idx, m)[m - 1]
+                                  for idx, (_, m) in enumerate(groups))

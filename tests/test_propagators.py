@@ -25,16 +25,48 @@ from bwlab.quadrature import quadrature_chain
 from bwlab.model import SingleParticleSpectrum, dirac_like_energies
 from bwlab import propagators
 from bwlab.propagators import ChainIntegrator
-from bwlab.residues import LOWER, UPPER, _cluster, _series_coeffs, pole_product_integral
+from bwlab.residues import (
+    LOWER, MERGE_TOL, PINCH_TOL, UPPER, _series_coeffs, clustered_poles, pole_product_integral,
+)
 from conftest import energy_away_from_poles, random_spectrum
+
+
+def as_clusters(x, start):
+    """[(position, multiplicity)] of one item's side from clustered_poles."""
+    return [(float(x[c]), int(m))
+            for c, m in zip(np.flatnonzero(start), np.bincount(start.cumsum() - 1))]
+
+
+def pole_by_pole_clusters(poles):
+    """The clustering rule applied one sorted pole at a time, the reference
+    for clustered_poles: (upper, lower) [(position, multiplicity)] of the
+    given (position, side) poles, or the message of the abort."""
+    scale = max(1.0, max(abs(p) for p, _ in poles))
+    clusters = ([], [])
+    for side, out in zip((UPPER, LOWER), clusters):
+        for p in sorted(p for p, s in poles if s == side):
+            if out and abs(p - out[-1][0]) <= MERGE_TOL * max(1.0, abs(p)):
+                out[-1] = (out[-1][0], out[-1][1] + 1)
+            else:
+                out.append((p, 1))
+    upper, lower = clusters
+    if upper and lower:
+        for pu, _ in upper:
+            if any(abs(pu - pl) < PINCH_TOL * scale for pl, _ in lower):
+                return f"pinched pole pair at eps = {pu:.6g} (opposite half-planes)"
+        for side in clusters:
+            for (p1, _), (p2, _) in zip(side, side[1:]):
+                if abs(p1 - p2) < PINCH_TOL * scale:
+                    return f"near-coincident poles at eps = {p1:.6g} (ill-conditioned)"
+    return clusters
 
 
 def residue_sum_check(poles, prefactor=1.0):
     """Difference between the two closures (zero for a correct engine when
     the integrand decays at least like eps^-2)."""
-    poles = list(poles)
-    upper = _cluster([p for p, s in poles if s == UPPER])
-    lower = _cluster([p for p, s in poles if s == LOWER])
+    pos, sides = zip(*poles)
+    upper, lower = (as_clusters(x[0], start[0])
+                    for x, start in clustered_poles(np.array([pos]), np.equal(sides, UPPER)))
     if not upper or not lower:
         return 0.0
     merged_u = upper + lower
@@ -114,6 +146,62 @@ def test_pole_product_closure_consistency():
 def test_pole_product_pinch_aborts():
     with pytest.raises(DegenerateDenominatorError):
         pole_product_integral([(0.5, LOWER), (0.5 + 1e-12, UPPER)])
+
+
+def test_clustered_poles_merge_from_the_first_pole():
+    """Three same-side poles, each within MERGE_TOL of its neighbour but the
+    outer two farther apart: the third is too far from its cluster's first
+    pole, so it starts a cluster of its own, which the first one crowds.  A
+    fourth pole close to the third joins the third's cluster, not a new one."""
+    pos = np.array([[0.0, 0.8 * MERGE_TOL, 1.6 * MERGE_TOL]])
+    (_, start), (_, lower) = clustered_poles(pos, np.array([True, True, True]))
+    assert start.tolist() == [[True, False, True]] and lower.shape == (1, 0)
+    (_, start), _ = clustered_poles(np.array([[0.0, 0.6, 1.2, 1.8]]) * MERGE_TOL, np.ones(4, bool))
+    assert start.tolist() == [[True, False, True, False]]
+    with pytest.raises(DegenerateDenominatorError, match="near-coincident poles at eps = 0 "):
+        clustered_poles(np.append(pos, [[5.0]], axis=1), np.array([True, True, True, False]))
+
+
+def test_clustered_poles_equals_the_pole_by_pole_rule():
+    """Random stacks of pole sets a few MERGE_TOL, tens of them or far apart:
+    each item's clusters, or the first failing item's message, are those of
+    the rule applied one pole at a time."""
+    rng = np.random.default_rng(3)
+    raised = 0
+    for _ in range(400):
+        k, items = rng.integers(2, 7), rng.integers(1, 4)
+        base = rng.choice([0.0, -3.0, 1e3])
+        steps = rng.choice([0.0, 0.6, 1.2, 30.0, 1e3], (items, k)) * rng.choice([1, -1], k)
+        pos = base + np.cumsum(steps, axis=1) * MERGE_TOL * max(1.0, abs(base))
+        upper = rng.random(k) < 0.6
+        want = [pole_by_pole_clusters([*zip(row.tolist(), np.where(upper, UPPER, LOWER))])
+                for row in pos]
+        failed = [w for w in want if isinstance(w, str)]
+        if failed:
+            with pytest.raises(DegenerateDenominatorError) as aborted:
+                clustered_poles(pos, upper)
+            assert str(aborted.value) == failed[0]
+            raised += 1
+        else:
+            got = clustered_poles(pos, upper)
+            assert [tuple(as_clusters(x[p], start[p]) for x, start in got)
+                    for p in range(items)] == want
+    assert 50 < raised < 350
+
+
+def test_clustered_poles_pinch_before_near_coincidence():
+    """Within an item a pinch is raised before a near-coincidence, also one
+    at a lower position; across a stack the first failing item raises."""
+    upper = np.array([True, True, True, False])
+    near = [0.0, 30 * MERGE_TOL, 3.0, 7.0]  # two upper poles closer than PINCH_TOL
+    pinch = [-4.0, 0.0, 5.0, 5.0 + MERGE_TOL]  # an upper and a lower pole at 5
+    both = [0.0, 30 * MERGE_TOL, 5.0, 5.0 + MERGE_TOL]
+    assert 30 * MERGE_TOL < PINCH_TOL
+    for stack, message in (([both], "pinched pole pair at eps = 5 "),
+                           ([near, pinch], "near-coincident poles at eps = 0 "),
+                           ([pinch, near], "pinched pole pair at eps = 5 ")):
+        with pytest.raises(DegenerateDenominatorError, match=message):
+            clustered_poles(np.array(stack), upper)
 
 
 def test_contour_integral_values(dim4):
@@ -484,8 +572,8 @@ def test_xj_stack_items_equal_one_point_builds(order):
     g = np.array([g0, 1.3 * g0, 0.7 * g0, g0, positive, 0.0 * g0, 0.9 * g0, two, two])
     v = rng.uniform(-1.0, 1.0, size=(len(E), basis.dim))
     groups = propagators._pole_groups(spectrum, E, g)
-    assert sorted(items.tolist() for items, *_ in groups) == [[0, 2, 6], [1, 3], [4], [7], [8]]
-    assert sorted(up.size for *_, up in groups) == [2, 3, 3, 4, 6]  # clusters
+    assert sorted(items.tolist() for items, *_ in groups) == [[0, 2, 6], [1], [3], [4], [7], [8]]
+    assert sorted(up.size for *_, up in groups) == [2, 3, 3, 4, 4, 6]  # clusters
     with pytest.raises(DegenerateDenominatorError):
         xj_matrix_ssum_route(spectrum, basis, E[1], g[1], order)
     ssum = np.array([0, 2, 4, 5, 6])
@@ -506,3 +594,36 @@ def test_xj_stack_items_equal_one_point_builds(order):
         assert bits(direct) == bits(one(xj_matrix, p) for p in ssum)
         assert bits(alt) == bits(one(xj_matrix_ssum_route, p) for p in ssum)
         assert bits(stack(ssum, ("ssum",))[0]) == bits(alt)
+
+
+def test_stacked_pole_search_equals_one_item_calls():
+    """One pole search over a stack that mixes ordinary energies, a mixed-pair
+    energy (a double pole), a pinched energy and a near-coincident one: the
+    other items get the pole groups of their one-item calls bit for bit, and
+    the stack raises the message of its first failing item alone."""
+    spectrum = SingleParticleSpectrum.from_lists((1.0, 1.5), (-1.2,))
+    basis = build_basis(spectrum)
+    m = np.random.default_rng(5).uniform(-1.0, 1.0, size=(basis.dim, basis.dim))
+    # 0.3 = -1.2 + 1.5: a double pole; 2.0 = 1.0 + 1.0: the poles of that ++
+    # pair pinch; near -0.2 = -1.2 + 1.0 the upper poles of those states lie
+    # 3e-11 apart: farther than MERGE_TOL, closer than PINCH_TOL
+    E = np.array([2.07, 0.3, 2.0, -0.2 + 3e-11, 2.31, 2.6])
+    g = np.broadcast_to(0.05 * (m + m.T), (len(E), basis.dim, basis.dim))
+
+    def rows(items):
+        out = {}
+        for members, act, via, d, at, up in propagators._pole_groups(spectrum, E[items], g[items]):
+            for r, p in enumerate(members.tolist()):
+                out[items[p]] = [a.tobytes() for a in (act, via, d[r], at[r], up)]
+        return out
+
+    def message(items):
+        with pytest.raises(DegenerateDenominatorError) as aborted:
+            rows(items)
+        return str(aborted.value)
+
+    ok = [0, 1, 4, 5]
+    assert rows(ok) == {p: rows([p])[p] for p in ok}
+    assert "pinched" in message([2]) and "near-coincident" in message([3])
+    assert message(list(range(len(E)))) == message([2])
+    assert message([0, 3, 1, 2]) == message([3])

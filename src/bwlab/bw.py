@@ -8,9 +8,10 @@ The expansion keeps the exact energy E in every denominator:
 with V allowed to depend on E itself, so the total energy is a root of
 f(E) = E_c + Delta E(E) - E.  It is found by a safeguarded secant
 iteration that falls back on the plain (or damped) fixed-point step
-E <- E_c + Delta E(E).  V enters only applied to vectors: the caller
-passes a function of E that returns the operator x -> V(E) x, and no
-dense V is required.  G is kept in the form H_c has, a symmetric block
+E <- E_c + Delta E(E) (_secant).  Its stopping rule, TOL and MAX_ITER, is
+fixed: no run setting changes it.  V enters only applied to vectors: the
+caller passes a function of E that returns the operator x -> V(E) x, and
+no dense V is required.  G is kept in the form H_c has, a symmetric block
 plus a diagonal: the eigenpairs of the block, taken once by the no-pair
 solve, and the diagonal outside it give G_Q at every E, at the cost of two
 block-sized matrix-vector products and one scaling per application.
@@ -34,12 +35,13 @@ from .errors import BwlabError, ConvergenceError, DegenerateDenominatorError
 
 MAX_ORDER = 3
 
-#: defaults: iterations before ConvergenceError; converged step / max(1, |E_c|)
+#: the stopping rule of every BW solve (_secant): iterations before
+#: ConvergenceError; converged step / max(1, |E_c|)
 MAX_ITER = 200
 TOL = 1e-12
 
 #: a secant step longer than this many plain fixed-point steps is not taken,
-#: unless successive secant steps agree (bw_selfconsistent)
+#: unless successive secant steps agree (_secant)
 SECANT_MAX_RATIO = 4.0
 
 #: successive secant steps agree when their predicted roots differ by at most
@@ -192,12 +194,28 @@ def bw_terms(resolvent: Resolvent, h_delta_of_E, E, psi_c, order):
     return np.array(terms).T
 
 
-def _secant(E_c, max_iter, tol):
-    """The root search of one problem: a generator that yields each E where
-    it needs the terms, receives them (a list), and returns its outcome, the
-    EnergyLedger or a ConvergenceError: after max_iter iterations, or at
-    once on a non-finite E.  bw_selfconsistent's rule."""
-    scale_tol = tol * max(1.0, abs(E_c))
+def _secant(E_c):
+    """The root search of f(E) = E_c + sum_n Delta E^(n)(E) - E for one
+    problem, from E = E_c: a generator that yields each E where it needs
+    the terms, receives them (a list), and returns the EnergyLedger or a
+    ConvergenceError.  Each iteration evaluates f once.  From the second
+    iteration on, the step is the secant step through the last two
+    evaluations, -f (E - E_prev) / (f - f_prev).  The plain fixed-point
+    step E <- E_c + sum_n Delta E^(n)(E) (step f) is taken instead on the
+    first iteration, when the secant step is undefined (f == f_prev), or
+    when it is more than SECANT_MAX_RATIO plain steps long, unless the
+    previous iteration's secant step predicted the same root to within
+    SECANT_AGREE_TOL of the step: f is then close to linear over the last
+    three evaluations, and the long step is taken (near dSum Delta E/dE = 1
+    the root is many plain steps away).  The plain step is damped on
+    oscillation (sign-flipping values of f that do not shrink): the damping
+    halves, starting at 1/2, floor 1/64.  The iteration stops when |f|
+    falls below TOL * max(1, |E_c|); E is then set to
+    E_c + sum_n Delta E^(n)(E) and the terms are evaluated once more there,
+    and residual is |f| at that E.  It fails after MAX_ITER iterations, or
+    at once on a non-finite E.
+    """
+    scale_tol = TOL * max(1.0, abs(E_c))
     E = E_c
     damping = 1.0
     last_step = None
@@ -205,7 +223,7 @@ def _secant(E_c, max_iter, tol):
     last_root = None
     it, converged = 0, False
     terms = yield E
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         target = E_c + sum(terms)
         step = target - E
         if abs(step) < scale_tol:
@@ -233,7 +251,7 @@ def _secant(E_c, max_iter, tol):
                           residual=abs(E - (E_c + sum(terms))))
     if converged:
         return ledger
-    return ConvergenceError(f"BW self-consistency did not converge in {max_iter} iterations "
+    return ConvergenceError(f"BW self-consistency did not converge in {MAX_ITER} iterations "
                             f"(last residual {ledger.residual:.3e})", last=ledger)
 
 
@@ -251,10 +269,10 @@ def each_alone(run, items):
     return each_alone(run, items[:half]) + each_alone(run, items[half:])
 
 
-def bw_lockstep(select, E_c, max_iter=MAX_ITER, tol=TOL):
+def bw_lockstep(select, E_c):
     """The BW roots of a stack of problems, found in lock-step.
 
-    Problem i starts at E_c[i] and follows bw_selfconsistent's secant rule.
+    Problem i starts at E_c[i] and follows the secant rule of _secant.
     select(items) returns the stacked term evaluation of the problems
     `items` (an index array): a function of their energies E that returns
     their terms, shape (len(items), order), and raises a BwlabError when an
@@ -266,7 +284,7 @@ def bw_lockstep(select, E_c, max_iter=MAX_ITER, tol=TOL):
     it alone raises, or the ConvergenceError its secant search returns.
     Any other exception propagates.
     """
-    searches = [_secant(float(e), max_iter, tol) for e in E_c]
+    searches = [_secant(float(e)) for e in E_c]
     E = np.array([next(s) for s in searches])
     outcomes = [None] * len(searches)
     items, selected, evaluate = list(range(len(searches))), None, None
@@ -292,32 +310,16 @@ def bw_lockstep(select, E_c, max_iter=MAX_ITER, tol=TOL):
     return outcomes
 
 
-def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=MAX_ORDER,
-                      max_iter=MAX_ITER, tol=TOL):
+def bw_selfconsistent(resolvent: Resolvent, h_delta_of_E, psi_c, E_c, order=MAX_ORDER):
     """Root of f(E) = E_c + sum_n Delta E^(n)(E) - E, starting at E = E_c,
-    for one problem: the stack of one of bw_lockstep.
-
-    Each iteration evaluates f once.  From the second iteration on, the step
-    is the secant step through the last two evaluations, -f (E - E_prev) /
-    (f - f_prev).  The plain fixed-point step E <- E_c + sum_n Delta E^(n)(E)
-    (step f) is taken instead on the first iteration, when the secant step
-    is undefined (f == f_prev), or when it is more than SECANT_MAX_RATIO
-    plain steps long, unless the previous iteration's secant step predicted
-    the same root to within SECANT_AGREE_TOL of the step: f is then close
-    to linear over the last three evaluations, and the long step is taken
-    (near dSum Delta E/dE = 1 the root is many plain steps away).  The plain
-    step is damped on oscillation (sign-flipping values of f that do not
-    shrink): the damping halves, starting at 1/2, floor 1/64.  The
-    iteration stops when |f| falls below tol * max(1, |E_c|); E is then set
-    to E_c + sum_n Delta E^(n)(E) and the terms are evaluated once more
-    there, and residual is |f| at that E.
-    """
+    for one problem, by the secant rule of _secant: the stack of one of
+    bw_lockstep.  Raises the BwlabError that ends the search."""
     psi = np.asarray(psi_c, dtype=float)
 
     def evaluate(E):
         return bw_terms(resolvent, h_delta_of_E, float(E[0]), psi, order)[None]
 
-    (outcome,) = bw_lockstep(lambda items: evaluate, [E_c], max_iter, tol)
+    (outcome,) = bw_lockstep(lambda items: evaluate, [E_c])
     if isinstance(outcome, BwlabError):
         raise outcome
     return outcome

@@ -9,20 +9,21 @@ Sections and keys:
     [interaction.coulomb] scale, preset | matrix
     [interaction.delta]   scale, preset | matrix
     [integration]         j_order
-    [bw]                  order, max_iter, tol
+    [bw]                  order
     [solve]               state_index
 
-Each default is written once, on ModelConfig, on RunConfig below or, for
-the BW solve, in bw (MAX_ORDER, MAX_ITER, TOL); a file without [spectrum]
-keys gets model.dirac_like_energies().  parse_config passes on only the
-keys a file sets.  Lists are comma-separated; explicit matrices use ';'
-between rows and whitespace between entries.  A file that cannot be read or
-is not UTF-8 is a ConfigError.  Unknown sections or keys are rejected by
-name; duplicate keys are rejected by the parser with a line number, and a
-number that is not finite (nan, inf) by the key it stands under.  The
-dataclasses' bounds reject nan and inf too, for configs built in code, and
-a field annotated int rejects a value that is not an integer; ModelConfig
-checks its spectrum and matrices too.
+Each default is written once, on ModelConfig, on RunConfig below or in bw
+(MAX_ORDER); a file without [spectrum] keys gets dirac_like_energies().
+The BW solve's stopping rule is no setting: it is bw's MAX_ITER and TOL.
+parse_config passes on only the keys a file sets.  Lists are
+comma-separated; explicit matrices use ';' between rows and whitespace
+between entries.  A file that cannot be read or is not UTF-8 is a
+ConfigError.  Unknown sections or keys are rejected by name; duplicate
+keys are rejected by the parser with a line number, and a number that is
+not finite (nan, inf) by the key it stands under.  The dataclasses' bounds
+reject nan and inf too, for configs built in code, and a field annotated
+int rejects a value that is not an integer; ModelConfig checks its
+spectrum and matrices too.
 
 The table _FIELDS drives both directions: parse_config reads each key with
 the row's parser, and emit_config writes the rows in order, each value in
@@ -38,22 +39,20 @@ import math
 import os
 from dataclasses import dataclass
 
-from .bw import MAX_ITER, MAX_ORDER, TOL
+from .bw import MAX_ORDER
 from .errors import ConfigError
 from .model import ModelConfig, check_integer_fields, dirac_like_energies
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one command runs on; the reference state is the no-pair
+    """The experiment one command runs; the reference state is the no-pair
     state state_index of the doubly-positive block, and j_order is the
     truncation K of the interaction-kernel geometric series."""
 
     model: ModelConfig
     j_order: int = 2
     bw_order: int = MAX_ORDER
-    bw_max_iter: int = MAX_ITER
-    bw_tol: float = TOL
     state_index: int = 0
 
     def __post_init__(self):
@@ -62,10 +61,6 @@ class RunConfig:
             raise ConfigError("j_order must be >= 1")
         if not 1 <= self.bw_order <= MAX_ORDER:
             raise ConfigError(f"bw.order must be in 1..{MAX_ORDER}")
-        if self.bw_max_iter < 1:
-            raise ConfigError("bw.max_iter must be >= 1")
-        if not 0 < self.bw_tol < math.inf:
-            raise ConfigError("bw.tol must be > 0 and finite")
         if self.state_index < 0:
             raise ConfigError("solve.state_index must be >= 0")
         n_pp = len(self.model.positive_energies) ** 2
@@ -136,8 +131,6 @@ _FIELDS = {
     ("interaction.delta", "matrix"): ("model", "delta_matrix", _matrix),
     ("integration", "j_order"): ("run", "j_order", _int),
     ("bw", "order"): ("run", "bw_order", _int),
-    ("bw", "max_iter"): ("run", "bw_max_iter", _int),
-    ("bw", "tol"): ("run", "bw_tol", _float),
     ("solve", "state_index"): ("run", "state_index", _int),
 }
 

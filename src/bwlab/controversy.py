@@ -114,13 +114,13 @@ def deltaE2b_direct(basis, E, E_c, psi_c, I_c, resolvent, Xv):
 def combined_variant(basis, E, E_c, psi_c, I_c, convention, Xv):
     """<psi_c| (I_c +/- dE) Y |psi_c> with Y = X_J I_c and dE = E - E_c.
 
-    convention "lindgren" carries +dE, "dkz" carries -dE; "dkz-dc-approx"
-    evaluates the dkz combination through the transformed route with every
-    D replaced by D_c (the approximation said to produce the same
-    cancellation), reported for comparison only.  Xv is X_J I_c psi_c at the
-    energy the convention uses: E, or E_c for "dkz-dc-approx".
+    convention "lindgren" carries +dE, "dkz" carries -dE.  Xv is
+    X_J I_c psi_c at the energy the caller takes the kernel at: E for the
+    report's two conventions; compare's combined_dkz_dc_approx is "dkz"
+    with Xv at E_c, every D in the kernel replaced by D_c (the
+    approximation said to produce the same cancellation).
     """
-    if convention not in ("lindgren", "dkz", "dkz-dc-approx"):
+    if convention not in ("lindgren", "dkz"):
         raise ValueError(f"unknown convention '{convention}'")
     sign = 1.0 if convention == "lindgren" else -1.0
     return inner(_row_times(psi_c, I_c) + _column(sign * (E - E_c)) * psi_c, Xv)

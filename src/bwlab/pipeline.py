@@ -15,15 +15,16 @@ exactly as written, with dE = E - E_c taken from the BW solve.  The
 evaluators need the kernel integral only applied to v = I_c psi_c, so the
 run builds X_J v once per energy and route, never the dim x dim X_J.
 
-Each command takes one path.  compare's run_pipeline runs its one point:
-BW (bw.bw_selfconsistent), X_J(E) v on the direct and the S-sum route, the
-convention report, then X_J(E_c) v for dkz-dc-approx and the model oracle
-(eig of the unmixed block), neither of which scan reports.  verify runs
-identities.identity_suite.  scan's pipeline_points runs every point through
-the stacked stages alone, chunk by chunk, a chunk of one too: one stack of
-reference states (one eigh for all their pp blocks), BW in lock-step
-(_bw_stack), then one stacked X_J(E) v build for both routes and one
-stacked convention report (_conventions).
+Each command takes one path.  compare's run_pipeline runs its one point: BW
+(bw.bw_selfconsistent), X_J(E) v on the direct and the S-sum route, the
+convention report, then X_J(E_c) v for combined_dkz_dc_approx (the dkz
+combination with X_J taken at E_c, every D in the kernel replaced by D_c)
+and the model oracle (eig of the unmixed block), neither of which scan
+reports.  verify runs identities.identity_suite.  scan's pipeline_points
+runs every point through the stacked stages alone, chunk by chunk, a chunk
+of one too: one stack of reference states (one eigh for all their pp
+blocks), BW in lock-step (_bw_stack), then one stacked X_J(E) v build for
+both routes and one stacked convention report (_conventions).
 
 A point that aborts fails alone by one rule, bw.each_alone: a stack whose
 run raises a BwlabError is split in two and each half run again.  Three
@@ -164,7 +165,7 @@ def _bw_stack(cfg, st):
             resolvent, h_delta, psi_u = _bw_problem(group.take(items))
             return lambda E: bw_terms(resolvent, h_delta, E, psi_u, cfg.bw_order)
 
-        solved = bw_lockstep(select, group.E_c, cfg.bw_max_iter, cfg.bw_tol)
+        solved = bw_lockstep(select, group.E_c)
         for i, outcome in zip(members, solved):
             outcomes[i] = outcome
     return outcomes
@@ -203,12 +204,11 @@ def pipeline_points(cfg: RunConfig, factors):
 
 def run_pipeline(cfg: RunConfig) -> PipelineResult:
     """compare's one point: reference state, BW, X_J(E) v on both routes and
-    the convention report, then the dkz-dc-approx value from X_J(E_c) v and
-    the model oracle's energy."""
+    the convention report, then combined_dkz_dc_approx, the dkz combination
+    with X_J(E_c) v in place of X_J(E) v, and the model oracle's energy."""
     st = reference_state(cfg)
     spectrum, basis, I_c, g, psi_c = st.spectrum, st.basis, st.I_c, st.g_delta, st.psi_c
-    ledger = bw_selfconsistent(*_bw_problem(st), st.E_c, order=cfg.bw_order,
-                               max_iter=cfg.bw_max_iter, tol=cfg.bw_tol)
+    ledger = bw_selfconsistent(*_bw_problem(st), st.E_c, order=cfg.bw_order)
     rep = ControversyReport()
     if _coupled(st):
         E, E_c, order, v = ledger.E, ledger.E_c, cfg.j_order, I_c @ psi_c
@@ -217,5 +217,5 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
         (rep,) = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, Xv, Xv_alt)
         Xv_c = xj_matrix(spectrum, basis, E_c, g, order, v=v)
         rep.combined_dkz_dc_approx = float(combined_variant(basis, E, E_c, psi_c, I_c,
-                                                            "dkz-dc-approx", Xv_c))
+                                                            "dkz", Xv_c))
     return PipelineResult(st, ledger, rep, model_oracle(spectrum, basis, I_c, g, psi_c))

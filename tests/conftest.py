@@ -1,3 +1,11 @@
+import os
+
+# numpy's BLAS starts one thread per core, and the tests' small matrix
+# products slow tenfold when another process holds a core; this runs before
+# numpy is first imported, so the setting takes effect
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
 import numpy as np
 import pytest
 

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import bwlab.bw
+
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 
@@ -35,3 +37,9 @@ def test_workload_op_passes_its_checks(workloads, tmp_path, name, seed):
     config = workload.write_config(seed, str(tmp_path))
     _, error = workloads.run_op(workload, config, seed)
     assert error is None
+
+
+def test_bench_bw_tolerance_is_the_solvers(workloads):
+    """The benchmark bounds a converged BW residual by its own copy of the
+    solver's tolerance; a changed bw.TOL must not leave that bound stale."""
+    assert workloads.BW_TOL == bwlab.bw.TOL

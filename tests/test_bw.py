@@ -16,7 +16,8 @@ from bwlab import (
     solve_no_pair,
 )
 from bwlab.operators import build_D, projectors
-from bwlab.bw import SECANT_MAX_RATIO, EnergyLedger, bw_lockstep
+import bwlab.bw
+from bwlab.bw import SECANT_MAX_RATIO, TOL, EnergyLedger, bw_lockstep
 from bwlab.controversy import ladder_perturbation
 from bwlab.model import SingleParticleSpectrum
 from conftest import jittered_dim36
@@ -221,11 +222,12 @@ def test_bw_truncation_error_slopes():
         assert abs(slope - (order + 1)) < 0.15
 
 
-def test_bw_nonconvergence_carries_last():
+def test_bw_nonconvergence_carries_last(monkeypatch):
     H_c, V, psi = two_level()
     r = resolvent_of(H_c)
+    monkeypatch.setattr(bwlab.bw, "MAX_ITER", 2)
     with pytest.raises(ConvergenceError) as err:
-        bw_selfconsistent(r, lambda _: V.__matmul__, psi, 0.0, order=2, max_iter=2)
+        bw_selfconsistent(r, lambda _: V.__matmul__, psi, 0.0, order=2)
     assert err.value.last is not None
     assert err.value.last.iterations == 2
 
@@ -323,8 +325,8 @@ def plain_fixed_point(resolvent, h_delta, psi, E_c, tol):
 @pytest.mark.parametrize("name", ["dim4", "dim36"])
 def test_bw_secant_reaches_plain_fixed_point(name):
     _, _, E_c, _, (r, h_delta, psi) = reference_problem(RESOLVENT_FIXTURES[name])
-    tol = 1e-12
-    led = bw_selfconsistent(r, h_delta, psi, E_c, order=3, tol=tol)
+    tol = TOL
+    led = bw_selfconsistent(r, h_delta, psi, E_c, order=3)
     plain = plain_fixed_point(r, h_delta, psi, E_c, 1e-14 * max(1.0, abs(E_c)))
     assert led.deltaE != 0.0
     assert abs(led.E - plain) <= tol * max(1.0, abs(E_c))
@@ -340,30 +342,31 @@ def test_bw_secant_fallback_to_plain_steps():
     root, so it is taken and lands on c / (1 - s)."""
     H_c, _, psi = two_level()
     r = resolvent_of(H_c)
-    c, tol = 1e-4, 1e-12
+    c, tol = 1e-4, TOL
     for s in (0.8, 0.9, 0.95):
         assert 1.0 / (1.0 - s) > SECANT_MAX_RATIO
         led = bw_selfconsistent(r, lambda E: np.diag([c + s * E, 0.0]).__matmul__,
-                                psi, 0.0, order=1, tol=tol)
+                                psi, 0.0, order=1)
         assert abs(led.E - c / (1.0 - s)) <= tol
         assert led.iterations <= 8
         assert led.residual <= tol
 
 
-def test_bw_secant_max_iter_carries_last(dim4_config):
+def test_bw_secant_max_iter_carries_last(dim4_config, monkeypatch):
     _, _, E_c, _, (r, h_delta, psi) = reference_problem(dim4_config)
+    monkeypatch.setattr(bwlab.bw, "MAX_ITER", 3)
     with pytest.raises(ConvergenceError) as err:
-        bw_selfconsistent(r, h_delta, psi, E_c, order=3, max_iter=3)
+        bw_selfconsistent(r, h_delta, psi, E_c, order=3)
     last = err.value.last
     assert last.iterations == 3
-    assert last.residual > 1e-12 * max(1.0, abs(E_c))
+    assert last.residual > TOL * max(1.0, abs(E_c))
     assert last.dE == bw_terms(r, h_delta, last.E, psi, 3).tolist()
 
 
 # -- the lock-step solve of a stack -------------------------------------------
 
 
-def stacked_problem(lams, max_iter=200):
+def stacked_problem(lams):
     """The 4-level problems H0 + lam M of test_bw_truncation_error_slopes as
     one stack: (resolvent, V stack, psi stack, E_c stack)."""
     H0 = np.diag([0.0, 1.0, 1.7, 2.3])
@@ -377,10 +380,10 @@ def stacked_problem(lams, max_iter=200):
     return r, np.multiply.outer(lams, M), psi, E_c
 
 
-def test_bw_lockstep_equals_one_problem_solves():
+def test_bw_lockstep_equals_one_problem_solves(monkeypatch):
     """Each problem of a lock-step stack ends as bw_selfconsistent ends it
     alone: the same ledger, or the same ConvergenceError; the one that
-    needs more than max_iter iterations fails alone."""
+    needs more than MAX_ITER iterations fails alone."""
     lams = np.array([0.02, 1.0, 0.04, 0.3])
     r, V, psi, E_c = stacked_problem(lams)
     evaluations = []
@@ -392,11 +395,12 @@ def test_bw_lockstep_equals_one_problem_solves():
                             E, psi[items], 3)
         return evaluate
 
-    outcomes = bw_lockstep(select, E_c, max_iter=6)
+    monkeypatch.setattr(bwlab.bw, "MAX_ITER", 6)
+    outcomes = bw_lockstep(select, E_c)
     for k, outcome in enumerate(outcomes):
         alone = r.take(k)
         try:
-            want = bw_selfconsistent(alone, lambda _: V[k].__matmul__, psi[k], E_c[k], max_iter=6)
+            want = bw_selfconsistent(alone, lambda _: V[k].__matmul__, psi[k], E_c[k])
         except ConvergenceError as exc:
             assert type(outcome) is ConvergenceError and str(outcome) == str(exc)
             assert outcome.last == exc.last

@@ -83,20 +83,17 @@ matrix = """ + "; ".join(" ".join(map(repr, row)) for row in delta) + """
 j_order = 1
 [bw]
 order = 2
-max_iter = 50
-tol = 1e-10
 [solve]
 state_index = 1
 """
     cfg = parse_config(text)
-    # each of the 12 keys reaches its own field
+    # each of the 10 keys reaches its own field
     assert cfg.model == ModelConfig(
         positive_energies=(1.0, 1.5), negative_energies=(-1.2, -1.7), seed=9,
         coulomb_scale=0.2, coulomb_matrix="random-symmetric",
         delta_scale=0.03, delta_matrix=delta,
     )
-    assert (cfg.j_order, cfg.bw_order, cfg.bw_max_iter, cfg.bw_tol, cfg.state_index) == (
-        1, 2, 50, 1e-10, 1)
+    assert (cfg.j_order, cfg.bw_order, cfg.state_index) == (1, 2, 1)
     again = parse_config(emit_config(cfg))
     assert again == cfg
     assert config_hash(again) == config_hash(cfg)
@@ -136,7 +133,7 @@ NON_FINITE = {
         "[spectrum]\npositive_energies = 1.0, inf\nnegative_energies = -1\n",
     "interaction.coulomb.scale": MINIMAL + "[interaction.coulomb]\nscale = nan\n",
     "interaction.delta.matrix": MINIMAL + "[interaction.delta]\nmatrix = 1 0; 0 -inf\n",
-    "bw.tol": MINIMAL + "[bw]\ntol = nan\n",
+    "interaction.delta.scale": MINIMAL + "[interaction.delta]\nscale = inf\n",
 }
 
 
@@ -150,15 +147,13 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda cfg: replace(cfg, bw_tol=NAN), "bw.tol must be > 0 and finite"),
-    (lambda cfg: replace(cfg, bw_tol=INF), "bw.tol must be > 0 and finite"),
     (lambda cfg: replace(cfg.model, coulomb_scale=NAN), "coulomb_scale must be >= 0 and finite"),
     (lambda cfg: replace(cfg.model, delta_scale=INF), "delta_scale must be >= 0 and finite"),
     (lambda cfg: build_spectrum(replace(cfg.model, positive_energies=(1.0, INF))),
      "positive list contains non-positive or non-finite energy inf"),
     (lambda cfg: build_spectrum(replace(cfg.model, negative_energies=(-INF, -1.2))),
      "negative list contains non-negative or non-finite energy -inf"),
-], ids=["bw_tol-nan", "bw_tol-inf", "coulomb_scale-nan", "delta_scale-inf",
+], ids=["coulomb_scale-nan", "delta_scale-inf",
         "positive_energies-inf", "negative_energies-inf"])
 def test_dataclasses_reject_non_finite_values(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
@@ -166,12 +161,12 @@ def test_dataclasses_reject_non_finite_values(build, message):
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda cfg: replace(cfg, bw_max_iter=INF), "bw_max_iter must be an integer, got inf"),
+    (lambda cfg: replace(cfg, bw_order=INF), "bw_order must be an integer, got inf"),
     (lambda cfg: replace(cfg, bw_order=2.5), "bw_order must be an integer, got 2.5"),
     (lambda cfg: replace(cfg, state_index=0.0), "state_index must be an integer, got 0.0"),
     (lambda cfg: replace(cfg, j_order=2.5), "j_order must be an integer, got 2.5"),
     (lambda cfg: replace(cfg.model, seed=1.5), "seed must be an integer, got 1.5"),
-], ids=["bw_max_iter-inf", "bw_order-2.5", "state_index-0.0", "j_order-2.5", "seed-1.5"])
+], ids=["bw_order-inf", "bw_order-2.5", "state_index-0.0", "j_order-2.5", "seed-1.5"])
 def test_dataclasses_reject_non_integer_settings(build, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         build(parse_config(MINIMAL))
@@ -179,8 +174,8 @@ def test_dataclasses_reject_non_integer_settings(build, message):
 
 def test_dataclasses_accept_numpy_integers():
     cfg = parse_config(MINIMAL)
-    numpy_ints = replace(cfg, bw_order=np.int64(3), bw_max_iter=np.int32(200),
-                         state_index=np.int64(0), j_order=np.int16(2),
+    numpy_ints = replace(cfg, bw_order=np.int64(3), state_index=np.int64(0),
+                         j_order=np.int16(2),
                          model=replace(cfg.model, seed=np.uint8(1)))
     assert numpy_ints == cfg
     assert emit_config(numpy_ints) == emit_config(cfg)
@@ -198,7 +193,7 @@ def test_emit_config_text():
         "matrix = 1.0 2.0 0.0 0.0; 2.0 1.0 0.0 0.0; 0.0 0.0 1.0 0.0; 0.0 0.0 0.0 1.0\n\n"
         "[interaction.delta]\nscale = 0.05\npreset = random-symmetric\n\n"
         "[integration]\nj_order = 2\n\n"
-        "[bw]\norder = 3\nmax_iter = 200\ntol = 1e-12\n\n"
+        "[bw]\norder = 3\n\n"
         "[solve]\nstate_index = 0\n"
     )
 
@@ -362,7 +357,7 @@ def test_cli_scan_csv_zero_delta_coupling(tmp_path, capsys):
 
 
 def test_cli_seed_override_keeps_config(tmp_path):
-    cfg_text = MINIMAL + "\n[interaction]\nseed = 9\n\n[bw]\ntol = 1e-11\n"
+    cfg_text = MINIMAL + "\n[interaction]\nseed = 9\n\n[bw]\norder = 2\n"
     path = tmp_path / "cfg.ini"
     path.write_text(cfg_text)
     args = build_parser().parse_args(["compare", "--config", str(path), "--seed", "4"])
@@ -388,12 +383,13 @@ def test_cli_config_path_with_equals_sign(tmp_path, capsys):
     code, out = run_cli(capsys, ["compare", "--config", str(path), "--format", "json"])
     assert code == 0
     assert json.loads(out)["config"] == emit_config(parse_config(dim4_text()))
-    path.write_text(dim4_text() + "[bw]\ntol = nan\n")
+    path.write_text(dim4_text() + "[interaction.coulomb]\nscale = nan\n")
     code = main(["compare", "--config", str(path)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["config error: bw.tol: non-finite value in 'nan'"]
+    assert err.splitlines() == [
+        "config error: interaction.coulomb.scale: non-finite value in 'nan'"]
 
 
 def test_cli_malformed_config_one_line(tmp_path, capsys):
@@ -471,12 +467,13 @@ def test_cli_argument_error_one_line_exit2(tmp_path, capsys, name):
 
 def test_cli_non_finite_config_exit2(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
-    path.write_text(dim4_text() + "[bw]\ntol = nan\n")
+    path.write_text(dim4_text() + "[interaction.coulomb]\nscale = nan\n")
     code = main(["compare", "--config", str(path)])
     out, err = capsys.readouterr()
     assert code == 2
     assert out == ""
-    assert err.splitlines() == ["config error: bw.tol: non-finite value in 'nan'"]
+    assert err.splitlines() == [
+        "config error: interaction.coulomb.scale: non-finite value in 'nan'"]
 
 
 def test_json_float_format():
@@ -604,15 +601,32 @@ def test_cli_scan_point_failures_exit3(tmp_path, capsys, monkeypatch):
     assert scan["failures"] == [[0.16, "OracleTrackingError: overlap tracking ambiguous"]]
 
 
+#: the dim-9 config on which the BW secant search does not converge in
+#: bw.MAX_ITER iterations: f(E) has a pole between E_c and its two roots
+BW_NONCONVERGENT = """
+[spectrum]
+positive_energies = 1.0, 1.5
+negative_energies = -1.2
+[interaction]
+seed = 4
+[interaction.coulomb]
+scale = 0.55365
+preset = random-symmetric
+[interaction.delta]
+scale = 0.92275
+preset = random-symmetric
+"""
+
+
 def test_cli_compare_bw_nonconvergence_exit4(tmp_path, capsys):
     path = tmp_path / "cfg.ini"
-    path.write_text(dim4_text() + "[bw]\nmax_iter = 1\n")
+    path.write_text(BW_NONCONVERGENT)
     code = main(["compare", "--config", str(path)])
     out, err = capsys.readouterr()
     assert code == 4
     assert out == ""
-    assert len(err.splitlines()) == 1
-    assert err.startswith("nonconvergence: BW self-consistency did not converge in 1")
+    assert err.splitlines() == ["nonconvergence: BW self-consistency did not converge in 200 "
+                                "iterations (last residual 1.034e+01)"]
 
 
 def test_cli_compare_oracle_tracking_exit5(tmp_path, capsys, monkeypatch):
@@ -771,7 +785,9 @@ CONFIG_ERRORS = {
                   "cannot read config file: 'utf-8' codec can't decode byte 0xff in position 0:"
                   " invalid start byte"),
     "bw.order": (dim4_text() + "[bw]\norder = 4\n", "bw.order must be in 1..3"),
-    "bw.max_iter": (dim4_text() + "[bw]\nmax_iter = 0\n", "bw.max_iter must be >= 1"),
+    "bw.max_iter": (dim4_text() + "[bw]\nmax_iter = 200\n",
+                    "unknown key 'max_iter' in section [bw]"),
+    "bw.tol": (dim4_text() + "[bw]\ntol = 1e-12\n", "unknown key 'tol' in section [bw]"),
     "solve.state_index": (dim4_text() + "[solve]\nstate_index = -1\n",
                           "solve.state_index must be >= 0"),
     "j_order": (dim4_text() + "[integration]\nj_order = 2.5\n",

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import bwlab.bw
 from bwlab import (
     BwlabError,
     ControversyReport,
@@ -139,16 +140,19 @@ def test_predicted_discrepancy_zero_shift(dim4):
 
 
 def test_dkz_dc_approx_reported(dim4):
+    """The dc approximation is the dkz combination with X_J taken at E_c;
+    only "lindgren" and "dkz" are conventions."""
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
     Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
-    approx = combined_variant(basis, E, E_c, psi, I_c, "dkz-dc-approx",
+    approx = combined_variant(basis, E, E_c, psi, I_c, "dkz",
                               applied(spectrum, basis, E_c, psi, I_c, g, J_ORDER))
     dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
     assert np.isfinite(approx)
     assert approx != dkz
-    with pytest.raises(ValueError):
-        combined_variant(basis, E, E_c, psi, I_c, "nonsense", Xv)
+    for name in ("nonsense", "dkz-dc-approx"):
+        with pytest.raises(ValueError):
+            combined_variant(basis, E, E_c, psi, I_c, name, Xv)
 
 
 def test_model_oracle_free_limit(dim4):
@@ -380,6 +384,21 @@ def test_model_oracle_tracking_failure_is_bwlab_error(dim4):
     assert isinstance(info.value, BwlabError)
 
 
+def test_model_oracle_rejects_a_complex_tracked_eigenvalue():
+    """Strong random couplings turn the eigenvalue of the unmixed block that
+    tracks psi_c complex: the oracle raises rather than report its real
+    part."""
+    from bwlab import OracleTrackingError
+
+    cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2, -1.7),
+                                coulomb_scale=1.0, delta_scale=1.0, seed=6,
+                                coulomb_matrix="random-symmetric",
+                                delta_matrix="random-symmetric"))
+    st = reference_state(cfg)
+    with pytest.raises(OracleTrackingError, match=r"^tracked eigenvalue not real: \(0\.4189"):
+        model_oracle(st.spectrum, st.basis, st.I_c, st.g_delta, st.psi_c)
+
+
 #: a jittered 2+2 spectrum (dim 16) next to the dim-4 fixture
 JITTERED_2X2 = ModelConfig(positive_energies=(1.03, 1.57), negative_energies=(-1.06, -1.52),
                            coulomb_scale=0.1, delta_scale=0.05)
@@ -431,8 +450,9 @@ def test_pipeline_zero_coupling_report(monkeypatch, coulomb, delta):
 # -- the scan in lock-step --------------------------------------------------------
 
 #: scans whose points mix outcomes: converged points, ConvergenceError under
-#: the small [bw] max_iter, the unmixed pair-denominator guard during BW, and
-#: (dim 9) a pinched pole pair in X_J after BW has converged
+#: the small bw.MAX_ITER given with each model (mixed_scan sets it), the
+#: unmixed pair-denominator guard during BW, and (dim 9) a pinched pole pair
+#: in X_J after BW has converged
 MIXED_SCANS = {
     "dim4 guard": (ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),
                                coulomb_scale=0.3, delta_scale=0.5, seed=3,
@@ -446,6 +466,14 @@ MIXED_SCANS = {
 MIXED_LAMS = list(np.geomspace(0.1, 3.0, 8))
 
 
+def mixed_scan(name, monkeypatch):
+    """The RunConfig of MIXED_SCANS[name] at j_order 1, with bw.MAX_ITER set
+    to its cap for the test."""
+    model, max_iter = MIXED_SCANS[name]
+    monkeypatch.setattr(bwlab.bw, "MAX_ITER", max_iter)
+    return RunConfig(model, j_order=1)
+
+
 def one_point_run(cfg, lam):
     """The (ledger, report) of the point cfg.model.scaled(lam) alone, from the
     one-point blocks: bw_selfconsistent, the xj_matrix and
@@ -453,8 +481,7 @@ def one_point_run(cfg, lam):
     (combined_dkz_dc_approx stays 0).  Raises the point's BwlabError."""
     cfg = replace(cfg, model=cfg.model.scaled(lam))
     st = reference_state(cfg)
-    ledger = bw_selfconsistent(*_bw_problem(st), st.E_c, order=cfg.bw_order,
-                               max_iter=cfg.bw_max_iter, tol=cfg.bw_tol)
+    ledger = bw_selfconsistent(*_bw_problem(st), st.E_c, order=cfg.bw_order)
     if not (np.any(st.I_c) and np.any(st.g_delta)):
         return ledger, ControversyReport()
     v = st.I_c @ st.psi_c
@@ -481,11 +508,10 @@ def one_point_scan(cfg, lams):
 
 
 @pytest.mark.parametrize("name", list(MIXED_SCANS))
-def test_coupling_scan_mixed_outcomes_match_one_point_runs(name):
+def test_coupling_scan_mixed_outcomes_match_one_point_runs(name, monkeypatch):
     """Every row and every failure string of a lock-step scan equals the
     one-point run of its point, in schedule order."""
-    model, max_iter = MIXED_SCANS[name]
-    cfg = RunConfig(model, j_order=1, bw_max_iter=max_iter)
+    cfg = mixed_scan(name, monkeypatch)
     rows, _, _, failures = coupling_scan(cfg, MIXED_LAMS)
     assert (rows, failures) == one_point_scan(cfg, MIXED_LAMS)
     kinds = {message.split(":")[0] for _, message in failures}
@@ -501,9 +527,8 @@ def test_coupling_scan_one_point_chunks_match_one_point_runs(name, monkeypatch):
     run of its point."""
     import bwlab.pipeline
 
-    model, max_iter = MIXED_SCANS[name]
-    cfg = RunConfig(model, j_order=1, bw_max_iter=max_iter)
-    n = len(model.positive_energies) + len(model.negative_energies)
+    cfg = mixed_scan(name, monkeypatch)
+    n = len(cfg.model.positive_energies) + len(cfg.model.negative_energies)
     monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 8 * bwlab.pipeline.STACK_DOUBLES * n ** 4)
     calls = count_stacked_calls(monkeypatch)
     rows, _, _, failures = coupling_scan(cfg, MIXED_LAMS)
@@ -565,10 +590,9 @@ def test_coupling_scan_chunks_give_the_same_rows(name, monkeypatch):
     failures of the one-chunk scan, with one stacked eigh per chunk."""
     import bwlab.pipeline
 
-    model, max_iter = MIXED_SCANS[name]
-    cfg = RunConfig(model, j_order=1, bw_max_iter=max_iter)
+    cfg = mixed_scan(name, monkeypatch)
     whole = coupling_scan(cfg, MIXED_LAMS)
-    n = len(model.positive_energies) + len(model.negative_energies)
+    n = len(cfg.model.positive_energies) + len(cfg.model.negative_energies)
     monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 3 * 8 * bwlab.pipeline.STACK_DOUBLES * n ** 4)
     calls = count_stacked_calls(monkeypatch)
     chunked = coupling_scan(cfg, MIXED_LAMS)
@@ -587,8 +611,7 @@ def test_coupling_scan_splits_a_chunk_down_to_its_failing_point(monkeypatch):
     and failure is that of the point's one-point run."""
     import bwlab.pipeline
 
-    model, max_iter = MIXED_SCANS["dim9 pinched"]
-    cfg = RunConfig(model, j_order=1, bw_max_iter=max_iter)
+    cfg = mixed_scan("dim9 pinched", monkeypatch)
     lams = list(np.geomspace(0.1, 3.0, 64))
     monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 64 * 8 * bwlab.pipeline.STACK_DOUBLES * 3 ** 4)
     sizes, xj_stack = [], bwlab.pipeline.xj_stack
@@ -601,7 +624,7 @@ def test_coupling_scan_splits_a_chunk_down_to_its_failing_point(monkeypatch):
     calls = count_stacked_calls(monkeypatch)
     rows, _, _, failures = coupling_scan(cfg, lams)
     assert calls["eigh"] == [(64,)]
-    assert calls["bw_terms"] <= max_iter + 1
+    assert calls["bw_terms"] <= bwlab.bw.MAX_ITER + 1
 
     def halving(n):
         """The stack sizes of a split down to its first item, the one that fails."""
@@ -629,11 +652,11 @@ def assert_points_match_one_point_runs(cfg, lams):
 
 
 @pytest.mark.parametrize("name", [*MIXED_SCANS, "jittered dim36"])
-def test_pipeline_points_match_one_point_runs(name):
+def test_pipeline_points_match_one_point_runs(name, monkeypatch):
     """Also for blocks of the compare workload's size (n_u = 18)."""
-    model, max_iter = MIXED_SCANS.get(name, (jittered_dim36(), 200))
-    assert_points_match_one_point_runs(
-        RunConfig(model, j_order=1, bw_max_iter=max_iter), MIXED_LAMS)
+    cfg = (mixed_scan(name, monkeypatch) if name in MIXED_SCANS
+           else RunConfig(jittered_dim36(), j_order=1))
+    assert_points_match_one_point_runs(cfg, MIXED_LAMS)
 
 
 def test_pipeline_points_stack_coupled_and_uncoupled_points():
@@ -690,7 +713,7 @@ def test_conventions_fail_alone_inside_a_stack():
 def test_coupling_scan_nonfinite_bw_step_fails_at_once():
     """A lambda whose BW secant step overflows is never moved by it (an
     infinite secant step does not count as agreeing): its BW converges in a
-    few iterations, long before bw_max_iter, and the point fails at X_J's
+    few iterations, long before bw.MAX_ITER, and the point fails at X_J's
     pinch check, with no numpy warning on the way."""
     from bwlab.pipeline import _bw_problem, reference_state
 

@@ -48,6 +48,25 @@ def test_spectrum_rejects_zero_or_non_finite_energy(energies):
         SingleParticleSpectrum(energies)
 
 
+def test_spectrum_rejects_no_states():
+    with pytest.raises(ConfigError, match="^spectrum must contain at least one state$"):
+        SingleParticleSpectrum(())
+
+
+@pytest.mark.parametrize("matrix", [((1.0, 0.0, 0.0, 0.0),) * 3, (1.0, 0.0, 0.0, 0.0)],
+                         ids=["3x4", "1-d"])
+def test_model_config_rejects_a_non_square_matrix(matrix):
+    """A matrix given in code, which no parser has checked, must be square."""
+    with pytest.raises(ConfigError, match="^explicit interaction matrix must be square$"):
+        ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,), delta_matrix=matrix)
+
+
+def test_build_interaction_rejects_an_unknown_kind():
+    cfg = ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,))
+    with pytest.raises(ConfigError, match="^unknown interaction kind 'quark'$"):
+        build_interaction(cfg, "quark")
+
+
 @pytest.mark.parametrize("energies", [(1e150, -1.0), (1e160, 2.0, -1.0),
                                       (1e200, 2e200, -1.0), (1.0, -1e308)])
 def test_spectrum_rejects_level_of_max_level_or_more(energies):

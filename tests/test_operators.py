@@ -25,6 +25,12 @@ from conftest import energy_away_from_poles, random_spectrum
 from bwlab.model import SingleParticleSpectrum
 
 
+def test_build_Hc_rejects_a_wrong_shape(dim4):
+    spectrum, basis, I_c, _ = dim4
+    with pytest.raises(ValueError, match=r"^I_c has shape \(3, 3\), basis needs \(4, 4\)$"):
+        build_Hc(spectrum, basis, I_c[:3, :3])
+
+
 def test_projectors_dim4(dim4):
     spectrum, basis, _, _ = dim4
     p = projectors(basis)

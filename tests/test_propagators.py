@@ -5,6 +5,7 @@ reproduced every one of them independently before they were frozen here.
 """
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -546,6 +547,29 @@ def test_applied_path_rejects_wrong_shape(dim4):
     for route in (xj_matrix, xj_matrix_ssum_route):
         with pytest.raises(ValueError, match="v has shape"):
             route(spectrum, basis, 2.25, g, 2, v=np.ones(basis.dim + 1))
+
+
+#: engine calls with an argument that they reject, each with its ValueError
+#: (g is the dim-4 delta coupling)
+BAD_ARGUMENTS = {
+    "propagator_S particle 3": (lambda s, b, g: propagator_S(s, b, 2.25, 0.0, 3),
+                                "particle must be 1 or 2"),
+    "j_series order 0": (lambda s, b, g: j_series(s, b, 2.25, g, 0), "order must be >= 1"),
+    "xj_stack order 0": (lambda s, b, g: propagators.xj_stack(s, b, [2.25], g[None], 0),
+                         "order must be >= 1"),
+    "xj_matrix g 3x3": (lambda s, b, g: xj_matrix(s, b, 2.25, g[:3, :3], 2),
+                        "g has shape (3, 3), basis needs (4, 4)"),
+    "pole_product_integral no poles": (lambda s, b, g: pole_product_integral([]),
+                                       "empty pole product"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ARGUMENTS)
+def test_engine_rejects_bad_arguments(dim4, name):
+    spectrum, basis, _, g = dim4
+    call, message = BAD_ARGUMENTS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(spectrum, basis, g)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])

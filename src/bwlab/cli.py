@@ -75,7 +75,7 @@ ABORTS = {
 
 
 def _load(args) -> RunConfig:
-    cfg = parse_config(args.config or "[spectrum]\n")
+    cfg = parse_config("[spectrum]\n" if args.config is None else args.config)
     if args.seed is not None:
         cfg = replace(cfg, model=replace(cfg.model, seed=args.seed))
     return cfg

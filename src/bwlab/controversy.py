@@ -186,7 +186,7 @@ def convention_report(basis, E, E_c, psi_c, I_c, resolvent, Xv, Xv_alt):
 # -- ladder (equal-time) route ------------------------------------------------
 
 
-def ladder_kernel(spectrum, basis, E, g_delta):
+def ladder_kernel(basis, E, g_delta):
     """Equal-time resummation G~ J~ G~ with J~ = g (1 - G~ g)^-1 and
     G~ = (P_pp - P_mm) D^-1 the integrated free propagator.
 
@@ -278,21 +278,21 @@ def ladder_perturbation(basis, I_c, g_delta):
     return at
 
 
-def h_delta2_ladder(spectrum, basis, E, I_c, g_delta):
+def h_delta2_ladder(basis, E, I_c, g_delta):
     """Effective remainder interaction D (G~ J~ G~) I_c of the equal-time
     ladder as a dense matrix, from ladder_kernel: the reference that
     ladder_perturbation's closed form is checked against (0 on mixed rows,
     where G~ vanishes).  Vanishes identically when either coupling is zero."""
     if not np.any(I_c) or not np.any(g_delta):
         return np.zeros((basis.dim, basis.dim))
-    kernel = ladder_kernel(spectrum, basis, E, g_delta)
+    kernel = ladder_kernel(basis, E, g_delta)
     return (E - basis.pair_energies())[:, None] * (kernel @ np.asarray(I_c, dtype=float))
 
 
 # -- model oracle --------------------------------------------------------------
 
 
-def model_oracle(spectrum, basis, I_c, g_delta, psi_c, return_vector=False):
+def model_oracle(basis, I_c, g_delta, psi_c, return_vector=False):
     """Exact reference energy: eigenvalue of
     H = h1 + h2 + (P_pp - P_mm)(I_c + g) continuously connected to psi_c.
 

@@ -13,6 +13,9 @@ free_propagator is the one closed form of (P_pp - P_mm) D^-1, the value of
 i int deps/2pi F^-1; the propagators module evaluates that integral with
 its residue engine, and the identity suite compares the two.  The dense
 projectors, build_D and build_Dc have no caller in the package.
+
+Every builder takes the pair basis alone: it holds its spectrum, and the
+pair energies and sign classes derive from it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominatorError
-from .model import SingleParticleSpectrum, TwoParticleBasis
+from .model import TwoParticleBasis
 
 #: any pair denominator with |E - e_i - e_j| below this aborts
 DEGENERACY_TOL = 1e-10
@@ -46,12 +49,12 @@ def projectors(basis: TwoParticleBasis) -> ProjectorSet:
     return ProjectorSet(**mats)
 
 
-def build_D(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E: float) -> np.ndarray:
+def build_D(basis: TwoParticleBasis, E: float) -> np.ndarray:
     """D = E - h1 - h2, diagonal with entries E - e_i - e_j."""
     return np.diag(E - basis.pair_energies())
 
 
-def build_Dc(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E_c: float) -> np.ndarray:
+def build_Dc(basis: TwoParticleBasis, E_c: float) -> np.ndarray:
     """Same as build_D evaluated at the no-pair reference energy."""
     return np.diag(E_c - basis.pair_energies())
 
@@ -85,8 +88,7 @@ def free_propagator(basis: TwoParticleBasis, E: float) -> np.ndarray:
     return sign * inverse_denominator(basis, E, sign != 0)
 
 
-def build_Hc(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis,
-             I_c: np.ndarray) -> np.ndarray:
+def build_Hc(basis: TwoParticleBasis, I_c: np.ndarray) -> np.ndarray:
     """No-pair Hamiltonian h1 + h2 + P_pp I_c P_pp (block-diagonal, symmetric);
     a stack of them for a stack of couplings I_c along leading axes."""
     if I_c.shape[-2:] != (basis.dim, basis.dim):
@@ -105,7 +107,7 @@ def build_HDelta1(basis: TwoParticleBasis, I_c: np.ndarray) -> np.ndarray:
     return I_c * np.outer(pp, ~pp) - mm[:, None] * I_c
 
 
-def build_G0(spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E: float) -> np.ndarray:
+def build_G0(basis: TwoParticleBasis, E: float) -> np.ndarray:
     """Value of the basic relative-energy integral: (P_pp - P_mm) D^-1 on
     unmixed pairs, zero on mixed pairs."""
     return np.diag(free_propagator(basis, E))

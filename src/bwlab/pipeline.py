@@ -65,10 +65,9 @@ STACK_DOUBLES = 8
 @dataclass
 class ReferenceState:
     """The configured model and its no-pair reference state; or a stack of
-    them over one spectrum and basis, one per coupling factor, with a
-    leading axis on the arrays."""
+    them over one basis, one per coupling factor, with a leading axis on the
+    arrays.  The basis is the model space: its spectrum holds the levels."""
 
-    spectrum: object
     basis: object
     I_c: np.ndarray
     g_delta: np.ndarray
@@ -78,7 +77,7 @@ class ReferenceState:
 
     def take(self, items):
         """The stack of the states `items` (an index array) of a stack."""
-        return ReferenceState(self.spectrum, self.basis, self.I_c[items], self.g_delta[items],
+        return ReferenceState(self.basis, self.I_c[items], self.g_delta[items],
                               self.E_c[items], self.psi_c[items], self.resolvent.take(items))
 
 
@@ -93,24 +92,24 @@ class PipelineResult:
 
 
 def reference_state(cfg: RunConfig, factors=None) -> ReferenceState:
-    """Spectrum, basis, both couplings, the no-pair state cfg.state_index of
-    the doubly-positive block, and the BW resolvent about it.  With factors,
-    the stack of the states of cfg.model.scaled(f), one per factor, from one
-    stacked eigh; a factor whose scaled couplings are not both finite
-    raises first, with the ConfigError of cfg.model.scaled(f)."""
+    """The pair basis (its spectrum holds the levels), both couplings, the
+    no-pair state cfg.state_index of the doubly-positive block, and the BW
+    resolvent about it.  With factors, the stack of the states of
+    cfg.model.scaled(f), one per factor, from one stacked eigh; a factor
+    whose scaled couplings are not both finite raises first, with the
+    ConfigError of cfg.model.scaled(f)."""
     if factors is not None:
         with np.errstate(over="ignore"):
             scales = np.multiply.outer(factors, (cfg.model.coulomb_scale, cfg.model.delta_scale))
         for i in np.flatnonzero(~np.isfinite(scales).all(axis=-1)):
             cfg.model.scaled(factors[i])
-    spectrum = build_spectrum(cfg.model)
-    basis = build_basis(spectrum)
+    basis = build_basis(build_spectrum(cfg.model))
     I_c = build_interaction(cfg.model, "coulomb", factors)
     g_delta = build_interaction(cfg.model, "delta", factors)
-    H_c = build_Hc(spectrum, basis, I_c)
+    H_c = build_Hc(basis, I_c)
     E_c, psi_c, resolvent = solve_no_pair(H_c, basis.pattern_indices("pp"),
                                           state_index=cfg.state_index)
-    return ReferenceState(spectrum, basis, I_c, g_delta, E_c, psi_c, resolvent)
+    return ReferenceState(basis, I_c, g_delta, E_c, psi_c, resolvent)
 
 
 def _coupled(st):
@@ -142,7 +141,7 @@ def _conventions(order, st, ledgers):
     group = st.take(items)
     E, E_c = (np.array([getattr(ledgers[i], name) for i in items]) for name in ("E", "E_c"))
     v = (group.I_c @ group.psi_c[..., None])[..., 0]
-    Xv, Xv_alt = xj_stack(st.spectrum, st.basis, E, group.g_delta, order, v)
+    Xv, Xv_alt = xj_stack(st.basis, E, group.g_delta, order, v)
     for i, rep in zip(items, convention_report(st.basis, E, E_c, group.psi_c, group.I_c,
                                                group.resolvent, Xv, Xv_alt)):
         reports[i] = rep
@@ -207,15 +206,15 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     the convention report, then combined_dkz_dc_approx, the dkz combination
     with X_J(E_c) v in place of X_J(E) v, and the model oracle's energy."""
     st = reference_state(cfg)
-    spectrum, basis, I_c, g, psi_c = st.spectrum, st.basis, st.I_c, st.g_delta, st.psi_c
+    basis, I_c, g, psi_c = st.basis, st.I_c, st.g_delta, st.psi_c
     ledger = bw_selfconsistent(*_bw_problem(st), st.E_c, order=cfg.bw_order)
     rep = ControversyReport()
     if _coupled(st):
         E, E_c, order, v = ledger.E, ledger.E_c, cfg.j_order, I_c @ psi_c
-        Xv, Xv_alt = (route(spectrum, basis, E, g, order, v=v)
+        Xv, Xv_alt = (route(basis, E, g, order, v=v)
                       for route in (xj_matrix, xj_matrix_ssum_route))
         (rep,) = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, Xv, Xv_alt)
-        Xv_c = xj_matrix(spectrum, basis, E_c, g, order, v=v)
+        Xv_c = xj_matrix(basis, E_c, g, order, v=v)
         rep.combined_dkz_dc_approx = float(combined_variant(basis, E, E_c, psi_c, I_c,
                                                             "dkz", Xv_c))
-    return PipelineResult(st, ledger, rep, model_oracle(spectrum, basis, I_c, g, psi_c))
+    return PipelineResult(st, ledger, rep, model_oracle(basis, I_c, g, psi_c))

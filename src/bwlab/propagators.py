@@ -45,6 +45,10 @@ differently with the number of rows, and an item keeps its one-point bits.
 Callers that need X_J only applied to a vector v pass v; the engine then
 carries a row block in place of the identity: it starts from v^T diag(h)
 and multiplies from the right, at dim^2 rather than dim^3 per step.
+
+Every public function and ChainIntegrator take the pair basis as their one
+model-space argument and read the levels from basis.spectrum; _pole_groups
+takes the spectrum, since it reads the levels alone.
 """
 
 from __future__ import annotations
@@ -53,20 +57,20 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .model import SingleParticleSpectrum, TwoParticleBasis
+from .model import TwoParticleBasis
 from .operators import inverse_denominator
 from .residues import LOWER, MERGE_TOL, UPPER, clustered_poles, pole_product_integral
 
 
-def propagator_S(spectrum, basis, E, eps, particle):
+def propagator_S(basis, E, eps, particle):
     """Diagonal of the chosen electron propagator on the two-particle basis,
     on the real axis away from its poles: particle 1 depends on the row
     state i, particle 2 on the column state j of the pair (i, j).  E and
     eps broadcast against the pairs: columns of shape (m, 1) give (m, dim)."""
     if particle not in (1, 2):
         raise ValueError("particle must be 1 or 2")
-    e = np.asarray(spectrum.energies)
-    i, j = np.divmod(np.arange(basis.dim), spectrum.n)  # pair index k = i * n + j
+    e = np.asarray(basis.spectrum.energies)
+    i, j = np.divmod(np.arange(basis.dim), basis.spectrum.n)  # pair index k = i * n + j
     if particle == 1:
         return 1.0 / (E / 2 + eps - e[i])
     return 1.0 / (E / 2 - eps - e[j])
@@ -82,7 +86,7 @@ def _pair_pole_factors(e_i, e_j, E):
 
 class ChainIntegrator:
     """Residue evaluation of i int deps/2pi over products of F^-1 factors
-    (and of S1 + S2 factors) for a fixed spectrum and total energy E, one
+    (and of S1 + S2 factors) for a fixed pair basis and total energy E, one
     index chain at a time.
 
     The scalar reference for the matrix-Laurent engine: enumerating every
@@ -90,11 +94,10 @@ class ChainIntegrator:
     multiset of participating pairs, so they are cached per structure.
     """
 
-    def __init__(self, spectrum: SingleParticleSpectrum, basis: TwoParticleBasis, E: float):
-        self.spectrum = spectrum
+    def __init__(self, basis: TwoParticleBasis, E: float):
         self.basis = basis
         self.E = float(E)
-        e = spectrum.energies
+        e = basis.spectrum.energies
         self._pair_poles = [
             _pair_pole_factors(e[i], e[j], self.E) for i, j in basis.pairs
         ]
@@ -134,13 +137,13 @@ class ChainIntegrator:
         return val
 
 
-def contour_integral_Finv(spectrum, basis, E):
+def contour_integral_Finv(basis, E):
     """i int deps/2pi F^-1 (diagonal) from the residue engine: minus the u^-1
     coefficients of F^-1 summed over the upper pole clusters.  Pairs with
     both poles upper (e_i < 0 < e_j) close downwards, as in _kernel_terms,
     and give 0; at a mixed-pair energy a pair's poles form a double pole.
     The value is (P_pp - P_mm) D^-1, i.e. operators.free_propagator."""
-    [(_, _, via, d, at, up)] = _pole_groups(spectrum, np.array([E], dtype=float),
+    [(_, _, via, d, at, up)] = _pole_groups(basis.spectrum, np.array([E], dtype=float),
                                             np.ones((1, basis.dim, basis.dim)))
     h, m = _diagonal_series(d[:, up], at[:, up], 0, False)
     out = -h[0, :, m - 1].sum(axis=0)
@@ -320,7 +323,7 @@ def _square(M, basis, name):
     return M
 
 
-def j_series(spectrum, basis, E, g_delta, order):
+def j_series(basis, E, g_delta, order):
     """Terms T_k = i int deps/2pi F^-1 (g F^-1)^k g F^-1 for k = 0..order-1.
 
     About each pole cluster x of F^-1 the diagonal factor is expanded as a
@@ -335,11 +338,11 @@ def j_series(spectrum, basis, E, g_delta, order):
         raise ValueError("order must be >= 1")
     g = _square(g_delta, basis, "g")
     stack = g.reshape(-1, basis.dim, basis.dim)
-    groups = _pole_groups(spectrum, np.full(len(stack), float(E)), stack)
+    groups = _pole_groups(basis.spectrum, np.full(len(stack), float(E)), stack)
     return [T.reshape(g.shape) for T in _kernel_terms(groups, stack, order)]
 
 
-def sandwich_integral(spectrum, basis, E, A):
+def sandwich_integral(basis, E, A):
     """i int deps/2pi F^-1 A F^-1 for an eps-independent matrix A, or for
     each matrix of a stack A on leading axes.
 
@@ -347,10 +350,10 @@ def sandwich_integral(spectrum, basis, E, A):
     matrix-Laurent residue engine; entry (p, q) is A[p, q] times the joint
     four-propagator residue value of the pairs p and q.
     """
-    return j_series(spectrum, basis, E, A, 1)[0]
+    return j_series(basis, E, A, 1)[0]
 
 
-def xj_stack(spectrum, basis, E, g_delta, order, v=None, routes=("direct", "ssum")):
+def xj_stack(basis, E, g_delta, order, v=None, routes=("direct", "ssum")):
     """Per route of routes, X_J = D_o T[g] D_o, T[g] = sum_k T_k, or X_J v,
     for a stack: one E[p], g_delta[p] and v[p] per item p.  Direct route:
     D_o = 1 and the T_k of j_series.  S-sum route: D_o = D^-1, and the T_k
@@ -375,7 +378,7 @@ def xj_stack(spectrum, basis, E, g_delta, order, v=None, routes=("direct", "ssum
     out = []
     for route in routes:
         o = inverse_denominator(basis, E, live[:, None]) if route == "ssum" else None
-        groups = _pole_groups(spectrum, E, G) if groups is None else groups
+        groups = _pole_groups(basis.spectrum, E, G) if groups is None else groups
         W = None if v is None else (v if o is None else o * v)[:, None, :]
         X = sum(_kernel_terms(groups, G, order, o, W))
         X = X if v is None else X[:, 0]
@@ -385,7 +388,7 @@ def xj_stack(spectrum, basis, E, g_delta, order, v=None, routes=("direct", "ssum
     return out
 
 
-def _one_point(spectrum, basis, E, g_delta, order, v, route):
+def _one_point(basis, E, g_delta, order, v, route):
     """X_J (or X_J v) at one energy on one route: the stack of one."""
     g = _square(g_delta, basis, "g").reshape(1, basis.dim, basis.dim)
     if v is not None:
@@ -393,17 +396,17 @@ def _one_point(spectrum, basis, E, g_delta, order, v, route):
         if v.shape != (basis.dim,):
             raise ValueError(f"v has shape {v.shape}, basis needs {(basis.dim,)}")
         v = v[None]
-    (X,) = xj_stack(spectrum, basis, [E], g, order, v, (route,))
+    (X,) = xj_stack(basis, [E], g, order, v, (route,))
     return X[0]
 
 
-def xj_matrix(spectrum, basis, E, g_delta, order, v=None):
+def xj_matrix(basis, E, g_delta, order, v=None):
     """Truncated kernel integral sum_k T_k of j_series (the X_J of the direct
     route), or, given a vector v, the applied X_J v."""
-    return _one_point(spectrum, basis, E, g_delta, order, v, "direct")
+    return _one_point(basis, E, g_delta, order, v, "direct")
 
 
-def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order, v=None):
+def xj_matrix_ssum_route(basis, E, g_delta, order, v=None):
     """Same object evaluated through F^-1 = D^-1 (S1 + S2):
 
         T_k = D^-1 [ i int (S1+S2) (g D^-1 (S1+S2))^k g (S1+S2) ] D^-1
@@ -415,4 +418,4 @@ def xj_matrix_ssum_route(spectrum, basis, E, g_delta, order, v=None):
     D entry vanishes, which includes the mixed-pair energies the direct
     route handles.
     """
-    return _one_point(spectrum, basis, E, g_delta, order, v, "ssum")
+    return _one_point(basis, E, g_delta, order, v, "ssum")

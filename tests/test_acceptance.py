@@ -71,7 +71,7 @@ def test_criterion_1_basic_contour_identity():
     for idx, spectrum in enumerate(cases):
         basis = build_basis(spectrum)
         E = 2.1 if idx == 0 else energy_away_from_poles(rng, spectrum)
-        closed = contour_integral_Finv(spectrum, basis, E)
+        closed = contour_integral_Finv(basis, E)
         p = projectors(basis)
         d = E - basis.pair_energies()
         expected = (np.diag(p.pp) - np.diag(p.mm)) / d
@@ -95,8 +95,8 @@ def test_criterion_2_g0mod_identity():
     while checked < 100:
         E = energy_away_from_poles(rng, spectrum)
         eps = float(rng.uniform(-5, 5))
-        s1 = propagator_S(spectrum, basis, E, eps, 1)
-        s2 = propagator_S(spectrum, basis, E, eps, 2)
+        s1 = propagator_S(basis, E, eps, 1)
+        s2 = propagator_S(basis, E, eps, 2)
         if np.min(np.abs(1.0 / s1)) < 0.05 or np.min(np.abs(1.0 / s2)) < 0.05:
             continue
         d = E - basis.pair_energies()
@@ -120,8 +120,8 @@ def test_criterion_3_dm1_identity():
         d = E - basis.pair_energies()
         dc = Ec - basis.pair_energies()
         scalar = np.max(np.abs(1.0 / d - (1.0 / dc - dE / (dc * d))))
-        Dinv = np.linalg.inv(build_D(spectrum, basis, E))
-        Dcinv = np.linalg.inv(build_D(spectrum, basis, Ec))
+        Dinv = np.linalg.inv(build_D(basis, E))
+        Dcinv = np.linalg.inv(build_D(basis, Ec))
         DcD_inv = Dcinv @ Dinv
         op = np.max(np.abs(Dinv - (Dcinv - dE * DcD_inv)))
         worst = max(worst, float(scalar), float(op))
@@ -135,12 +135,12 @@ def test_criterion_4_resolvent_identity():
         spectrum = build_spectrum(cfg)
         basis = build_basis(spectrum)
         I_c = build_interaction(cfg, "coulomb")
-        H = build_Hc(spectrum, basis, I_c)
+        H = build_Hc(basis, I_c)
         E_c, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
         mm = projectors(basis).mm
         for shift in (0.1, 0.23, 0.52):
             E = E_c + shift
-            resid = np.max(np.abs(mm @ r.matrix(E) @ build_D(spectrum, basis, E) - mm))
+            resid = np.max(np.abs(mm @ r.matrix(E) @ build_D(basis, E) - mm))
             worst = max(worst, float(resid))
     report("criterion 4 (resolvent identity)", worst < 1e-12, f"worst {worst:.2e}")
 
@@ -176,11 +176,11 @@ def test_criterion_6_central_claim():
     for model in FIXTURES:
         cfg = RunConfig(model)
         res = run_pipeline(cfg)
-        spectrum, basis = res.state.spectrum, res.state.basis
+        basis = res.state.basis
         E, E_c, psi = res.ledger.E, res.ledger.E_c, res.state.psi_c
         I_c, g = res.state.I_c, res.state.g_delta
         rep = res.controversy
-        Xv_alt = xj_matrix_ssum_route(spectrum, basis, E, g, cfg.j_order, v=I_c @ psi)
+        Xv_alt = xj_matrix_ssum_route(basis, E, g, cfg.j_order, v=I_c @ psi)
         predicted, _, _ = predicted_discrepancy(basis, E, E_c, psi, I_c, Xv_alt)
         scale = max(1.0, abs(rep.combined_lindgren))
         worst_claim = max(worst_claim, abs(rep.difference - predicted) / scale)

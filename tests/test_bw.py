@@ -42,7 +42,7 @@ def resolvent_of(H_c):
 
 def test_solve_no_pair_zero_coupling(dim4):
     spectrum, basis, _, _ = dim4
-    H = build_Hc(spectrum, basis, np.zeros((4, 4)))
+    H = build_Hc(basis, np.zeros((4, 4)))
     E_c, psi, _ = solve_no_pair(H, basis.pattern_indices("pp"))
     assert E_c == pytest.approx(2.0)
     assert np.allclose(psi, [1.0, 0.0, 0.0, 0.0])
@@ -50,7 +50,7 @@ def test_solve_no_pair_zero_coupling(dim4):
 
 def test_solve_no_pair_dim4(dim4):
     spectrum, basis, I_c, _ = dim4
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     E_c, psi, _ = solve_no_pair(H, basis.pattern_indices("pp"))
     assert E_c == pytest.approx(2.1)
     p = projectors(basis)
@@ -62,13 +62,13 @@ def test_solve_no_pair_block_and_residual():
     spectrum = SingleParticleSpectrum.from_lists([1.0, 1.5], [-1.2])
     basis = build_basis(spectrum)
     I_c = 0.1 * np.ones((9, 9))
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     pp = basis.pattern_indices("pp")
     E_c, psi, _ = solve_no_pair(H, pp)
     block = H[np.ix_(pp, pp)]
     assert E_c == pytest.approx(np.linalg.eigvalsh(block)[0], rel=1e-14)
     # no-pair equation residual (D_c - P_pp I_c) psi = 0
-    Dc = build_D(spectrum, basis, E_c)
+    Dc = build_D(basis, E_c)
     P = projectors(basis).pp
     assert np.linalg.norm((Dc - P @ I_c) @ psi) < 1e-12
 
@@ -76,7 +76,7 @@ def test_solve_no_pair_block_and_residual():
 def test_solve_no_pair_state_index():
     spectrum = SingleParticleSpectrum.from_lists([1.0, 1.5], [-1.2])
     basis = build_basis(spectrum)
-    H = build_Hc(spectrum, basis, 0.1 * np.ones((9, 9)))
+    H = build_Hc(basis, 0.1 * np.ones((9, 9)))
     pp = basis.pattern_indices("pp")
     vals = sorted(np.linalg.eigvalsh(H[np.ix_(pp, pp)]))
     for k in range(len(pp)):
@@ -90,14 +90,14 @@ def test_solve_no_pair_state_index():
 
 def test_resolvent_kills_reference(dim4):
     spectrum, basis, I_c, _ = dim4
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     E_c, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
     assert np.linalg.norm(r.apply(E_c + 0.3, psi)) < 1e-12
 
 
 def test_resolvent_diagonal_case(dim4):
     spectrum, basis, _, _ = dim4
-    H = build_Hc(spectrum, basis, np.zeros((4, 4)))
+    H = build_Hc(basis, np.zeros((4, 4)))
     _, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
     v = np.array([0.0, 1.0, 0.0, 0.0])  # pair (1,2): e = -0.2
     out = r.apply(2.1, v)
@@ -106,7 +106,7 @@ def test_resolvent_diagonal_case(dim4):
 
 def test_resolvent_output_orthogonal(dim4):
     spectrum, basis, I_c, _ = dim4
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     _, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -118,20 +118,20 @@ def test_resolvent_mm_identity(dim4):
     """P_mm G(E) D(E) = P_mm, and G_Q(E) (E - H_c) = Q on every row against
     the dense H_c, for every tested E."""
     spectrum, basis, I_c, _ = dim4
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     _, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
     mm = projectors(basis).mm
     Q = np.eye(basis.dim) - np.outer(psi, psi)
     for E in (2.1, 2.4, 1.3, 3.7):
         G = r.matrix(E)
-        D = build_D(spectrum, basis, E)
+        D = build_D(basis, E)
         assert np.max(np.abs(mm @ G @ D - mm)) < 1e-12
         assert np.max(np.abs(G @ (E * np.eye(basis.dim) - H) - Q)) < 1e-12
 
 
 def test_resolvent_singular_guard(dim4):
     spectrum, basis, I_c, _ = dim4
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     _, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
     with pytest.raises(DegenerateDenominatorError):
         r.apply(-0.2, np.ones(4))  # -0.2 is a mixed-pair eigenvalue of H_c
@@ -146,7 +146,7 @@ def test_resolvent_take_after_restrict_keeps_the_whole_guard(dim4):
     """Each item of a restricted stack still guards its own mixed-pair
     energy: -0.2, and -0.1 for the copy of H_c shifted by 0.1."""
     spectrum, basis, I_c, _ = dim4
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     _, _, r = solve_no_pair(np.stack([H, H + 0.1 * np.eye(4)]), basis.pattern_indices("pp"))
     u = np.flatnonzero(basis.unmixed_sign)
     for k, E in ((0, -0.2), (1, -0.1)):
@@ -166,7 +166,7 @@ def test_bw_terms_two_level():
 
 def test_bw_terms_zero_perturbation(dim4):
     spectrum, basis, I_c, _ = dim4
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     _, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
     t = bw_terms(r, lambda _: np.zeros((4, 4)).__matmul__, 2.4, psi, 3)
     assert t.tolist() == [0.0, 0.0, 0.0]
@@ -250,7 +250,7 @@ def reference_problem(config):
     basis = build_basis(spectrum)
     I_c = build_interaction(config, "coulomb")
     g = build_interaction(config, "delta")
-    H_c = build_Hc(spectrum, basis, I_c)
+    H_c = build_Hc(basis, I_c)
     E_c, psi, r = solve_no_pair(H_c, basis.pattern_indices("pp"))
     u = np.flatnonzero(basis.unmixed_sign)
     return H_c, psi, E_c, r, (r.restrict(u), ladder_perturbation(basis, I_c, g), psi[u])
@@ -447,7 +447,7 @@ def test_bw_lockstep_fails_only_the_singular_ladder_item(dim4):
                        match=r"^singular ladder block E S_u - K at E = 2.5$"):
         ladder_perturbation(basis, I, G)(np.array([2.3, 2.5]))
 
-    E_c, psi, r = solve_no_pair(build_Hc(spectrum, basis, I), basis.pattern_indices("pp"))
+    E_c, psi, r = solve_no_pair(build_Hc(basis, I), basis.pattern_indices("pp"))
     u = np.flatnonzero(basis.unmixed_sign)
     r_u, psi_u = r.restrict(u), psi[:, u]
 

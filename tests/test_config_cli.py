@@ -452,6 +452,7 @@ ARGUMENT_ERRORS = {
         ["scan", "--csv", "{tmp}/missing/x.csv"],
         "error: cannot write --csv file: [Errno 2] No such file or directory: "
         "'{tmp}/missing/x.csv'"),
+    "empty config path": (["compare", "--config", ""], "config error: config file not found: "),
 }
 
 
@@ -585,10 +586,10 @@ def test_cli_scan_point_failures_exit3(tmp_path, capsys, monkeypatch):
     # chunk and in that point's build alone
     stacked = bwlab.propagators.xj_stack
 
-    def lost_at_largest(spectrum, basis, E, g_delta, order, v, routes=("direct", "ssum")):
+    def lost_at_largest(basis, E, g_delta, order, v, routes=("direct", "ssum")):
         if "ssum" in routes and np.max(np.abs(g_delta)) > 0.005:  # 0.05 lambda
             raise OracleTrackingError("overlap tracking ambiguous")
-        return stacked(spectrum, basis, E, g_delta, order, v, routes)
+        return stacked(basis, E, g_delta, order, v, routes)
 
     for module in (bwlab.propagators, bwlab.pipeline):
         monkeypatch.setattr(module, "xj_stack", lost_at_largest)

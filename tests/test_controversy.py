@@ -40,29 +40,29 @@ J_ORDER = 2
 
 def solved(dim4):
     spectrum, basis, I_c, g = dim4
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     E_c, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
     return spectrum, basis, I_c, g, r, E_c, psi
 
 
-def applied(spectrum, basis, E, psi, I_c, g, j_order, route=xj_matrix):
+def applied(basis, E, psi, I_c, g, j_order, route=xj_matrix):
     """X_J(E) I_c psi built along route, the Xv the evaluators take."""
-    return route(spectrum, basis, E, g, j_order, v=I_c @ psi)
+    return route(basis, E, g, j_order, v=I_c @ psi)
 
 
 def test_deltaE1_frozen_value(dim4):
     """K=1 at E = E_c = 2.1: psi D sandwich(g) I_c psi = 518/495 exactly
     (from the exact dim-4 residue table)."""
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    val = deltaE1_direct(basis, E_c, psi, applied(spectrum, basis, E_c, psi, I_c, g, 1))
+    val = deltaE1_direct(basis, E_c, psi, applied(basis, E_c, psi, I_c, g, 1))
     assert val == pytest.approx(518.0 / 495.0, rel=1e-13)
 
 
 def test_deltaE1_vs_quadrature_composition(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    val = deltaE1_direct(basis, E_c, psi, applied(spectrum, basis, E_c, psi, I_c, g, 1))
+    val = deltaE1_direct(basis, E_c, psi, applied(basis, E_c, psi, I_c, g, 1))
     Xq = quadrature_oracle(spectrum, E_c, g)
-    D = build_D(spectrum, basis, E_c)
+    D = build_D(basis, E_c)
     quad_val = psi @ D @ Xq @ I_c @ psi
     assert val == pytest.approx(quad_val, rel=1e-6)
 
@@ -70,7 +70,7 @@ def test_deltaE1_vs_quadrature_composition(dim4):
 def test_deltaE2b_forms_agree(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.2
-    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
+    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
     val, residual = deltaE2b_direct(basis, E, E_c, psi, I_c, r, Xv)
     assert residual < 1e-10 * max(1.0, abs(val))
     assert val != 0.0
@@ -78,7 +78,7 @@ def test_deltaE2b_forms_agree(dim4):
 
 def test_combined_conventions_agree_at_zero_shift(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    Xv = applied(spectrum, basis, E_c, psi, I_c, g, J_ORDER)
+    Xv = applied(basis, E_c, psi, I_c, g, J_ORDER)
     lind = combined_variant(basis, E_c, E_c, psi, I_c, "lindgren", Xv)
     dkz = combined_variant(basis, E_c, E_c, psi, I_c, "dkz", Xv)
     assert lind == dkz
@@ -89,7 +89,7 @@ def test_combined_equals_chain_sum(dim4):
     reduced second-order terms equal the lindgren combination."""
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
-    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
+    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
     d1 = deltaE1_direct(basis, E, psi, Xv)
     d2, _ = deltaE2b_direct(basis, E, E_c, psi, I_c, r, Xv)
     lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
@@ -100,10 +100,10 @@ def test_difference_is_twice_shift_times_Y(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
     dE = E - E_c
-    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
+    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
     lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
     dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
-    Y = xj_matrix(spectrum, basis, E, g, J_ORDER) @ I_c
+    Y = xj_matrix(basis, E, g, J_ORDER) @ I_c
     expect = 2.0 * dE * (psi @ Y @ psi)
     assert (lind - dkz) == pytest.approx(expect, abs=1e-12 * max(1.0, abs(lind)))
 
@@ -117,12 +117,12 @@ def test_dm1_scalar_identity():
 def test_predicted_discrepancy_matches_measured(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
-    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
+    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
     lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
     dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
     predicted, residuals, dm1_err = predicted_discrepancy(
         basis, E, E_c, psi, I_c,
-        applied(spectrum, basis, E, psi, I_c, g, J_ORDER, xj_matrix_ssum_route),
+        applied(basis, E, psi, I_c, g, J_ORDER, xj_matrix_ssum_route),
     )
     assert (lind - dkz) == pytest.approx(predicted, rel=1e-10)
     assert residuals["Dm1_route"] < 1e-12
@@ -133,7 +133,7 @@ def test_predicted_discrepancy_zero_shift(dim4):
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     predicted, _, dm1_err = predicted_discrepancy(
         basis, E_c, E_c, psi, I_c,
-        applied(spectrum, basis, E_c, psi, I_c, g, J_ORDER, xj_matrix_ssum_route),
+        applied(basis, E_c, psi, I_c, g, J_ORDER, xj_matrix_ssum_route),
     )
     assert predicted == 0.0
     assert dm1_err == 0.0
@@ -144,9 +144,9 @@ def test_dkz_dc_approx_reported(dim4):
     only "lindgren" and "dkz" are conventions."""
     spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
     E = E_c + 0.17
-    Xv = applied(spectrum, basis, E, psi, I_c, g, J_ORDER)
+    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
     approx = combined_variant(basis, E, E_c, psi, I_c, "dkz",
-                              applied(spectrum, basis, E_c, psi, I_c, g, J_ORDER))
+                              applied(basis, E_c, psi, I_c, g, J_ORDER))
     dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
     assert np.isfinite(approx)
     assert approx != dkz
@@ -159,7 +159,7 @@ def test_model_oracle_free_limit(dim4):
     spectrum, basis, _, _ = dim4
     zero = np.zeros((4, 4))
     psi = np.array([1.0, 0.0, 0.0, 0.0])
-    assert model_oracle(spectrum, basis, zero, zero, psi) == pytest.approx(2.0)
+    assert model_oracle(basis, zero, zero, psi) == pytest.approx(2.0)
 
 
 def test_model_oracle_overlap(dim4_config):
@@ -171,9 +171,9 @@ def test_model_oracle_overlap(dim4_config):
     basis = build_basis(spectrum)
     I_c = build_interaction(cfg, "coulomb")
     g = build_interaction(cfg, "delta")
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     _, psi, _ = solve_no_pair(H, basis.pattern_indices("pp"))
-    _, vec = model_oracle(spectrum, basis, I_c, g, psi, return_vector=True)
+    _, vec = model_oracle(basis, I_c, g, psi, return_vector=True)
     assert (psi @ vec) ** 2 > 0.9
 
 
@@ -203,8 +203,8 @@ def test_bw_ladder_tracks_oracle(dim4_config):
 def test_h_delta2_routes_zero_couplings(dim4):
     spectrum, basis, I_c, g, *_ = solved(dim4)
     zero = np.zeros((4, 4))
-    assert not np.any(h_delta2_ladder(spectrum, basis, 2.1, zero, g))
-    assert not np.any(h_delta2_ladder(spectrum, basis, 2.1, I_c, zero))
+    assert not np.any(h_delta2_ladder(basis, 2.1, zero, g))
+    assert not np.any(h_delta2_ladder(basis, 2.1, I_c, zero))
 
 
 #: the last one's delta coupling is strong enough that K = diag|e_u| + g_uu
@@ -243,8 +243,8 @@ def test_ladder_operator_matches_dense_forms(name):
     for _ in range(3):
         E = energy_away_from_poles(rng, spectrum)
         apply = V(E)
-        dense = h_delta2_ladder(spectrum, basis, E, I_c, g)
-        kernel = ladder_kernel(spectrum, basis, E, g)
+        dense = h_delta2_ladder(basis, E, I_c, g)
+        kernel = ladder_kernel(basis, E, g)
         D = E - basis.pair_energies()
         for x in rng.normal(size=(3, basis.dim)) * u:
             got = np.zeros(basis.dim)
@@ -331,7 +331,7 @@ def count_kernel_builds(monkeypatch):
     original = bwlab.propagators.xj_stack
 
     def counted(*args, **kwargs):
-        routes = kwargs.get("routes", args[6] if len(args) > 6 else ("direct", "ssum"))
+        routes = kwargs.get("routes", args[5] if len(args) > 5 else ("direct", "ssum"))
         for route in routes:
             counts[route] += 1
         return original(*args, **kwargs)
@@ -363,10 +363,10 @@ def test_coupling_scan_propagates_programming_errors(dim4_config, monkeypatch):
 
     stacked = bwlab.pipeline.xj_stack
 
-    def broken_at_largest(spectrum, basis, E, g_delta, order, v):
+    def broken_at_largest(basis, E, g_delta, order, v):
         if np.max(np.abs(g_delta)) > 0.005:  # 0.05 lambda: only at lambda = 0.16
             raise TypeError("unexpected argument")
-        return stacked(spectrum, basis, E, g_delta, order, v)
+        return stacked(basis, E, g_delta, order, v)
 
     monkeypatch.setattr(bwlab.pipeline, "xj_stack", broken_at_largest)
     with pytest.raises(TypeError, match="unexpected argument"):
@@ -380,7 +380,7 @@ def test_model_oracle_tracking_failure_is_bwlab_error(dim4):
     spectrum, basis, I_c, g = dim4
     psi = np.full(basis.dim, 0.5)  # spread evenly over the four free pair states
     with pytest.raises(OracleTrackingError, match="ambiguous") as info:
-        model_oracle(spectrum, basis, 0.0 * I_c, 0.0 * g, psi)
+        model_oracle(basis, 0.0 * I_c, 0.0 * g, psi)
     assert isinstance(info.value, BwlabError)
 
 
@@ -396,7 +396,7 @@ def test_model_oracle_rejects_a_complex_tracked_eigenvalue():
                                 delta_matrix="random-symmetric"))
     st = reference_state(cfg)
     with pytest.raises(OracleTrackingError, match=r"^tracked eigenvalue not real: \(0\.4189"):
-        model_oracle(st.spectrum, st.basis, st.I_c, st.g_delta, st.psi_c)
+        model_oracle(st.basis, st.I_c, st.g_delta, st.psi_c)
 
 
 #: a jittered 2+2 spectrum (dim 16) next to the dim-4 fixture
@@ -485,8 +485,8 @@ def one_point_run(cfg, lam):
     if not (np.any(st.I_c) and np.any(st.g_delta)):
         return ledger, ControversyReport()
     v = st.I_c @ st.psi_c
-    Xv, Xv_alt = (route(st.spectrum, st.basis, ledger.E, st.g_delta, cfg.j_order,
-                        v=v) for route in (xj_matrix, xj_matrix_ssum_route))
+    Xv, Xv_alt = (route(st.basis, ledger.E, st.g_delta, cfg.j_order, v=v)
+                  for route in (xj_matrix, xj_matrix_ssum_route))
     (rep,) = convention_report(st.basis, ledger.E, ledger.E_c, st.psi_c, st.I_c, st.resolvent,
                                Xv, Xv_alt)
     return ledger, rep
@@ -616,9 +616,9 @@ def test_coupling_scan_splits_a_chunk_down_to_its_failing_point(monkeypatch):
     monkeypatch.setattr(bwlab.pipeline, "STACK_BYTES", 64 * 8 * bwlab.pipeline.STACK_DOUBLES * 3 ** 4)
     sizes, xj_stack = [], bwlab.pipeline.xj_stack
 
-    def counted(spectrum, basis, E, *args, **kwargs):
+    def counted(basis, E, *args, **kwargs):
         sizes.append(len(E))
-        return xj_stack(spectrum, basis, E, *args, **kwargs)
+        return xj_stack(basis, E, *args, **kwargs)
 
     monkeypatch.setattr(bwlab.pipeline, "xj_stack", counted)
     calls = count_stacked_calls(monkeypatch)

@@ -1,8 +1,8 @@
 """Static checks on the package source: no unused imports, no imports
 inside functions except the one that breaks a real import cycle, no
 definition that nothing names, no private definition that only tests read,
-and no handler of a package error outside the two places that turn one
-into an outcome."""
+no handler of a package error outside the two places that turn one into
+an outcome, and no function that takes both a spectrum and its basis."""
 
 import ast
 import collections
@@ -179,6 +179,21 @@ def test_quadrature_imports_nothing_of_the_engine():
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
     parts = {part for name in imported for part in name.split(".")}
     assert sorted(parts & {"residues", "propagators", "operators"}) == []
+
+
+def test_no_function_takes_both_a_spectrum_and_its_basis():
+    """The pair basis holds its spectrum (basis.spectrum), so a function or
+    method that takes a basis takes no spectrum beside it: callers pass one
+    model-space argument, not two that must agree."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                params = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)}
+                if {"spectrum", "basis"} <= params:
+                    found.append((path.name, node.name))
+    assert sorted(found) == []
 
 
 #: the one-point calls whose spans the traced benchmark counts

@@ -27,8 +27,8 @@ def sequential_sampled_checks(spectrum, basis, seed):
     worst = 0.0
     for _ in range(128):
         E, eps = rng.uniform(lo, hi), rng.uniform(lo, hi)
-        s1 = propagator_S(spectrum, basis, E, eps, 1)
-        s2 = propagator_S(spectrum, basis, E, eps, 2)
+        s1 = propagator_S(basis, E, eps, 1)
+        s2 = propagator_S(basis, E, eps, 2)
         if np.min(np.abs(1.0 / s1)) < 0.05 or np.min(np.abs(1.0 / s2)) < 0.05:
             continue
         d = E - basis.pair_energies()
@@ -68,9 +68,9 @@ def test_identity_suite_builds_its_sandwiches_in_one_call(monkeypatch):
 
     calls, build = [], bwlab.identities.sandwich_integral
 
-    def counted(spectrum, basis, E, A):
+    def counted(basis, E, A):
         calls.append(np.shape(A))
-        return build(spectrum, basis, E, A)
+        return build(basis, E, A)
 
     monkeypatch.setattr(bwlab.identities, "sandwich_integral", counted)
     res = identity_suite(parse_config("[spectrum]\n"))

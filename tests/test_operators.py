@@ -28,7 +28,7 @@ from bwlab.model import SingleParticleSpectrum
 def test_build_Hc_rejects_a_wrong_shape(dim4):
     spectrum, basis, I_c, _ = dim4
     with pytest.raises(ValueError, match=r"^I_c has shape \(3, 3\), basis needs \(4, 4\)$"):
-        build_Hc(spectrum, basis, I_c[:3, :3])
+        build_Hc(basis, I_c[:3, :3])
 
 
 def test_projectors_dim4(dim4):
@@ -58,23 +58,23 @@ def test_projector_algebra_random():
 
 def test_build_D_values(dim4):
     spectrum, basis, _, _ = dim4
-    assert np.allclose(np.diag(build_D(spectrum, basis, 2.1)), [0.1, 2.3, 2.3, 4.5])
-    assert np.allclose(np.diag(build_D(spectrum, basis, 0.0)), [-2.0, 0.2, 0.2, 2.4])
+    assert np.allclose(np.diag(build_D(basis, 2.1)), [0.1, 2.3, 2.3, 4.5])
+    assert np.allclose(np.diag(build_D(basis, 0.0)), [-2.0, 0.2, 0.2, 2.4])
 
 
 def test_build_Dc_and_shift(dim4):
     spectrum, basis, _, _ = dim4
-    assert np.allclose(np.diag(build_Dc(spectrum, basis, 2.1)), [0.1, 2.3, 2.3, 4.5])
-    D = build_D(spectrum, basis, 2.7)
-    Dc = build_Dc(spectrum, basis, 2.1)
+    assert np.allclose(np.diag(build_Dc(basis, 2.1)), [0.1, 2.3, 2.3, 4.5])
+    D = build_D(basis, 2.7)
+    Dc = build_Dc(basis, 2.1)
     assert np.allclose(D - Dc, 0.6 * np.eye(4))
     # a degenerate entry is constructed fine; inversion is what rejects
-    assert build_Dc(spectrum, basis, 2.0)[0, 0] == 0.0
+    assert build_Dc(basis, 2.0)[0, 0] == 0.0
 
 
 def test_build_Hc(dim4):
     spectrum, basis, I_c, _ = dim4
-    H = build_Hc(spectrum, basis, I_c)
+    H = build_Hc(basis, I_c)
     assert H[0, 0] == pytest.approx(2.1)
     off = H - np.diag(np.diag(H))
     assert np.max(np.abs(off)) == 0.0  # 1-dim ++ block: no off-diagonal survives
@@ -85,7 +85,7 @@ def test_build_Hc(dim4):
 
 def test_build_Hc_zero_coupling(dim4):
     spectrum, basis, _, _ = dim4
-    H = build_Hc(spectrum, basis, np.zeros((4, 4)))
+    H = build_Hc(basis, np.zeros((4, 4)))
     assert np.allclose(H, np.diag([2.0, -0.2, -0.2, -2.4]))
 
 
@@ -117,20 +117,20 @@ def test_HDelta1_zero_coupling(dim4):
 
 def test_build_G0_values(dim4):
     spectrum, basis, _, _ = dim4
-    G0 = build_G0(spectrum, basis, 2.1)
+    G0 = build_G0(basis, 2.1)
     assert np.allclose(np.diag(G0), [10.0, 0.0, 0.0, -1.0 / 4.5])
 
 
 def test_build_G0_large_E_limit(dim4):
     spectrum, basis, _, _ = dim4
-    G0 = build_G0(spectrum, basis, 1e9)
+    G0 = build_G0(basis, 1e9)
     assert np.max(np.abs(np.diag(G0))) < 1e-8
 
 
 def test_build_G0_degenerate(dim4):
     spectrum, basis, _, _ = dim4
     with pytest.raises(DegenerateDenominatorError):
-        build_G0(spectrum, basis, 2.0)
+        build_G0(basis, 2.0)
 
 
 def test_G0_matches_contour_integral():
@@ -143,8 +143,8 @@ def test_G0_matches_contour_integral():
         E = 5.0
         while any(abs(E - s) < 0.2 for s in sums):
             E = float(rng.uniform(-4, 7))
-        G0 = build_G0(spectrum, basis, E)
-        assert np.max(np.abs(G0 - contour_integral_Finv(spectrum, basis, E))) < 1e-12
+        G0 = build_G0(basis, E)
+        assert np.max(np.abs(G0 - contour_integral_Finv(basis, E))) < 1e-12
 
 
 # -- sign masks against the dense projector formulas ---------------------------
@@ -191,12 +191,12 @@ def test_masks_match_dense_projectors(case, monkeypatch):
     basis = build_basis(spectrum)
     p = projectors(basis)
     pair = np.diag(basis.pair_energies())
-    assert_bitwise(build_Hc(spectrum, basis, I_c), pair + p.pp @ I_c @ p.pp)
+    assert_bitwise(build_Hc(basis, I_c), pair + p.pp @ I_c @ p.pp)
     assert_bitwise(build_HDelta1(basis, I_c),
                    p.pp @ I_c @ (np.eye(basis.dim) - p.pp) - p.mm @ I_c)
     E = energy_away_from_poles(np.random.default_rng(basis.dim), spectrum)
     assert_bitwise(np.diag(free_propagator(basis, E)), dense_G0(basis, E, p))
-    assert_bitwise(build_G0(spectrum, basis, E), dense_G0(basis, E, p))
+    assert_bitwise(build_G0(basis, E), dense_G0(basis, E, p))
 
     seen = []
     eig = np.linalg.eig
@@ -206,10 +206,10 @@ def test_masks_match_dense_projectors(case, monkeypatch):
         return eig(H)
 
     monkeypatch.setattr(np.linalg, "eig", spy)
-    H_c = build_Hc(spectrum, basis, I_c)
+    H_c = build_Hc(basis, I_c)
     _, psi_c, _ = solve_no_pair(H_c, basis.pattern_indices("pp"))
     try:
-        model_oracle(spectrum, basis, I_c, g, psi_c)
+        model_oracle(basis, I_c, g, psi_c)
     except OracleTrackingError:
         pass  # the operator was built; tracking is not what is checked here
     assert len(seen) == 1
@@ -254,14 +254,14 @@ def test_model_oracle_unmixed_block_tracks_full_eig(case):
     has no such eigenvector and its tracking fails instead."""
     _, spectrum, I_c, g = case
     basis = build_basis(spectrum)
-    _, psi_c, _ = solve_no_pair(build_Hc(spectrum, basis, I_c), basis.pattern_indices("pp"))
+    _, psi_c, _ = solve_no_pair(build_Hc(basis, I_c), basis.pattern_indices("pp"))
     want = full_oracle(basis, I_c, g, psi_c)
     mixed_energies = basis.pair_energies()[basis.unmixed_sign == 0]
     if isinstance(want, str) or np.any(mixed_energies == want[0]):
         with pytest.raises(OracleTrackingError, match=want if isinstance(want, str) else None):
-            model_oracle(spectrum, basis, I_c, g, psi_c)
+            model_oracle(basis, I_c, g, psi_c)
         return
-    val, vec = model_oracle(spectrum, basis, I_c, g, psi_c, return_vector=True)
+    val, vec = model_oracle(basis, I_c, g, psi_c, return_vector=True)
     assert abs(val - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
     assert abs(abs(vec @ want[1]) - 1.0) <= 1e-12
 
@@ -272,22 +272,22 @@ def test_model_oracle_unmixed_block_tracks_full_eig(case):
 UNMIXED_E, MIXED_E, GOOD_E = 2.0, -0.2, 2.1
 
 
-def _predicted(spectrum, basis, E, E_c, I_c, g):
+def _predicted(basis, E, E_c, I_c, g):
     psi_c = np.array([1.0, 0.0, 0.0, 0.0])
     return predicted_discrepancy(basis, E, E_c, psi_c, I_c, np.ones(basis.dim))
 
 
 GUARD_SITES = {
-    "inverse_denominator": lambda s, b, E, I_c, g: inverse_denominator(b, E),
-    "free_propagator": lambda s, b, E, I_c, g: free_propagator(b, E),
-    "build_G0": lambda s, b, E, I_c, g: build_G0(s, b, E),
-    "ladder_kernel": lambda s, b, E, I_c, g: ladder_kernel(s, b, E, g),
-    "contour_integral_Finv": lambda s, b, E, I_c, g: contour_integral_Finv(s, b, E),
-    "xj_matrix_ssum_route": lambda s, b, E, I_c, g: xj_matrix_ssum_route(s, b, E, g, 2),
+    "inverse_denominator": lambda b, E, I_c, g: inverse_denominator(b, E),
+    "free_propagator": lambda b, E, I_c, g: free_propagator(b, E),
+    "build_G0": lambda b, E, I_c, g: build_G0(b, E),
+    "ladder_kernel": lambda b, E, I_c, g: ladder_kernel(b, E, g),
+    "contour_integral_Finv": lambda b, E, I_c, g: contour_integral_Finv(b, E),
+    "xj_matrix_ssum_route": lambda b, E, I_c, g: xj_matrix_ssum_route(b, E, g, 2),
     "predicted_discrepancy at E":
-        lambda s, b, E, I_c, g: _predicted(s, b, E, GOOD_E, I_c, g),
+        lambda b, E, I_c, g: _predicted(b, E, GOOD_E, I_c, g),
     "predicted_discrepancy at E_c":
-        lambda s, b, E, I_c, g: _predicted(s, b, GOOD_E, E, I_c, g),
+        lambda b, E, I_c, g: _predicted(b, GOOD_E, E, I_c, g),
 }
 
 #: sites that guard every pair, so that a mixed-pair energy aborts them too
@@ -303,9 +303,9 @@ def test_pair_denominator_guard(dim4, site, energy):
     call = GUARD_SITES[site]
     if energy == "unmixed" or site in GUARD_EVERY_PAIR:
         with pytest.raises(DegenerateDenominatorError):
-            call(spectrum, basis, E, I_c, g)
+            call(basis, E, I_c, g)
     else:
-        assert np.all(np.isfinite(call(spectrum, basis, E, I_c, g)))
+        assert np.all(np.isfinite(call(basis, E, I_c, g)))
 
 
 def test_inverse_denominator_message_and_mask(dim4):
@@ -329,10 +329,10 @@ def test_contour_integral_at_mixed_pair_energies(pos, neg):
     mixed = basis.unmixed_sign == 0
     energies = sorted(set(basis.pair_energies()[mixed].tolist()))
     for E in energies:
-        G0 = build_G0(spectrum, basis, E)
-        got = contour_integral_Finv(spectrum, basis, E)
+        G0 = build_G0(basis, E)
+        got = contour_integral_Finv(basis, E)
         assert np.max(np.abs(got - G0)) <= 1e-13 * max(1.0, np.max(np.abs(G0)))
         for offset in (1e-14, 5e-13, -5e-13):
-            got = np.diag(contour_integral_Finv(spectrum, basis, E + offset))
+            got = np.diag(contour_integral_Finv(basis, E + offset))
             assert not np.any(got[mixed])
 

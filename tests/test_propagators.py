@@ -83,7 +83,7 @@ def residue_sum_check(poles, prefactor=1.0):
 
 def test_propagator_S_value(dim4):
     spectrum, basis, _, _ = dim4
-    s1 = propagator_S(spectrum, basis, 2.1, 0.0, 1)
+    s1 = propagator_S(basis, 2.1, 0.0, 1)
     assert s1[0] == pytest.approx(1.0 / 0.05, rel=1e-6)
 
 
@@ -92,8 +92,8 @@ def test_propagator_sum_is_D(dim4):
     rng = np.random.default_rng(0)
     for _ in range(20):
         E, eps = rng.uniform(-3, 3, size=2)
-        s1 = propagator_S(spectrum, basis, E, eps, 1)
-        s2 = propagator_S(spectrum, basis, E, eps, 2)
+        s1 = propagator_S(basis, E, eps, 1)
+        s2 = propagator_S(basis, E, eps, 2)
         d = E - basis.pair_energies()
         assert np.max(np.abs(1.0 / s1 + 1.0 / s2 - d)) < 1e-12
 
@@ -108,8 +108,8 @@ def test_g0mod_pointwise_identity():
     while checked < 100:
         E = energy_away_from_poles(rng, spectrum)
         eps = float(rng.uniform(-5, 5))
-        s1 = propagator_S(spectrum, basis, E, eps, 1)
-        s2 = propagator_S(spectrum, basis, E, eps, 2)
+        s1 = propagator_S(basis, E, eps, 1)
+        s2 = propagator_S(basis, E, eps, 2)
         if np.min(np.abs(1.0 / s1)) < 0.05 or np.min(np.abs(1.0 / s2)) < 0.05:
             continue
         d = E - basis.pair_energies()
@@ -207,14 +207,14 @@ def test_clustered_poles_pinch_before_near_coincidence():
 
 def test_contour_integral_values(dim4):
     spectrum, basis, _, _ = dim4
-    got = np.diag(contour_integral_Finv(spectrum, basis, 2.1))
+    got = np.diag(contour_integral_Finv(basis, 2.1))
     assert np.allclose(got, [10.0, 0.0, 0.0, -1.0 / 4.5], atol=1e-14)
 
 
 def test_contour_integral_degenerate(dim4):
     spectrum, basis, _, _ = dim4
     with pytest.raises(DegenerateDenominatorError):
-        contour_integral_Finv(spectrum, basis, 2.0)
+        contour_integral_Finv(basis, 2.0)
 
 
 DIM4_I4_TABLE = np.array([
@@ -232,7 +232,7 @@ def test_sandwich_dim4_frozen_table(dim4):
     with e = -1.2: the lower-half closure flips the sign twice.
     """
     spectrum, basis, _, _ = dim4
-    X = sandwich_integral(spectrum, basis, 2.1, np.ones((4, 4)))
+    X = sandwich_integral(basis, 2.1, np.ones((4, 4)))
     assert np.allclose(X, DIM4_I4_TABLE, rtol=1e-12)
 
 
@@ -240,21 +240,19 @@ def test_sandwich_scales_with_entry(dim4):
     spectrum, basis, _, _ = dim4
     A = np.zeros((4, 4))
     A[0, 0] = 3.5
-    X = sandwich_integral(spectrum, basis, 2.1, A)
+    X = sandwich_integral(basis, 2.1, A)
     assert X[0, 0] == pytest.approx(3.5 * 2000.0, rel=1e-12)
     assert np.count_nonzero(X) == 1
 
 
 def test_sandwich_zero_and_linearity(dim4):
     spectrum, basis, _, _ = dim4
-    assert not np.any(sandwich_integral(spectrum, basis, 2.1, np.zeros((4, 4))))
+    assert not np.any(sandwich_integral(basis, 2.1, np.zeros((4, 4))))
     rng = np.random.default_rng(1)
     A = rng.uniform(-1, 1, size=(4, 4))
     B = rng.uniform(-1, 1, size=(4, 4))
-    lhs = sandwich_integral(spectrum, basis, 2.1, 0.7 * A - 2.0 * B)
-    rhs = 0.7 * sandwich_integral(spectrum, basis, 2.1, A) - 2.0 * sandwich_integral(
-        spectrum, basis, 2.1, B
-    )
+    lhs = sandwich_integral(basis, 2.1, 0.7 * A - 2.0 * B)
+    rhs = 0.7 * sandwich_integral(basis, 2.1, A) - 2.0 * sandwich_integral(basis, 2.1, B)
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * np.max(np.abs(rhs))
 
 
@@ -266,22 +264,22 @@ def test_sandwich_exchange_symmetry():
     E = energy_away_from_poles(rng, spectrum)
     A = rng.uniform(-1, 1, size=(basis.dim, basis.dim))
     A = 0.5 * (A + A.T)
-    X = sandwich_integral(spectrum, basis, E, A)
+    X = sandwich_integral(basis, E, A)
     assert np.max(np.abs(X - X.T)) < 1e-12 * max(1.0, np.max(np.abs(X)))
 
 
 def test_sandwich_vs_quadrature(dim4):
     spectrum, basis, _, g = dim4
-    X = sandwich_integral(spectrum, basis, 2.1, g)
+    X = sandwich_integral(basis, 2.1, g)
     Xq = quadrature_oracle(spectrum, 2.1, g)
     assert np.max(np.abs(X - Xq)) < 1e-6 * np.max(np.abs(X))
 
 
 def test_j_series_first_term_is_sandwich(dim4):
     spectrum, basis, _, g = dim4
-    terms = j_series(spectrum, basis, 2.25, g, 1)
+    terms = j_series(basis, 2.25, g, 1)
     assert len(terms) == 1
-    assert np.array_equal(terms[0], sandwich_integral(spectrum, basis, 2.25, g))
+    assert np.array_equal(terms[0], sandwich_integral(basis, 2.25, g))
 
 
 @pytest.mark.parametrize("E", [2.07, 0.3])  # 0.3: a mixed pair's energy, a double pole
@@ -296,20 +294,20 @@ def test_sandwich_stack_equals_per_matrix_calls(E):
     sparse = np.zeros_like(A)
     sparse[6, 1] = sparse[1, 6] = sparse[6, 6] = 0.04
     stack = np.array([A, np.zeros_like(A), sparse, 0.5 * (A + A.T)])
-    got = sandwich_integral(spectrum, basis, E, stack)
+    got = sandwich_integral(basis, E, stack)
     assert got.shape == stack.shape
     assert [X.tobytes() for X in got] == [
-        sandwich_integral(spectrum, basis, E, M).tobytes() for M in stack]
+        sandwich_integral(basis, E, M).tobytes() for M in stack]
     assert not np.any(got[1])
-    terms = j_series(spectrum, basis, E, stack, 2)
+    terms = j_series(basis, E, stack, 2)
     for p, M in enumerate(stack):
         assert [T[p].tobytes() for T in terms] == [
-            T.tobytes() for T in j_series(spectrum, basis, E, M, 2)]
+            T.tobytes() for T in j_series(basis, E, M, 2)]
 
 
 def test_j_series_zero_coupling(dim4):
     spectrum, basis, _, _ = dim4
-    terms = j_series(spectrum, basis, 2.1, np.zeros((4, 4)), 3)
+    terms = j_series(basis, 2.1, np.zeros((4, 4)), 3)
     assert len(terms) == 3
     assert not any(np.any(t) for t in terms)
 
@@ -321,13 +319,13 @@ def test_j_series_second_term_dim1():
     basis = build_basis(spectrum)
     gamma = 0.3
     g = np.array([[gamma]])
-    terms = j_series(spectrum, basis, 3.0, g, 2)
+    terms = j_series(basis, 3.0, g, 2)
     assert terms[1][0, 0] == pytest.approx(6.0 * gamma ** 2, rel=1e-12)
 
 
 def test_j_series_vs_chain_quadrature(dim4):
     spectrum, basis, _, g = dim4
-    terms = j_series(spectrum, basis, 2.25, g, 2)
+    terms = j_series(basis, 2.25, g, 2)
     q1 = quadrature_chain(spectrum, 2.25, [g])
     q2 = quadrature_chain(spectrum, 2.25, [g, g])
     assert np.max(np.abs(terms[0] - q1)) < 1e-6 * np.max(np.abs(terms[0]))
@@ -343,12 +341,12 @@ def test_ssum_route_matches_direct():
         E = energy_away_from_poles(rng, spectrum)
         g = rng.uniform(-0.2, 0.2, size=(basis.dim, basis.dim))
         g = 0.5 * (g + g.T)
-        X1 = xj_matrix(spectrum, basis, E, g, 2)
-        X2 = xj_matrix_ssum_route(spectrum, basis, E, g, 2)
+        X1 = xj_matrix(basis, E, g, 2)
+        X2 = xj_matrix_ssum_route(basis, E, g, 2)
         assert np.max(np.abs(X1 - X2)) < 1e-10 * max(1.0, np.max(np.abs(X1)))
 
 
-def chain_enumeration(spectrum, basis, E, g, order, dinv=None):
+def chain_enumeration(basis, E, g, order, dinv=None):
     """Kernel-series terms by enumerating every index chain, one scalar
     residue integral each: W_k = sum over chains p_0 .. p_{k+1} of
     g[p_0, p_1] ... g[p_k, p_{k+1}] times the joint integral of F^-1 factors
@@ -357,7 +355,7 @@ def chain_enumeration(spectrum, basis, E, g, order, dinv=None):
     Also returns, per term, the sum of the absolute chain contributions:
     the scale of the rounding error of any evaluation that sums them.
     """
-    chain = ChainIntegrator(spectrum, basis, E)
+    chain = ChainIntegrator(basis, E)
     integral = chain.finv_product if dinv is None else chain.ssum_product
     terms, scales = [], []
     for k in range(order):
@@ -405,14 +403,14 @@ def test_laurent_engine_matches_chain_enumeration():
         g = rng.uniform(-0.2, 0.2, size=(basis.dim, basis.dim))
         g = 0.5 * (g + g.T)
 
-        ref, scales = chain_enumeration(spectrum, basis, E, g, order)
-        for T, R, A in zip(j_series(spectrum, basis, E, g, order), ref, scales):
+        ref, scales = chain_enumeration(basis, E, g, order)
+        for T, R, A in zip(j_series(basis, E, g, order), ref, scales):
             assert np.max(np.abs(T - R)) < 1e-12 * np.max(A)
 
         dinv = 1.0 / (E - basis.pair_energies())
-        ref, scales = chain_enumeration(spectrum, basis, E, g, order, dinv)
+        ref, scales = chain_enumeration(basis, E, g, order, dinv)
         outer = np.outer(dinv, dinv)
-        X = xj_matrix_ssum_route(spectrum, basis, E, g, order)
+        X = xj_matrix_ssum_route(basis, E, g, order)
         assert np.max(np.abs(X - outer * sum(ref))) < 1e-12 * np.max(np.abs(outer) * sum(scales))
 
 
@@ -432,20 +430,20 @@ def test_laurent_engine_same_side_confluent_pole(pos, neg):
     E = pos[0] + neg[0]
     g = np.random.default_rng(1).uniform(-0.1, 0.1, size=(basis.dim, basis.dim))
     g = g + g.T
-    ref, scales = chain_enumeration(spectrum, basis, E, g, 2)
-    for T, R, A in zip(j_series(spectrum, basis, E, g, 2), ref, scales):
+    ref, scales = chain_enumeration(basis, E, g, 2)
+    for T, R, A in zip(j_series(basis, E, g, 2), ref, scales):
         assert np.max(np.abs(T - R)) < 1e-12 * np.max(A)
     with pytest.raises(DegenerateDenominatorError):
-        xj_matrix_ssum_route(spectrum, basis, E, g, 2)
+        xj_matrix_ssum_route(basis, E, g, 2)
 
 
 @pytest.mark.parametrize("E", [2.0, 2.0 + 1e-12])
 def test_laurent_engine_pinch_aborts(dim4, E):
     spectrum, basis, _, g = dim4
     with pytest.raises(DegenerateDenominatorError):
-        sandwich_integral(spectrum, basis, E, g)
+        sandwich_integral(basis, E, g)
     with pytest.raises(DegenerateDenominatorError):
-        xj_matrix(spectrum, basis, E, g, 2)
+        xj_matrix(basis, E, g, 2)
 
 
 def test_laurent_engine_dim64_routes_agree():
@@ -455,8 +453,8 @@ def test_laurent_engine_dim64_routes_agree():
     basis = build_basis(spectrum)
     g = np.random.default_rng(5).uniform(-0.02, 0.02, size=(basis.dim, basis.dim))
     g = g + g.T
-    X1 = xj_matrix(spectrum, basis, 2.07, g, 3)
-    X2 = xj_matrix_ssum_route(spectrum, basis, 2.07, g, 3)
+    X1 = xj_matrix(basis, 2.07, g, 3)
+    X2 = xj_matrix_ssum_route(basis, 2.07, g, 3)
     assert np.max(np.abs(X1 - X2)) < 1e-10 * np.max(np.abs(X1))
 
 
@@ -467,13 +465,13 @@ def test_settings_validation(dim4_config):
     assert s.j_order == 2
 
 
-def assert_applied_matches(spectrum, basis, E, g, order, v,
+def assert_applied_matches(basis, E, g, order, v,
                            routes=(xj_matrix, xj_matrix_ssum_route)):
     """X v from the applied path against the matrix X times v, within 1e-13
     of max(1, |X v|)."""
     for route in routes:
-        Xv = route(spectrum, basis, E, g, order) @ v
-        got = route(spectrum, basis, E, g, order, v=v)
+        Xv = route(basis, E, g, order) @ v
+        got = route(basis, E, g, order, v=v)
         assert got.shape == Xv.shape
         assert np.max(np.abs(got - Xv)) < 1e-13 * max(1.0, np.max(np.abs(Xv)))
 
@@ -494,7 +492,7 @@ def test_applied_path_matches_matrix(order):
         E = energy_away_from_poles(rng, spectrum, min_gap=0.1)
         g = rng.uniform(-0.05, 0.05, size=(basis.dim, basis.dim))
         for gg in (g + g.T, g):
-            assert_applied_matches(spectrum, basis, E, gg, order, rng.standard_normal(basis.dim))
+            assert_applied_matches(basis, E, gg, order, rng.standard_normal(basis.dim))
     assert 64 in dims and min(dims) < 64
 
 
@@ -510,7 +508,7 @@ def test_applied_path_partially_active_g():
     g[np.ix_(act, act)] = rng.uniform(-0.1, 0.1, size=(act.size, act.size))
     v = rng.standard_normal(basis.dim)
     for order in (1, 2, 3):
-        assert_applied_matches(spectrum, basis, 2.07, g, order, v)
+        assert_applied_matches(basis, 2.07, g, order, v)
 
 
 @pytest.mark.parametrize("pos, neg", [
@@ -527,18 +525,18 @@ def test_applied_path_same_side_confluent_pole(pos, neg):
     g = np.random.default_rng(1).uniform(-0.1, 0.1, size=(basis.dim, basis.dim))
     g = g + g.T
     v = np.random.default_rng(2).standard_normal(basis.dim)
-    assert_applied_matches(spectrum, basis, E, g, 2, v, routes=(xj_matrix,))
+    assert_applied_matches(basis, E, g, 2, v, routes=(xj_matrix,))
     with pytest.raises(DegenerateDenominatorError):
-        xj_matrix_ssum_route(spectrum, basis, E, g, 2, v=v)
+        xj_matrix_ssum_route(basis, E, g, 2, v=v)
 
 
 @pytest.mark.parametrize("E", [2.0, 2.0 + 1e-12])
 def test_applied_path_pinch_aborts(dim4, E):
     spectrum, basis, _, g = dim4
     with pytest.raises(DegenerateDenominatorError) as matrix:
-        xj_matrix(spectrum, basis, E, g, 2)
+        xj_matrix(basis, E, g, 2)
     with pytest.raises(DegenerateDenominatorError) as applied:
-        xj_matrix(spectrum, basis, E, g, 2, v=np.ones(basis.dim))
+        xj_matrix(basis, E, g, 2, v=np.ones(basis.dim))
     assert str(applied.value) == str(matrix.value)
 
 
@@ -546,20 +544,20 @@ def test_applied_path_rejects_wrong_shape(dim4):
     spectrum, basis, _, g = dim4
     for route in (xj_matrix, xj_matrix_ssum_route):
         with pytest.raises(ValueError, match="v has shape"):
-            route(spectrum, basis, 2.25, g, 2, v=np.ones(basis.dim + 1))
+            route(basis, 2.25, g, 2, v=np.ones(basis.dim + 1))
 
 
 #: engine calls with an argument that they reject, each with its ValueError
 #: (g is the dim-4 delta coupling)
 BAD_ARGUMENTS = {
-    "propagator_S particle 3": (lambda s, b, g: propagator_S(s, b, 2.25, 0.0, 3),
+    "propagator_S particle 3": (lambda b, g: propagator_S(b, 2.25, 0.0, 3),
                                 "particle must be 1 or 2"),
-    "j_series order 0": (lambda s, b, g: j_series(s, b, 2.25, g, 0), "order must be >= 1"),
-    "xj_stack order 0": (lambda s, b, g: propagators.xj_stack(s, b, [2.25], g[None], 0),
+    "j_series order 0": (lambda b, g: j_series(b, 2.25, g, 0), "order must be >= 1"),
+    "xj_stack order 0": (lambda b, g: propagators.xj_stack(b, [2.25], g[None], 0),
                          "order must be >= 1"),
-    "xj_matrix g 3x3": (lambda s, b, g: xj_matrix(s, b, 2.25, g[:3, :3], 2),
+    "xj_matrix g 3x3": (lambda b, g: xj_matrix(b, 2.25, g[:3, :3], 2),
                         "g has shape (3, 3), basis needs (4, 4)"),
-    "pole_product_integral no poles": (lambda s, b, g: pole_product_integral([]),
+    "pole_product_integral no poles": (lambda b, g: pole_product_integral([]),
                                        "empty pole product"),
 }
 
@@ -569,7 +567,7 @@ def test_engine_rejects_bad_arguments(dim4, name):
     spectrum, basis, _, g = dim4
     call, message = BAD_ARGUMENTS[name]
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        call(spectrum, basis, g)
+        call(basis, g)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -599,14 +597,14 @@ def test_xj_stack_items_equal_one_point_builds(order):
     assert sorted(items.tolist() for items, *_ in groups) == [[0, 2, 6], [1], [3], [4], [7], [8]]
     assert sorted(up.size for *_, up in groups) == [2, 3, 3, 4, 4, 6]  # clusters
     with pytest.raises(DegenerateDenominatorError):
-        xj_matrix_ssum_route(spectrum, basis, E[1], g[1], order)
+        xj_matrix_ssum_route(basis, E[1], g[1], order)
     ssum = np.array([0, 2, 4, 5, 6])
     for vecs in (None, v):
         def one(route, p):
-            return route(spectrum, basis, E[p], g[p], order, v=None if vecs is None else vecs[p])
+            return route(basis, E[p], g[p], order, v=None if vecs is None else vecs[p])
 
         def stack(items, routes=("direct", "ssum")):
-            return propagators.xj_stack(spectrum, basis, E[items], g[items], order,
+            return propagators.xj_stack(basis, E[items], g[items], order,
                                         None if vecs is None else vecs[items], routes)
 
         def bits(arrays):

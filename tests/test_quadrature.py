@@ -18,7 +18,7 @@ from conftest import energy_away_from_poles, random_spectrum
 
 def test_finv_oracle_dim4(dim4):
     spectrum, basis, _, _ = dim4
-    exact = contour_integral_Finv(spectrum, basis, 2.1)
+    exact = contour_integral_Finv(basis, 2.1)
     quad = quadrature_finv(spectrum, 2.1)
     assert np.max(np.abs(quad - exact)) < 1e-6 * np.max(np.abs(exact))
 
@@ -30,7 +30,7 @@ def test_finv_oracle_random_spectra():
         spectrum = SingleParticleSpectrum.from_lists(pos, neg)
         basis = build_basis(spectrum)
         E = energy_away_from_poles(rng, spectrum)
-        exact = contour_integral_Finv(spectrum, basis, E)
+        exact = contour_integral_Finv(basis, E)
         quad = quadrature_finv(spectrum, E)
         assert np.max(np.abs(quad - exact)) < 1e-6 * max(1.0, np.max(np.abs(exact)))
 
@@ -41,7 +41,7 @@ def test_oracle_odd_point_count(monkeypatch):
     by it (numpy warnings fail the suite)."""
     spectrum = SingleParticleSpectrum.from_lists([1.0, 1.5], [-1.0, -1.5])
     basis = build_basis(spectrum)
-    exact = contour_integral_Finv(spectrum, basis, 2.25)
+    exact = contour_integral_Finv(basis, 2.25)
     monkeypatch.setattr(quadrature, "COARSE_POINTS", 17)
     quad = quadrature_finv(spectrum, 2.25)
     assert np.max(np.abs(quad - exact)) < 1e-12 * np.max(np.abs(exact))
@@ -61,7 +61,7 @@ def test_oracle_imaginary_part_small():
     A = np.full((4, 4), 0.3)
     re, im = quadrature_oracle(spectrum, 2.7, A, return_imag=True)
     assert np.max(np.abs(im)) < 1e-8
-    assert np.max(np.abs(re - sandwich_integral(spectrum, basis, 2.7, A))) < 1e-6
+    assert np.max(np.abs(re - sandwich_integral(basis, 2.7, A))) < 1e-6
 
 
 def test_oracle_nonconvergence_raises(dim4, monkeypatch):
@@ -94,7 +94,7 @@ def test_oracle_raises_where_path_cannot_separate_poles():
     basis = build_basis(spectrum)
     with pytest.raises(DegenerateDenominatorError, match="cannot pass the pole at x = -0.2"):
         quadrature_finv(spectrum, 2.4 + 1e-5)
-    exact = contour_integral_Finv(spectrum, basis, 2.4 + 1e-4)
+    exact = contour_integral_Finv(basis, 2.4 + 1e-4)
     quad = quadrature_finv(spectrum, 2.4 + 1e-4)
     assert np.max(np.abs(quad - exact)) < 1e-12 * np.max(np.abs(exact))
 

@@ -28,15 +28,15 @@ of that ladder as an operator on vectors, through one inverse of the
 unmixed block per E; h_delta2_ladder is the same interaction as a dense
 matrix from ladder_kernel, the geometric-series reference.
 
-Every evaluator uses X_J only applied to v = I_c psi_c and takes that
-vector Xv = X_J v, already built at the energy it uses, so that one run
-builds each of X_J(E) v, X_J(E_c) v and the S-sum route's X_J(E) v once
-and never the dim x dim matrix; what remains is vector algebra, per point
-of a stack.  convention_report composes them into the reports that
-compare, scan and verify share.  With either coupling zero there is
-nothing to evaluate (and X_J may not exist: E = E_c is a pair energy when
-I_c = 0); the caller decides that once and keeps the all-zero
-ControversyReport().
+The evaluators and the model oracle take one model argument, the reference
+state st (pipeline.ReferenceState, one point or a stack).  Every evaluator
+uses X_J only applied to v = I_c psi_c and takes Xv = X_J v, built at the
+energy it uses, so that one run builds each of X_J(E) v, X_J(E_c) v and
+the S-sum route's X_J(E) v once and never the dim x dim matrix.
+convention_report composes them into the reports of compare, scan and
+verify.  With either coupling zero there is nothing to evaluate (and X_J
+may not exist: E = E_c is a pair energy when I_c = 0); the caller decides
+that once and keeps the all-zero ControversyReport().
 """
 
 from __future__ import annotations
@@ -84,35 +84,35 @@ def _row_times(x, M):
     return (x[..., None, :] @ M)[..., 0, :]
 
 
-def deltaE1_direct(basis, E, psi_c, Xv):
-    """First-order term <psi_c| D X_J I_c |psi_c> at energy E
+def deltaE1_direct(st, E, Xv):
+    """First-order term <psi_c| D X_J I_c |psi_c> of st at energy E
     (Xv: X_J(E) I_c psi_c)."""
-    return inner((_column(E) - basis.pair_energies()) * psi_c, Xv)
+    return inner((_column(E) - st.basis.pair_energies()) * st.psi_c, Xv)
 
 
-def _reduced_left(basis, E_c, psi_c, I_c):
-    """psi_c^T (I_c - D_c), the left vector of the reduced second-order form."""
-    return _row_times(psi_c, I_c) - (_column(E_c) - basis.pair_energies()) * psi_c
+def _reduced_left(st):
+    """psi_c^T (I_c - D_c) of st, the left vector of the reduced second-order form."""
+    return _row_times(st.psi_c, st.I_c) - (_column(st.E_c) - st.basis.pair_energies()) * st.psi_c
 
 
-def deltaE2b_direct(basis, E, E_c, psi_c, I_c, resolvent, Xv):
-    """Reduced second-order cross term <psi_c|(I_c - D_c) X_J I_c|psi_c>
-    (Xv: X_J(E) I_c psi_c).
+def deltaE2b_direct(st, E, Xv):
+    """Reduced second-order cross term <psi_c|(I_c - D_c) X_J I_c|psi_c> of st
+    at energy E (Xv: X_J(E) I_c psi_c).
 
     Also evaluates the resolvent form <psi_c| H_D1 G(E) H_D2(E) |psi_c>
-    and returns (value, |resolvent_form - reduced_form|): the two agree
-    because G(E) D(E) acts as the identity on the complement of the
-    doubly-positive sector.
+    (G: st.resolvent) and returns (value, |resolvent_form - reduced_form|):
+    the two agree because G(E) D(E) acts as the identity on the complement
+    of the doubly-positive sector.
     """
-    reduced = inner(_reduced_left(basis, E_c, psi_c, I_c), Xv)
-    hd1_psi = _row_times(psi_c, build_HDelta1(basis, I_c))
-    hd2_psi = (_column(E) - basis.pair_energies()) * Xv
-    gamma_form = inner(hd1_psi, resolvent.apply(E, hd2_psi))
+    reduced = inner(_reduced_left(st), Xv)
+    hd1_psi = _row_times(st.psi_c, build_HDelta1(st.basis, st.I_c))
+    hd2_psi = (_column(E) - st.basis.pair_energies()) * Xv
+    gamma_form = inner(hd1_psi, st.resolvent.apply(E, hd2_psi))
     return reduced, np.abs(gamma_form - reduced)
 
 
-def combined_variant(basis, E, E_c, psi_c, I_c, convention, Xv):
-    """<psi_c| (I_c +/- dE) Y |psi_c> with Y = X_J I_c and dE = E - E_c.
+def combined_variant(st, E, convention, Xv):
+    """<psi_c| (I_c +/- dE) Y |psi_c> of st, Y = X_J I_c and dE = E - E_c.
 
     convention "lindgren" carries +dE, "dkz" carries -dE.  Xv is
     X_J I_c psi_c at the energy the caller takes the kernel at: E for the
@@ -123,13 +123,13 @@ def combined_variant(basis, E, E_c, psi_c, I_c, convention, Xv):
     if convention not in ("lindgren", "dkz"):
         raise ValueError(f"unknown convention '{convention}'")
     sign = 1.0 if convention == "lindgren" else -1.0
-    return inner(_row_times(psi_c, I_c) + _column(sign * (E - E_c)) * psi_c, Xv)
+    return inner(_row_times(st.psi_c, st.I_c) + _column(sign * (E - st.E_c)) * st.psi_c, Xv)
 
 
-def predicted_discrepancy(basis, E, E_c, psi_c, I_c, Xv):
-    """2 dE <psi_c| Y |psi_c> evaluated through the transformed route
-    (S1 + S2 factorization; Xv: xj_matrix_ssum_route at E applied to
-    I_c psi_c), plus partial-fraction cross checks.
+def predicted_discrepancy(st, E, Xv):
+    """2 dE <psi_c| Y |psi_c> of st at energy E, evaluated through
+    the transformed route (S1 + S2 factorization; Xv: xj_matrix_ssum_route
+    at E applied to I_c psi_c), plus partial-fraction cross checks.
 
     Returns (predicted, residuals, dm1_error_term) where residuals holds
     "Dm1_route" (the partial-fraction identity applied inside the reduced
@@ -137,17 +137,17 @@ def predicted_discrepancy(basis, E, E_c, psi_c, I_c, Xv):
     2 dE <psi_c|(I_c - D_c) (Dc D)^-1 W-route |psi_c> that the transformed
     derivation drops when it flips the sign.
     """
-    dE = np.asarray(E, dtype=float) - E_c
-    predicted = 2.0 * dE * inner(psi_c, Xv)
+    dE = np.asarray(E, dtype=float) - st.E_c
+    predicted = 2.0 * dE * inner(st.psi_c, Xv)
 
-    dinv = inverse_denominator(basis, E)
-    dcinv = inverse_denominator(basis, E_c)
+    dinv = inverse_denominator(st.basis, E)
+    dcinv = inverse_denominator(st.basis, st.E_c)
 
     # reduced second-order form with the left D^-1 of X split by
     # D^-1 = Dc^-1 - dE (Dc D)^-1; X = D^-1 W D^-1 so D X v = W D^-1 v is
     # the remainder of the transform
-    w_tail = (_column(E) - basis.pair_energies()) * Xv
-    left = _reduced_left(basis, E_c, psi_c, I_c)
+    w_tail = (_column(E) - st.basis.pair_energies()) * Xv
+    left = _reduced_left(st)
     direct = inner(left, dinv * w_tail)
     split = inner(left, (dcinv - _column(dE) * dcinv * dinv) * w_tail)
     residuals = {"Dm1_route": np.abs(direct - split) / np.maximum(1.0, np.abs(direct))}
@@ -156,18 +156,18 @@ def predicted_discrepancy(basis, E, E_c, psi_c, I_c, Xv):
     return predicted, residuals, dm1_error_term
 
 
-def convention_report(basis, E, E_c, psi_c, I_c, resolvent, Xv, Xv_alt):
-    """Both conventions at energy E, their difference, the predicted
+def convention_report(st, E, Xv, Xv_alt):
+    """Both conventions of st at energy E, their difference, the predicted
     difference and the four chain residuals (Xv: X_J(E) I_c psi_c on the
     direct route, Xv_alt on the S-sum route), as one ControversyReport per
-    item: a list of one for one point.  combined_dkz_dc_approx is left at
-    0: it needs X_J(E_c), which only compare builds."""
-    dE1 = deltaE1_direct(basis, E, psi_c, Xv)
-    dE2b, e2b_res = deltaE2b_direct(basis, E, E_c, psi_c, I_c, resolvent, Xv)
-    lindgren = combined_variant(basis, E, E_c, psi_c, I_c, "lindgren", Xv)
-    dkz = combined_variant(basis, E, E_c, psi_c, I_c, "dkz", Xv)
+    item of st: a list of one for one point.  combined_dkz_dc_approx is left
+    at 0: it needs X_J(E_c), which only compare builds."""
+    dE1 = deltaE1_direct(st, E, Xv)
+    dE2b, e2b_res = deltaE2b_direct(st, E, Xv)
+    lindgren = combined_variant(st, E, "lindgren", Xv)
+    dkz = combined_variant(st, E, "dkz", Xv)
     difference = lindgren - dkz
-    predicted, dm1_res, dm1_error = predicted_discrepancy(basis, E, E_c, psi_c, I_c, Xv_alt)
+    predicted, dm1_res, dm1_error = predicted_discrepancy(st, E, Xv_alt)
     scale = np.maximum(1.0, np.abs(lindgren))
     residuals = {
         "E2b_vs_E2b2": e2b_res / np.maximum(1.0, np.abs(dE2b)),
@@ -292,8 +292,8 @@ def h_delta2_ladder(basis, E, I_c, g_delta):
 # -- model oracle --------------------------------------------------------------
 
 
-def model_oracle(basis, I_c, g_delta, psi_c, return_vector=False):
-    """Exact reference energy: eigenvalue of
+def model_oracle(st, return_vector=False):
+    """Exact reference energy of st's model: eigenvalue of
     H = h1 + h2 + (P_pp - P_mm)(I_c + g) continuously connected to psi_c.
 
     H is real but not symmetric.  Its mixed rows are diag(e_m) only, so H is
@@ -303,12 +303,11 @@ def model_oracle(basis, I_c, g_delta, psi_c, return_vector=False):
     psi_c, which lives on pp pairs, and the tracked eigenvalue must stay
     real.
     """
-    u = basis.unmixed_sign != 0
-    H = np.diag(basis.pair_energies()[u]) + basis.unmixed_sign[u][:, None] * (
-        np.asarray(I_c) + np.asarray(g_delta)
-    )[np.ix_(u, u)]
+    u = st.basis.unmixed_sign != 0
+    H = np.diag(st.basis.pair_energies()[u]) + st.basis.unmixed_sign[u][:, None] * (
+        st.I_c + st.g_delta)[np.ix_(u, u)]
     vals, vecs = np.linalg.eig(H)
-    overlaps = np.abs(vecs.conj().T @ np.asarray(psi_c)[u]) / np.linalg.norm(vecs, axis=0)
+    overlaps = np.abs(vecs.conj().T @ st.psi_c[u]) / np.linalg.norm(vecs, axis=0)
     k = int(np.argmax(overlaps))
     if overlaps[k] ** 2 < 0.5:
         raise OracleTrackingError(
@@ -318,7 +317,7 @@ def model_oracle(basis, I_c, g_delta, psi_c, return_vector=False):
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
         raise OracleTrackingError(f"tracked eigenvalue not real: {val}")
     if return_vector:
-        v = np.zeros(basis.dim)
+        v = np.zeros(st.basis.dim)
         v[u] = np.real(vecs[:, k])
         return float(val.real), v / np.linalg.norm(v)
     return float(val.real)

@@ -42,14 +42,17 @@ TOLERANCES = {
     "g0mod_route": 1e-8,
 }
 
+#: a sampled check keeps the rows whose denominators all lie this far from zero
+MIN_GAP = 0.05
 
-def _kept(lo, hi, *denominators, min_gap=0.05):
+
+def _kept(lo, hi, *denominators):
     """The sample rows whose denominators (a (rows, k) array per argument)
-    all lie min_gap or more from zero; raises where no row does."""
-    keep = np.logical_and.reduce([np.min(np.abs(d), axis=1) >= min_gap for d in denominators])
+    all lie MIN_GAP or more from zero; raises where no row does."""
+    keep = np.logical_and.reduce([np.min(np.abs(d), axis=1) >= MIN_GAP for d in denominators])
     if not keep.any():
         raise DegenerateDenominatorError(
-            f"no sample energy in [{lo:.6g}, {hi:.6g}] lies {min_gap} away from every pair energy")
+            f"no sample energy in [{lo:.6g}, {hi:.6g}] lies {MIN_GAP} away from every pair energy")
     return keep
 
 
@@ -144,9 +147,7 @@ def identity_suite(cfg):
         X_direct = xj_matrix(basis, E, g, cfg.j_order)
         X_alt = xj_matrix_ssum_route(basis, E, g, cfg.j_order)
         if np.any(I_c):
-            v = I_c @ psi_c
-            (rep,) = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, X_direct @ v,
-                                       X_alt @ v)
+            (rep,) = convention_report(st, E, *(X @ (I_c @ psi_c) for X in (X_direct, X_alt)))
         # transformed route reproduces the direct kernel integral
         g0mod_route = _relative(X_alt, X_direct)
     res.update(rep.identity_residuals)

@@ -196,15 +196,12 @@ def build_basis(spectrum: SingleParticleSpectrum) -> TwoParticleBasis:
     return TwoParticleBasis(spectrum)
 
 
-def dirac_like_energies(n_each=2, mass=1.0, step=0.5):
-    """Default spectrum preset: positives {m + k d}, negatives {-m - k d}.
-
-    The +-2m gap keeps unmixed-pair denominators away from zero for the
-    default couplings.
-    """
-    pos = tuple(mass + k * step for k in range(n_each))
-    neg = tuple(-mass - k * step for k in range(n_each))
-    return pos, neg
+def dirac_like_energies(n_each=2):
+    """Default spectrum preset: positives 1 + k/2 and negatives -1 - k/2 for
+    k < n_each.  The +-2 gap keeps unmixed-pair denominators away from zero
+    for the default couplings."""
+    pos = tuple(1.0 + k * 0.5 for k in range(n_each))
+    return pos, tuple(-e for e in pos)
 
 
 def _base_matrix(spec, dim, seed, channel):

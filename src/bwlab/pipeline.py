@@ -11,7 +11,7 @@ to vectors on the unmixed pairs (controversy.ladder_perturbation).  V
 maps into those pairs and G_Q keeps vectors there, so the BW solve runs
 on them alone, and no dim x dim V is formed at any BW energy.  The
 convention comparison evaluates the relative-energy (joint) expressions
-exactly as written, with dE = E - E_c taken from the BW solve.  The
+exactly as written, with dE = E - E_c and E from the BW solve.  The
 evaluators need the kernel integral only applied to v = I_c psi_c, so the
 run builds X_J v once per energy and route, never the dim x dim X_J.
 
@@ -66,7 +66,8 @@ STACK_DOUBLES = 8
 class ReferenceState:
     """The configured model and its no-pair reference state; or a stack of
     them over one basis, one per coupling factor, with a leading axis on the
-    arrays.  The basis is the model space: its spectrum holds the levels."""
+    arrays.  The basis is the model space: its spectrum holds the levels.
+    It is st, the one argument of controversy's evaluators and oracle."""
 
     basis: object
     I_c: np.ndarray
@@ -139,11 +140,10 @@ def _conventions(order, st, ledgers):
     if not items.size:
         return reports
     group = st.take(items)
-    E, E_c = (np.array([getattr(ledgers[i], name) for i in items]) for name in ("E", "E_c"))
+    E = np.array([ledgers[i].E for i in items])
     v = (group.I_c @ group.psi_c[..., None])[..., 0]
     Xv, Xv_alt = xj_stack(st.basis, E, group.g_delta, order, v)
-    for i, rep in zip(items, convention_report(st.basis, E, E_c, group.psi_c, group.I_c,
-                                               group.resolvent, Xv, Xv_alt)):
+    for i, rep in zip(items, convention_report(group, E, Xv, Xv_alt)):
         reports[i] = rep
     return reports
 
@@ -206,15 +206,13 @@ def run_pipeline(cfg: RunConfig) -> PipelineResult:
     the convention report, then combined_dkz_dc_approx, the dkz combination
     with X_J(E_c) v in place of X_J(E) v, and the model oracle's energy."""
     st = reference_state(cfg)
-    basis, I_c, g, psi_c = st.basis, st.I_c, st.g_delta, st.psi_c
     ledger = bw_selfconsistent(*_bw_problem(st), st.E_c, order=cfg.bw_order)
     rep = ControversyReport()
     if _coupled(st):
-        E, E_c, order, v = ledger.E, ledger.E_c, cfg.j_order, I_c @ psi_c
-        Xv, Xv_alt = (route(basis, E, g, order, v=v)
-                      for route in (xj_matrix, xj_matrix_ssum_route))
-        (rep,) = convention_report(basis, E, E_c, psi_c, I_c, st.resolvent, Xv, Xv_alt)
-        Xv_c = xj_matrix(basis, E_c, g, order, v=v)
-        rep.combined_dkz_dc_approx = float(combined_variant(basis, E, E_c, psi_c, I_c,
-                                                            "dkz", Xv_c))
-    return PipelineResult(st, ledger, rep, model_oracle(basis, I_c, g, psi_c))
+        E, g, order, v = ledger.E, st.g_delta, cfg.j_order, st.I_c @ st.psi_c
+        (rep,) = convention_report(st, E, *(route(st.basis, E, g, order, v=v)
+                                            for route in (xj_matrix, xj_matrix_ssum_route)))
+        # ledger.E_c is st.E_c as a float, which perfbench's span notes can hash
+        Xv_c = xj_matrix(st.basis, ledger.E_c, g, order, v=v)
+        rep.combined_dkz_dc_approx = float(combined_variant(st, E, "dkz", Xv_c))
+    return PipelineResult(st, ledger, rep, model_oracle(st))

@@ -370,8 +370,11 @@ def xj_stack(basis, E, g_delta, order, v=None, routes=("direct", "ssum")):
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    E = np.asarray(E, dtype=float)
-    g = np.asarray(g_delta, dtype=float)
+    E, g = np.asarray(E, dtype=float), _square(g_delta, basis, "g")
+    if E.ndim != 1 or g.shape[:-2] != E.shape:
+        raise ValueError(f"E has shape {E.shape} and g {g.shape}: not one item each")
+    if v is not None and np.shape(v) != (*E.shape, basis.dim):
+        raise ValueError(f"v has shape {np.shape(v)}, the stack needs {(*E.shape, basis.dim)}")
     live = g.any(axis=(-2, -1))
     G = g if v is None else g.swapaxes(-1, -2)
     groups = None
@@ -391,11 +394,7 @@ def xj_stack(basis, E, g_delta, order, v=None, routes=("direct", "ssum")):
 def _one_point(basis, E, g_delta, order, v, route):
     """X_J (or X_J v) at one energy on one route: the stack of one."""
     g = _square(g_delta, basis, "g").reshape(1, basis.dim, basis.dim)
-    if v is not None:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (basis.dim,):
-            raise ValueError(f"v has shape {v.shape}, basis needs {(basis.dim,)}")
-        v = v[None]
+    v = None if v is None else np.asarray(v, dtype=float)[None]
     (X,) = xj_stack(basis, [E], g, order, v, (route,))
     return X[0]
 

@@ -180,14 +180,21 @@ class NodeSums:
         return finv, sandwich
 
 
+def _node_sums(spectrum, E, sums, pairs):
+    """sums if made for spectrum and E (else ValueError), or new NodeSums."""
+    if sums is not None and (sums.spectrum, sums.E) != (spectrum, E):
+        raise ValueError(f"sums were made for E = {sums.E!r} on {sums.spectrum.energies}")
+    return NodeSums(spectrum, E, pairs) if sums is None else sums
+
+
 def quadrature_finv(spectrum, E, return_imag=False, sums=None):
     """Oracle for the basic integral i int deps/2pi F^-1 (diagonal).
 
     The node sum of S1[i] S2[j] over all pairs is one (n, block) x (block, n)
     product per node block; F^-1 is never formed per pair.  sums: NodeSums
-    at E, made here when not given.
+    at E, made here when not given (ValueError if made for another E or spectrum).
     """
-    finv, _ = (NodeSums(spectrum, E, pairs=False) if sums is None else sums).sums
+    finv, _ = _node_sums(spectrum, E, sums, pairs=False).sums
     re, im = _settled(1j * finv.reshape(2, -1) / (2 * np.pi))
     if return_imag:
         return np.diag(re), np.diag(im)
@@ -199,14 +206,14 @@ def quadrature_oracle(spectrum, E, A, return_imag=False, sums=None):
 
     The integrand factorizes per element, so one pairwise node sum covers
     the whole matrix: X[p, q] = A[p, q] * i int f_p f_q deps / 2pi.
-    Linear in A, so A = 0 gives zeros without integrating.  sums: NodeSums
-    at E (with pairs), made here when not given.
+    Linear in A, so A = 0 gives zeros without integrating.  sums: as for
+    quadrature_finv, with pairs.
     """
     A = np.asarray(A, dtype=float)
     if not np.any(A):
         zeros = np.zeros_like(A)
         return (zeros, zeros.copy()) if return_imag else zeros
-    _, sandwich = (NodeSums(spectrum, E) if sums is None else sums).sums
+    _, sandwich = _node_sums(spectrum, E, sums, pairs=True).sums
     re, im = _settled(1j * sandwich / (2 * np.pi))
     if return_imag:
         return A * re, A * im

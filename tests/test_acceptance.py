@@ -176,12 +176,10 @@ def test_criterion_6_central_claim():
     for model in FIXTURES:
         cfg = RunConfig(model)
         res = run_pipeline(cfg)
-        basis = res.state.basis
-        E, E_c, psi = res.ledger.E, res.ledger.E_c, res.state.psi_c
-        I_c, g = res.state.I_c, res.state.g_delta
+        st, E = res.state, res.ledger.E
         rep = res.controversy
-        Xv_alt = xj_matrix_ssum_route(basis, E, g, cfg.j_order, v=I_c @ psi)
-        predicted, _, _ = predicted_discrepancy(basis, E, E_c, psi, I_c, Xv_alt)
+        Xv_alt = xj_matrix_ssum_route(st.basis, E, st.g_delta, cfg.j_order, v=st.I_c @ st.psi_c)
+        predicted, _, _ = predicted_discrepancy(st, E, Xv_alt)
         scale = max(1.0, abs(rep.combined_lindgren))
         worst_claim = max(worst_claim, abs(rep.difference - predicted) / scale)
         worst_chain = max(

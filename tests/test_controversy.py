@@ -30,7 +30,7 @@ from bwlab import (
 from bwlab.controversy import (convention_report, fit_power_law, h_delta2_ladder, ladder_kernel,
                                ladder_perturbation)
 from bwlab.operators import build_D, build_HDelta1
-from bwlab.pipeline import _bw_problem, reference_state
+from bwlab.pipeline import ReferenceState, _bw_problem, reference_state
 from conftest import energy_away_from_poles, jittered_dim36
 from bwlab.propagators import xj_matrix, xj_matrix_ssum_route
 
@@ -39,28 +39,31 @@ J_ORDER = 2
 
 
 def solved(dim4):
+    """The no-pair reference state of the dim-4 fixture."""
     spectrum, basis, I_c, g = dim4
     H = build_Hc(basis, I_c)
     E_c, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
-    return spectrum, basis, I_c, g, r, E_c, psi
+    return ReferenceState(basis, I_c, g, E_c, psi, r)
 
 
-def applied(basis, E, psi, I_c, g, j_order, route=xj_matrix):
-    """X_J(E) I_c psi built along route, the Xv the evaluators take."""
-    return route(basis, E, g, j_order, v=I_c @ psi)
+def applied(st, E, j_order, route=xj_matrix):
+    """X_J(E) I_c psi_c of st built along route, the Xv the evaluators take."""
+    return route(st.basis, E, st.g_delta, j_order, v=st.I_c @ st.psi_c)
 
 
 def test_deltaE1_frozen_value(dim4):
     """K=1 at E = E_c = 2.1: psi D sandwich(g) I_c psi = 518/495 exactly
     (from the exact dim-4 residue table)."""
-    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    val = deltaE1_direct(basis, E_c, psi, applied(basis, E_c, psi, I_c, g, 1))
+    st = solved(dim4)
+    val = deltaE1_direct(st, st.E_c, applied(st, st.E_c, 1))
     assert val == pytest.approx(518.0 / 495.0, rel=1e-13)
 
 
 def test_deltaE1_vs_quadrature_composition(dim4):
-    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    val = deltaE1_direct(basis, E_c, psi, applied(basis, E_c, psi, I_c, g, 1))
+    st = solved(dim4)
+    spectrum, basis, I_c, g = dim4
+    E_c, psi = st.E_c, st.psi_c
+    val = deltaE1_direct(st, E_c, applied(st, E_c, 1))
     Xq = quadrature_oracle(spectrum, E_c, g)
     D = build_D(basis, E_c)
     quad_val = psi @ D @ Xq @ I_c @ psi
@@ -68,41 +71,43 @@ def test_deltaE1_vs_quadrature_composition(dim4):
 
 
 def test_deltaE2b_forms_agree(dim4):
-    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    E = E_c + 0.2
-    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
-    val, residual = deltaE2b_direct(basis, E, E_c, psi, I_c, r, Xv)
+    st = solved(dim4)
+    E = st.E_c + 0.2
+    Xv = applied(st, E, J_ORDER)
+    val, residual = deltaE2b_direct(st, E, Xv)
     assert residual < 1e-10 * max(1.0, abs(val))
     assert val != 0.0
 
 
 def test_combined_conventions_agree_at_zero_shift(dim4):
-    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    Xv = applied(basis, E_c, psi, I_c, g, J_ORDER)
-    lind = combined_variant(basis, E_c, E_c, psi, I_c, "lindgren", Xv)
-    dkz = combined_variant(basis, E_c, E_c, psi, I_c, "dkz", Xv)
+    st = solved(dim4)
+    Xv = applied(st, st.E_c, J_ORDER)
+    lind = combined_variant(st, st.E_c, "lindgren", Xv)
+    dkz = combined_variant(st, st.E_c, "dkz", Xv)
     assert lind == dkz
 
 
 def test_combined_equals_chain_sum(dim4):
     """(D + I_c - D_c) recombines into (I_c + dE): the first-order plus
     reduced second-order terms equal the lindgren combination."""
-    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    E = E_c + 0.17
-    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
-    d1 = deltaE1_direct(basis, E, psi, Xv)
-    d2, _ = deltaE2b_direct(basis, E, E_c, psi, I_c, r, Xv)
-    lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
+    st = solved(dim4)
+    E = st.E_c + 0.17
+    Xv = applied(st, E, J_ORDER)
+    d1 = deltaE1_direct(st, E, Xv)
+    d2, _ = deltaE2b_direct(st, E, Xv)
+    lind = combined_variant(st, E, "lindgren", Xv)
     assert d1 + d2 == pytest.approx(lind, rel=1e-10)
 
 
 def test_difference_is_twice_shift_times_Y(dim4):
-    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
+    st = solved(dim4)
+    spectrum, basis, I_c, g = dim4
+    E_c, psi = st.E_c, st.psi_c
     E = E_c + 0.17
     dE = E - E_c
-    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
-    lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
-    dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
+    Xv = applied(st, E, J_ORDER)
+    lind = combined_variant(st, E, "lindgren", Xv)
+    dkz = combined_variant(st, E, "dkz", Xv)
     Y = xj_matrix(basis, E, g, J_ORDER) @ I_c
     expect = 2.0 * dE * (psi @ Y @ psi)
     assert (lind - dkz) == pytest.approx(expect, abs=1e-12 * max(1.0, abs(lind)))
@@ -115,14 +120,13 @@ def test_dm1_scalar_identity():
 
 
 def test_predicted_discrepancy_matches_measured(dim4):
-    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    E = E_c + 0.17
-    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
-    lind = combined_variant(basis, E, E_c, psi, I_c, "lindgren", Xv)
-    dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
+    st = solved(dim4)
+    E = st.E_c + 0.17
+    Xv = applied(st, E, J_ORDER)
+    lind = combined_variant(st, E, "lindgren", Xv)
+    dkz = combined_variant(st, E, "dkz", Xv)
     predicted, residuals, dm1_err = predicted_discrepancy(
-        basis, E, E_c, psi, I_c,
-        applied(basis, E, psi, I_c, g, J_ORDER, xj_matrix_ssum_route),
+        st, E, applied(st, E, J_ORDER, xj_matrix_ssum_route),
     )
     assert (lind - dkz) == pytest.approx(predicted, rel=1e-10)
     assert residuals["Dm1_route"] < 1e-12
@@ -130,10 +134,9 @@ def test_predicted_discrepancy_matches_measured(dim4):
 
 
 def test_predicted_discrepancy_zero_shift(dim4):
-    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
+    st = solved(dim4)
     predicted, _, dm1_err = predicted_discrepancy(
-        basis, E_c, E_c, psi, I_c,
-        applied(basis, E_c, psi, I_c, g, J_ORDER, xj_matrix_ssum_route),
+        st, st.E_c, applied(st, st.E_c, J_ORDER, xj_matrix_ssum_route),
     )
     assert predicted == 0.0
     assert dm1_err == 0.0
@@ -142,24 +145,23 @@ def test_predicted_discrepancy_zero_shift(dim4):
 def test_dkz_dc_approx_reported(dim4):
     """The dc approximation is the dkz combination with X_J taken at E_c;
     only "lindgren" and "dkz" are conventions."""
-    spectrum, basis, I_c, g, r, E_c, psi = solved(dim4)
-    E = E_c + 0.17
-    Xv = applied(basis, E, psi, I_c, g, J_ORDER)
-    approx = combined_variant(basis, E, E_c, psi, I_c, "dkz",
-                              applied(basis, E_c, psi, I_c, g, J_ORDER))
-    dkz = combined_variant(basis, E, E_c, psi, I_c, "dkz", Xv)
+    st = solved(dim4)
+    E = st.E_c + 0.17
+    Xv = applied(st, E, J_ORDER)
+    approx = combined_variant(st, E, "dkz", applied(st, st.E_c, J_ORDER))
+    dkz = combined_variant(st, E, "dkz", Xv)
     assert np.isfinite(approx)
     assert approx != dkz
     for name in ("nonsense", "dkz-dc-approx"):
         with pytest.raises(ValueError):
-            combined_variant(basis, E, E_c, psi, I_c, name, Xv)
+            combined_variant(st, E, name, Xv)
 
 
 def test_model_oracle_free_limit(dim4):
-    spectrum, basis, _, _ = dim4
     zero = np.zeros((4, 4))
     psi = np.array([1.0, 0.0, 0.0, 0.0])
-    assert model_oracle(basis, zero, zero, psi) == pytest.approx(2.0)
+    st = replace(solved(dim4), I_c=zero, g_delta=zero, psi_c=psi)
+    assert model_oracle(st) == pytest.approx(2.0)
 
 
 def test_model_oracle_overlap(dim4_config):
@@ -172,8 +174,8 @@ def test_model_oracle_overlap(dim4_config):
     I_c = build_interaction(cfg, "coulomb")
     g = build_interaction(cfg, "delta")
     H = build_Hc(basis, I_c)
-    _, psi, _ = solve_no_pair(H, basis.pattern_indices("pp"))
-    _, vec = model_oracle(basis, I_c, g, psi, return_vector=True)
+    E_c, psi, r = solve_no_pair(H, basis.pattern_indices("pp"))
+    _, vec = model_oracle(ReferenceState(basis, I_c, g, E_c, psi, r), return_vector=True)
     assert (psi @ vec) ** 2 > 0.9
 
 
@@ -201,7 +203,7 @@ def test_bw_ladder_tracks_oracle(dim4_config):
 
 
 def test_h_delta2_routes_zero_couplings(dim4):
-    spectrum, basis, I_c, g, *_ = solved(dim4)
+    spectrum, basis, I_c, g = dim4
     zero = np.zeros((4, 4))
     assert not np.any(h_delta2_ladder(basis, 2.1, zero, g))
     assert not np.any(h_delta2_ladder(basis, 2.1, I_c, zero))
@@ -377,10 +379,10 @@ def test_model_oracle_tracking_failure_is_bwlab_error(dim4):
     """A psi_c that overlaps no eigenvector enough raises OracleTrackingError."""
     from bwlab import BwlabError, OracleTrackingError
 
-    spectrum, basis, I_c, g = dim4
-    psi = np.full(basis.dim, 0.5)  # spread evenly over the four free pair states
+    st = solved(dim4)
+    psi = np.full(st.basis.dim, 0.5)  # spread evenly over the four free pair states
     with pytest.raises(OracleTrackingError, match="ambiguous") as info:
-        model_oracle(basis, 0.0 * I_c, 0.0 * g, psi)
+        model_oracle(replace(st, I_c=0.0 * st.I_c, g_delta=0.0 * st.g_delta, psi_c=psi))
     assert isinstance(info.value, BwlabError)
 
 
@@ -396,7 +398,7 @@ def test_model_oracle_rejects_a_complex_tracked_eigenvalue():
                                 delta_matrix="random-symmetric"))
     st = reference_state(cfg)
     with pytest.raises(OracleTrackingError, match=r"^tracked eigenvalue not real: \(0\.4189"):
-        model_oracle(st.basis, st.I_c, st.g_delta, st.psi_c)
+        model_oracle(st)
 
 
 #: a jittered 2+2 spectrum (dim 16) next to the dim-4 fixture
@@ -487,8 +489,7 @@ def one_point_run(cfg, lam):
     v = st.I_c @ st.psi_c
     Xv, Xv_alt = (route(st.basis, ledger.E, st.g_delta, cfg.j_order, v=v)
                   for route in (xj_matrix, xj_matrix_ssum_route))
-    (rep,) = convention_report(st.basis, ledger.E, ledger.E_c, st.psi_c, st.I_c, st.resolvent,
-                               Xv, Xv_alt)
+    (rep,) = convention_report(st, ledger.E, Xv, Xv_alt)
     return ledger, rep
 
 
@@ -715,7 +716,7 @@ def test_coupling_scan_nonfinite_bw_step_fails_at_once():
     infinite secant step does not count as agreeing): its BW converges in a
     few iterations, long before bw.MAX_ITER, and the point fails at X_J's
     pinch check, with no numpy warning on the way."""
-    from bwlab.pipeline import _bw_problem, reference_state
+    from bwlab.pipeline import ReferenceState, _bw_problem, reference_state
 
     matrix = tuple(tuple(10.0 if i == j else 1.0 for j in range(4)) for i in range(4))
     cfg = RunConfig(ModelConfig(positive_energies=(1.0,), negative_energies=(-1.2,),

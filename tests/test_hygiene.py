@@ -209,3 +209,25 @@ def test_only_run_pipeline_makes_the_one_point_calls():
              for top in _tree(SRC / "pipeline.py").body for node in ast.walk(top)
              if isinstance(node, ast.Name) and node.id in ONE_POINT_CALLS}
     assert found == {("run_pipeline", name) for name in ONE_POINT_CALLS}
+
+
+#: the definitions that take the reference state as their one model argument
+STATE_TAKERS = ("deltaE1_direct", "deltaE2b_direct", "combined_variant",
+                "predicted_discrepancy", "convention_report", "model_oracle")
+#: the ReferenceState fields that those definitions read from st
+STATE_FIELDS = {"basis", "E_c", "psi_c", "I_c", "g_delta", "resolvent"}
+
+
+def test_the_convention_layer_takes_the_reference_state():
+    """The convention evaluators and the model oracle take st, the
+    pipeline.ReferenceState, first and none of its fields beside it:
+    callers pass one state, not up to six arrays that must agree."""
+    found = {}
+    for node in _tree(SRC / "controversy.py").body:
+        if isinstance(node, ast.FunctionDef) and node.name in STATE_TAKERS:
+            a = node.args
+            found[node.name] = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs)]
+    assert sorted(found) == sorted(STATE_TAKERS)
+    assert {name: params[0] for name, params in found.items()} == dict.fromkeys(STATE_TAKERS, "st")
+    assert {name: sorted(STATE_FIELDS & {*params}) for name, params in found.items()} == {
+        name: [] for name in STATE_TAKERS}

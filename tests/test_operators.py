@@ -20,6 +20,7 @@ from bwlab import (
 )
 from bwlab.controversy import ladder_kernel
 from bwlab.operators import build_D, build_Dc, free_propagator, inverse_denominator, projectors
+from bwlab.pipeline import ReferenceState
 from conftest import energy_away_from_poles, random_spectrum
 
 from bwlab.model import SingleParticleSpectrum
@@ -207,9 +208,9 @@ def test_masks_match_dense_projectors(case, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", spy)
     H_c = build_Hc(basis, I_c)
-    _, psi_c, _ = solve_no_pair(H_c, basis.pattern_indices("pp"))
+    E_c, psi_c, r = solve_no_pair(H_c, basis.pattern_indices("pp"))
     try:
-        model_oracle(basis, I_c, g, psi_c)
+        model_oracle(ReferenceState(basis, I_c, g, E_c, psi_c, r))
     except OracleTrackingError:
         pass  # the operator was built; tracking is not what is checked here
     assert len(seen) == 1
@@ -254,14 +255,15 @@ def test_model_oracle_unmixed_block_tracks_full_eig(case):
     has no such eigenvector and its tracking fails instead."""
     _, spectrum, I_c, g = case
     basis = build_basis(spectrum)
-    _, psi_c, _ = solve_no_pair(build_Hc(basis, I_c), basis.pattern_indices("pp"))
+    E_c, psi_c, r = solve_no_pair(build_Hc(basis, I_c), basis.pattern_indices("pp"))
+    st = ReferenceState(basis, I_c, g, E_c, psi_c, r)
     want = full_oracle(basis, I_c, g, psi_c)
     mixed_energies = basis.pair_energies()[basis.unmixed_sign == 0]
     if isinstance(want, str) or np.any(mixed_energies == want[0]):
         with pytest.raises(OracleTrackingError, match=want if isinstance(want, str) else None):
-            model_oracle(basis, I_c, g, psi_c)
+            model_oracle(st)
         return
-    val, vec = model_oracle(basis, I_c, g, psi_c, return_vector=True)
+    val, vec = model_oracle(st, return_vector=True)
     assert abs(val - want[0]) <= 1e-12 * max(1.0, abs(want[0]))
     assert abs(abs(vec @ want[1]) - 1.0) <= 1e-12
 
@@ -274,7 +276,8 @@ UNMIXED_E, MIXED_E, GOOD_E = 2.0, -0.2, 2.1
 
 def _predicted(basis, E, E_c, I_c, g):
     psi_c = np.array([1.0, 0.0, 0.0, 0.0])
-    return predicted_discrepancy(basis, E, E_c, psi_c, I_c, np.ones(basis.dim))
+    st = ReferenceState(basis, I_c, g, E_c, psi_c, None)
+    return predicted_discrepancy(st, E, np.ones(basis.dim))
 
 
 GUARD_SITES = {

@@ -555,6 +555,10 @@ BAD_ARGUMENTS = {
     "j_series order 0": (lambda b, g: j_series(b, 2.25, g, 0), "order must be >= 1"),
     "xj_stack order 0": (lambda b, g: propagators.xj_stack(b, [2.25], g[None], 0),
                          "order must be >= 1"),
+    "xj_stack E longer than g": (lambda b, g: propagators.xj_stack(b, [2.3, 2.4], g[None], 2),
+                                 "E has shape (2,) and g (1, 4, 4): not one item each"),
+    "xj_stack g longer than E": (lambda b, g: propagators.xj_stack(b, [2.3], [g, g], 2),
+                                 "E has shape (1,) and g (2, 4, 4): not one item each"),
     "xj_matrix g 3x3": (lambda b, g: xj_matrix(b, 2.25, g[:3, :3], 2),
                         "g has shape (3, 3), basis needs (4, 4)"),
     "pole_product_integral no poles": (lambda b, g: pole_product_integral([]),

@@ -6,6 +6,7 @@ one pass."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from bwlab import build_basis, quadrature_finv, quadrature_oracle
 from bwlab import quadrature
@@ -54,3 +55,16 @@ def test_shared_node_sums_match_separate_oracles():
     sandwich = quadrature_oracle(DEFAULT_2P2, E, A, sums=sums)
     assert np.array_equal(finv, quadrature_finv(DEFAULT_2P2, E))
     assert np.array_equal(sandwich, quadrature_oracle(DEFAULT_2P2, E, A))
+
+
+def test_node_sums_for_another_problem_are_rejected():
+    """An oracle given node sums made for another energy or spectrum raises
+    instead of returning their integral."""
+    basis = build_basis(DEFAULT_2P2)
+    A = np.ones((basis.dim, basis.dim))
+    other = SingleParticleSpectrum.from_lists([1.0, 1.6], [-1.0, -1.5])
+    for sums in (NodeSums(DEFAULT_2P2, E + 0.35), NodeSums(other, E)):
+        for oracle in (lambda: quadrature_finv(DEFAULT_2P2, E, sums=sums),
+                       lambda: quadrature_oracle(DEFAULT_2P2, E, A, sums=sums)):
+            with pytest.raises(ValueError, match="^sums were made for E = "):
+                oracle()
